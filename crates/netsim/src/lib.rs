@@ -63,7 +63,7 @@
 //! | [`stats`] | latency / delay / throughput statistics | — |
 //! | [`telemetry`] | zero-perturbation observability: counter fabric, event trace + Perfetto export, heatmaps, profiling | inert (`None`) unless installed; one branch per probe site |
 //! | [`clock`] | dual-clock (node vs NoC) bookkeeping | per-cycle divisions cached on frequency change |
-//! | [`sim`] | the [`NocSimulation`] driver | sparse activity-tracked stepping (worklists + channel due-lists); owns the per-cycle scratch; see below |
+//! | [`sim`] | the [`NocSimulation`] driver | one router-pipeline kernel under three drivers (sparse worklists + channel due-lists, dense reference, island workers); owns the per-cycle scratch; see below |
 //!
 //! ## Performance: sparse stepping and the scratch-buffer contract
 //!
@@ -74,8 +74,9 @@
 //! Quiescent routers, empty channels and idle sources cost nothing. Packet
 //! generation keeps its exact per-node-per-cycle RNG draw order, so the
 //! sparse engine is bit-identical to the dense reference loop retained
-//! behind `NOC_DENSE_STEP=1` (see the [`sim`] module docs and the README's
-//! *Activity-tracked stepping* section for the quiescence contract).
+//! behind [`NocSimulation::set_dense_stepping`] (see the [`sim`] module docs
+//! and the README's *Activity-tracked stepping* section for the quiescence
+//! contract).
 //!
 //! The steady-state cycle loop ([`NocSimulation::step`]) also performs
 //! **zero heap allocations**. That property rests on a simple ownership
@@ -99,15 +100,14 @@
 //!   queue ([`Source::try_inject`](source::Source::try_inject)); nothing on
 //!   the flit path clones.
 //!
-//! Benchmarks: `cargo bench -p noc-bench --bench sim_throughput` measures raw
-//! cycles/second; `scripts/bench.sh` records the tracked suite into
-//! `BENCH_sim_throughput.json` at the repo root (see the README's
-//! Performance section for the current numbers).
+//! Benchmarks: `benchmark/run.sh` is the repository's benchmark (end-to-end
+//! metrics, `--traced` for per-layer numbers); `cargo bench -p noc-bench
+//! --bench sim_throughput` gives interactive cycles/second.
 
-// `deny`, not `forbid`: the per-island parallel stepper in [`sim`] carries
-// the crate's only `unsafe` (a shared simulation pointer dereferenced by
-// barrier-synchronised workers over disjoint island state); each use site
-// allows the lint explicitly and documents its safety argument.
+// `deny`, not `forbid`: the per-island parallel stepper in `sim/threaded.rs`
+// carries the crate's only `unsafe` (barrier-synchronised workers reading the
+// simulation and writing the per-node state of their own islands); the use
+// site allows the lint explicitly and documents its disjointness argument.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -25,36 +25,58 @@
 //!   the worklist (backed-up traffic *is* activity).
 //!
 //! Packet **generation order is sacred**: sources draw from the shared RNG
-//! once per node per node-clock cycle, in node order, exactly as the dense
-//! loop always did — the sparse engine is a pure scheduling optimization and
-//! every `WindowMeasurement` it produces is bit-identical to the dense
-//! reference. That contract is enforced by `tests/sparse_equivalence.rs` and
-//! by re-running the determinism goldens under `NOC_DENSE_STEP=1`, the
-//! escape hatch that retains the dense `O(nodes × ports)` reference loop
-//! (also selectable per simulation via
-//! [`NocSimulation::set_dense_stepping`]).
+//! once per node per node-clock cycle, in node order, whichever engine steps
+//! — the sparse engine is a pure scheduling optimization and every
+//! `WindowMeasurement` it produces is bit-identical to the dense reference
+//! ([`NocSimulation::set_dense_stepping`]), which finds the same work by
+//! scanning every node and every `node × port` channel instead of consulting
+//! worklists and wheels. That contract is enforced by
+//! `tests/sparse_equivalence.rs` and by the determinism goldens, which run
+//! under every engine mode.
+//!
+//! # Layout
+//!
+//! One tick is `phases` 1–3, the `pipeline` phase, `phases` 5–6. The router
+//! pipeline exists once (`pipeline::tick_router`) and so does the
+//! application of its side effects (`pipeline::Effects::apply`); the dense
+//! reference, the sparse engine and the per-island workers of `threaded` are
+//! drivers of that pair. `worklist` holds the bitsets and timing wheels,
+//! `islands` the clock dividers, `accessors` the query and actuation
+//! surface, `checkpoint` the snapshot glue.
 
-use crate::activity::NetworkActivity;
+mod accessors;
+#[cfg(feature = "snapshot")]
+mod checkpoint;
+mod islands;
+mod phases;
+mod pipeline;
+#[cfg(test)]
+mod tests;
+mod threaded;
+mod worklist;
+
+use self::islands::{advance_island_clocks, IslandDomain};
+use self::worklist::{DueWheel, NodeSet};
 use crate::clock::DualClock;
 use crate::config::NetworkConfig;
 use crate::fault::{FaultState, FaultTransition};
 use crate::flit::Flit;
-use crate::gating::{GateState, GatingController};
+use crate::gating::GatingController;
 use crate::link::DelayChannel;
 use crate::region::RegionMap;
-use crate::router::{CreditReturn, Router, TraversalOutput, VcState, LOCAL_PORT};
+use crate::router::{Router, TraversalOutput, LOCAL_PORT};
 use crate::routing::RoutingAlgorithm;
 use crate::sink::Sink;
 use crate::source::Source;
 use crate::stats::SimStats;
-use crate::telemetry::{CongestionHeatmap, SimCounters, TelemetryConfig, TelemetryState};
-use crate::tenant::{TenantMap, TenantMapError};
+use crate::telemetry::TelemetryState;
+use crate::tenant::TenantMap;
 use crate::topology::{Direction, Topology, PORT_COUNT};
 use crate::traffic::TrafficSpec;
-use crate::units::{Hertz, Picoseconds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Measurements accumulated since the last call to
 /// [`NocSimulation::take_window`]; this is what a DVFS controller sees at
@@ -124,242 +146,22 @@ impl WindowMeasurement {
     }
 }
 
-/// A dense bitset over node ids: one `u64` word per 64 nodes.
-///
-/// Backs the active-router and pending-source worklists. Membership updates
-/// are single bit operations; the cycle loop iterates set bits in ascending
-/// node order with `trailing_zeros`, so draining an almost-empty set over a
-/// large network touches only a handful of words.
-#[derive(Debug)]
-struct NodeSet {
-    words: Vec<u64>,
-}
-
-impl NodeSet {
-    fn new(nodes: usize) -> Self {
-        NodeSet { words: vec![0; nodes.div_ceil(64)] }
-    }
-
-    #[inline]
-    fn insert(&mut self, node: usize) {
-        self.words[node >> 6] |= 1u64 << (node & 63);
-    }
-
-    #[inline]
-    fn set_to(&mut self, node: usize, member: bool) {
-        if member {
-            self.words[node >> 6] |= 1u64 << (node & 63);
-        } else {
-            self.words[node >> 6] &= !(1u64 << (node & 63));
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
-/// A due-list over channels that all share one fixed delivery latency: a
-/// timing wheel with at least `latency + 1` slots (rounded up to a power of
-/// two), indexed by `cycle & (slots - 1)`.
-///
-/// Every send schedules the channel's id in the slot of its delivery cycle;
-/// the delivery phase drains only the current slot. Because a channel
-/// receives at most one send per cycle and every slot is visited (drained or
-/// cleared) every cycle, slots stay small and entries are unique. Entries
-/// are *hints*, not obligations: delivery goes through
-/// [`DelayChannel::deliver`], which checks due times itself, so a stale
-/// entry (possible across dense/sparse engine switches) delivers nothing.
-#[derive(Debug)]
-struct DueWheel {
-    slots: Vec<Vec<u32>>,
-    /// `slots.len() - 1`; the slot count is rounded up to a power of two so
-    /// the per-send/per-cycle slot lookup is a mask, not a division.
-    slot_mask: u64,
-}
-
-impl DueWheel {
-    fn new(latency: u64) -> Self {
-        let slots = (latency as usize + 1).next_power_of_two();
-        DueWheel { slots: vec![Vec::new(); slots], slot_mask: slots as u64 - 1 }
-    }
-
-    #[inline]
-    fn slot_index(&self, cycle: u64) -> usize {
-        (cycle & self.slot_mask) as usize
-    }
-
-    #[inline]
-    fn schedule(&mut self, due: u64, id: u32) {
-        let idx = self.slot_index(due);
-        self.slots[idx].push(id);
-    }
-
-    /// Hands every id scheduled for `now` to `f`, retaining slot capacity.
-    ///
-    /// A send issued *during* the drain lands `latency ≥ 1` cycles ahead,
-    /// which is a different slot (the wheel has at least `latency + 1` of
-    /// them), so the temporary take-out below never loses entries.
-    #[inline]
-    fn drain(&mut self, now: u64, mut f: impl FnMut(u32)) {
-        let idx = self.slot_index(now);
-        if self.slots[idx].is_empty() {
-            return;
-        }
-        let mut slot = std::mem::take(&mut self.slots[idx]);
-        for id in slot.drain(..) {
-            f(id);
-        }
-        debug_assert!(self.slots[idx].is_empty(), "a drain must not reschedule its own slot");
-        self.slots[idx] = slot;
-    }
-
-    /// Discards the entries due at `now` (the dense reference loop scans all
-    /// channels itself but must keep the wheel from accumulating).
-    #[inline]
-    fn clear_slot(&mut self, now: u64) {
-        let idx = self.slot_index(now);
-        self.slots[idx].clear();
-    }
-
-    /// Cycle of the earliest scheduled entry strictly after `now`, or
-    /// `u64::MAX` when every future slot is empty.
-    ///
-    /// Every genuine due lies in `[now + 1, now + latency]` (sends schedule
-    /// `latency` cycles ahead and the current slot was drained by the last
-    /// step), so probing those offsets is exhaustive. Entries are hints: a
-    /// stale one (e.g. for a channel drained by a router death) makes this
-    /// bound *earlier* than the true next event, which only shortens an
-    /// event-horizon jump — never lets one overshoot.
-    fn earliest_due(&self, now: u64, latency: u64) -> u64 {
-        for offset in 1..=latency {
-            if !self.slots[self.slot_index(now + offset)].is_empty() {
-                return now + offset;
-            }
-        }
-        u64::MAX
-    }
-}
-
-/// Pipeline-phase effects a parallel island worker may not apply directly
-/// because they touch state shared across islands (timing wheels, window
-/// sums, the sink, the gating wake queues, the worklist words). Each worker
-/// fills its own buffer; the main thread merges all buffers and applies the
-/// entries in ascending node order, which reproduces the serial loop's
-/// application order — including every floating-point accumulation — bit
-/// for bit.
-#[derive(Debug, Default)]
-struct DeferredEffects {
-    /// The worker's private traversal scratch (the serial loop's
-    /// `NocSimulation::scratch` cannot be shared across threads).
-    scratch: TraversalOutput,
-    /// `(node, out_port)`: flit-wheel schedules at `now + link_latency`.
-    flit_schedules: Vec<(u32, u8)>,
-    /// `(node, in_port)`: credit-wheel schedules at `now + credit_latency`.
-    credit_schedules: Vec<(u32, u8)>,
-    /// `(node, neighbour)`: wakeup requests raised by fenced ready flits.
-    wakeups: Vec<(u32, u32)>,
-    /// `(node, count)`: flits dropped at fault-blocked ports.
-    dropped: Vec<(u32, u64)>,
-    /// `(node, flit)`: ejections at the local port, in ejection order.
-    ejected: Vec<(u32, Flit)>,
-    /// Routers that drained this tick: worklist bit clear plus idle-span
-    /// start when gating is enabled.
-    drained: Vec<u32>,
-    /// Stale worklist bits of dead routers: worklist bit clear only.
-    dead_stale: Vec<u32>,
-}
-
-impl DeferredEffects {
-    fn clear(&mut self) {
-        self.flit_schedules.clear();
-        self.credit_schedules.clear();
-        self.wakeups.clear();
-        self.dropped.clear();
-        self.ejected.clear();
-        self.drained.clear();
-        self.dead_stale.clear();
-    }
-}
-
-/// A raw pointer to the simulation, shared with the per-island pipeline
-/// workers of [`NocSimulation::run_cycles_parallel`].
-///
-/// # Safety contract
-///
-/// Workers dereference only between the two per-tick barrier waits, while
-/// the main thread is parked on the barrier. During that span each worker
-/// touches only (a) the routers and *outbound* flit/credit channels of its
-/// own islands' nodes — the island partition makes those disjoint across
-/// workers — and (b) state that is read-only for the whole span (topology,
-/// routing, gating states, fault flags, island clocks, worklist words).
-/// Every other mutation phase 4 performs in the serial loop is deferred
-/// into the worker's own [`DeferredEffects`] buffer and applied by the main
-/// thread after the closing barrier.
-///
-/// The telemetry probe rides the same argument: when telemetry is
-/// installed, a worker writes only the `RouterProbe` slots of its own
-/// islands' nodes (`telemetry.routers[node]`, indexed exactly like the
-/// router vector), so probe writes are disjoint across workers too. Worker
-/// wall-time profiling deliberately does *not* go through this pointer — it
-/// accumulates into per-worker atomics owned by `run_cycles_parallel` and
-/// is folded into the `EngineProfile` by the main thread after the scope
-/// ends.
-struct SimPtr(*mut NocSimulation);
-// SAFETY: `SimPtr` is only shared with the scoped workers of
-// `run_cycles_parallel`, which dereference it exclusively inside the
-// barrier-delimited window described above; the pointee outlives the scope.
-#[allow(unsafe_code)]
-unsafe impl Send for SimPtr {}
-#[allow(unsafe_code)]
-unsafe impl Sync for SimPtr {}
-
-/// Worker-thread count for per-island parallel stepping: the
-/// `NOC_SWEEP_THREADS` environment variable when set (shared with the sweep
-/// executor in `noc_dvfs::parallel`; `1` forces serial stepping, useful for
-/// parity checks), otherwise the machine's available parallelism.
-fn island_worker_threads() -> usize {
-    if let Ok(v) = std::env::var("NOC_SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Tolerance used when deciding whether a slowed island's accumulated
-/// fractional cycles amount to a full domain cycle this base tick; absorbs
-/// the rounding drift of repeated `ratio` additions.
-const FIRE_EPS: f64 = 1.0e-9;
-
-/// One voltage-frequency island's clock-domain state.
-///
-/// The simulation advances on a **base tick** — one cycle of the fastest
-/// island's clock, tracked by the shared [`DualClock`]. An island running at
-/// the base rate (`ratio == 1.0`) *fires* (executes one domain cycle: router
-/// pipelines and local injection) on every base tick; a slower island
-/// accumulates `ratio = f_island / f_base` fractional cycles per tick and
-/// fires whenever a whole cycle has accrued. With a single island the ratio
-/// is exactly `1.0`, every tick fires, and the machinery reduces to the
-/// pre-VFI single-clock simulator bit for bit.
-#[derive(Debug, Clone)]
-struct IslandDomain {
-    /// The island's clock frequency in hertz.
-    frequency_hz: f64,
-    /// `frequency_hz / base_hz`, the fraction of a domain cycle completed
-    /// per base tick (exactly `1.0` for islands at the base rate).
-    ratio: f64,
-    /// Fractional domain cycles accrued but not yet fired, in `[0, 1)`.
-    acc: f64,
-    /// Whether the island fires on the current base tick.
-    fires: bool,
-    /// Domain cycles completed since the start of the run.
-    local_cycle: u64,
-    /// Per-island measurement accumulators (drained by
-    /// [`NocSimulation::take_island_windows`]). `noc_cycles` counts *island*
-    /// cycles; `wall_time_ps`/`node_cycles` are stamped from the shared
-    /// clocks when the window is taken.
-    window: WindowMeasurement,
+/// The per-tick context phases 1–2 establish and the later phases read.
+#[derive(Debug, Clone, Copy)]
+struct Tick {
+    /// The NoC cycle being executed (the clock has already advanced to it).
+    now: u64,
+    /// Wall-clock time at `now`, picoseconds.
+    wall_ps: f64,
+    /// Whether every island fires this base tick (then `fire_words` is not
+    /// rebuilt and must not be consulted).
+    all_fire: bool,
+    /// Whether any component is failed this tick.
+    fault_block: bool,
+    /// Whether any router is gated or waking this tick. Both fence flags are
+    /// constant through phases 4–6: fences only rise and fall inside the
+    /// gating and fault phases.
+    gate_fencing: bool,
 }
 
 /// Per-tenant accounting state: the installed partition plus one
@@ -375,32 +177,6 @@ struct TenantAccounting {
     window_start_noc_cycles: u64,
     window_start_node_cycles: u64,
     window_start_wall_ps: f64,
-}
-
-/// Advances every island's divider by one base tick and returns whether all
-/// islands fire (the fast path: always true while every island runs at the
-/// base frequency, in particular for single-island configurations).
-fn advance_island_clocks(islands: &mut [IslandDomain]) -> bool {
-    let mut all_fire = true;
-    for island in islands.iter_mut() {
-        if island.ratio >= 1.0 {
-            island.fires = true;
-        } else {
-            island.acc += island.ratio;
-            if island.acc + FIRE_EPS >= 1.0 {
-                island.acc -= 1.0;
-                island.fires = true;
-            } else {
-                island.fires = false;
-                all_fire = false;
-            }
-        }
-        if island.fires {
-            island.local_cycle += 1;
-            island.window.noc_cycles += 1;
-        }
-    }
-    all_fire
 }
 
 /// A cycle-accurate simulation of one NoC under one traffic specification.
@@ -481,20 +257,16 @@ pub struct NocSimulation {
     /// Cached configuration latencies (hot path).
     link_latency: u64,
     credit_latency: u64,
-    /// `true` → dense reference loop (`NOC_DENSE_STEP=1` or
-    /// [`set_dense_stepping`](Self::set_dense_stepping)).
+    /// `true` → dense reference loop
+    /// ([`set_dense_stepping`](Self::set_dense_stepping)).
     dense_step: bool,
-    /// `true` → [`run_cycles`](Self::run_cycles) may jump the clock over
-    /// provably event-free spans (`NOC_NO_SKIP=1` disables it, as does
-    /// [`set_event_skipping`](Self::set_event_skipping)).
+    /// `true` (the default) → [`run_cycles`](Self::run_cycles) may jump the
+    /// clock over provably event-free spans
+    /// ([`set_event_skipping`](Self::set_event_skipping)).
     event_skip: bool,
     /// Base ticks absorbed by event-horizon jumps since the start of the
     /// run (diagnostic; each skipped tick still advanced every clock).
     skipped_cycles: u64,
-    /// `true` → [`run_cycles`](Self::run_cycles) steps the islands' router
-    /// pipelines on worker threads (see
-    /// [`set_parallel_islands`](Self::set_parallel_islands)).
-    parallel_islands: bool,
     /// The voltage-frequency island partition (node → island).
     regions: RegionMap,
     /// Per-island clock-domain state, indexed by island id.
@@ -556,11 +328,10 @@ impl NocSimulation {
         NocSimulation::with_routing(cfg, traffic, routing, seed)
     }
 
-    /// Builds a simulation with a caller-provided routing algorithm.
-    ///
-    /// The sparse stepping engine is used unless the `NOC_DENSE_STEP`
-    /// environment variable is `1` (see
-    /// [`set_dense_stepping`](Self::set_dense_stepping)).
+    /// Builds a simulation with a caller-provided routing algorithm. It
+    /// starts on the sparse engine with event-horizon skipping enabled (see
+    /// [`set_dense_stepping`](Self::set_dense_stepping) and
+    /// [`set_event_skipping`](Self::set_event_skipping)).
     pub fn with_routing(
         cfg: NetworkConfig,
         traffic: Box<dyn TrafficSpec>,
@@ -608,8 +379,6 @@ impl NocSimulation {
             })
             .collect();
         let clock = DualClock::new(cfg.node_frequency(), cfg.max_frequency());
-        let dense_step = std::env::var_os("NOC_DENSE_STEP").is_some_and(|v| v == "1");
-        let event_skip = std::env::var_os("NOC_NO_SKIP").is_none_or(|v| v != "1");
         let link_latency = cfg.link_latency();
         let credit_latency = cfg.credit_latency();
         let regions = cfg.region_map();
@@ -664,10 +433,9 @@ impl NocSimulation {
             inject_wheel: DueWheel::new(link_latency),
             link_latency,
             credit_latency,
-            dense_step,
-            event_skip,
+            dense_step: false,
+            event_skip: true,
             skipped_cycles: 0,
-            parallel_islands: false,
             activity_start_island: vec![0; regions.island_count()],
             regions,
             islands,
@@ -685,784 +453,6 @@ impl NocSimulation {
         }
     }
 
-    /// The network configuration of this simulation.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
-    /// Number of nodes in the simulated grid.
-    pub fn node_count(&self) -> usize {
-        self.topo.node_count()
-    }
-
-    /// The simulated topology (mesh or torus).
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Current **base** NoC clock frequency: the frequency of the fastest
-    /// voltage-frequency island, which drives [`step`](Self::step). With a
-    /// single island (the default) this is simply the NoC clock frequency.
-    pub fn noc_frequency(&self) -> Hertz {
-        self.clock.noc_frequency()
-    }
-
-    /// Changes the clock frequency of **every** island at once; the new
-    /// period applies from the next cycle. The value is clamped to the
-    /// configuration's frequency range.
-    ///
-    /// This is the global-DVFS actuator of the paper. For per-island control
-    /// use [`set_island_frequency`](Self::set_island_frequency).
-    pub fn set_noc_frequency(&mut self, f: Hertz) {
-        let clamped = f.clamp(self.cfg.min_frequency(), self.cfg.max_frequency());
-        for island in &mut self.islands {
-            island.frequency_hz = clamped.as_hz();
-            island.ratio = 1.0;
-            island.acc = 0.0;
-        }
-        self.clock.set_noc_frequency(clamped);
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            let now = self.clock.noc_cycle();
-            for island in 0..self.islands.len() {
-                t.on_set_frequency(island as u32, clamped.as_hz(), now);
-            }
-        }
-    }
-
-    /// Number of voltage-frequency islands in this simulation (1 unless the
-    /// configuration set a [`RegionScheme`](crate::RegionScheme)).
-    pub fn island_count(&self) -> usize {
-        self.islands.len()
-    }
-
-    /// The node → island partition in force.
-    pub fn region_map(&self) -> &RegionMap {
-        &self.regions
-    }
-
-    /// Whether power gating is currently enabled (the configuration value,
-    /// unless toggled at run time via
-    /// [`set_gating_enabled`](Self::set_gating_enabled)).
-    pub fn gating_enabled(&self) -> bool {
-        self.gating.enabled
-    }
-
-    /// Power-gating state of one router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node >= node_count()`.
-    pub fn router_gate_state(&self, node: usize) -> GateState {
-        self.gating.states[node]
-    }
-
-    /// Number of routers currently in the [`GateState::Gated`] state.
-    pub fn gated_router_count(&self) -> usize {
-        self.gating.gated_count()
-    }
-
-    /// Current idle threshold of one island, in that island's domain cycles
-    /// ([`GATE_NEVER`](crate::gating::GATE_NEVER) means the island never
-    /// initiates a power-down).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `island >= island_count()`.
-    pub fn island_idle_threshold(&self, island: usize) -> u64 {
-        self.gating.threshold(island)
-    }
-
-    /// Current wakeup latency of one island, in domain cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `island >= island_count()`.
-    pub fn island_wakeup_latency(&self, island: usize) -> u64 {
-        self.gating.wakeup_latency(island)
-    }
-
-    /// Changes one island's idle threshold at run time — the actuator a
-    /// gating policy drives each control interval. Routers already gated
-    /// stay gated until traffic wakes them (even at
-    /// [`GATE_NEVER`](crate::gating::GATE_NEVER)); only future power-down
-    /// decisions use the new threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `island >= island_count()`.
-    pub fn set_island_idle_threshold(&mut self, island: usize, threshold: u64) {
-        let now = self.islands[island].local_cycle;
-        self.gating.set_island_threshold(island, threshold, now);
-    }
-
-    /// Enables or disables power gating at run time.
-    ///
-    /// Enabling starts every currently quiescent router's idle span at its
-    /// island's current cycle; disabling returns every non-Active router to
-    /// Active immediately (counting the forced un-gatings as wake events)
-    /// and hands fenced sources back to the injection worklist.
-    pub fn set_gating_enabled(&mut self, enabled: bool) {
-        let NocSimulation { gating, routers, islands, sources, pending_sources, .. } = self;
-        if enabled {
-            gating.enable(|i| islands[i].local_cycle, |n| routers[n].is_quiescent());
-        } else {
-            gating.disable(
-                |i| islands[i].local_cycle,
-                |node| {
-                    if sources[node].has_pending_flits() {
-                        pending_sources.insert(node);
-                    }
-                },
-            );
-        }
-    }
-
-    /// Total flits delivered to sinks since the start of the run — the
-    /// received side of the flit-conservation ledger (`generated = received
-    /// + queued + buffered + in flight + dropped`, pinned by the gating and
-    /// fault invariants; `dropped` is zero without fault injection).
-    pub fn total_flits_received(&self) -> u64 {
-        self.sink.flits_received()
-    }
-
-    /// Total flits dropped by failed components since the start of the run
-    /// — purged from dying routers, drained from the channels around them,
-    /// or discarded as orphaned packet segments whose head died upstream.
-    /// Always zero unless the configuration injects faults.
-    pub fn total_flits_dropped(&self) -> u64 {
-        self.total_dropped
-    }
-
-    /// Fraction of ordered `(source, destination)` node pairs that are
-    /// currently connected through live routers and links, over all
-    /// `n · (n - 1)` pairs of the fault-free topology — the degraded-mode
-    /// reachability metric (`1.0` while the network is whole; pairs touching
-    /// a dead router or separated by a partition count as unreachable).
-    pub fn reachable_pairs_fraction(&self) -> f64 {
-        let n = self.topo.node_count();
-        if n < 2 {
-            return 1.0;
-        }
-        let Some(faults) = self.faults.as_ref() else { return 1.0 };
-        if !faults.any_active() {
-            return 1.0;
-        }
-        // Union-find over live routers joined by live links.
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for node in 0..n {
-            if faults.router_dead(node) {
-                continue;
-            }
-            for dir in [Direction::East, Direction::South] {
-                let Some(nbr) = self.topo.neighbor(node, dir) else { continue };
-                if faults.router_dead(nbr) || faults.link_dead(&self.topo, node, dir) {
-                    continue;
-                }
-                let (a, b) = (find(&mut parent, node as u32), find(&mut parent, nbr as u32));
-                parent[a as usize] = b;
-            }
-        }
-        let mut component_size = vec![0u64; n];
-        for node in 0..n {
-            if !faults.router_dead(node) {
-                component_size[find(&mut parent, node as u32) as usize] += 1;
-            }
-        }
-        let reachable: u64 = component_size.iter().map(|&s| s * s.saturating_sub(1)).sum();
-        reachable as f64 / (n as u64 * (n as u64 - 1)) as f64
-    }
-
-    /// The clock frequency of one island.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `island >= island_count()`.
-    pub fn island_frequency(&self, island: usize) -> Hertz {
-        Hertz::new(self.islands[island].frequency_hz)
-    }
-
-    /// Domain cycles completed by one island since the start of the run.
-    /// With a single island this equals [`current_cycle`](Self::current_cycle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `island >= island_count()`.
-    pub fn island_cycle(&self, island: usize) -> u64 {
-        self.islands[island].local_cycle
-    }
-
-    /// Changes the clock frequency of one island; the value is clamped to
-    /// the configuration's frequency range and applies from the next cycle.
-    ///
-    /// The base tick rate is the maximum island frequency, so slowing the
-    /// fastest island re-scales every other island's divider, and speeding
-    /// an island up can raise the base rate. A single-island call is
-    /// equivalent to [`set_noc_frequency`](Self::set_noc_frequency). To
-    /// retune several islands at one control update use
-    /// [`set_island_frequencies`](Self::set_island_frequencies), which
-    /// applies the whole vector atomically (no transient intermediate base
-    /// rates).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `island >= island_count()`.
-    pub fn set_island_frequency(&mut self, island: usize, f: Hertz) {
-        let clamped = f.clamp(self.cfg.min_frequency(), self.cfg.max_frequency());
-        self.islands[island].frequency_hz = clamped.as_hz();
-        self.retune_island_dividers();
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.on_set_frequency(island as u32, clamped.as_hz(), self.clock.noc_cycle());
-        }
-    }
-
-    /// Changes every island's clock frequency in one step (one value per
-    /// island, clamped to the configuration's range, applying from the next
-    /// cycle).
-    ///
-    /// Unlike a loop of [`set_island_frequency`](Self::set_island_frequency)
-    /// calls, the base rate and the per-island dividers are recomputed once
-    /// from the final vector, so no island observes a transient
-    /// intermediate base rate (which could spuriously clear its
-    /// fractional-cycle accumulator). This is the actuator a per-island
-    /// DVFS control loop should use at each update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frequencies.len() != island_count()`.
-    pub fn set_island_frequencies(&mut self, frequencies: &[Hertz]) {
-        assert_eq!(frequencies.len(), self.islands.len(), "one frequency per island required");
-        let (min, max) = (self.cfg.min_frequency(), self.cfg.max_frequency());
-        for (island, &f) in self.islands.iter_mut().zip(frequencies.iter()) {
-            island.frequency_hz = f.clamp(min, max).as_hz();
-        }
-        self.retune_island_dividers();
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            let now = self.clock.noc_cycle();
-            for (island, domain) in self.islands.iter().enumerate() {
-                t.on_set_frequency(island as u32, domain.frequency_hz, now);
-            }
-        }
-    }
-
-    /// Recomputes the base rate and every island's divider from the current
-    /// island frequencies.
-    fn retune_island_dividers(&mut self) {
-        let base = self.islands.iter().map(|i| i.frequency_hz).fold(f64::NEG_INFINITY, f64::max);
-        for domain in &mut self.islands {
-            // `x / x == 1.0` exactly in IEEE-754, so islands at the base
-            // rate keep the fire-every-tick fast path. An island at the
-            // base rate owes no fractional cycles: clear its accumulator so
-            // a later slowdown does not fire early on stale backlog.
-            domain.ratio = (domain.frequency_hz / base).min(1.0);
-            if domain.ratio >= 1.0 {
-                domain.acc = 0.0;
-            }
-        }
-        self.clock.set_noc_frequency(Hertz::new(base));
-    }
-
-    /// Number of NoC cycles simulated so far.
-    pub fn current_cycle(&self) -> u64 {
-        self.clock.noc_cycle()
-    }
-
-    /// Wall-clock time simulated so far.
-    pub fn wall_time(&self) -> Picoseconds {
-        self.clock.wall_time()
-    }
-
-    /// Aggregate statistics since the last [`reset_stats`](Self::reset_stats).
-    pub fn stats(&self) -> &SimStats {
-        &self.totals
-    }
-
-    /// Clears the aggregate statistics (typically after warm-up).
-    pub fn reset_stats(&mut self) {
-        self.totals = SimStats::new();
-    }
-
-    /// Total number of flits currently waiting in source queues — a direct
-    /// indicator of saturation (queues grow without bound past the saturation
-    /// point).
-    pub fn queued_source_flits(&self) -> usize {
-        self.sources.iter().map(|s| s.queued_flits()).sum()
-    }
-
-    /// Total number of flits currently buffered inside routers.
-    pub fn buffered_network_flits(&self) -> usize {
-        self.routers.iter().map(|r| r.buffered_flits()).sum()
-    }
-
-    /// Read access to one router — intended for tests and wait-for-graph
-    /// diagnostics (e.g. inspecting per-VC states after a fault).
-    pub fn router(&self, node: usize) -> &Router {
-        &self.routers[node]
-    }
-
-    /// Total flits generated by all sources since the start of the run.
-    pub fn total_flits_generated(&self) -> u64 {
-        self.sources.iter().map(|s| s.flits_generated()).sum()
-    }
-
-    /// Total packets fully delivered since the start of the run.
-    pub fn total_packets_delivered(&self) -> u64 {
-        self.sink.packets_completed()
-    }
-
-    /// Whether the dense reference loop is in use (see
-    /// [`set_dense_stepping`](Self::set_dense_stepping)).
-    pub fn dense_stepping(&self) -> bool {
-        self.dense_step
-    }
-
-    /// Switches between the sparse engine (`false`, the default) and the
-    /// dense `O(nodes × ports)` reference loop (`true`).
-    ///
-    /// The two engines produce bit-identical behaviour; the dense loop exists
-    /// for differential testing (`tests/sparse_equivalence.rs`,
-    /// `NOC_DENSE_STEP=1` in CI) and as a debugging fallback. Switching is
-    /// legal at any cycle boundary: the worklists are rebuilt from the
-    /// current network state when the sparse engine is (re-)entered, and the
-    /// channel due-lists are maintained by both engines.
-    pub fn set_dense_stepping(&mut self, dense: bool) {
-        if self.dense_step && !dense {
-            // The dense loop does not maintain the worklists while it runs.
-            self.rebuild_sparse_worklists();
-        }
-        self.dense_step = dense;
-    }
-
-    /// Rebuilds the sparse engine's worklists from the current network
-    /// state — used when the sparse engine is (re-)entered after the dense
-    /// reference loop ran, and after a checkpoint restore. A pending source
-    /// whose router is fenced belongs in the fenced-source set, not the
-    /// worklist — it rejoins when the router wakes.
-    fn rebuild_sparse_worklists(&mut self) {
-        for (node, router) in self.routers.iter().enumerate() {
-            self.active.set_to(node, !router.is_quiescent());
-        }
-        for (node, source) in self.sources.iter().enumerate() {
-            let pending = source.has_pending_flits();
-            if self.faults.as_ref().is_some_and(|f| f.router_dead(node)) {
-                // A dead router's source is parked; it rejoins the
-                // worklist when the router recovers (or on the next
-                // generated flit, which phase 6 re-parks).
-                self.pending_sources.set_to(node, false);
-            } else if self.gating.enabled && self.gating.states[node].is_fenced() {
-                // `fenced_sources` implies the wakeup request was already
-                // raised (the dense loop sets both together), so the
-                // source rejoins via `complete_wakeups`. Without it the
-                // request is still owed — keep the source on the
-                // worklist so phase 6 raises it.
-                self.pending_sources.set_to(node, pending && !self.gating.fenced_sources[node]);
-            } else {
-                self.pending_sources.set_to(node, pending);
-            }
-        }
-    }
-
-    /// Whether event-horizon cycle-skipping is enabled (see
-    /// [`set_event_skipping`](Self::set_event_skipping)).
-    pub fn event_skipping(&self) -> bool {
-        self.event_skip
-    }
-
-    /// Enables or disables event-horizon cycle-skipping (the default is
-    /// enabled unless the `NOC_NO_SKIP` environment variable is `1`).
-    ///
-    /// When enabled, [`run_cycles`](Self::run_cycles) jumps the clock over
-    /// spans it can prove are event-free — no buffered flit, no pending
-    /// source, no channel delivery due, no gating or fault transition due,
-    /// and no RNG draw owed by a traffic source — executing only the clock
-    /// and island-divider bookkeeping for each skipped base tick. The
-    /// observable behaviour (every window, counter and RNG stream) is
-    /// bit-identical with skipping on or off; the switch exists for
-    /// differential testing, exactly like
-    /// [`set_dense_stepping`](Self::set_dense_stepping). Skipping never
-    /// applies while the dense reference loop is selected.
-    pub fn set_event_skipping(&mut self, enabled: bool) {
-        self.event_skip = enabled;
-    }
-
-    /// Base ticks absorbed by event-horizon jumps since the start of the
-    /// run. Each skipped tick still advanced the shared clock and every
-    /// island divider; the counter only reports how many ticks bypassed the
-    /// full phase loop.
-    pub fn skipped_cycle_count(&self) -> u64 {
-        self.skipped_cycles
-    }
-
-    /// Whether per-island parallel stepping is requested (see
-    /// [`set_parallel_islands`](Self::set_parallel_islands)).
-    pub fn parallel_islands(&self) -> bool {
-        self.parallel_islands
-    }
-
-    /// Enables or disables per-island parallel stepping (default: disabled).
-    ///
-    /// When enabled, [`run_cycles`](Self::run_cycles) executes the router
-    /// pipelines of different voltage-frequency islands on scoped worker
-    /// threads: the per-tick phases before and after the pipeline run on the
-    /// calling thread, workers synchronise at base-tick barriers, and
-    /// islands exchange data only through the delay channels those
-    /// surrounding phases drain — so the result is bit-identical to
-    /// single-threaded stepping (pinned by the parity differential tests).
-    /// The worker count comes from the `NOC_SWEEP_THREADS` environment
-    /// variable (or the machine's parallelism), clamped to the island
-    /// count; with one island, one worker, or the dense reference loop the
-    /// ordinary serial step runs instead.
-    pub fn set_parallel_islands(&mut self, enabled: bool) {
-        self.parallel_islands = enabled;
-    }
-
-    /// Number of routers on the sparse engine's active worklist — routers
-    /// holding at least one buffered flit. (Computed from router state when
-    /// the dense reference loop is running, so the value is engine-agnostic.)
-    pub fn active_router_count(&self) -> usize {
-        if self.dense_step {
-            self.routers.iter().filter(|r| !r.is_quiescent()).count()
-        } else {
-            self.active.len()
-        }
-    }
-
-    /// Flits currently in flight on inter-router links and injection
-    /// channels.
-    pub fn in_flight_flits(&self) -> usize {
-        let links: usize = self.flit_channels.iter().flatten().map(|ch| ch.occupancy()).sum();
-        links + self.injection_channels.iter().map(|ch| ch.occupancy()).sum::<usize>()
-    }
-
-    /// Credits currently in flight on credit-return channels.
-    pub fn in_flight_credits(&self) -> usize {
-        self.credit_channels.iter().map(|ch| ch.occupancy()).sum()
-    }
-
-    /// Whether the network is fully drained: no router buffers a flit, no
-    /// source queues one, and no channel carries a flit or credit.
-    ///
-    /// This is the **quiescence contract** of the sparse engine: when it
-    /// holds, a step does no pipeline, delivery or injection work at all
-    /// (only the clock advances and — RNG draw order being sacred — traffic
-    /// generation runs). It also implies every packet that entered a sink
-    /// was fully reassembled ([`Sink::has_partial_packets`] is false).
-    pub fn is_quiescent(&self) -> bool {
-        self.active_router_count() == 0
-            && self.queued_source_flits() == 0
-            && self.in_flight_flits() == 0
-            && self.in_flight_credits() == 0
-    }
-
-    /// Drains the per-router activity counters accumulated since the last
-    /// call (or since the start of the run).
-    ///
-    /// Elapsed cycles are accounted centrally here (the sparse engine skips
-    /// quiescent routers, which therefore never see a per-cycle tick), so
-    /// every router reports the full window length in `cycles` — measured in
-    /// its **own island's** domain cycles, which is what an activity-driven
-    /// power model must integrate against.
-    pub fn take_activity(&mut self) -> NetworkActivity {
-        let islands = &self.islands;
-        let starts = &self.activity_start_island;
-        let island_of = self.regions.assignments();
-        let gating = &mut self.gating;
-        let routers = self
-            .routers
-            .iter_mut()
-            .enumerate()
-            .map(|(node, r)| {
-                let island = island_of[node] as usize;
-                let mut a = r.take_activity();
-                a.cycles += islands[island].local_cycle - starts[island];
-                // Gating residency rides along with the activity window (an
-                // open Gated span is closed here and restarted): this is
-                // what lets the power model split leakage into active/gated
-                // time and charge the sleep/wake transition energies.
-                let (gated, sleeps, wakes) =
-                    gating.drain_router_window(node, islands[island].local_cycle);
-                a.gated_cycles += gated;
-                a.sleep_events += sleeps;
-                a.wake_events += wakes;
-                a
-            })
-            .collect();
-        for (start, island) in self.activity_start_island.iter_mut().zip(&self.islands) {
-            *start = island.local_cycle;
-        }
-        NetworkActivity { routers }
-    }
-
-    /// Discards the activity accumulated since the last
-    /// [`take_activity`](Self::take_activity) (or reset) without building the
-    /// per-router vector — the cheap path for control loops that throw
-    /// warm-up windows away.
-    pub fn reset_activity(&mut self) {
-        let island_of = self.regions.assignments();
-        for (node, r) in self.routers.iter_mut().enumerate() {
-            let _ = r.take_activity();
-            let island = island_of[node] as usize;
-            let _ = self.gating.drain_router_window(node, self.islands[island].local_cycle);
-        }
-        for (start, island) in self.activity_start_island.iter_mut().zip(&self.islands) {
-            *start = island.local_cycle;
-        }
-    }
-
-    /// Drains the measurement window accumulated since the last call.
-    pub fn take_window(&mut self) -> WindowMeasurement {
-        let mut w = self.window;
-        w.wall_time_ps = self.clock.wall_time().as_ps() - self.window_start_wall_ps;
-        w.node_cycles = self.clock.node_cycles_emitted() - self.window_start_node_cycles;
-        self.window = WindowMeasurement::default();
-        self.window_start_wall_ps = self.clock.wall_time().as_ps();
-        self.window_start_node_cycles = self.clock.node_cycles_emitted();
-        w
-    }
-
-    /// Drains the per-island measurement windows accumulated since the last
-    /// call (one [`WindowMeasurement`] per island, indexed by island id).
-    ///
-    /// Attribution: `flits_generated` / `flits_injected` belong to the
-    /// island of the **source** node; ejection-side fields
-    /// (`packets_ejected`, `flits_ejected`, latency and delay sums) belong
-    /// to the island of the **destination** router. Summed over all
-    /// islands, these additive fields equal the global
-    /// [`take_window`](Self::take_window) fields for the same span.
-    /// `noc_cycles` counts the island's *own* domain cycles;
-    /// `wall_time_ps` and `node_cycles` are shared-clock spans, identical
-    /// for every island.
-    ///
-    /// The island span is tracked independently of the global window, so a
-    /// control loop can drain both back to back each interval.
-    pub fn take_island_windows(&mut self) -> Vec<WindowMeasurement> {
-        let wall = self.clock.wall_time().as_ps();
-        let node_cycles = self.clock.node_cycles_emitted();
-        let wall_span = wall - self.island_window_start_wall_ps;
-        let node_span = node_cycles - self.island_window_start_node_cycles;
-        self.island_window_start_wall_ps = wall;
-        self.island_window_start_node_cycles = node_cycles;
-        self.islands
-            .iter_mut()
-            .map(|island| {
-                let mut w = island.window;
-                w.wall_time_ps = wall_span;
-                w.node_cycles = node_span;
-                island.window = WindowMeasurement::default();
-                w
-            })
-            .collect()
-    }
-
-    /// Installs (or replaces) the tenant partition used for per-tenant QoS
-    /// accounting, resetting the per-tenant windows and starting their span
-    /// at the current clock.
-    ///
-    /// Installing a map changes **no** simulation behaviour — routing,
-    /// injection, RNG streams, the global window and the per-island windows
-    /// are bit-identical with or without it; the map only adds per-slot
-    /// attribution of the events the global window already counts.
-    ///
-    /// # Errors
-    ///
-    /// [`TenantMapError::WrongLength`] when the map does not cover exactly
-    /// this network's nodes.
-    pub fn set_tenant_map(&mut self, map: TenantMap) -> Result<(), TenantMapError> {
-        if map.node_count() != self.topo.node_count() {
-            return Err(TenantMapError::WrongLength {
-                expected: self.topo.node_count(),
-                got: map.node_count(),
-            });
-        }
-        let windows = vec![WindowMeasurement::default(); map.slot_count()];
-        self.tenants = Some(TenantAccounting {
-            map,
-            windows,
-            window_start_noc_cycles: self.clock.noc_cycle(),
-            window_start_node_cycles: self.clock.node_cycles_emitted(),
-            window_start_wall_ps: self.clock.wall_time().as_ps(),
-        });
-        Ok(())
-    }
-
-    /// Uninstalls the tenant partition, discarding any accumulated
-    /// per-tenant windows.
-    pub fn clear_tenant_map(&mut self) {
-        self.tenants = None;
-    }
-
-    /// The installed tenant partition, if any.
-    pub fn tenant_map(&self) -> Option<&TenantMap> {
-        self.tenants.as_ref().map(|t| &t.map)
-    }
-
-    /// Drains the per-tenant measurement windows accumulated since the last
-    /// call (or since [`set_tenant_map`](Self::set_tenant_map)): one
-    /// [`WindowMeasurement`] per slot, indexed by tenant id, with the
-    /// background slot — the events of nodes no tenant owns — last. Returns
-    /// an empty vector while no map is installed.
-    ///
-    /// Attribution mirrors the per-island contract
-    /// ([`take_island_windows`](Self::take_island_windows)):
-    /// `flits_generated` / `flits_injected` belong to the tenant of the
-    /// **source** node; ejection-side fields (`packets_ejected`,
-    /// `flits_ejected`, latency and delay sums) to the tenant of the
-    /// **destination** router; `flits_dropped` to the tenant of the router
-    /// that dropped. Every counted event lands in exactly one slot, so the
-    /// additive fields summed over all slots equal the global
-    /// [`take_window`](Self::take_window) fields for the same span.
-    /// `noc_cycles`, `node_cycles` and `wall_time_ps` are shared-clock
-    /// spans, identical for every slot.
-    pub fn take_tenant_windows(&mut self) -> Vec<WindowMeasurement> {
-        let noc = self.clock.noc_cycle();
-        let node_cycles = self.clock.node_cycles_emitted();
-        let wall = self.clock.wall_time().as_ps();
-        let Some(t) = self.tenants.as_mut() else { return Vec::new() };
-        let noc_span = noc - t.window_start_noc_cycles;
-        let node_span = node_cycles - t.window_start_node_cycles;
-        let wall_span = wall - t.window_start_wall_ps;
-        t.window_start_noc_cycles = noc;
-        t.window_start_node_cycles = node_cycles;
-        t.window_start_wall_ps = wall;
-        t.windows
-            .iter_mut()
-            .map(|slot| {
-                let mut w = *slot;
-                w.noc_cycles = noc_span;
-                w.node_cycles = node_span;
-                w.wall_time_ps = wall_span;
-                *slot = WindowMeasurement::default();
-                w
-            })
-            .collect()
-    }
-
-    /// Installs the zero-perturbation telemetry layer ([`TelemetryConfig`]):
-    /// the per-router counter fabric, the typed event trace (exportable as a
-    /// Chrome/Perfetto `trace_events` JSON via
-    /// [`TraceEmitter::write_perfetto`](crate::telemetry::TraceEmitter::write_perfetto))
-    /// and, when [`TelemetryConfig::with_profile`] is set, the wall-time
-    /// [`EngineProfile`](crate::telemetry::EngineProfile).
-    ///
-    /// Installing telemetry changes **no** simulation behaviour: probes are
-    /// read-only observers, draw no RNG, and touch no scheduling state, so a
-    /// telemetry-enabled run is bit-identical — window by window — to the
-    /// same run without it (enforced by `tests/telemetry_invariants.rs`).
-    /// Memory is bounded: the snapshot ring keeps the last
-    /// [`TelemetryConfig::with_history`] windows and the event trace is a
-    /// fixed-capacity ring that counts its evictions.
-    ///
-    /// Telemetry is deliberately **not** captured by snapshots — it
-    /// describes how the run was watched, not what the simulation state is —
-    /// so reinstall it after a restore if you want continued observation.
-    pub fn install_telemetry(&mut self, cfg: TelemetryConfig) {
-        let now = self.clock.noc_cycle();
-        self.telemetry = Some(Box::new(TelemetryState::new(cfg, self.topo.node_count(), now)));
-        self.gating.set_transition_log(true);
-    }
-
-    /// Removes the telemetry layer, returning the simulation to the
-    /// zero-cost (one dead branch per probe site) configuration.
-    pub fn clear_telemetry(&mut self) {
-        self.telemetry = None;
-        self.gating.set_transition_log(false);
-    }
-
-    /// The installed telemetry layer, if any — snapshots, the event trace
-    /// and the engine profile are read through this.
-    pub fn telemetry(&self) -> Option<&TelemetryState> {
-        self.telemetry.as_deref()
-    }
-
-    /// Mutable access to the installed telemetry layer (to drain snapshots
-    /// or the event ring).
-    pub fn telemetry_mut(&mut self) -> Option<&mut TelemetryState> {
-        self.telemetry.as_deref_mut()
-    }
-
-    /// Renders the per-router congestion heatmap accumulated since
-    /// [`install_telemetry`](Self::install_telemetry): mean forwarded flits
-    /// per base tick, laid out row-major over the mesh. `None` while no
-    /// telemetry is installed.
-    pub fn telemetry_heatmap(&self) -> Option<CongestionHeatmap> {
-        let t = self.telemetry.as_deref()?;
-        Some(t.heatmap(self.topo.width(), self.topo.height(), self.clock.noc_cycle()))
-    }
-
-    /// One-call bundle of the simulation's diagnostic counters (always
-    /// available, telemetry installed or not) — replaces chains of
-    /// `current_cycle()` / `in_flight_flits()` / … getters in monitoring
-    /// loops and examples.
-    pub fn counters(&self) -> SimCounters {
-        SimCounters {
-            cycle: self.current_cycle(),
-            wall_time_ps: self.clock.wall_time().as_ps(),
-            skipped_cycles: self.skipped_cycles,
-            active_routers: self.active_router_count(),
-            gated_routers: self.gating.gated_count(),
-            in_flight_flits: self.in_flight_flits(),
-            in_flight_credits: self.in_flight_credits(),
-            queued_source_flits: self.queued_source_flits(),
-            buffered_network_flits: self.buffered_network_flits(),
-            flits_generated: self.total_flits_generated(),
-            flits_received: self.total_flits_received(),
-            flits_dropped: self.total_dropped,
-            packets_delivered: self.total_packets_delivered(),
-            reachable_pairs: self.reachable_pairs_fraction(),
-        }
-    }
-
-    /// Closes the current telemetry sample window (no-op without
-    /// telemetry). Take/put keeps the borrow checker happy while the
-    /// sampler reads the router vector.
-    fn sample_telemetry(&mut self, now: u64) {
-        let Some(mut t) = self.telemetry.take() else { return };
-        let gated = if self.gating.enabled { self.gating.gated_count() } else { 0 };
-        let island_cycles: Vec<u64> = self.islands.iter().map(|d| d.local_cycle).collect();
-        t.sample(&self.routers, gated, &island_cycles, now);
-        self.telemetry = Some(t);
-    }
-
-    /// Per-step telemetry bookkeeping: worklist-occupancy accumulation and
-    /// the sample-cadence check. Called once per stepped base tick (skipped
-    /// ticks are accounted by the horizon-jump probe instead).
-    fn telemetry_step_tick(&mut self) {
-        let active = self.active_router_count();
-        let pending = if self.dense_step {
-            self.sources.iter().filter(|s| s.has_pending_flits()).count()
-        } else {
-            self.pending_sources.len()
-        };
-        let now = self.clock.noc_cycle();
-        let Some(t) = self.telemetry.as_deref_mut() else { return };
-        t.tick_worklist(active, pending);
-        if now >= t.next_sample_at {
-            self.sample_telemetry(now);
-        }
-    }
-
-    /// Adds one event-horizon skip attempt's wall time to the profile.
-    fn profile_note_skip(&mut self, elapsed: std::time::Duration) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.profile_mut().skip_ns += elapsed.as_nanos() as u64;
-        }
-    }
-
-    /// Moves the gating controller's transition log (kept only while
-    /// telemetry is installed) into the telemetry event stream.
-    fn drain_gate_transitions(&mut self, now: u64) {
-        let NocSimulation { gating, telemetry, .. } = self;
-        if let Some(t) = telemetry.as_deref_mut() {
-            gating.drain_transition_log(|node, to_sleep| t.on_gate_transition(node, to_sleep, now));
-        }
-    }
-
     /// Advances the simulation by `cycles` NoC clock cycles.
     ///
     /// With event-horizon skipping enabled (the default, see
@@ -1470,48 +460,88 @@ impl NocSimulation {
     /// jumped over instead of stepped through; the result is bit-identical
     /// either way.
     pub fn run_cycles(&mut self, cycles: u64) {
-        let workers = if self.parallel_islands { island_worker_threads() } else { 1 };
-        self.run_cycles_with_workers(cycles, workers);
+        self.run_cycles_with_workers(cycles, 1);
     }
 
-    /// [`run_cycles`](Self::run_cycles) with an explicit island-worker
-    /// count — the hook behind the parallel-parity differential tests
-    /// (bypasses the `NOC_SWEEP_THREADS` environment variable and the
-    /// [`set_parallel_islands`](Self::set_parallel_islands) switch). The
-    /// count is clamped to the island count; `1` (or the dense reference
-    /// loop) runs the ordinary serial step.
+    /// [`run_cycles`](Self::run_cycles) with the router pipelines of
+    /// different voltage-frequency islands stepped on `workers` scoped
+    /// threads (the `threaded` driver). The per-tick phases before and
+    /// after the pipeline run on the calling thread and islands exchange
+    /// data only through the delay channels those phases drain, so the
+    /// result is bit-identical to `run_cycles` (pinned by the parity
+    /// differential tests). The count is clamped to the island count; `1`
+    /// (or the dense reference loop) runs the ordinary serial step.
     pub fn run_cycles_with_workers(&mut self, cycles: u64, workers: usize) {
         let workers = if self.dense_step { 1 } else { workers.min(self.islands.len()) };
         if workers > 1 {
             self.run_cycles_parallel(cycles, workers);
-            return;
+        } else {
+            self.run_with(cycles, Self::pipeline_phase);
         }
+    }
+
+    /// The cycle loop of every engine: horizon jumps where allowed, full
+    /// steps otherwise, with `pipeline` standing in for phase 4.
+    fn run_with(&mut self, cycles: u64, mut pipeline: impl FnMut(&mut Self, Tick)) {
         // Resolved once per run call: installing telemetry mid-run is not
         // observable (the public API only exposes cycle boundaries).
         let telemetry_on = self.telemetry.is_some();
-        let profiling = self.telemetry.as_deref().is_some_and(|t| t.profiling());
+        let skipping = self.event_skip && !self.dense_step;
         let mut remaining = cycles;
         while remaining > 0 {
-            if self.event_skip && !self.dense_step {
-                let skipped = if profiling {
-                    let t0 = std::time::Instant::now();
-                    let skipped = self.skip_quiescent_ticks(remaining);
-                    self.profile_note_skip(t0.elapsed());
-                    skipped
-                } else {
-                    self.skip_quiescent_ticks(remaining)
-                };
-                remaining -= skipped;
+            if skipping {
+                let t0 = self.profiling().then(Instant::now);
+                remaining -= self.skip_quiescent_ticks(remaining);
+                if let (Some(t0), Some(t)) = (t0, self.telemetry.as_deref_mut()) {
+                    t.profile_mut().skip_ns += t0.elapsed().as_nanos() as u64;
+                }
                 if remaining == 0 {
                     break;
                 }
             }
-            self.step();
+            self.step_with(&mut pipeline);
             remaining -= 1;
             if telemetry_on {
                 self.telemetry_step_tick();
             }
         }
+    }
+
+    /// Advances the simulation by one NoC clock cycle on the selected
+    /// engine — sparse (default) or the dense reference
+    /// ([`set_dense_stepping`](Self::set_dense_stepping)); both are
+    /// allocation-free in steady state and produce bit-identical behaviour.
+    #[inline]
+    pub fn step(&mut self) {
+        self.step_with(Self::pipeline_phase);
+    }
+
+    /// One full step: phases 1–3, `pipeline` as phase 4, phases 5–6 — the
+    /// same sequence for every engine, so the profiler's `pre` / `pipeline`
+    /// / `post` buckets mean the same thing under all of them. Wall-clock
+    /// reads between the phases observe the step, they never feed back into
+    /// it.
+    #[inline]
+    fn step_with(&mut self, pipeline: impl FnOnce(&mut Self, Tick)) {
+        let t0 = self.profiling().then(Instant::now);
+        let tick = self.pre_pipeline_phases();
+        let t1 = t0.map(|_| Instant::now());
+        pipeline(self, tick);
+        let t2 = t0.map(|_| Instant::now());
+        self.post_pipeline_phases(tick);
+        if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
+            let profile =
+                self.telemetry.as_deref_mut().expect("profiling implies telemetry").profile_mut();
+            profile.steps += 1;
+            profile.pre_ns += (t1 - t0).as_nanos() as u64;
+            profile.pipeline_ns += (t2 - t1).as_nanos() as u64;
+            profile.post_ns += t2.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Whether the wall-clock engine profile is being collected.
+    fn profiling(&self) -> bool {
+        self.telemetry.as_deref().is_some_and(|t| t.profiling())
     }
 
     /// Jumps the clock over base ticks that provably do nothing, up to
@@ -1622,2589 +652,5 @@ impl NocSimulation {
             }
         }
         skipped
-    }
-
-    /// The threaded cycle loop: islands are round-robin-partitioned over
-    /// `workers` scoped threads, which execute the router-pipeline phase of
-    /// their islands each base tick; everything else (clocks, gating,
-    /// faults, generation, channel deliveries, injection) runs on the
-    /// calling thread between two barrier waits. Event-horizon jumps bypass
-    /// the barriers entirely — workers only wake for full steps.
-    #[allow(unsafe_code)]
-    fn run_cycles_parallel(&mut self, cycles: u64, workers: usize) {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        let island_count = self.islands.len();
-        let barrier = std::sync::Barrier::new(workers + 1);
-        let stop = AtomicBool::new(false);
-        let effects: Vec<std::sync::Mutex<DeferredEffects>> =
-            (0..workers).map(|_| std::sync::Mutex::new(DeferredEffects::default())).collect();
-        let telemetry_on = self.telemetry.is_some();
-        let profiling = self.telemetry.as_deref().is_some_and(|t| t.profiling());
-        if profiling {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.profile_mut().ensure_workers(workers);
-            }
-        }
-        // Per-worker busy-time counters live outside the simulation so the
-        // workers never form a second `&mut` into the telemetry state; the
-        // main thread folds them into the profile after the scope ends.
-        let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let sim = SimPtr(self as *mut NocSimulation);
-        std::thread::scope(|scope| {
-            for ((w, effect_slot), busy_slot) in effects.iter().enumerate().zip(busy.iter()) {
-                let worker_islands: Vec<usize> = (w..island_count).step_by(workers).collect();
-                let (barrier, stop, slot, sim) = (&barrier, &stop, effect_slot, &sim);
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // SAFETY: the main thread is parked on the closing
-                    // barrier for the whole dereference, and workers touch
-                    // disjoint state — see [`SimPtr`].
-                    let sim = unsafe { &mut *sim.0 };
-                    let mut out = slot.lock().expect("worker effect buffer poisoned");
-                    let t0 = profiling.then(std::time::Instant::now);
-                    sim.pipeline_phase_for_islands(worker_islands.as_slice(), &mut out);
-                    if let Some(t0) = t0 {
-                        busy_slot.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                    drop(out);
-                    barrier.wait();
-                });
-            }
-            let mut merged = DeferredEffects::default();
-            let mut remaining = cycles;
-            while remaining > 0 {
-                if self.event_skip {
-                    let skipped = if profiling {
-                        let t0 = std::time::Instant::now();
-                        let skipped = self.skip_quiescent_ticks(remaining);
-                        self.profile_note_skip(t0.elapsed());
-                        skipped
-                    } else {
-                        self.skip_quiescent_ticks(remaining)
-                    };
-                    remaining -= skipped;
-                    if remaining == 0 {
-                        break;
-                    }
-                }
-                let t0 = profiling.then(std::time::Instant::now);
-                let (now, wall_ps, all_fire, fault_block, gate_fencing) =
-                    self.pre_pipeline_phases();
-                let pre = t0.map(|t| t.elapsed());
-                barrier.wait(); // open: workers run phase 4 on their islands
-                barrier.wait(); // close: every worker's effects are sealed
-                let t1 = profiling.then(std::time::Instant::now);
-                self.apply_pipeline_effects(&effects, &mut merged, now, wall_ps);
-                self.post_pipeline_phases(now, all_fire, fault_block, gate_fencing);
-                if profiling {
-                    let post = t1.map(|t| t.elapsed());
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        let profile = t.profile_mut();
-                        profile.steps += 1;
-                        profile.pre_ns += pre.unwrap_or_default().as_nanos() as u64;
-                        profile.post_ns += post.unwrap_or_default().as_nanos() as u64;
-                    }
-                }
-                remaining -= 1;
-                if telemetry_on {
-                    self.telemetry_step_tick();
-                }
-            }
-            stop.store(true, Ordering::Release);
-            barrier.wait();
-        });
-        if profiling {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                let profile = t.profile_mut();
-                for (slot, ns) in profile.worker_busy_ns.iter_mut().zip(busy.iter()) {
-                    *slot += ns.load(Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Sparse phase 4, deferred-effects form: the router pipelines of the
-    /// given (firing) islands, with every cross-island side effect pushed
-    /// into `out` instead of applied (see [`DeferredEffects`]). Mirrors
-    /// [`pipeline_phase_serial`](Self::pipeline_phase_serial) exactly;
-    /// sends on the processed node's own outbound channels stay immediate
-    /// because each node's channels belong to its island's worker alone.
-    fn pipeline_phase_for_islands(&mut self, worker_islands: &[usize], out: &mut DeferredEffects) {
-        let now = self.clock.noc_cycle();
-        let fault_block = self.faults.as_ref().is_some_and(|f| f.any_active());
-        let gate_fencing = self.gating.enabled && self.gating.fenced_count > 0;
-        let fencing = gate_fencing || fault_block;
-        let mut scratch = std::mem::take(&mut out.scratch);
-        let NocSimulation {
-            topo,
-            routing,
-            routers,
-            flit_channels,
-            credit_channels,
-            neighbor_table,
-            active,
-            island_masks,
-            islands,
-            gating,
-            faults,
-            telemetry,
-            ..
-        } = self;
-        let faults: Option<&FaultState> = faults.as_ref();
-        for &island in worker_islands {
-            if !islands[island].fires {
-                continue;
-            }
-            for (widx, &mask) in island_masks[island].iter().enumerate() {
-                let mut w = active.words[widx] & mask;
-                while w != 0 {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    let node = (widx << 6) | bit;
-                    if fault_block && faults.is_some_and(|f| f.router_dead(node)) {
-                        out.dead_stale.push(node as u32);
-                        continue;
-                    }
-                    let fault_ports =
-                        if fault_block { faults.map_or(0, |f| f.blocked_ports(node)) } else { 0 };
-                    let fence = if fencing {
-                        fault_ports | fence_mask(neighbor_table, gating, node)
-                    } else {
-                        0
-                    };
-                    scratch.clear();
-                    routers[node].sa_st_stage_fenced(&mut scratch, fence);
-                    if gating.enabled && scratch.fenced_ports != 0 {
-                        let mut fp = scratch.fenced_ports;
-                        while fp != 0 {
-                            let port = fp.trailing_zeros() as usize;
-                            fp &= fp - 1;
-                            let (nbr, _) = neighbor_table[node][port]
-                                .expect("a fenced port implies a neighbouring router");
-                            out.wakeups.push((node as u32, nbr as u32));
-                        }
-                    }
-                    if scratch.dropped > 0 {
-                        out.dropped.push((node as u32, scratch.dropped));
-                    }
-                    for outgoing in &scratch.outgoing {
-                        let idx = node * PORT_COUNT + outgoing.out_port;
-                        flit_channels[idx]
-                            .as_mut()
-                            .expect("router only routes towards existing links")
-                            .send(now, outgoing.flit);
-                        out.flit_schedules.push((node as u32, outgoing.out_port as u8));
-                    }
-                    for credit in &scratch.credits {
-                        let idx = node * PORT_COUNT + credit.in_port;
-                        credit_channels[idx].send(now, credit.vc);
-                        out.credit_schedules.push((node as u32, credit.in_port as u8));
-                    }
-                    for flit in &scratch.ejected {
-                        out.ejected.push((node as u32, *flit));
-                    }
-                    routers[node].va_stage();
-                    routers[node].rc_stage_blocked(topo, routing.as_ref(), fault_ports);
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        // Same probe as the serial loop. Workers write only
-                        // their own islands' probe slots — the router-vector
-                        // disjointness argument of [`SimPtr`] covers the
-                        // probe vector verbatim.
-                        t.routers[node].record(&scratch, fence, &routers[node]);
-                    }
-                    if routers[node].is_quiescent() {
-                        out.drained.push(node as u32);
-                    }
-                }
-            }
-        }
-        out.scratch = scratch;
-    }
-
-    /// Merges every worker's [`DeferredEffects`] and applies them in
-    /// ascending node order (stable sorts preserve each node's internal
-    /// ordering), reproducing the serial pipeline loop's application order
-    /// bit for bit — wheel slot order, window-sum accumulation order, sink
-    /// acceptance order, wakeup-request order and worklist updates.
-    fn apply_pipeline_effects(
-        &mut self,
-        worker_effects: &[std::sync::Mutex<DeferredEffects>],
-        merged: &mut DeferredEffects,
-        now: u64,
-        wall_ps: f64,
-    ) {
-        merged.clear();
-        for slot in worker_effects {
-            let mut out = slot.lock().expect("worker effect buffer poisoned");
-            merged.flit_schedules.append(&mut out.flit_schedules);
-            merged.credit_schedules.append(&mut out.credit_schedules);
-            merged.wakeups.append(&mut out.wakeups);
-            merged.dropped.append(&mut out.dropped);
-            merged.ejected.append(&mut out.ejected);
-            merged.drained.append(&mut out.drained);
-            merged.dead_stale.append(&mut out.dead_stale);
-        }
-        let island_of = self.regions.assignments();
-        merged.flit_schedules.sort_by_key(|&(node, _)| node);
-        for &(node, port) in &merged.flit_schedules {
-            let idx = node as usize * PORT_COUNT + port as usize;
-            self.flit_wheel.schedule(now + self.link_latency, idx as u32);
-        }
-        merged.credit_schedules.sort_by_key(|&(node, _)| node);
-        for &(node, port) in &merged.credit_schedules {
-            let idx = node as usize * PORT_COUNT + port as usize;
-            self.credit_wheel.schedule(now + self.credit_latency, idx as u32);
-        }
-        merged.wakeups.sort_by_key(|&(node, _)| node);
-        for &(_, nbr) in &merged.wakeups {
-            let nbr = nbr as usize;
-            let cycle = self.islands[island_of[nbr] as usize].local_cycle;
-            self.gating.request_wakeup(nbr, cycle);
-        }
-        merged.dropped.sort_by_key(|&(node, _)| node);
-        for &(node, count) in &merged.dropped {
-            self.total_dropped += count;
-            self.window.flits_dropped += count;
-            self.islands[island_of[node as usize] as usize].window.flits_dropped += count;
-            if let Some(t) = self.tenants.as_mut() {
-                t.windows[t.map.slot_of(node as usize) as usize].flits_dropped += count;
-            }
-        }
-        merged.ejected.sort_by_key(|&(node, _)| node);
-        for &(node, ref flit) in &merged.ejected {
-            let island = island_of[node as usize] as usize;
-            self.window.flits_ejected += 1;
-            self.islands[island].window.flits_ejected += 1;
-            if let Some(t) = self.tenants.as_mut() {
-                t.windows[t.map.slot_of(node as usize) as usize].flits_ejected += 1;
-            }
-            if let Some(rec) = self.sink.accept(flit, now, wall_ps) {
-                self.totals.record(&rec);
-                self.window.packets_ejected += 1;
-                self.window.latency_cycles_sum += rec.latency_cycles;
-                self.window.delay_ps_sum += rec.delay_ps;
-                let island_window = &mut self.islands[island].window;
-                island_window.packets_ejected += 1;
-                island_window.latency_cycles_sum += rec.latency_cycles;
-                island_window.delay_ps_sum += rec.delay_ps;
-                if let Some(t) = self.tenants.as_mut() {
-                    let tw = &mut t.windows[t.map.slot_of(node as usize) as usize];
-                    tw.packets_ejected += 1;
-                    tw.latency_cycles_sum += rec.latency_cycles;
-                    tw.delay_ps_sum += rec.delay_ps;
-                }
-            }
-        }
-        for &node in merged.dead_stale.iter().chain(merged.drained.iter()) {
-            self.active.set_to(node as usize, false);
-        }
-        for &node in &merged.drained {
-            let node = node as usize;
-            if self.gating.enabled && !self.gating.idle[node] {
-                let cycle = self.islands[island_of[node] as usize].local_cycle;
-                self.gating.mark_idle(node, cycle);
-            }
-        }
-    }
-
-    /// Advances the simulation by one NoC clock cycle.
-    ///
-    /// Dispatches to the sparse engine (default) or the dense reference loop
-    /// (`NOC_DENSE_STEP=1` /
-    /// [`set_dense_stepping`](Self::set_dense_stepping)); both are
-    /// allocation-free in steady state and produce bit-identical behaviour.
-    #[inline]
-    pub fn step(&mut self) {
-        if self.dense_step {
-            if self.telemetry.as_deref().is_some_and(|t| t.profiling()) {
-                // The dense reference loop is not phase-split, so the whole
-                // step is attributed to one bucket.
-                let t0 = std::time::Instant::now();
-                self.step_dense();
-                let elapsed = t0.elapsed().as_nanos() as u64;
-                let profile =
-                    self.telemetry.as_deref_mut().expect("profiling implies telemetry").profile_mut();
-                profile.steps += 1;
-                profile.dense_step_ns += elapsed;
-            } else {
-                self.step_dense();
-            }
-        } else {
-            self.step_sparse();
-        }
-    }
-
-    /// The power-gating state machine's per-cycle work, shared verbatim by
-    /// both engines (it runs between the clock advance and the traffic
-    /// phases, so sparse and dense take every gating transition on the same
-    /// cycle): wakeups due this tick complete, sleep timers due this tick
-    /// move still-idle routers into DrainWait, and DrainWait routers whose
-    /// inbound channels have fully drained close their power gate.
-    fn gating_phase(&mut self) {
-        let NocSimulation {
-            sources,
-            flit_channels,
-            injection_channels,
-            incoming_flit_channels,
-            pending_sources,
-            islands,
-            gating,
-            ..
-        } = self;
-        for (island, domain) in islands.iter().enumerate() {
-            if !domain.fires {
-                continue;
-            }
-            gating.complete_wakeups(island, domain.local_cycle, |node| {
-                if sources[node].has_pending_flits() {
-                    pending_sources.insert(node);
-                }
-            });
-        }
-        for (island, domain) in islands.iter().enumerate() {
-            if !domain.fires {
-                continue;
-            }
-            gating.start_drains(island, domain.local_cycle, |node| {
-                sources[node].has_pending_flits()
-            });
-        }
-        // A router gates only when no flit can still reach it: all inbound
-        // link channels and its injection channel are empty. Fenced sends
-        // can never refill them, so gating is race-free within the cycle.
-        gating.complete_drains(
-            |island| islands[island].fires,
-            |node| {
-                incoming_flit_channels[node]
-                    .iter()
-                    .all(|&idx| flit_channels[idx as usize].as_ref().is_none_or(|c| c.is_empty()))
-                    && injection_channels[node].is_empty()
-            },
-            |node| sources[node].has_pending_flits(),
-            |island| islands[island].local_cycle,
-        );
-    }
-
-    /// The fault-injection machinery's per-cycle work, shared verbatim by
-    /// both engines (it runs right after the gating phase, so sparse and
-    /// dense apply every fault transition on the same cycle): the fault
-    /// state machine ticks on the base clock, then each transition is acted
-    /// on. Link transitions need no action here — the blocked-port masks
-    /// fence both directed channels and flits already on the wire still
-    /// deliver. A router death purges the victim (every lost flit counted as
-    /// dropped, one credit returned upstream per purged flit through the
-    /// normal credit channels, so neighbour and source credit accounting
-    /// stays exact) and drains the channels around it; a recovery discards
-    /// stale inbound credits and resynchronises the victim's output credits
-    /// against its neighbours' input VCs (retiring any output VC whose
-    /// downstream input still holds pre-fault flits).
-    fn fault_phase(&mut self, now: u64) {
-        let NocSimulation {
-            cfg,
-            topo,
-            routers,
-            sources,
-            flit_channels,
-            credit_channels,
-            injection_channels,
-            neighbor_table,
-            incoming_flit_channels,
-            window,
-            islands,
-            regions,
-            active,
-            pending_sources,
-            credit_wheel,
-            credit_latency,
-            gating,
-            faults,
-            fault_transitions,
-            total_dropped,
-            tenants,
-            telemetry,
-            ..
-        } = self;
-        let Some(faults) = faults.as_mut() else { return };
-        fault_transitions.clear();
-        faults.tick(now, topo, fault_transitions);
-        if fault_transitions.is_empty() {
-            return;
-        }
-        let depth = cfg.buffer_depth();
-        let vcs = cfg.virtual_channels();
-        let island_of = regions.assignments();
-        let mut purge_credits: Vec<CreditReturn> = Vec::new();
-        for &transition in fault_transitions.iter() {
-            if let Some(t) = telemetry.as_deref_mut() {
-                let (node, link, down) = match transition {
-                    FaultTransition::LinkDown { node, .. } => (node, true, true),
-                    FaultTransition::LinkUp { node, .. } => (node, true, false),
-                    FaultTransition::RouterDown { node } => (node, false, true),
-                    FaultTransition::RouterUp { node } => (node, false, false),
-                };
-                t.on_fault_transition(node as u32, link, down, now);
-            }
-            match transition {
-                FaultTransition::LinkDown { .. } | FaultTransition::LinkUp { .. } => {}
-                FaultTransition::RouterDown { node } => {
-                    // The victim's buffers: drop everything; each purged flit
-                    // returns a credit to whoever sent it.
-                    purge_credits.clear();
-                    let mut dropped = routers[node].purge_all(depth, &mut purge_credits);
-                    for cr in purge_credits.drain(..) {
-                        let idx = node * PORT_COUNT + cr.in_port;
-                        credit_channels[idx].send(now, cr.vc);
-                        credit_wheel.schedule(now + *credit_latency, idx as u32);
-                    }
-                    // Flits in flight towards the dead router can no longer
-                    // be delivered: drop them, crediting the sender through
-                    // the victim's own credit channel for that port.
-                    for &ch in &incoming_flit_channels[node] {
-                        let ch = ch as usize;
-                        let Some(channel) = flit_channels[ch].as_mut() else { continue };
-                        let (_, in_port) = neighbor_table[ch / PORT_COUNT][ch % PORT_COUNT]
-                            .expect("a flit channel implies a neighbour");
-                        let idx = node * PORT_COUNT + in_port;
-                        channel.drain_all(|flit| {
-                            dropped += 1;
-                            credit_channels[idx].send(now, flit.vc as usize);
-                            credit_wheel.schedule(now + *credit_latency, idx as u32);
-                        });
-                    }
-                    let local_idx = node * PORT_COUNT + LOCAL_PORT;
-                    injection_channels[node].drain_all(|flit| {
-                        dropped += 1;
-                        credit_channels[local_idx].send(now, flit.vc as usize);
-                        credit_wheel.schedule(now + *credit_latency, local_idx as u32);
-                    });
-                    // Flits the victim put on the wire before dying go down
-                    // with it (their credits would flow back into the reset
-                    // victim, so none are returned — the downstream side
-                    // only credits flits it actually receives).
-                    for port in 0..PORT_COUNT {
-                        if port == LOCAL_PORT {
-                            continue;
-                        }
-                        if let Some(channel) = flit_channels[node * PORT_COUNT + port].as_mut() {
-                            channel.drain_all(|_| dropped += 1);
-                        }
-                    }
-                    *total_dropped += dropped;
-                    window.flits_dropped += dropped;
-                    islands[island_of[node] as usize].window.flits_dropped += dropped;
-                    if let Some(t) = tenants.as_mut() {
-                        t.windows[t.map.slot_of(node) as usize].flits_dropped += dropped;
-                    }
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.routers[node].dropped += dropped;
-                    }
-                    // Sparse worklists: the purged router is quiescent and
-                    // its source is parked (no-ops for the dense loop).
-                    active.set_to(node, false);
-                    pending_sources.set_to(node, false);
-                }
-                FaultTransition::RouterUp { node } => {
-                    for (port, link) in neighbor_table[node].iter().enumerate() {
-                        if port == LOCAL_PORT {
-                            continue;
-                        }
-                        let Some((nbr, nbr_in_port)) = *link else {
-                            continue;
-                        };
-                        // Credits still heading for the reset router would
-                        // overflow its fresh full-credit outputs: discard.
-                        credit_channels[nbr * PORT_COUNT + nbr_in_port].drain_all(|_| {});
-                        // Resynchronise this output against the neighbour's
-                        // input VCs: an idle VC gets the full refill the
-                        // factory reset already assumed; a VC still holding
-                        // pre-fault flits is retired so a fresh packet can
-                        // never interleave with the stranded remainder.
-                        for vc in 0..vcs {
-                            let idle =
-                                routers[nbr].input_vc_state(nbr_in_port, vc) == VcState::Idle;
-                            if idle {
-                                routers[node].resync_output(port, vc, depth, false);
-                            } else {
-                                routers[node].resync_output(port, vc, 0, true);
-                            }
-                        }
-                    }
-                    // Un-park the source. If the router slept through the
-                    // outage the source goes back on the worklist rather
-                    // than straight into the gating fence: phase 6 re-fences
-                    // it at the island's next firing tick *and raises the
-                    // wakeup request* — the same per-cycle check the dense
-                    // loop performs. (Fencing it here without a request
-                    // would leave a gated router asleep forever.)
-                    gating.fenced_sources[node] = false;
-                    if sources[node].has_pending_flits() {
-                        pending_sources.insert(node);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The sparse activity-tracked cycle (see the [module docs](self)).
-    ///
-    /// Phase order matches the dense reference exactly; each phase merely
-    /// visits only the state that can do work this cycle. Routers are
-    /// processed in ascending node order so floating-point window sums
-    /// accumulate in the dense order. Voltage-frequency islands gate the
-    /// pipeline and injection phases: routers and sources of an island that
-    /// does not fire this base tick stay on their worklists untouched.
-    /// Power gating removes fenced routers' sources from the worklists and
-    /// holds flits towards fenced routers upstream (see [`gating`](crate::gating)).
-    fn step_sparse(&mut self) {
-        if self.telemetry.as_deref().is_some_and(|t| t.profiling()) {
-            // Identical call sequence to the unprofiled branch — wall-clock
-            // reads between the phases observe the step, they never feed
-            // back into it.
-            let t0 = std::time::Instant::now();
-            let (now, wall_ps, all_fire, fault_block, gate_fencing) = self.pre_pipeline_phases();
-            let t1 = std::time::Instant::now();
-            self.pipeline_phase_serial(now, wall_ps, all_fire, fault_block, gate_fencing);
-            let t2 = std::time::Instant::now();
-            self.post_pipeline_phases(now, all_fire, fault_block, gate_fencing);
-            let t3 = std::time::Instant::now();
-            let profile =
-                self.telemetry.as_deref_mut().expect("profiling implies telemetry").profile_mut();
-            profile.steps += 1;
-            profile.pre_ns += (t1 - t0).as_nanos() as u64;
-            profile.pipeline_ns += (t2 - t1).as_nanos() as u64;
-            profile.post_ns += (t3 - t2).as_nanos() as u64;
-        } else {
-            let (now, wall_ps, all_fire, fault_block, gate_fencing) = self.pre_pipeline_phases();
-            self.pipeline_phase_serial(now, wall_ps, all_fire, fault_block, gate_fencing);
-            self.post_pipeline_phases(now, all_fire, fault_block, gate_fencing);
-        }
-    }
-
-    /// Sparse phases 1–3: clock and island dividers, the gating and fault
-    /// state machines, packet generation, and credit delivery. Returns the
-    /// per-tick context the later phases need:
-    /// `(now, wall_ps, all_fire, fault_block, gate_fencing)`.
-    fn pre_pipeline_phases(&mut self) -> (u64, f64, bool, bool, bool) {
-        // 1. Clock: how many node-clock cycles complete during this NoC cycle?
-        //    The base tick then advances each island's clock divider; islands
-        //    that complete a domain cycle "fire" and are processed below.
-        //    The gating state machine runs right after the clocks.
-        let node_cycles = self.clock.advance_noc_cycle();
-        // The absolute node cycle the generation batch below starts at: the
-        // clock has already emitted this tick's cycles, so the batch covers
-        // `emitted - node_cycles .. emitted`.
-        let start_node_cycle = self.clock.node_cycles_emitted() - node_cycles;
-        let now = self.clock.noc_cycle();
-        let wall_ps = self.clock.wall_time().as_ps();
-        self.window.noc_cycles += 1;
-        let all_fire = advance_island_clocks(&mut self.islands);
-        if !all_fire {
-            // The gate for phases 4 and 6: the union of the firing islands'
-            // node masks. Only rebuilt on ticks where some island idles.
-            let NocSimulation { islands, island_masks, fire_words, .. } = self;
-            fire_words.iter_mut().for_each(|w| *w = 0);
-            for (island, mask) in islands.iter().zip(island_masks.iter()) {
-                if island.fires {
-                    for (w, &m) in fire_words.iter_mut().zip(mask.iter()) {
-                        *w |= m;
-                    }
-                }
-            }
-        }
-        if self.gating.enabled {
-            self.gating_phase();
-            if self.telemetry.is_some() {
-                self.drain_gate_transitions(now);
-            }
-        }
-        if self.faults.is_some() {
-            self.fault_phase(now);
-        }
-        // Whether any router is fenced this cycle: the fast-path gates for
-        // the per-router fence masks (constant through phases 4–6, since
-        // fences only rise/fall inside the gating and fault phases).
-        let gate_fencing = self.gating.enabled && self.gating.fenced_count > 0;
-        let fault_block = self.faults.as_ref().is_some_and(|f| f.any_active());
-
-        // Destructure once so the borrow checker sees the disjoint fields the
-        // delivery callbacks need (wheels vs channels vs routers vs sources).
-        let NocSimulation {
-            topo,
-            routers,
-            sources,
-            traffic,
-            rng,
-            next_packet_id,
-            credit_channels,
-            neighbor_table,
-            window,
-            pending_sources,
-            credit_wheel,
-            regions,
-            islands,
-            faults,
-            tenants,
-            ..
-        } = self;
-        let island_of = regions.assignments();
-        let faults: Option<&FaultState> = faults.as_ref();
-
-        // 2. Packet generation in the node clock domain. Every source draws
-        //    from the shared RNG in node order — this loop is *never* made
-        //    sparse, because skipping a draw would shift the random stream of
-        //    every later node. When the NoC outpaces the node clock, zero
-        //    node cycles complete and the whole phase is provably dead
-        //    (zero loop iterations per source, zero RNG draws), so it is
-        //    short-circuited.
-        if node_cycles > 0 {
-            for (node, source) in sources.iter_mut().enumerate() {
-                let before = source.flits_generated();
-                source.generate(
-                    node_cycles,
-                    start_node_cycle,
-                    traffic.as_mut(),
-                    topo,
-                    rng,
-                    next_packet_id,
-                    now,
-                    wall_ps,
-                );
-                let generated = source.flits_generated() - before;
-                if generated > 0 {
-                    window.flits_generated += generated;
-                    islands[island_of[node] as usize].window.flits_generated += generated;
-                    if let Some(t) = tenants.as_mut() {
-                        t.windows[t.map.slot_of(node) as usize].flits_generated += generated;
-                    }
-                    pending_sources.insert(node);
-                }
-            }
-        }
-
-        // 3. Credit delivery — only channels with a credit due this cycle.
-        //    A credit bound for a dead router is discarded: the death reset
-        //    its outputs to full credits, so a late return would overflow.
-        credit_wheel.drain(now, |id| {
-            let idx = id as usize;
-            let node = idx / PORT_COUNT;
-            let in_port = idx % PORT_COUNT;
-            if in_port == LOCAL_PORT {
-                let source = &mut sources[node];
-                credit_channels[idx].deliver(now, |vc| source.return_credit(vc));
-            } else {
-                let (upstream, upstream_out_port) = neighbor_table[node][in_port]
-                    .expect("credits are only scheduled towards real upstream neighbours");
-                if fault_block && faults.is_some_and(|f| f.router_dead(upstream)) {
-                    credit_channels[idx].deliver(now, |_| {});
-                } else {
-                    let router = &mut routers[upstream];
-                    credit_channels[idx]
-                        .deliver(now, |vc| router.accept_credit(upstream_out_port, vc));
-                }
-            }
-        });
-
-        (now, wall_ps, all_fire, fault_block, gate_fencing)
-    }
-
-    /// Sparse phase 4, serial form: router pipelines — active routers only,
-    /// ascending node order: SA/ST, then VA, then RC (reverse order so that
-    /// a flit advances at most one stage per cycle). A router that drains is
-    /// dropped from the worklist; flit arrival (phases 5/6) re-inserts it.
-    /// Routers of non-firing islands are masked out and stay active.
-    ///
-    /// [`pipeline_phase_for_islands`](Self::pipeline_phase_for_islands) is
-    /// the deferred-effects form of the same phase, run per island by the
-    /// parallel stepper; the two must stay behaviourally identical (pinned
-    /// by the parallel-parity differential tests).
-    fn pipeline_phase_serial(
-        &mut self,
-        now: u64,
-        wall_ps: f64,
-        all_fire: bool,
-        fault_block: bool,
-        gate_fencing: bool,
-    ) {
-        let link_latency = self.link_latency;
-        let credit_latency = self.credit_latency;
-        let fencing = gate_fencing || fault_block;
-        let NocSimulation {
-            topo,
-            routing,
-            routers,
-            sink,
-            flit_channels,
-            credit_channels,
-            neighbor_table,
-            totals,
-            window,
-            scratch,
-            active,
-            flit_wheel,
-            credit_wheel,
-            regions,
-            islands,
-            fire_words,
-            gating,
-            faults,
-            total_dropped,
-            tenants,
-            telemetry,
-            ..
-        } = self;
-        let island_of = regions.assignments();
-        let faults: Option<&FaultState> = faults.as_ref();
-        for (widx, word) in active.words.iter_mut().enumerate() {
-            let gate = if all_fire { u64::MAX } else { fire_words[widx] };
-            let mut w = *word & gate;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                let node = (widx << 6) | bit;
-                if fault_block && faults.is_some_and(|f| f.router_dead(node)) {
-                    // A dead router was purged at its death; a stale
-                    // worklist bit (from a wheel entry of a drained
-                    // channel) is simply cleared again.
-                    *word &= !(1u64 << bit);
-                    continue;
-                }
-                let fault_ports =
-                    if fault_block { faults.map_or(0, |f| f.blocked_ports(node)) } else { 0 };
-                let fence = if fencing {
-                    fault_ports | fence_mask(neighbor_table, gating, node)
-                } else {
-                    0
-                };
-                scratch.clear();
-                routers[node].sa_st_stage_fenced(scratch, fence);
-                if gating.enabled && scratch.fenced_ports != 0 {
-                    // A ready flit was held back by a fence: wake the
-                    // sleeping neighbour(s) it is destined for. (Fault
-                    // fences wake nothing — `request_wakeup` ignores
-                    // routers that are not gated.)
-                    let mut fp = scratch.fenced_ports;
-                    while fp != 0 {
-                        let port = fp.trailing_zeros() as usize;
-                        fp &= fp - 1;
-                        let (nbr, _) = neighbor_table[node][port]
-                            .expect("a fenced port implies a neighbouring router");
-                        gating.request_wakeup(nbr, islands[island_of[nbr] as usize].local_cycle);
-                    }
-                }
-                if scratch.dropped > 0 {
-                    *total_dropped += scratch.dropped;
-                    window.flits_dropped += scratch.dropped;
-                    islands[island_of[node] as usize].window.flits_dropped += scratch.dropped;
-                    if let Some(t) = tenants.as_mut() {
-                        t.windows[t.map.slot_of(node) as usize].flits_dropped += scratch.dropped;
-                    }
-                }
-                for outgoing in &scratch.outgoing {
-                    let idx = node * PORT_COUNT + outgoing.out_port;
-                    flit_channels[idx]
-                        .as_mut()
-                        .expect("router only routes towards existing links")
-                        .send(now, outgoing.flit);
-                    flit_wheel.schedule(now + link_latency, idx as u32);
-                }
-                for credit in &scratch.credits {
-                    let idx = node * PORT_COUNT + credit.in_port;
-                    credit_channels[idx].send(now, credit.vc);
-                    credit_wheel.schedule(now + credit_latency, idx as u32);
-                }
-                if !scratch.ejected.is_empty() {
-                    let island_window = &mut islands[island_of[node] as usize].window;
-                    let mut tenant_window =
-                        tenants.as_mut().map(|t| &mut t.windows[t.map.slot_of(node) as usize]);
-                    for flit in &scratch.ejected {
-                        window.flits_ejected += 1;
-                        island_window.flits_ejected += 1;
-                        if let Some(tw) = tenant_window.as_deref_mut() {
-                            tw.flits_ejected += 1;
-                        }
-                        if let Some(rec) = sink.accept(flit, now, wall_ps) {
-                            totals.record(&rec);
-                            window.packets_ejected += 1;
-                            window.latency_cycles_sum += rec.latency_cycles;
-                            window.delay_ps_sum += rec.delay_ps;
-                            island_window.packets_ejected += 1;
-                            island_window.latency_cycles_sum += rec.latency_cycles;
-                            island_window.delay_ps_sum += rec.delay_ps;
-                            if let Some(tw) = tenant_window.as_deref_mut() {
-                                tw.packets_ejected += 1;
-                                tw.latency_cycles_sum += rec.latency_cycles;
-                                tw.delay_ps_sum += rec.delay_ps;
-                            }
-                        }
-                    }
-                }
-                routers[node].va_stage();
-                routers[node].rc_stage_blocked(topo, routing.as_ref(), fault_ports);
-                if let Some(t) = telemetry.as_deref_mut() {
-                    // Read-only probe of this router's traversal output and
-                    // post-stage stall state; the dense and parallel loops
-                    // carry the identical call at the identical point.
-                    t.routers[node].record(scratch, fence, &routers[node]);
-                }
-                if routers[node].is_quiescent() {
-                    *word &= !(1u64 << bit);
-                    if gating.enabled && !gating.idle[node] {
-                        // The router just drained: start its idle span (a
-                        // stale worklist entry for an already idle router
-                        // must not restart the span).
-                        gating.mark_idle(node, islands[island_of[node] as usize].local_cycle);
-                    }
-                }
-            }
-        }
-
-    }
-
-    /// Sparse phases 5–6: link flit delivery, injection delivery, and source
-    /// injection.
-    fn post_pipeline_phases(
-        &mut self,
-        now: u64,
-        all_fire: bool,
-        fault_block: bool,
-        gate_fencing: bool,
-    ) {
-        let link_latency = self.link_latency;
-        let NocSimulation {
-            routers,
-            sources,
-            flit_channels,
-            injection_channels,
-            neighbor_table,
-            window,
-            active,
-            pending_sources,
-            flit_wheel,
-            inject_wheel,
-            regions,
-            islands,
-            fire_words,
-            gating,
-            faults,
-            tenants,
-            ..
-        } = self;
-        let island_of = regions.assignments();
-        let faults: Option<&FaultState> = faults.as_ref();
-
-        // 5. Flit delivery on inter-router links — only links with a flit
-        //    due this cycle; arrival re-activates the downstream router.
-        flit_wheel.drain(now, |id| {
-            let idx = id as usize;
-            let channel = flit_channels[idx].as_mut().expect("wheel entries imply a channel");
-            let (neighbor, in_port) = neighbor_table[idx / PORT_COUNT][idx % PORT_COUNT]
-                .expect("channel implies neighbour");
-            let router = &mut routers[neighbor];
-            if gating.enabled {
-                let mut delivered = false;
-                channel.deliver(now, |flit| {
-                    router.accept_flit(in_port, flit);
-                    delivered = true;
-                });
-                if delivered {
-                    gating.on_flit_arrival(neighbor);
-                }
-            } else {
-                channel.deliver(now, |flit| router.accept_flit(in_port, flit));
-            }
-            debug_assert!(channel.next_due().is_none_or(|d| d > now));
-            // A wheel entry for a channel drained by a router death must not
-            // re-activate the dead (purged, quiescent) router.
-            if !(fault_block && faults.is_some_and(|f| f.router_dead(neighbor))) {
-                active.insert(neighbor);
-            }
-        });
-
-        // 6. Injection: deliver flits due on injection channels, then let
-        //    each source with queued flits hand over at most one flit for the
-        //    next cycle. Sources without queued flits are skipped — they
-        //    would refuse (`try_inject` → `None`) without side effects.
-        //    The local injection port is island-clocked, so sources of
-        //    non-firing islands are masked out and stay pending. A source
-        //    whose router is fenced (gated or waking) raises one wakeup
-        //    request and leaves the worklist until the router powers on.
-        inject_wheel.drain(now, |id| {
-            let node = id as usize;
-            let router = &mut routers[node];
-            if gating.enabled {
-                let mut delivered = false;
-                injection_channels[node].deliver(now, |flit| {
-                    router.accept_flit(LOCAL_PORT, flit);
-                    delivered = true;
-                });
-                if delivered {
-                    gating.on_flit_arrival(node);
-                }
-            } else {
-                injection_channels[node].deliver(now, |flit| router.accept_flit(LOCAL_PORT, flit));
-            }
-            if !(fault_block && faults.is_some_and(|f| f.router_dead(node))) {
-                active.insert(node);
-            }
-        });
-        for (widx, word) in pending_sources.words.iter_mut().enumerate() {
-            let gate = if all_fire { u64::MAX } else { fire_words[widx] };
-            let mut w = *word & gate;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                let node = (widx << 6) | bit;
-                if fault_block && faults.is_some_and(|f| f.router_dead(node)) {
-                    // Parked: the source keeps generating (the RNG draw
-                    // order is sacred) but cannot inject into a dead
-                    // router; it rejoins the worklist on recovery.
-                    *word &= !(1u64 << bit);
-                    continue;
-                }
-                if gate_fencing && gating.states[node].is_fenced() {
-                    gating.request_wakeup(node, islands[island_of[node] as usize].local_cycle);
-                    gating.fenced_sources[node] = true;
-                    *word &= !(1u64 << bit);
-                    continue;
-                }
-                if let Some(flit) = sources[node].try_inject() {
-                    injection_channels[node].send(now, flit);
-                    inject_wheel.schedule(now + link_latency, node as u32);
-                    window.flits_injected += 1;
-                    islands[island_of[node] as usize].window.flits_injected += 1;
-                    if let Some(t) = tenants.as_mut() {
-                        t.windows[t.map.slot_of(node) as usize].flits_injected += 1;
-                    }
-                }
-                if !sources[node].has_pending_flits() {
-                    *word &= !(1u64 << bit);
-                }
-            }
-        }
-    }
-
-    /// The dense reference loop: scans every router, channel and source every
-    /// cycle. Retained verbatim (plus due-list upkeep so the engines stay
-    /// switchable) for differential testing against the sparse engine.
-    fn step_dense(&mut self) {
-        let link_latency = self.link_latency;
-        let credit_latency = self.credit_latency;
-
-        // 1. Clock: how many node-clock cycles complete during this NoC
-        //    cycle? Then the gating state machine, exactly as in the sparse
-        //    engine.
-        let node_cycles = self.clock.advance_noc_cycle();
-        let start_node_cycle = self.clock.node_cycles_emitted() - node_cycles;
-        let now = self.clock.noc_cycle();
-        let wall_ps = self.clock.wall_time().as_ps();
-        self.window.noc_cycles += 1;
-        advance_island_clocks(&mut self.islands);
-        if self.gating.enabled {
-            self.gating_phase();
-            if self.telemetry.is_some() {
-                self.drain_gate_transitions(now);
-            }
-        }
-        if self.faults.is_some() {
-            self.fault_phase(now);
-        }
-        let gate_fencing = self.gating.enabled && self.gating.fenced_count > 0;
-        let fault_block = self.faults.as_ref().is_some_and(|f| f.any_active());
-        let fencing = gate_fencing || fault_block;
-
-        let NocSimulation {
-            topo,
-            routing,
-            routers,
-            sources,
-            sink,
-            traffic,
-            rng,
-            next_packet_id,
-            flit_channels,
-            credit_channels,
-            injection_channels,
-            neighbor_table,
-            totals,
-            window,
-            scratch,
-            flit_wheel,
-            credit_wheel,
-            inject_wheel,
-            regions,
-            islands,
-            gating,
-            faults,
-            total_dropped,
-            tenants,
-            telemetry,
-            ..
-        } = self;
-        let node_count = topo.node_count();
-        let island_of = regions.assignments();
-        let faults: Option<&FaultState> = faults.as_ref();
-
-        // The dense loop scans channels itself; discard this cycle's
-        // due-list entries so the wheels never accumulate and a later switch
-        // to the sparse engine sees a consistent due-list.
-        flit_wheel.clear_slot(now);
-        credit_wheel.clear_slot(now);
-        inject_wheel.clear_slot(now);
-
-        // 2. Packet generation in the node clock domain (see `step_sparse`
-        //    for why the zero-node-cycle case is short-circuited: zero loop
-        //    iterations per source means zero RNG draws, so skipping the
-        //    scan is stream-identical).
-        if node_cycles > 0 {
-            for (node, source) in sources.iter_mut().enumerate() {
-                let before = source.flits_generated();
-                source.generate(
-                    node_cycles,
-                    start_node_cycle,
-                    traffic.as_mut(),
-                    topo,
-                    rng,
-                    next_packet_id,
-                    now,
-                    wall_ps,
-                );
-                let generated = source.flits_generated() - before;
-                window.flits_generated += generated;
-                islands[island_of[node] as usize].window.flits_generated += generated;
-                if let Some(t) = tenants.as_mut() {
-                    t.windows[t.map.slot_of(node) as usize].flits_generated += generated;
-                }
-            }
-        }
-
-        // 3. Credit delivery (credits sent in earlier cycles arrive now).
-        for node in 0..node_count {
-            let source = &mut sources[node];
-            credit_channels[node * PORT_COUNT + LOCAL_PORT]
-                .deliver(now, |vc| source.return_credit(vc));
-            for in_port in 0..PORT_COUNT {
-                if in_port == LOCAL_PORT {
-                    continue;
-                }
-                let Some((upstream, upstream_out_port)) = neighbor_table[node][in_port] else {
-                    debug_assert!(
-                        credit_channels[node * PORT_COUNT + in_port].is_empty(),
-                        "credit channel exists only towards real neighbours"
-                    );
-                    continue;
-                };
-                if fault_block && faults.is_some_and(|f| f.router_dead(upstream)) {
-                    // See `step_sparse` phase 3: late credits for a dead
-                    // (reset) router are discarded, not delivered.
-                    credit_channels[node * PORT_COUNT + in_port].deliver(now, |_| {});
-                    continue;
-                }
-                let router = &mut routers[upstream];
-                credit_channels[node * PORT_COUNT + in_port]
-                    .deliver(now, |vc| router.accept_credit(upstream_out_port, vc));
-            }
-        }
-
-        // 4. Router pipelines: SA/ST, then VA, then RC (reverse order so that
-        //    a flit advances at most one stage per cycle). Routers of
-        //    non-firing islands skip their pipeline this base tick; fenced
-        //    (gated/waking) routers are masked out exactly as the sparse
-        //    worklists exclude them.
-        for (node, router) in routers.iter_mut().enumerate() {
-            let island = island_of[node] as usize;
-            if !islands[island].fires {
-                continue;
-            }
-            if fault_block && faults.is_some_and(|f| f.router_dead(node)) {
-                // Dead routers skip their pipeline exactly as the sparse
-                // engine's worklists exclude them (in particular, a dead
-                // router never starts a gating idle span).
-                continue;
-            }
-            if gate_fencing && gating.states[node].is_fenced() {
-                continue;
-            }
-            let fault_ports =
-                if fault_block { faults.map_or(0, |f| f.blocked_ports(node)) } else { 0 };
-            let fence =
-                if fencing { fault_ports | fence_mask(neighbor_table, gating, node) } else { 0 };
-            scratch.clear();
-            router.sa_st_stage_fenced(scratch, fence);
-            if gating.enabled && scratch.fenced_ports != 0 {
-                let mut fp = scratch.fenced_ports;
-                while fp != 0 {
-                    let port = fp.trailing_zeros() as usize;
-                    fp &= fp - 1;
-                    let (nbr, _) = neighbor_table[node][port]
-                        .expect("a fenced port implies a neighbouring router");
-                    gating.request_wakeup(nbr, islands[island_of[nbr] as usize].local_cycle);
-                }
-            }
-            if scratch.dropped > 0 {
-                *total_dropped += scratch.dropped;
-                window.flits_dropped += scratch.dropped;
-                islands[island].window.flits_dropped += scratch.dropped;
-                if let Some(t) = tenants.as_mut() {
-                    t.windows[t.map.slot_of(node) as usize].flits_dropped += scratch.dropped;
-                }
-            }
-            for outgoing in &scratch.outgoing {
-                let idx = node * PORT_COUNT + outgoing.out_port;
-                flit_channels[idx]
-                    .as_mut()
-                    .expect("router only routes towards existing links")
-                    .send(now, outgoing.flit);
-                flit_wheel.schedule(now + link_latency, idx as u32);
-            }
-            for credit in &scratch.credits {
-                let idx = node * PORT_COUNT + credit.in_port;
-                credit_channels[idx].send(now, credit.vc);
-                credit_wheel.schedule(now + credit_latency, idx as u32);
-            }
-            for flit in &scratch.ejected {
-                window.flits_ejected += 1;
-                islands[island].window.flits_ejected += 1;
-                if let Some(t) = tenants.as_mut() {
-                    t.windows[t.map.slot_of(node) as usize].flits_ejected += 1;
-                }
-                if let Some(rec) = sink.accept(flit, now, wall_ps) {
-                    totals.record(&rec);
-                    window.packets_ejected += 1;
-                    window.latency_cycles_sum += rec.latency_cycles;
-                    window.delay_ps_sum += rec.delay_ps;
-                    let island_window = &mut islands[island].window;
-                    island_window.packets_ejected += 1;
-                    island_window.latency_cycles_sum += rec.latency_cycles;
-                    island_window.delay_ps_sum += rec.delay_ps;
-                    if let Some(t) = tenants.as_mut() {
-                        let tw = &mut t.windows[t.map.slot_of(node) as usize];
-                        tw.packets_ejected += 1;
-                        tw.latency_cycles_sum += rec.latency_cycles;
-                        tw.delay_ps_sum += rec.delay_ps;
-                    }
-                }
-            }
-            router.va_stage();
-            router.rc_stage_blocked(topo, routing.as_ref(), fault_ports);
-            // Read-only probe at the same pipeline point as the sparse
-            // engines (after RC, before quiescence checks), so the counter
-            // fabric is engine-agnostic.
-            if let Some(t) = telemetry.as_deref_mut() {
-                t.routers[node].record(scratch, fence, &*router);
-            }
-            if gating.enabled && router.is_quiescent() && !gating.idle[node] {
-                gating.mark_idle(node, islands[island].local_cycle);
-            }
-        }
-
-        // 5. Flit delivery on inter-router links.
-        for node in 0..node_count {
-            for port in 0..PORT_COUNT {
-                if port == LOCAL_PORT {
-                    continue;
-                }
-                let Some(channel) = flit_channels[node * PORT_COUNT + port].as_mut() else {
-                    continue;
-                };
-                let (neighbor, in_port) =
-                    neighbor_table[node][port].expect("channel implies neighbour");
-                let router = &mut routers[neighbor];
-                if gating.enabled {
-                    let mut delivered = false;
-                    channel.deliver(now, |flit| {
-                        router.accept_flit(in_port, flit);
-                        delivered = true;
-                    });
-                    if delivered {
-                        gating.on_flit_arrival(neighbor);
-                    }
-                } else {
-                    channel.deliver(now, |flit| router.accept_flit(in_port, flit));
-                }
-            }
-        }
-
-        // 6. Injection: deliver flits already on the injection channel, then
-        //    let each source hand over at most one new flit for the next
-        //    cycle (the local port is island-clocked, so only when the
-        //    source's island fires; a fenced router's source holds its flits
-        //    and raises a wakeup request instead).
-        for node in 0..node_count {
-            let router = &mut routers[node];
-            if gating.enabled {
-                let mut delivered = false;
-                injection_channels[node].deliver(now, |flit| {
-                    router.accept_flit(LOCAL_PORT, flit);
-                    delivered = true;
-                });
-                if delivered {
-                    gating.on_flit_arrival(node);
-                }
-            } else {
-                injection_channels[node].deliver(now, |flit| router.accept_flit(LOCAL_PORT, flit));
-            }
-            if islands[island_of[node] as usize].fires {
-                if fault_block && faults.is_some_and(|f| f.router_dead(node)) {
-                    // Parked (see `step_sparse` phase 6): a dead router's
-                    // source holds its flits until the router recovers.
-                } else if gate_fencing && gating.states[node].is_fenced() {
-                    if sources[node].has_pending_flits() {
-                        gating.request_wakeup(node, islands[island_of[node] as usize].local_cycle);
-                        gating.fenced_sources[node] = true;
-                    }
-                } else if let Some(flit) = sources[node].try_inject() {
-                    injection_channels[node].send(now, flit);
-                    inject_wheel.schedule(now + link_latency, node as u32);
-                    window.flits_injected += 1;
-                    islands[island_of[node] as usize].window.flits_injected += 1;
-                    if let Some(t) = tenants.as_mut() {
-                        t.windows[t.map.slot_of(node) as usize].flits_injected += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Section tags of the snapshot payload — one byte ahead of every section so
-/// a truncated or shifted stream fails fast with a tag mismatch instead of
-/// silently decoding garbage into a later section.
-#[cfg(feature = "snapshot")]
-mod snap_tags {
-    pub const CLOCK: u8 = 1;
-    pub const RNG: u8 = 2;
-    pub const ROUTERS: u8 = 3;
-    pub const SOURCES: u8 = 4;
-    pub const SINK: u8 = 5;
-    pub const TRAFFIC: u8 = 6;
-    pub const CHANNELS: u8 = 7;
-    pub const ISLANDS: u8 = 8;
-    pub const GATING: u8 = 9;
-    pub const FAULTS: u8 = 10;
-    pub const STATS: u8 = 11;
-    pub const WINDOW: u8 = 12;
-    pub const TENANTS: u8 = 13;
-}
-
-#[cfg(feature = "snapshot")]
-fn save_window(wm: &WindowMeasurement, w: &mut crate::snapshot::SnapWriter) {
-    w.put_u64(wm.noc_cycles);
-    w.put_u64(wm.node_cycles);
-    w.put_f64(wm.wall_time_ps);
-    w.put_u64(wm.flits_generated);
-    w.put_u64(wm.flits_injected);
-    w.put_u64(wm.packets_ejected);
-    w.put_u64(wm.flits_ejected);
-    w.put_u64(wm.latency_cycles_sum);
-    w.put_f64(wm.delay_ps_sum);
-    w.put_u64(wm.flits_dropped);
-}
-
-#[cfg(feature = "snapshot")]
-fn load_window(
-    r: &mut crate::snapshot::SnapReader<'_>,
-) -> Result<WindowMeasurement, crate::snapshot::SnapshotError> {
-    Ok(WindowMeasurement {
-        noc_cycles: r.read_u64()?,
-        node_cycles: r.read_u64()?,
-        wall_time_ps: r.read_f64()?,
-        flits_generated: r.read_u64()?,
-        flits_injected: r.read_u64()?,
-        packets_ejected: r.read_u64()?,
-        flits_ejected: r.read_u64()?,
-        latency_cycles_sum: r.read_u64()?,
-        delay_ps_sum: r.read_f64()?,
-        flits_dropped: r.read_u64()?,
-    })
-}
-
-#[cfg(feature = "snapshot")]
-impl NocSimulation {
-    /// Captures the complete mutable state of the simulation at the current
-    /// cycle boundary as a versioned [`SimSnapshot`](crate::snapshot::SimSnapshot).
-    ///
-    /// The contract is **bit-identity**: a run paused here, saved, and later
-    /// [`restore`](Self::restore)d into a fresh simulation built from the
-    /// same configuration, traffic specification and seed produces windows,
-    /// counters and RNG streams identical — bit for bit — to a run that
-    /// never paused. This holds under both stepping engines and with
-    /// event-horizon skipping on or off, because engine selection flags and
-    /// the skipped-cycle diagnostic are deliberately *not* part of the
-    /// snapshot: they describe how state is computed, not what the state is.
-    ///
-    /// Configuration- and topology-derived structure (routing tables,
-    /// neighbour tables, island partition, channel latencies) is likewise
-    /// never serialized; the snapshot instead records a fingerprint of the
-    /// configuration and [`restore`](Self::restore) refuses a mismatch.
-    ///
-    /// Must be called at a cycle boundary (i.e. between
-    /// [`run_cycles`](Self::run_cycles) calls) — the only observable
-    /// boundary the public API exposes, so this is not a practical
-    /// restriction.
-    pub fn snapshot(&self) -> crate::snapshot::SimSnapshot {
-        use crate::snapshot::{config_fingerprint, SimSnapshot, SnapWriter};
-        let mut w = SnapWriter::new();
-
-        w.put_tag(snap_tags::CLOCK);
-        self.clock.save_state(&mut w);
-
-        w.put_tag(snap_tags::RNG);
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        w.put_u64(self.next_packet_id);
-
-        w.put_tag(snap_tags::ROUTERS);
-        for router in &self.routers {
-            router.save_state(&mut w);
-        }
-
-        w.put_tag(snap_tags::SOURCES);
-        for source in &self.sources {
-            source.save_state(&mut w);
-        }
-
-        w.put_tag(snap_tags::SINK);
-        self.sink.save_state(&mut w);
-
-        w.put_tag(snap_tags::TRAFFIC);
-        let mut blob = Vec::new();
-        self.traffic.save_extra_state(&mut blob);
-        w.put_usize(blob.len());
-        for b in blob {
-            w.put_u8(b);
-        }
-
-        w.put_tag(snap_tags::CHANNELS);
-        for channel in self.flit_channels.iter().flatten() {
-            channel.save_state(&mut w, |flit, w| flit.save_state(w));
-        }
-        for channel in &self.credit_channels {
-            channel.save_state(&mut w, |credits, w| w.put_usize(*credits));
-        }
-        for channel in &self.injection_channels {
-            channel.save_state(&mut w, |flit, w| flit.save_state(w));
-        }
-
-        w.put_tag(snap_tags::ISLANDS);
-        for island in &self.islands {
-            w.put_f64(island.frequency_hz);
-            w.put_f64(island.ratio);
-            w.put_f64(island.acc);
-            w.put_bool(island.fires);
-            w.put_u64(island.local_cycle);
-            save_window(&island.window, &mut w);
-        }
-        for start in &self.activity_start_island {
-            w.put_u64(*start);
-        }
-        w.put_f64(self.island_window_start_wall_ps);
-        w.put_u64(self.island_window_start_node_cycles);
-
-        w.put_tag(snap_tags::GATING);
-        self.gating.save_state(&mut w);
-
-        w.put_tag(snap_tags::FAULTS);
-        w.put_bool(self.faults.is_some());
-        if let Some(faults) = &self.faults {
-            faults.save_state(&mut w);
-        }
-
-        w.put_tag(snap_tags::STATS);
-        self.totals.save_state(&mut w);
-        w.put_u64(self.total_dropped);
-
-        w.put_tag(snap_tags::WINDOW);
-        save_window(&self.window, &mut w);
-        w.put_f64(self.window_start_wall_ps);
-        w.put_u64(self.window_start_node_cycles);
-
-        // The tenant partition is run-time state (installed via
-        // `set_tenant_map`, not derived from the configuration), so the map
-        // itself travels with the snapshot and `restore` recreates the whole
-        // accounting block — including on a fresh simulation that never had
-        // a map installed.
-        w.put_tag(snap_tags::TENANTS);
-        w.put_bool(self.tenants.is_some());
-        if let Some(t) = &self.tenants {
-            t.map.save_state(&mut w);
-            for slot in &t.windows {
-                save_window(slot, &mut w);
-            }
-            w.put_u64(t.window_start_noc_cycles);
-            w.put_u64(t.window_start_node_cycles);
-            w.put_f64(t.window_start_wall_ps);
-        }
-
-        SimSnapshot::new(config_fingerprint(&self.cfg), w.into_vec())
-    }
-
-    /// Restores the state captured by [`snapshot`](Self::snapshot) into this
-    /// simulation, which must have been built from the **same
-    /// configuration** (checked via the snapshot's configuration
-    /// fingerprint) — typically a freshly constructed simulation standing in
-    /// for a restarted process, though restoring over a used simulation is
-    /// equally valid (rewind, branching exploration).
-    ///
-    /// Engine selection ([`set_dense_stepping`](Self::set_dense_stepping),
-    /// [`set_event_skipping`](Self::set_event_skipping),
-    /// [`set_parallel_islands`](Self::set_parallel_islands)) and the
-    /// [`skipped_cycle_count`](Self::skipped_cycle_count) diagnostic are
-    /// left untouched: the restored run may step under any engine and stays
-    /// bit-identical to the uninterrupted one.
-    ///
-    /// Derived acceleration state — the channel timing wheels and the sparse
-    /// engine's worklists — is rebuilt from the restored network state, not
-    /// deserialized.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::UnsupportedVersion`](crate::snapshot::SnapshotError::UnsupportedVersion) for a snapshot from a different
-    /// format version, [`SnapshotError::ConfigMismatch`](crate::snapshot::SnapshotError::ConfigMismatch) when the snapshot
-    /// was taken under a different configuration, and
-    /// [`SnapshotError::Corrupt`](crate::snapshot::SnapshotError::Corrupt)/[`SnapshotError::UnexpectedEof`](crate::snapshot::SnapshotError::UnexpectedEof)/
-    /// [`SnapshotError::TrailingBytes`](crate::snapshot::SnapshotError::TrailingBytes) for a mangled payload. The
-    /// simulation may be left partially restored on error and should be
-    /// discarded.
-    pub fn restore(
-        &mut self,
-        snap: &crate::snapshot::SimSnapshot,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{config_fingerprint, SnapReader, SnapshotError, SNAP_VERSION};
-        if snap.version() != SNAP_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(snap.version()));
-        }
-        if snap.config_fingerprint() != config_fingerprint(&self.cfg) {
-            return Err(SnapshotError::ConfigMismatch);
-        }
-        let r = &mut SnapReader::new(snap.payload());
-
-        r.expect_tag(snap_tags::CLOCK)?;
-        self.clock.load_state(r)?;
-
-        r.expect_tag(snap_tags::RNG)?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.read_u64()?;
-        }
-        self.rng = StdRng::from_state(rng_state);
-        self.next_packet_id = r.read_u64()?;
-
-        r.expect_tag(snap_tags::ROUTERS)?;
-        for router in &mut self.routers {
-            router.load_state(r)?;
-        }
-
-        r.expect_tag(snap_tags::SOURCES)?;
-        for source in &mut self.sources {
-            source.load_state(r)?;
-        }
-
-        r.expect_tag(snap_tags::SINK)?;
-        self.sink.load_state(r)?;
-
-        r.expect_tag(snap_tags::TRAFFIC)?;
-        let blob_len = r.read_usize()?;
-        let mut blob = Vec::with_capacity(blob_len);
-        for _ in 0..blob_len {
-            blob.push(r.read_u8()?);
-        }
-        if !self.traffic.load_extra_state(&blob) {
-            return Err(SnapshotError::Corrupt("traffic state"));
-        }
-
-        r.expect_tag(snap_tags::CHANNELS)?;
-        for channel in self.flit_channels.iter_mut().flatten() {
-            channel.load_state(r, Flit::load_state)?;
-        }
-        for channel in &mut self.credit_channels {
-            channel.load_state(r, |r| r.read_usize())?;
-        }
-        for channel in &mut self.injection_channels {
-            channel.load_state(r, Flit::load_state)?;
-        }
-
-        r.expect_tag(snap_tags::ISLANDS)?;
-        for island in &mut self.islands {
-            island.frequency_hz = r.read_f64()?;
-            island.ratio = r.read_f64()?;
-            island.acc = r.read_f64()?;
-            island.fires = r.read_bool()?;
-            island.local_cycle = r.read_u64()?;
-            island.window = load_window(r)?;
-        }
-        for start in &mut self.activity_start_island {
-            *start = r.read_u64()?;
-        }
-        self.island_window_start_wall_ps = r.read_f64()?;
-        self.island_window_start_node_cycles = r.read_u64()?;
-
-        r.expect_tag(snap_tags::GATING)?;
-        self.gating.load_state(r)?;
-
-        r.expect_tag(snap_tags::FAULTS)?;
-        let has_faults = r.read_bool()?;
-        if has_faults != self.faults.is_some() {
-            return Err(SnapshotError::Corrupt("fault subsystem presence"));
-        }
-        if let Some(faults) = &mut self.faults {
-            faults.load_state(r)?;
-        }
-
-        r.expect_tag(snap_tags::STATS)?;
-        self.totals.load_state(r)?;
-        self.total_dropped = r.read_u64()?;
-
-        r.expect_tag(snap_tags::WINDOW)?;
-        self.window = load_window(r)?;
-        self.window_start_wall_ps = r.read_f64()?;
-        self.window_start_node_cycles = r.read_u64()?;
-
-        r.expect_tag(snap_tags::TENANTS)?;
-        self.tenants = if r.read_bool()? {
-            let map = TenantMap::load_state(r)?;
-            if map.node_count() != self.topo.node_count() {
-                return Err(SnapshotError::Corrupt("tenant map node count"));
-            }
-            let mut windows = Vec::with_capacity(map.slot_count());
-            for _ in 0..map.slot_count() {
-                windows.push(load_window(r)?);
-            }
-            Some(TenantAccounting {
-                map,
-                windows,
-                window_start_noc_cycles: r.read_u64()?,
-                window_start_node_cycles: r.read_u64()?,
-                window_start_wall_ps: r.read_f64()?,
-            })
-        } else {
-            None
-        };
-
-        r.finish()?;
-
-        // Rebuild the derived acceleration state. The timing wheels are
-        // reconstructed by walking every channel's in-flight due times in
-        // flat-index order; wheel entries are delivery *hints* validated by
-        // `DelayChannel::deliver`, so insertion order cannot affect
-        // behaviour — but flat-index order also happens to reproduce what a
-        // live run would hold, keeping the structures comparable in tests.
-        let mut flit_wheel = DueWheel::new(self.link_latency);
-        for (idx, channel) in self.flit_channels.iter().enumerate() {
-            if let Some(channel) = channel {
-                for due in channel.due_times() {
-                    flit_wheel.schedule(due, idx as u32);
-                }
-            }
-        }
-        self.flit_wheel = flit_wheel;
-        let mut credit_wheel = DueWheel::new(self.credit_latency);
-        for (idx, channel) in self.credit_channels.iter().enumerate() {
-            for due in channel.due_times() {
-                credit_wheel.schedule(due, idx as u32);
-            }
-        }
-        self.credit_wheel = credit_wheel;
-        let mut inject_wheel = DueWheel::new(self.link_latency);
-        for (node, channel) in self.injection_channels.iter().enumerate() {
-            for due in channel.due_times() {
-                inject_wheel.schedule(due, node as u32);
-            }
-        }
-        self.inject_wheel = inject_wheel;
-        self.rebuild_sparse_worklists();
-        Ok(())
-    }
-}
-
-/// The per-router fence mask: bits of output ports whose downstream router
-/// is power-gated or still waking. Computed only on cycles where at least
-/// one router is fenced; fault fences (failed links / dead neighbours) are
-/// ORed in separately from the cached
-/// [`FaultState::blocked_ports`](crate::fault::FaultState::blocked_ports)
-/// masks.
-#[inline]
-fn fence_mask(
-    neighbor_table: &[[Option<(usize, usize)>; PORT_COUNT]],
-    gating: &GatingController,
-    node: usize,
-) -> u8 {
-    if !gating.enabled || gating.fenced_count == 0 {
-        return 0;
-    }
-    let mut fence = 0u8;
-    for (port, entry) in neighbor_table[node].iter().enumerate() {
-        if let Some((nbr, _)) = entry {
-            if gating.states[*nbr].is_fenced() {
-                fence |= 1u8 << port;
-            }
-        }
-    }
-    fence
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::traffic::{SyntheticTraffic, TrafficPattern};
-
-    fn small_cfg() -> NetworkConfig {
-        NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .build()
-            .unwrap()
-    }
-
-    fn sim_with(rate: f64, pattern: TrafficPattern, cfg: NetworkConfig, seed: u64) -> NocSimulation {
-        let traffic = SyntheticTraffic::new(pattern, rate, cfg.packet_length());
-        NocSimulation::new(cfg, Box::new(traffic), seed)
-    }
-
-    #[test]
-    fn packets_are_delivered_under_light_load() {
-        let mut sim = sim_with(0.05, TrafficPattern::Uniform, small_cfg(), 1);
-        sim.run_cycles(5_000);
-        assert!(sim.total_packets_delivered() > 50, "light load must deliver packets");
-        let stats = sim.stats();
-        let avg = stats.avg_latency_cycles().unwrap();
-        assert!(avg > 5.0 && avg < 120.0, "zero-load-ish latency should be moderate, got {avg}");
-    }
-
-    #[test]
-    fn flit_conservation_after_drain() {
-        let mut sim = sim_with(0.08, TrafficPattern::Uniform, small_cfg(), 2);
-        sim.run_cycles(3_000);
-        // Stop injecting and drain.
-        let generated = sim.total_flits_generated();
-        // Conservation while running: everything generated is either queued at
-        // a source, buffered in the network, in flight on a channel (bounded),
-        // or already received by a sink.
-        let received = sim.sink.flits_received();
-        let queued = sim.queued_source_flits() as u64;
-        let buffered = sim.buffered_network_flits() as u64;
-        assert!(
-            received + queued + buffered <= generated,
-            "cannot receive more flits than were generated"
-        );
-        assert!(
-            generated - (received + queued + buffered) < 2_000,
-            "most generated flits must be accounted for (rest are in flight on links)"
-        );
-    }
-
-    #[test]
-    fn latency_grows_with_load() {
-        let cfg = small_cfg();
-        let mut low = sim_with(0.05, TrafficPattern::Uniform, cfg.clone(), 3);
-        let mut high = sim_with(0.30, TrafficPattern::Uniform, cfg, 3);
-        low.run_cycles(8_000);
-        high.run_cycles(8_000);
-        let l = low.stats().avg_latency_cycles().unwrap();
-        let h = high.stats().avg_latency_cycles().unwrap();
-        assert!(h > l, "latency must grow with offered load ({l} vs {h})");
-    }
-
-    #[test]
-    fn slowing_the_clock_keeps_cycles_but_stretches_time() {
-        let cfg = small_cfg();
-        let mut fast = sim_with(0.05, TrafficPattern::Uniform, cfg.clone(), 4);
-        let mut slow = sim_with(0.05, TrafficPattern::Uniform, cfg, 4);
-        slow.set_noc_frequency(Hertz::from_mhz(500.0));
-        fast.run_cycles(4_000);
-        slow.run_cycles(4_000);
-        // Same number of NoC cycles, but the slow run spans twice the time.
-        assert!((slow.wall_time().as_ns() - 2.0 * fast.wall_time().as_ns()).abs() < 1.0);
-        // The slow NoC sees a higher per-NoC-cycle injection rate, therefore
-        // equal-or-higher latency in cycles and clearly higher delay in ns.
-        let d_fast = fast.stats().avg_delay_ns().unwrap();
-        let d_slow = slow.stats().avg_delay_ns().unwrap();
-        assert!(d_slow > d_fast * 1.5, "delay must stretch when the clock slows ({d_fast} -> {d_slow})");
-    }
-
-    #[test]
-    fn deterministic_given_a_seed() {
-        let cfg = small_cfg();
-        let mut a = sim_with(0.1, TrafficPattern::Uniform, cfg.clone(), 99);
-        let mut b = sim_with(0.1, TrafficPattern::Uniform, cfg, 99);
-        a.run_cycles(3_000);
-        b.run_cycles(3_000);
-        assert_eq!(a.total_packets_delivered(), b.total_packets_delivered());
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn window_measurements_cover_the_run() {
-        let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 5);
-        sim.run_cycles(2_000);
-        let w1 = sim.take_window();
-        assert_eq!(w1.noc_cycles, 2_000);
-        assert!(w1.flits_generated > 0);
-        assert!(w1.packets_ejected > 0);
-        assert!(w1.avg_delay_ns().unwrap() > 0.0);
-        // The rate estimate should be near the configured 0.1 flits/node-cycle.
-        let rate = w1.node_injection_rate(sim.node_count());
-        assert!((rate - 0.1).abs() < 0.03, "measured rate {rate} too far from 0.1");
-        // A second window starts from scratch.
-        sim.run_cycles(100);
-        let w2 = sim.take_window();
-        assert_eq!(w2.noc_cycles, 100);
-    }
-
-    #[test]
-    fn activity_counters_accumulate_and_reset() {
-        let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 6);
-        sim.run_cycles(2_000);
-        let act = sim.take_activity();
-        let total = act.total();
-        assert!(total.buffer_writes > 0);
-        assert!(total.crossbar_traversals > 0);
-        assert_eq!(total.cycles, 2_000 * sim.node_count() as u64);
-        let empty = sim.take_activity();
-        assert_eq!(empty.total().buffer_writes, 0);
-        assert_eq!(empty.total().cycles, 0);
-    }
-
-    #[test]
-    fn reset_activity_discards_the_window() {
-        let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 6);
-        sim.run_cycles(500);
-        sim.reset_activity();
-        sim.run_cycles(250);
-        let act = sim.take_activity();
-        assert_eq!(act.total().cycles, 250 * sim.node_count() as u64);
-    }
-
-    #[test]
-    fn deterministic_pattern_traffic_flows() {
-        for pattern in [
-            TrafficPattern::Tornado,
-            TrafficPattern::BitComplement,
-            TrafficPattern::Transpose,
-            TrafficPattern::Neighbor,
-        ] {
-            let mut sim = sim_with(0.1, pattern, small_cfg(), 7);
-            sim.run_cycles(5_000);
-            assert!(
-                sim.total_packets_delivered() > 20,
-                "{} should deliver packets",
-                pattern.name()
-            );
-        }
-    }
-
-    #[test]
-    fn saturation_shows_up_as_growing_source_queues() {
-        // Offered load far above capacity: queues must build up.
-        let mut sim = sim_with(0.9, TrafficPattern::Uniform, small_cfg(), 8);
-        sim.run_cycles(4_000);
-        let q1 = sim.queued_source_flits();
-        sim.run_cycles(4_000);
-        let q2 = sim.queued_source_flits();
-        assert!(q2 > q1, "above saturation the source queues keep growing ({q1} -> {q2})");
-    }
-
-    fn torus_cfg() -> NetworkConfig {
-        NetworkConfig::builder()
-            .torus(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn torus_delivers_packets_under_light_load() {
-        let mut sim = sim_with(0.05, TrafficPattern::Uniform, torus_cfg(), 1);
-        assert!(sim.topology().is_torus());
-        sim.run_cycles(5_000);
-        assert!(sim.total_packets_delivered() > 50, "torus light load must deliver packets");
-        // Wrap links shorten paths: average latency must not exceed the mesh's.
-        let mut mesh = sim_with(0.05, TrafficPattern::Uniform, small_cfg(), 1);
-        mesh.run_cycles(5_000);
-        let t = sim.stats().avg_latency_cycles().unwrap();
-        let m = mesh.stats().avg_latency_cycles().unwrap();
-        assert!(t < m, "torus latency {t} should beat mesh latency {m}");
-    }
-
-    #[test]
-    fn torus_sustains_heavy_adversarial_load_without_deadlock() {
-        // Tornado traffic around the rings is the classic torus deadlock
-        // scenario: without the dateline VC discipline the wrap-around
-        // channel-dependency cycle wedges. Progress must continue throughout.
-        for pattern in [TrafficPattern::Tornado, TrafficPattern::Uniform] {
-            let mut sim = sim_with(0.6, pattern, torus_cfg(), 3);
-            let mut last = 0;
-            for chunk in 0..6 {
-                sim.run_cycles(2_000);
-                let delivered = sim.total_packets_delivered();
-                assert!(
-                    delivered > last,
-                    "{} on the torus stalled in chunk {chunk} ({last} packets)",
-                    pattern.name()
-                );
-                last = delivered;
-            }
-        }
-    }
-
-    #[test]
-    fn torus_runs_are_deterministic() {
-        let cfg = torus_cfg();
-        let mut a = sim_with(0.2, TrafficPattern::Uniform, cfg.clone(), 11);
-        let mut b = sim_with(0.2, TrafficPattern::Uniform, cfg, 11);
-        a.run_cycles(3_000);
-        b.run_cycles(3_000);
-        assert_eq!(a.take_window(), b.take_window());
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn bursty_traffic_flows_end_to_end() {
-        use crate::traffic::BurstyTraffic;
-        let cfg = torus_cfg();
-        let traffic =
-            BurstyTraffic::new(TrafficPattern::Hotspot, 0.1, cfg.packet_length(), 60.0, 4.0);
-        let mut sim = NocSimulation::new(cfg, Box::new(traffic), 5);
-        sim.run_cycles(8_000);
-        assert!(sim.total_packets_delivered() > 30, "bursty hotspot torus must make progress");
-        let rate = sim.take_window().node_injection_rate(sim.node_count());
-        assert!((rate - 0.1).abs() < 0.05, "long-run bursty rate {rate} should approach 0.1");
-    }
-
-    #[test]
-    fn frequency_is_clamped_to_config_range() {
-        let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 9);
-        sim.set_noc_frequency(Hertz::from_mhz(10.0));
-        assert_eq!(sim.noc_frequency(), Hertz::from_mhz(333.0));
-        sim.set_noc_frequency(Hertz::from_ghz(5.0));
-        assert_eq!(sim.noc_frequency(), Hertz::from_ghz(1.0));
-    }
-
-    #[test]
-    fn dense_reference_loop_matches_sparse_engine() {
-        let cfg = small_cfg();
-        let mut sparse = sim_with(0.12, TrafficPattern::Uniform, cfg.clone(), 42);
-        let mut dense = sim_with(0.12, TrafficPattern::Uniform, cfg, 42);
-        sparse.set_dense_stepping(false);
-        dense.set_dense_stepping(true);
-        for _ in 0..5 {
-            sparse.run_cycles(400);
-            dense.run_cycles(400);
-            assert_eq!(sparse.take_window(), dense.take_window());
-        }
-        assert_eq!(sparse.stats(), dense.stats());
-        assert_eq!(sparse.total_packets_delivered(), dense.total_packets_delivered());
-    }
-
-    #[test]
-    fn switching_engines_mid_run_preserves_behaviour() {
-        let cfg = small_cfg();
-        let mut toggled = sim_with(0.15, TrafficPattern::Uniform, cfg.clone(), 13);
-        let mut reference = sim_with(0.15, TrafficPattern::Uniform, cfg, 13);
-        reference.set_dense_stepping(false);
-        for chunk in 0..6 {
-            toggled.set_dense_stepping(chunk % 2 == 0);
-            toggled.run_cycles(350);
-            reference.run_cycles(350);
-            assert_eq!(toggled.take_window(), reference.take_window(), "chunk {chunk}");
-        }
-        assert_eq!(toggled.stats(), reference.stats());
-    }
-
-    #[test]
-    fn active_worklist_mirrors_buffer_occupancy() {
-        let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 21);
-        let mut saw_active = false;
-        for _ in 0..60 {
-            sim.run_cycles(37);
-            let active = sim.active_router_count();
-            let buffered = sim.buffered_network_flits();
-            assert_eq!(
-                active == 0,
-                buffered == 0,
-                "worklist ({active}) out of sync with buffered flits ({buffered})"
-            );
-            saw_active |= active > 0;
-        }
-        assert!(saw_active, "a loaded 4x4 mesh must activate routers at some point");
-    }
-
-    #[test]
-    fn single_island_is_the_default_and_tracks_the_global_clock() {
-        let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 4);
-        assert_eq!(sim.island_count(), 1);
-        sim.run_cycles(1_000);
-        assert_eq!(sim.island_cycle(0), sim.current_cycle());
-        assert_eq!(sim.island_frequency(0), sim.noc_frequency());
-        // Per-island control degenerates to the global knob.
-        sim.set_island_frequency(0, Hertz::from_mhz(500.0));
-        assert_eq!(sim.noc_frequency(), Hertz::from_mhz(500.0));
-        let windows = sim.take_island_windows();
-        assert_eq!(windows.len(), 1);
-        let global = sim.take_window();
-        assert_eq!(windows[0].noc_cycles, global.noc_cycles);
-        assert_eq!(windows[0].flits_generated, global.flits_generated);
-        assert_eq!(windows[0].flits_ejected, global.flits_ejected);
-    }
-
-    fn quadrant_cfg() -> NetworkConfig {
-        NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .regions(crate::region::RegionLayout::Quadrants)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn slowed_island_completes_fewer_domain_cycles() {
-        let mut sim = sim_with(0.05, TrafficPattern::Uniform, quadrant_cfg(), 5);
-        assert_eq!(sim.island_count(), 4);
-        sim.set_island_frequency(3, Hertz::from_mhz(500.0));
-        sim.run_cycles(4_000);
-        // Base ticks run at 1 GHz; island 3 fires on half of them.
-        assert_eq!(sim.island_cycle(0), 4_000);
-        let slow = sim.island_cycle(3);
-        assert!((slow as i64 - 2_000).unsigned_abs() <= 1, "expected ~2000, got {slow}");
-        let windows = sim.take_island_windows();
-        assert_eq!(windows[3].noc_cycles, slow);
-        // The slowed island keeps delivering its share of traffic.
-        assert!(windows[3].flits_ejected > 0);
-    }
-
-    #[test]
-    fn returning_to_the_base_rate_clears_fractional_cycle_backlog() {
-        // Slow an island, stop mid-fraction (acc = 0.5), restore it to the
-        // base rate, then slow it again: the second slowdown must start
-        // from a clean divider, not fire early on the stale backlog.
-        let mut sim = sim_with(0.0, TrafficPattern::Uniform, quadrant_cfg(), 1);
-        sim.set_island_frequency(1, Hertz::from_mhz(500.0));
-        sim.run_cycles(3); // fires on tick 2 only; acc ends at 0.5
-        assert_eq!(sim.island_cycle(1), 1);
-        sim.set_island_frequency(1, Hertz::from_ghz(1.0));
-        sim.run_cycles(4);
-        assert_eq!(sim.island_cycle(1), 5);
-        sim.set_island_frequency(1, Hertz::from_mhz(500.0));
-        sim.run_cycles(3);
-        // A fresh half-rate divider fires once in 3 ticks (on tick 2); a
-        // stale acc of 0.5 would have fired twice (ticks 1 and 3).
-        assert_eq!(sim.island_cycle(1), 6);
-    }
-
-    #[test]
-    fn atomic_retune_preserves_untouched_island_divider_phase() {
-        let init = [
-            Hertz::from_ghz(1.0),
-            Hertz::from_mhz(500.0),
-            Hertz::from_mhz(400.0),
-            Hertz::from_mhz(400.0),
-        ];
-        // Swap which island anchors the base rate (0: 1 GHz → 400 MHz,
-        // 2: 400 MHz → 1 GHz); island 1 is untouched and mid-fraction.
-        let swapped = [
-            Hertz::from_mhz(400.0),
-            Hertz::from_mhz(500.0),
-            Hertz::from_ghz(1.0),
-            Hertz::from_mhz(400.0),
-        ];
-        let mut sim = sim_with(0.0, TrafficPattern::Uniform, quadrant_cfg(), 1);
-        sim.set_island_frequencies(&init);
-        sim.run_cycles(3); // island 1 fires on tick 2 and owes half a cycle
-        assert_eq!(sim.island_cycle(1), 1);
-        sim.set_island_frequencies(&swapped);
-        sim.run_cycles(1);
-        assert_eq!(
-            sim.island_cycle(1),
-            2,
-            "an untouched island's half-cycle backlog must survive an atomic retune"
-        );
-        // The same retune applied one island at a time dips the base rate
-        // to 500 MHz in between, which legitimately resets island 1's
-        // divider (it transiently *is* the base) — the control loop
-        // therefore applies frequency vectors atomically.
-        let mut seq = sim_with(0.0, TrafficPattern::Uniform, quadrant_cfg(), 1);
-        seq.set_island_frequencies(&init);
-        seq.run_cycles(3);
-        seq.set_island_frequency(0, Hertz::from_mhz(400.0));
-        seq.set_island_frequency(2, Hertz::from_ghz(1.0));
-        seq.run_cycles(1);
-        assert_eq!(seq.island_cycle(1), 1, "sequential retune loses the backlog");
-    }
-
-    #[test]
-    fn island_windows_sum_to_the_global_window() {
-        let mut sim = sim_with(0.15, TrafficPattern::Uniform, quadrant_cfg(), 6);
-        sim.set_island_frequency(1, Hertz::from_mhz(700.0));
-        sim.set_island_frequency(2, Hertz::from_mhz(400.0));
-        sim.run_cycles(3_000);
-        let islands = sim.take_island_windows();
-        let global = sim.take_window();
-        assert_eq!(islands.iter().map(|w| w.flits_generated).sum::<u64>(), global.flits_generated);
-        assert_eq!(islands.iter().map(|w| w.flits_injected).sum::<u64>(), global.flits_injected);
-        assert_eq!(islands.iter().map(|w| w.flits_ejected).sum::<u64>(), global.flits_ejected);
-        assert_eq!(islands.iter().map(|w| w.packets_ejected).sum::<u64>(), global.packets_ejected);
-        assert_eq!(
-            islands.iter().map(|w| w.latency_cycles_sum).sum::<u64>(),
-            global.latency_cycles_sum
-        );
-        for w in &islands {
-            assert_eq!(w.wall_time_ps, global.wall_time_ps);
-            assert_eq!(w.node_cycles, global.node_cycles);
-        }
-    }
-
-    #[test]
-    fn sparse_and_dense_engines_agree_on_multi_island_runs() {
-        let cfg = quadrant_cfg();
-        let mut sparse = sim_with(0.12, TrafficPattern::Uniform, cfg.clone(), 42);
-        let mut dense = sim_with(0.12, TrafficPattern::Uniform, cfg, 42);
-        sparse.set_dense_stepping(false);
-        dense.set_dense_stepping(true);
-        for (island, mhz) in [(0usize, 1000.0), (1, 666.0), (2, 500.0), (3, 333.0)] {
-            sparse.set_island_frequency(island, Hertz::from_mhz(mhz));
-            dense.set_island_frequency(island, Hertz::from_mhz(mhz));
-        }
-        for _ in 0..5 {
-            sparse.run_cycles(400);
-            dense.run_cycles(400);
-            assert_eq!(sparse.take_window(), dense.take_window());
-            assert_eq!(sparse.take_island_windows(), dense.take_island_windows());
-        }
-        assert_eq!(sparse.stats(), dense.stats());
-        assert_eq!(sparse.total_packets_delivered(), dense.total_packets_delivered());
-        assert_eq!(sparse.buffered_network_flits(), dense.buffered_network_flits());
-    }
-
-    #[test]
-    fn multi_island_network_with_slow_islands_still_drains() {
-        // Slowing three of four quadrants must not wedge the network: stop
-        // injecting and every in-flight packet completes.
-        let cfg = quadrant_cfg();
-        let traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.1, cfg.packet_length());
-        let mut sim = NocSimulation::new(cfg, Box::new(traffic), 9);
-        sim.set_island_frequency(1, Hertz::from_mhz(333.0));
-        sim.set_island_frequency(2, Hertz::from_mhz(500.0));
-        sim.set_island_frequency(3, Hertz::from_mhz(333.0));
-        sim.run_cycles(3_000);
-        assert!(sim.total_packets_delivered() > 30);
-        // A zero-rate tail lets the network drain completely.
-        let cfg2 = quadrant_cfg();
-        let drained = SyntheticTraffic::new(TrafficPattern::Uniform, 0.0, cfg2.packet_length());
-        let mut sim2 = NocSimulation::new(cfg2, Box::new(drained), 9);
-        sim2.set_island_frequency(2, Hertz::from_mhz(333.0));
-        sim2.run_cycles(500);
-        assert!(sim2.is_quiescent());
-    }
-
-    #[test]
-    fn island_activity_cycles_track_island_clocks() {
-        let mut sim = sim_with(0.1, TrafficPattern::Uniform, quadrant_cfg(), 11);
-        sim.set_island_frequency(3, Hertz::from_mhz(500.0));
-        sim.run_cycles(2_000);
-        let act = sim.take_activity();
-        let map = sim.region_map().clone();
-        for node in 0..sim.node_count() {
-            let island = map.island_of(node) as usize;
-            assert_eq!(
-                act.routers[node].cycles,
-                sim.island_cycle(island),
-                "router {node} must report its island's domain cycles"
-            );
-        }
-    }
-
-    fn gated_cfg(threshold: u64, wakeup: u64) -> NetworkConfig {
-        NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .gating(crate::gating::GatingConfig::enabled(threshold, wakeup))
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn idle_network_gates_every_router_after_the_threshold() {
-        let mut sim = sim_with(0.0, TrafficPattern::Uniform, gated_cfg(16, 4), 1);
-        assert!(sim.gating_enabled());
-        assert_eq!(sim.gated_router_count(), 0);
-        sim.run_cycles(8);
-        assert_eq!(sim.gated_router_count(), 0, "below the idle threshold nothing gates");
-        sim.run_cycles(100);
-        assert_eq!(sim.gated_router_count(), sim.node_count(), "a silent network fully gates");
-        assert!(sim.is_quiescent());
-        for node in 0..sim.node_count() {
-            assert_eq!(sim.router_gate_state(node), crate::gating::GateState::Gated);
-        }
-        let act = sim.take_activity();
-        let total = act.total();
-        assert_eq!(total.sleep_events, sim.node_count() as u64);
-        assert_eq!(total.wake_events, 0);
-        assert!(total.gated_cycles > 0);
-        for r in &act.routers {
-            assert!(r.gated_cycles <= r.cycles);
-        }
-    }
-
-    #[test]
-    fn traffic_wakes_gated_routers_and_loses_no_flits() {
-        let mut sim = sim_with(0.02, TrafficPattern::Uniform, gated_cfg(8, 5), 3);
-        sim.run_cycles(12_000);
-        assert!(sim.total_packets_delivered() > 20, "gated light load still delivers");
-        let act = sim.take_activity().total();
-        assert!(act.sleep_events > 0, "light load must trigger power-downs");
-        assert!(act.wake_events > 0, "arrivals must trigger wakeups");
-        // Flit conservation: nothing was lost through the sleep/wake churn.
-        let accounted = sim.total_flits_received()
-            + sim.queued_source_flits() as u64
-            + sim.buffered_network_flits() as u64
-            + sim.in_flight_flits() as u64;
-        assert_eq!(accounted, sim.total_flits_generated());
-    }
-
-    #[test]
-    fn gating_disabled_is_bit_identical_to_an_ungated_run() {
-        let plain = small_cfg();
-        let explicit = NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .gating(crate::gating::GatingConfig::disabled())
-            .build()
-            .unwrap();
-        let mut a = sim_with(0.12, TrafficPattern::Uniform, plain, 9);
-        let mut b = sim_with(0.12, TrafficPattern::Uniform, explicit, 9);
-        for _ in 0..4 {
-            a.run_cycles(500);
-            b.run_cycles(500);
-            assert_eq!(a.take_window(), b.take_window());
-        }
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn sparse_and_dense_engines_agree_under_gating() {
-        let cfg = gated_cfg(6, 3);
-        let mut sparse = sim_with(0.05, TrafficPattern::Uniform, cfg.clone(), 42);
-        let mut dense = sim_with(0.05, TrafficPattern::Uniform, cfg, 42);
-        sparse.set_dense_stepping(false);
-        dense.set_dense_stepping(true);
-        for _ in 0..6 {
-            sparse.run_cycles(400);
-            dense.run_cycles(400);
-            assert_eq!(sparse.take_window(), dense.take_window());
-            assert_eq!(sparse.take_activity(), dense.take_activity());
-            assert_eq!(sparse.gated_router_count(), dense.gated_router_count());
-        }
-        assert_eq!(sparse.stats(), dense.stats());
-        assert_eq!(sparse.total_packets_delivered(), dense.total_packets_delivered());
-    }
-
-    #[test]
-    fn runtime_disable_wakes_the_whole_network() {
-        let mut sim = sim_with(0.0, TrafficPattern::Uniform, gated_cfg(4, 8), 5);
-        sim.run_cycles(50);
-        assert_eq!(sim.gated_router_count(), sim.node_count());
-        sim.set_gating_enabled(false);
-        assert_eq!(sim.gated_router_count(), 0);
-        assert!(!sim.gating_enabled());
-        let act = sim.take_activity().total();
-        assert_eq!(act.wake_events, sim.node_count() as u64, "forced un-gating counts as wakes");
-        sim.run_cycles(100);
-        assert_eq!(sim.gated_router_count(), 0, "disabled gating must not re-gate");
-        // Re-enabling starts fresh idle spans.
-        sim.set_gating_enabled(true);
-        sim.run_cycles(50);
-        assert_eq!(sim.gated_router_count(), sim.node_count());
-    }
-
-    #[test]
-    fn island_threshold_actuator_controls_per_island_gating() {
-        let cfg = NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .regions(crate::region::RegionLayout::Quadrants)
-            .gating(crate::gating::GatingConfig::enabled(8, 4).with_island_override(2, 40, 4))
-            .build()
-            .unwrap();
-        let mut sim = sim_with(0.0, TrafficPattern::Uniform, cfg, 7);
-        assert_eq!(sim.island_idle_threshold(0), 8);
-        assert_eq!(sim.island_idle_threshold(2), 40);
-        sim.run_cycles(20);
-        // Islands 0,1,3 (threshold 8) have gated; island 2 (threshold 40) not yet.
-        let map = sim.region_map().clone();
-        for node in 0..sim.node_count() {
-            let gated = sim.router_gate_state(node) == crate::gating::GateState::Gated;
-            assert_eq!(gated, map.island_of(node) != 2, "node {node}");
-        }
-        // Raise island 2's threshold to "never": it must stay awake forever.
-        sim.set_island_idle_threshold(2, crate::gating::GATE_NEVER);
-        sim.run_cycles(200);
-        assert_eq!(
-            sim.gated_router_count(),
-            sim.node_count() - map.nodes_of(2).len(),
-            "a GATE_NEVER island never powers down"
-        );
-        // Lowering the threshold re-arms the already idle routers.
-        sim.set_island_idle_threshold(2, 4);
-        sim.run_cycles(10);
-        assert_eq!(sim.gated_router_count(), sim.node_count());
-    }
-
-    fn conservation_holds(sim: &NocSimulation) {
-        let accounted = sim.total_flits_received()
-            + sim.queued_source_flits() as u64
-            + sim.buffered_network_flits() as u64
-            + sim.in_flight_flits() as u64
-            + sim.total_flits_dropped();
-        assert_eq!(
-            accounted,
-            sim.total_flits_generated(),
-            "generated = received + queued + buffered + in flight + dropped"
-        );
-    }
-
-    use crate::fault::FaultConfig;
-
-    fn faulted_cfg(faults: FaultConfig) -> NetworkConfig {
-        NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .faults(faults)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn zero_fault_config_is_bit_identical_to_the_seed_behaviour() {
-        // An *empty* fault config must not even allocate the fault state,
-        // and an adaptive run with zero faults must still deliver normally.
-        let plain = sim_with(0.12, TrafficPattern::Uniform, small_cfg(), 9);
-        assert!(plain.faults.is_none());
-        let mut a = sim_with(0.12, TrafficPattern::Uniform, small_cfg(), 9);
-        let mut b = sim_with(0.12, TrafficPattern::Uniform, faulted_cfg(FaultConfig::none()), 9);
-        a.run_cycles(2_000);
-        b.run_cycles(2_000);
-        assert_eq!(a.take_window(), b.take_window());
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn permanent_router_death_conserves_flits_and_reports_drops() {
-        use crate::fault::{FaultEvent, FaultTarget};
-        let cfg = faulted_cfg(FaultConfig::scheduled(vec![FaultEvent::permanent(
-            FaultTarget::Router { node: 5 },
-            500,
-        )]));
-        let mut sim = sim_with(0.10, TrafficPattern::Uniform, cfg, 3);
-        sim.run_cycles(3_000);
-        assert!(sim.total_flits_dropped() > 0, "a loaded router dies with flits in it");
-        assert!(sim.reachable_pairs_fraction() < 1.0);
-        conservation_holds(&sim);
-        let w = sim.take_window();
-        assert_eq!(w.flits_dropped, sim.total_flits_dropped(), "window saw every drop");
-    }
-
-    #[test]
-    fn transient_router_death_recovers_and_conserves() {
-        use crate::fault::{FaultEvent, FaultTarget};
-        let cfg = faulted_cfg(FaultConfig::scheduled(vec![FaultEvent::transient(
-            FaultTarget::Router { node: 10 },
-            400,
-            300,
-        )]));
-        let mut sim = sim_with(0.08, TrafficPattern::Uniform, cfg, 7);
-        sim.run_cycles(500);
-        assert!((sim.reachable_pairs_fraction() - 210.0 / 240.0).abs() < 1e-12);
-        sim.run_cycles(5_000);
-        assert_eq!(sim.reachable_pairs_fraction(), 1.0, "recovered network is whole");
-        conservation_holds(&sim);
-        // Traffic keeps flowing after recovery.
-        let before = sim.total_packets_delivered();
-        sim.run_cycles(2_000);
-        assert!(sim.total_packets_delivered() > before);
-    }
-
-    #[test]
-    fn transient_link_faults_conserve_and_drop_nothing() {
-        use crate::fault::{FaultEvent, FaultTarget};
-        let cfg = faulted_cfg(
-            FaultConfig::scheduled(vec![
-                FaultEvent::transient(FaultTarget::Link { node: 5, dir: Direction::East }, 200, 400),
-                FaultEvent::transient(FaultTarget::Link { node: 9, dir: Direction::South }, 300, 500),
-            ]),
-        );
-        let mut sim = sim_with(0.10, TrafficPattern::Uniform, cfg, 11);
-        sim.run_cycles(4_000);
-        assert_eq!(sim.total_flits_dropped(), 0, "link fences never vaporise flits");
-        conservation_holds(&sim);
-        let before = sim.total_packets_delivered();
-        sim.run_cycles(1_000);
-        assert!(sim.total_packets_delivered() > before, "network recovered");
-    }
-
-    #[test]
-    fn sparse_and_dense_engines_agree_under_fault_storms() {
-        use crate::fault::HazardConfig;
-        let cfg = faulted_cfg(FaultConfig::none().with_hazard(HazardConfig {
-            link_rate: 2e-4,
-            router_rate: 2e-4,
-            transient_fraction: 0.7,
-            transient_duration: 150,
-        }));
-        let mut sparse = sim_with(0.10, TrafficPattern::Uniform, cfg.clone(), 42);
-        let mut dense = sim_with(0.10, TrafficPattern::Uniform, cfg, 42);
-        sparse.set_dense_stepping(false);
-        dense.set_dense_stepping(true);
-        for chunk in 0..6 {
-            sparse.run_cycles(500);
-            dense.run_cycles(500);
-            assert_eq!(sparse.take_window(), dense.take_window(), "chunk {chunk}");
-            assert_eq!(sparse.total_flits_dropped(), dense.total_flits_dropped());
-        }
-        assert_eq!(sparse.stats(), dense.stats());
-        assert!(sparse.total_flits_dropped() > 0, "storm hit something");
-        conservation_holds(&sparse);
-        conservation_holds(&dense);
-    }
-
-    #[test]
-    fn adaptive_routing_delivers_around_a_permanent_link_fault_where_xy_strands() {
-        use crate::fault::{FaultEvent, FaultTarget};
-        // Kill the 5→6 link before any traffic: XY routes 4→7 through it and
-        // strands; minimal-adaptive detours and keeps delivering everything.
-        let faults = FaultConfig::scheduled(vec![FaultEvent::permanent(
-            FaultTarget::Link { node: 5, dir: Direction::East },
-            0,
-        )]);
-        let traffic = |cfg: &NetworkConfig| {
-            let mut rates = vec![vec![0.0; 16]; 16];
-            rates[4][7] = 0.2;
-            Box::new(crate::traffic::MatrixTraffic::new(rates, cfg.packet_length()))
-        };
-        let xy_cfg = faulted_cfg(faults.clone());
-        let mut xy = NocSimulation::new(xy_cfg.clone(), traffic(&xy_cfg), 3);
-        let ad_cfg = xy_cfg.to_builder().routing(crate::routing::RoutingKind::MinimalAdaptive)
-            .build()
-            .unwrap();
-        let mut adaptive = NocSimulation::new(ad_cfg.clone(), traffic(&ad_cfg), 3);
-        xy.run_cycles(4_000);
-        adaptive.run_cycles(4_000);
-        assert_eq!(xy.reachable_pairs_fraction(), 1.0, "the mesh is still connected");
-        assert_eq!(xy.total_packets_delivered(), 0, "XY cannot route around the dead link");
-        assert!(xy.queued_source_flits() + xy.buffered_network_flits() > 0, "XY strands flits");
-        assert!(adaptive.total_packets_delivered() > 100, "adaptive detours around the fault");
-        conservation_holds(&xy);
-        conservation_holds(&adaptive);
-    }
-
-    #[test]
-    fn faults_compose_with_power_gating() {
-        use crate::fault::{FaultEvent, FaultTarget};
-        let cfg = NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .gating(crate::gating::GatingConfig::enabled(8, 4))
-            .faults(FaultConfig::scheduled(vec![FaultEvent::transient(
-                FaultTarget::Router { node: 6 },
-                300,
-                500,
-            )]))
-            .build()
-            .unwrap();
-        let mut sparse = sim_with(0.05, TrafficPattern::Uniform, cfg.clone(), 13);
-        let mut dense = sim_with(0.05, TrafficPattern::Uniform, cfg, 13);
-        sparse.set_dense_stepping(false);
-        dense.set_dense_stepping(true);
-        for _ in 0..8 {
-            sparse.run_cycles(400);
-            dense.run_cycles(400);
-            assert_eq!(sparse.take_window(), dense.take_window());
-        }
-        assert_eq!(sparse.stats(), dense.stats());
-        conservation_holds(&sparse);
-    }
-
-    #[test]
-    fn zero_rate_network_is_quiescent_and_stays_so() {
-        let mut sim = sim_with(0.0, TrafficPattern::Uniform, small_cfg(), 3);
-        assert!(sim.is_quiescent(), "a fresh network is quiescent");
-        sim.run_cycles(1_000);
-        assert!(sim.is_quiescent());
-        assert_eq!(sim.active_router_count(), 0);
-        assert_eq!(sim.in_flight_flits(), 0);
-        assert_eq!(sim.in_flight_credits(), 0);
-        let w = sim.take_window();
-        assert_eq!(w.noc_cycles, 1_000);
-        assert_eq!(w.flits_generated, 0);
-        assert_eq!(w.flits_ejected, 0);
-    }
-
-    #[test]
-    fn event_horizon_jump_absorbs_an_idle_run_and_stays_bit_identical() {
-        let cfg = small_cfg();
-        let mut skipping = sim_with(0.0, TrafficPattern::Uniform, cfg.clone(), 11);
-        let mut stepping = sim_with(0.0, TrafficPattern::Uniform, cfg, 11);
-        skipping.set_event_skipping(true);
-        stepping.set_event_skipping(false);
-        skipping.run_cycles(10_000);
-        stepping.run_cycles(10_000);
-        assert_eq!(skipping.current_cycle(), 10_000);
-        assert_eq!(skipping.take_window(), stepping.take_window());
-        assert_eq!(skipping.take_activity(), stepping.take_activity());
-        assert_eq!(stepping.skipped_cycle_count(), 0);
-        assert!(
-            skipping.skipped_cycle_count() >= 9_990,
-            "an idle run should be almost entirely jumped, got {}",
-            skipping.skipped_cycle_count()
-        );
-    }
-
-    #[test]
-    fn event_horizon_skipping_agrees_with_stepping_under_load() {
-        // Under sustained load the jump engine rarely engages, but whenever
-        // it does the behaviour must stay bit-identical.
-        let cfg = small_cfg();
-        let mut skipping = sim_with(0.08, TrafficPattern::Transpose, cfg.clone(), 5);
-        let mut stepping = sim_with(0.08, TrafficPattern::Transpose, cfg, 5);
-        skipping.set_event_skipping(true);
-        stepping.set_event_skipping(false);
-        for _ in 0..5 {
-            skipping.run_cycles(400);
-            stepping.run_cycles(400);
-            assert_eq!(skipping.take_window(), stepping.take_window());
-        }
-        assert_eq!(skipping.stats(), stepping.stats());
-    }
-
-    #[test]
-    fn event_horizon_jump_composes_with_power_gating() {
-        // An idle gated network: sleep timers land exactly where base-tick
-        // stepping puts them, then the fully gated network is one long jump.
-        let cfg = gated_cfg(16, 4);
-        let mut skipping = sim_with(0.0, TrafficPattern::Uniform, cfg.clone(), 7);
-        let mut stepping = sim_with(0.0, TrafficPattern::Uniform, cfg, 7);
-        skipping.set_event_skipping(true);
-        stepping.set_event_skipping(false);
-        skipping.run_cycles(5_000);
-        stepping.run_cycles(5_000);
-        assert_eq!(skipping.gated_router_count(), skipping.node_count());
-        assert_eq!(skipping.gated_router_count(), stepping.gated_router_count());
-        assert_eq!(skipping.take_window(), stepping.take_window());
-        assert_eq!(skipping.take_activity(), stepping.take_activity());
-        assert!(
-            skipping.skipped_cycle_count() > 4_000,
-            "the gated span should be jumped, got {}",
-            skipping.skipped_cycle_count()
-        );
-    }
-
-    #[test]
-    fn event_horizon_jump_lands_scheduled_faults_on_time() {
-        use crate::fault::{FaultEvent, FaultTarget};
-        // A transient router outage on an idle network: the death and the
-        // recovery are horizon events; jumps must stop exactly on them.
-        let faults = FaultConfig::scheduled(vec![FaultEvent::transient(
-            FaultTarget::Router { node: 5 },
-            1_000,
-            2_000,
-        )]);
-        let cfg = faulted_cfg(faults);
-        let mut skipping = sim_with(0.0, TrafficPattern::Uniform, cfg.clone(), 3);
-        let mut stepping = sim_with(0.0, TrafficPattern::Uniform, cfg, 3);
-        skipping.set_event_skipping(true);
-        stepping.set_event_skipping(false);
-        for _ in 0..4 {
-            skipping.run_cycles(1_000);
-            stepping.run_cycles(1_000);
-            assert_eq!(skipping.take_window(), stepping.take_window());
-            assert_eq!(skipping.reachable_pairs_fraction(), stepping.reachable_pairs_fraction());
-        }
-        assert!(skipping.skipped_cycle_count() > 3_000);
-    }
-
-    #[test]
-    fn parallel_island_stepping_matches_serial_bit_for_bit() {
-        let cfg = quadrant_cfg();
-        let mut parallel = sim_with(0.12, TrafficPattern::Uniform, cfg.clone(), 42);
-        let mut serial = sim_with(0.12, TrafficPattern::Uniform, cfg, 42);
-        for (island, mhz) in [(0usize, 1000.0), (1, 666.0), (2, 500.0), (3, 333.0)] {
-            parallel.set_island_frequency(island, Hertz::from_mhz(mhz));
-            serial.set_island_frequency(island, Hertz::from_mhz(mhz));
-        }
-        for _ in 0..5 {
-            parallel.run_cycles_with_workers(400, 4);
-            serial.run_cycles_with_workers(400, 1);
-            assert_eq!(parallel.take_window(), serial.take_window());
-            assert_eq!(parallel.take_island_windows(), serial.take_island_windows());
-            assert_eq!(parallel.take_activity(), serial.take_activity());
-        }
-        assert_eq!(parallel.stats(), serial.stats());
-        assert_eq!(parallel.total_packets_delivered(), serial.total_packets_delivered());
-        assert_eq!(parallel.buffered_network_flits(), serial.buffered_network_flits());
-    }
-
-    #[test]
-    fn parallel_island_stepping_composes_with_gating_and_faults() {
-        use crate::fault::{FaultEvent, FaultTarget};
-        let cfg = NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(4)
-            .regions(crate::region::RegionLayout::Quadrants)
-            .gating(crate::gating::GatingConfig::enabled(8, 4))
-            .faults(FaultConfig::scheduled(vec![FaultEvent::transient(
-                FaultTarget::Router { node: 6 },
-                300,
-                500,
-            )]))
-            .build()
-            .unwrap();
-        let mut parallel = sim_with(0.06, TrafficPattern::Uniform, cfg.clone(), 13);
-        let mut serial = sim_with(0.06, TrafficPattern::Uniform, cfg, 13);
-        parallel.set_island_frequency(2, Hertz::from_mhz(500.0));
-        serial.set_island_frequency(2, Hertz::from_mhz(500.0));
-        for _ in 0..8 {
-            parallel.run_cycles_with_workers(400, 2);
-            serial.run_cycles_with_workers(400, 1);
-            assert_eq!(parallel.take_window(), serial.take_window());
-            assert_eq!(parallel.gated_router_count(), serial.gated_router_count());
-            assert_eq!(parallel.total_flits_dropped(), serial.total_flits_dropped());
-        }
-        assert_eq!(parallel.stats(), serial.stats());
-        conservation_holds(&parallel);
-        conservation_holds(&serial);
-    }
-
-    #[test]
-    fn parallel_stepping_request_falls_back_to_serial_with_one_island() {
-        // A single-island network must run the ordinary serial loop no
-        // matter what the switch or worker count says.
-        let mut sim = sim_with(0.05, TrafficPattern::Uniform, small_cfg(), 2);
-        sim.set_parallel_islands(true);
-        assert!(sim.parallel_islands());
-        let mut reference = sim_with(0.05, TrafficPattern::Uniform, small_cfg(), 2);
-        sim.run_cycles(1_000);
-        reference.run_cycles(1_000);
-        assert_eq!(sim.take_window(), reference.take_window());
-        assert_eq!(sim.stats(), reference.stats());
     }
 }

@@ -1,0 +1,559 @@
+//! The phases of one tick around the router pipelines: 1 — clocks, island
+//! dividers, the gating and fault state machines; 2 — packet generation;
+//! 3 — credit delivery; 5 — link flit delivery; 6 — injection. Phases 1–2
+//! are one piece of code for every engine. In phases 3, 5 and 6 the engines
+//! part ways on purpose: the sparse engine drains timing wheels and the
+//! pending-source worklist, the dense reference scans every `node × port`
+//! channel and every source — an independent way of finding the same work,
+//! which is what the differential suites compare.
+
+use super::{advance_island_clocks, NocSimulation, Tick};
+use crate::fault::{FaultState, FaultTransition};
+use crate::flit::Flit;
+use crate::gating::GatingController;
+use crate::link::DelayChannel;
+use crate::router::{CreditReturn, Router, VcState, LOCAL_PORT};
+use crate::topology::PORT_COUNT;
+
+impl NocSimulation {
+    /// The power-gating state machine's per-cycle work, shared verbatim by
+    /// both engines (it runs between the clock advance and the traffic
+    /// phases, so sparse and dense take every gating transition on the same
+    /// cycle): wakeups due this tick complete, sleep timers due this tick
+    /// move still-idle routers into DrainWait, and DrainWait routers whose
+    /// inbound channels have fully drained close their power gate.
+    fn gating_phase(&mut self) {
+        let NocSimulation {
+            sources,
+            flit_channels,
+            injection_channels,
+            incoming_flit_channels,
+            pending_sources,
+            islands,
+            gating,
+            ..
+        } = self;
+        for (island, domain) in islands.iter().enumerate() {
+            if !domain.fires {
+                continue;
+            }
+            gating.complete_wakeups(island, domain.local_cycle, |node| {
+                if sources[node].has_pending_flits() {
+                    pending_sources.insert(node);
+                }
+            });
+        }
+        for (island, domain) in islands.iter().enumerate() {
+            if !domain.fires {
+                continue;
+            }
+            gating.start_drains(island, domain.local_cycle, |node| {
+                sources[node].has_pending_flits()
+            });
+        }
+        // A router gates only when no flit can still reach it: all inbound
+        // link channels and its injection channel are empty. Fenced sends
+        // can never refill them, so gating is race-free within the cycle.
+        gating.complete_drains(
+            |island| islands[island].fires,
+            |node| {
+                incoming_flit_channels[node]
+                    .iter()
+                    .all(|&idx| flit_channels[idx as usize].as_ref().is_none_or(|c| c.is_empty()))
+                    && injection_channels[node].is_empty()
+            },
+            |node| sources[node].has_pending_flits(),
+            |island| islands[island].local_cycle,
+        );
+    }
+
+    /// The fault-injection machinery's per-cycle work, shared verbatim by
+    /// both engines (it runs right after the gating phase, so sparse and
+    /// dense apply every fault transition on the same cycle): the fault
+    /// state machine ticks on the base clock, then each transition is acted
+    /// on. Link transitions need no action here — the blocked-port masks
+    /// fence both directed channels and flits already on the wire still
+    /// deliver. A router death purges the victim (every lost flit counted as
+    /// dropped, one credit returned upstream per purged flit through the
+    /// normal credit channels, so neighbour and source credit accounting
+    /// stays exact) and drains the channels around it; a recovery discards
+    /// stale inbound credits and resynchronises the victim's output credits
+    /// against its neighbours' input VCs (retiring any output VC whose
+    /// downstream input still holds pre-fault flits).
+    fn fault_phase(&mut self, now: u64) {
+        let NocSimulation {
+            cfg,
+            topo,
+            routers,
+            sources,
+            flit_channels,
+            credit_channels,
+            injection_channels,
+            neighbor_table,
+            incoming_flit_channels,
+            window,
+            islands,
+            regions,
+            active,
+            pending_sources,
+            credit_wheel,
+            credit_latency,
+            gating,
+            faults,
+            fault_transitions,
+            total_dropped,
+            tenants,
+            telemetry,
+            ..
+        } = self;
+        let Some(faults) = faults.as_mut() else { return };
+        fault_transitions.clear();
+        faults.tick(now, topo, fault_transitions);
+        if fault_transitions.is_empty() {
+            return;
+        }
+        let depth = cfg.buffer_depth();
+        let vcs = cfg.virtual_channels();
+        let island_of = regions.assignments();
+        let mut purge_credits: Vec<CreditReturn> = Vec::new();
+        for &transition in fault_transitions.iter() {
+            if let Some(t) = telemetry.as_deref_mut() {
+                let (node, link, down) = match transition {
+                    FaultTransition::LinkDown { node, .. } => (node, true, true),
+                    FaultTransition::LinkUp { node, .. } => (node, true, false),
+                    FaultTransition::RouterDown { node } => (node, false, true),
+                    FaultTransition::RouterUp { node } => (node, false, false),
+                };
+                t.on_fault_transition(node as u32, link, down, now);
+            }
+            match transition {
+                FaultTransition::LinkDown { .. } | FaultTransition::LinkUp { .. } => {}
+                FaultTransition::RouterDown { node } => {
+                    // The victim's buffers: drop everything; each purged flit
+                    // returns a credit to whoever sent it.
+                    purge_credits.clear();
+                    let mut dropped = routers[node].purge_all(depth, &mut purge_credits);
+                    for cr in purge_credits.drain(..) {
+                        let idx = node * PORT_COUNT + cr.in_port;
+                        credit_channels[idx].send(now, cr.vc);
+                        credit_wheel.schedule(now + *credit_latency, idx as u32);
+                    }
+                    // Flits in flight towards the dead router can no longer
+                    // be delivered: drop them, crediting the sender through
+                    // the victim's own credit channel for that port.
+                    for &ch in &incoming_flit_channels[node] {
+                        let ch = ch as usize;
+                        let Some(channel) = flit_channels[ch].as_mut() else { continue };
+                        let (_, in_port) = neighbor_table[ch / PORT_COUNT][ch % PORT_COUNT]
+                            .expect("a flit channel implies a neighbour");
+                        let idx = node * PORT_COUNT + in_port;
+                        channel.drain_all(|flit| {
+                            dropped += 1;
+                            credit_channels[idx].send(now, flit.vc as usize);
+                            credit_wheel.schedule(now + *credit_latency, idx as u32);
+                        });
+                    }
+                    let local_idx = node * PORT_COUNT + LOCAL_PORT;
+                    injection_channels[node].drain_all(|flit| {
+                        dropped += 1;
+                        credit_channels[local_idx].send(now, flit.vc as usize);
+                        credit_wheel.schedule(now + *credit_latency, local_idx as u32);
+                    });
+                    // Flits the victim put on the wire before dying go down
+                    // with it (their credits would flow back into the reset
+                    // victim, so none are returned — the downstream side
+                    // only credits flits it actually receives).
+                    for port in 0..PORT_COUNT {
+                        if port == LOCAL_PORT {
+                            continue;
+                        }
+                        if let Some(channel) = flit_channels[node * PORT_COUNT + port].as_mut() {
+                            channel.drain_all(|_| dropped += 1);
+                        }
+                    }
+                    *total_dropped += dropped;
+                    window.flits_dropped += dropped;
+                    islands[island_of[node] as usize].window.flits_dropped += dropped;
+                    if let Some(t) = tenants.as_mut() {
+                        t.windows[t.map.slot_of(node) as usize].flits_dropped += dropped;
+                    }
+                    if let Some(t) = telemetry.as_deref_mut() {
+                        t.routers[node].dropped += dropped;
+                    }
+                    // Sparse worklists: the purged router is quiescent and
+                    // its source is parked (no-ops for the dense loop).
+                    active.set_to(node, false);
+                    pending_sources.set_to(node, false);
+                }
+                FaultTransition::RouterUp { node } => {
+                    for (port, link) in neighbor_table[node].iter().enumerate() {
+                        if port == LOCAL_PORT {
+                            continue;
+                        }
+                        let Some((nbr, nbr_in_port)) = *link else {
+                            continue;
+                        };
+                        // Credits still heading for the reset router would
+                        // overflow its fresh full-credit outputs: discard.
+                        credit_channels[nbr * PORT_COUNT + nbr_in_port].drain_all(|_| {});
+                        // Resynchronise this output against the neighbour's
+                        // input VCs: an idle VC gets the full refill the
+                        // factory reset already assumed; a VC still holding
+                        // pre-fault flits is retired so a fresh packet can
+                        // never interleave with the stranded remainder.
+                        for vc in 0..vcs {
+                            let idle =
+                                routers[nbr].input_vc_state(nbr_in_port, vc) == VcState::Idle;
+                            if idle {
+                                routers[node].resync_output(port, vc, depth, false);
+                            } else {
+                                routers[node].resync_output(port, vc, 0, true);
+                            }
+                        }
+                    }
+                    // Un-park the source. If the router slept through the
+                    // outage the source goes back on the worklist rather
+                    // than straight into the gating fence: phase 6 re-fences
+                    // it at the island's next firing tick *and raises the
+                    // wakeup request* — the same per-cycle check the dense
+                    // loop performs. (Fencing it here without a request
+                    // would leave a gated router asleep forever.)
+                    gating.fenced_sources[node] = false;
+                    if sources[node].has_pending_flits() {
+                        pending_sources.insert(node);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Phases 1–3. Returns the per-tick context the later phases need.
+    pub(super) fn pre_pipeline_phases(&mut self) -> Tick {
+        // 1. Clock: how many node-clock cycles complete during this NoC cycle?
+        //    The base tick then advances each island's clock divider; islands
+        //    that complete a domain cycle "fire" and are processed below.
+        //    The gating state machine runs right after the clocks, then the
+        //    fault machinery, so every engine takes every transition on the
+        //    same cycle.
+        let node_cycles = self.clock.advance_noc_cycle();
+        // The absolute node cycle the generation batch below starts at: the
+        // clock has already emitted this tick's cycles, so the batch covers
+        // `emitted - node_cycles .. emitted`.
+        let start_node_cycle = self.clock.node_cycles_emitted() - node_cycles;
+        let now = self.clock.noc_cycle();
+        self.window.noc_cycles += 1;
+        advance_island_clocks(&mut self.islands);
+        if self.gating.enabled {
+            self.gating_phase();
+            if self.telemetry.is_some() {
+                self.drain_gate_transitions(now);
+            }
+        }
+        if self.faults.is_some() {
+            self.fault_phase(now);
+        }
+        let tick = self.tick_ctx();
+        if !tick.all_fire {
+            // The sparse gate for phases 4 and 6: the union of the firing
+            // islands' node masks. Only rebuilt on ticks where some island
+            // idles.
+            let NocSimulation { islands, island_masks, fire_words, .. } = self;
+            fire_words.iter_mut().for_each(|w| *w = 0);
+            for (island, mask) in islands.iter().zip(island_masks.iter()) {
+                if island.fires {
+                    for (w, &m) in fire_words.iter_mut().zip(mask.iter()) {
+                        *w |= m;
+                    }
+                }
+            }
+        }
+
+        // 2. Packet generation in the node clock domain. Every source draws
+        //    from the shared RNG in node order — this loop is *never* made
+        //    sparse, because skipping a draw would shift the random stream of
+        //    every later node. When the NoC outpaces the node clock, zero
+        //    node cycles complete and the whole phase is provably dead
+        //    (zero loop iterations per source, zero RNG draws), so it is
+        //    short-circuited.
+        if node_cycles > 0 {
+            let NocSimulation {
+                topo,
+                sources,
+                traffic,
+                rng,
+                next_packet_id,
+                window,
+                pending_sources,
+                regions,
+                islands,
+                tenants,
+                ..
+            } = self;
+            let island_of = regions.assignments();
+            for (node, source) in sources.iter_mut().enumerate() {
+                let before = source.flits_generated();
+                source.generate(
+                    node_cycles,
+                    start_node_cycle,
+                    traffic.as_mut(),
+                    topo,
+                    rng,
+                    next_packet_id,
+                    tick.now,
+                    tick.wall_ps,
+                );
+                let generated = source.flits_generated() - before;
+                if generated > 0 {
+                    window.flits_generated += generated;
+                    islands[island_of[node] as usize].window.flits_generated += generated;
+                    if let Some(t) = tenants.as_mut() {
+                        t.windows[t.map.slot_of(node) as usize].flits_generated += generated;
+                    }
+                    pending_sources.insert(node);
+                }
+            }
+        }
+
+        self.deliver_credits(tick);
+        tick
+    }
+
+    /// The context of the tick the clocks currently stand on. Island workers
+    /// rebuild it from the shared state instead of being handed it.
+    pub(super) fn tick_ctx(&self) -> Tick {
+        Tick {
+            now: self.clock.noc_cycle(),
+            wall_ps: self.clock.wall_time().as_ps(),
+            all_fire: self.islands.iter().all(|island| island.fires),
+            fault_block: self.faults.as_ref().is_some_and(|f| f.any_active()),
+            gate_fencing: self.gating.enabled && self.gating.fenced_count > 0,
+        }
+    }
+
+    /// Phases 5–6.
+    pub(super) fn post_pipeline_phases(&mut self, tick: Tick) {
+        if self.dense_step {
+            self.post_pipeline_dense(tick);
+        } else {
+            self.post_pipeline_sparse(tick);
+        }
+    }
+
+    /// Phase 3: credit delivery (credits sent in earlier cycles arrive now)
+    /// — the sparse engine visits only the channels its wheel has due this
+    /// cycle, the dense reference every credit channel. A credit bound for a
+    /// dead router is discarded: the death reset its outputs to full
+    /// credits, so a late return would overflow.
+    fn deliver_credits(&mut self, Tick { now, fault_block, .. }: Tick) {
+        let dense = self.dense_step;
+        let NocSimulation {
+            routers, sources, credit_channels, neighbor_table, credit_wheel, faults, ..
+        } = self;
+        let faults: Option<&FaultState> = faults.as_ref();
+        let channels = credit_channels.len();
+        let mut deliver = |idx: usize| {
+            let (node, in_port) = (idx / PORT_COUNT, idx % PORT_COUNT);
+            let channel = &mut credit_channels[idx];
+            if in_port == LOCAL_PORT {
+                let source = &mut sources[node];
+                channel.deliver(now, |vc| source.return_credit(vc));
+            } else if let Some((upstream, upstream_out_port)) = neighbor_table[node][in_port] {
+                if fault_block && faults.is_some_and(|f| f.router_dead(upstream)) {
+                    channel.deliver(now, |_| {});
+                } else {
+                    let router = &mut routers[upstream];
+                    channel.deliver(now, |vc| router.accept_credit(upstream_out_port, vc));
+                }
+            } else {
+                debug_assert!(channel.is_empty(), "credits only flow towards real neighbours");
+            }
+        };
+        if dense {
+            // The dense loop scans channels itself; discard this cycle's
+            // due-list entries so the wheels never accumulate and a later
+            // switch to the sparse engine sees a consistent due-list.
+            credit_wheel.clear_slot(now);
+            (0..channels).for_each(deliver);
+        } else {
+            credit_wheel.drain(now, |id| deliver(id as usize));
+        }
+    }
+
+    /// Sparse phases 5–6: link flit delivery, injection delivery, and source
+    /// injection.
+    fn post_pipeline_sparse(&mut self, tick: Tick) {
+        let Tick { now, all_fire, fault_block, gate_fencing, .. } = tick;
+        let link_latency = self.link_latency;
+        let NocSimulation {
+            routers,
+            sources,
+            flit_channels,
+            injection_channels,
+            neighbor_table,
+            window,
+            active,
+            pending_sources,
+            flit_wheel,
+            inject_wheel,
+            regions,
+            islands,
+            fire_words,
+            gating,
+            faults,
+            tenants,
+            ..
+        } = self;
+        let island_of = regions.assignments();
+        let faults: Option<&FaultState> = faults.as_ref();
+
+        // 5. Flit delivery on inter-router links — only links with a flit
+        //    due this cycle; arrival re-activates the downstream router.
+        flit_wheel.drain(now, |id| {
+            let idx = id as usize;
+            let channel = flit_channels[idx].as_mut().expect("wheel entries imply a channel");
+            let (neighbor, in_port) = neighbor_table[idx / PORT_COUNT][idx % PORT_COUNT]
+                .expect("channel implies neighbour");
+            deliver_flits(channel, now, &mut routers[neighbor], in_port, gating);
+            debug_assert!(channel.next_due().is_none_or(|d| d > now));
+            // A wheel entry for a channel drained by a router death must not
+            // re-activate the dead (purged, quiescent) router.
+            if !(fault_block && faults.is_some_and(|f| f.router_dead(neighbor))) {
+                active.insert(neighbor);
+            }
+        });
+
+        // 6. Injection: deliver flits due on injection channels, then let
+        //    each source with queued flits hand over at most one flit for the
+        //    next cycle. Sources without queued flits are skipped — they
+        //    would refuse (`try_inject` → `None`) without side effects.
+        //    The local injection port is island-clocked, so sources of
+        //    non-firing islands are masked out and stay pending. A source
+        //    whose router is fenced (gated or waking) raises one wakeup
+        //    request and leaves the worklist until the router powers on.
+        inject_wheel.drain(now, |id| {
+            let node = id as usize;
+            deliver_flits(&mut injection_channels[node], now, &mut routers[node], LOCAL_PORT, gating);
+            if !(fault_block && faults.is_some_and(|f| f.router_dead(node))) {
+                active.insert(node);
+            }
+        });
+        for (widx, word) in pending_sources.words.iter_mut().enumerate() {
+            let gate = if all_fire { u64::MAX } else { fire_words[widx] };
+            let mut w = *word & gate;
+            while w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                let node = (widx << 6) | bit;
+                if fault_block && faults.is_some_and(|f| f.router_dead(node)) {
+                    // Parked: the source keeps generating (the RNG draw
+                    // order is sacred) but cannot inject into a dead
+                    // router; it rejoins the worklist on recovery.
+                    *word &= !(1u64 << bit);
+                    continue;
+                }
+                if gate_fencing && gating.states[node].is_fenced() {
+                    gating.request_wakeup(node, islands[island_of[node] as usize].local_cycle);
+                    gating.fenced_sources[node] = true;
+                    *word &= !(1u64 << bit);
+                    continue;
+                }
+                if let Some(flit) = sources[node].try_inject() {
+                    injection_channels[node].send(now, flit);
+                    inject_wheel.schedule(now + link_latency, node as u32);
+                    window.flits_injected += 1;
+                    islands[island_of[node] as usize].window.flits_injected += 1;
+                    if let Some(t) = tenants.as_mut() {
+                        t.windows[t.map.slot_of(node) as usize].flits_injected += 1;
+                    }
+                }
+                if !sources[node].has_pending_flits() {
+                    *word &= !(1u64 << bit);
+                }
+            }
+        }
+    }
+
+    /// Dense phases 5–6: every link channel, every injection channel and
+    /// every source.
+    fn post_pipeline_dense(&mut self, Tick { now, fault_block, gate_fencing, .. }: Tick) {
+        let link_latency = self.link_latency;
+        let NocSimulation {
+            routers,
+            sources,
+            flit_channels,
+            injection_channels,
+            neighbor_table,
+            window,
+            flit_wheel,
+            inject_wheel,
+            regions,
+            islands,
+            gating,
+            faults,
+            tenants,
+            ..
+        } = self;
+        let island_of = regions.assignments();
+        let faults: Option<&FaultState> = faults.as_ref();
+        flit_wheel.clear_slot(now);
+        inject_wheel.clear_slot(now);
+
+        // 5. Flit delivery on inter-router links.
+        for (idx, channel) in flit_channels.iter_mut().enumerate() {
+            let Some(channel) = channel else { continue };
+            let (neighbor, in_port) = neighbor_table[idx / PORT_COUNT][idx % PORT_COUNT]
+                .expect("channel implies neighbour");
+            deliver_flits(channel, now, &mut routers[neighbor], in_port, gating);
+        }
+
+        // 6. Injection: deliver flits already on the injection channel, then
+        //    let each source hand over at most one new flit for the next
+        //    cycle (the local port is island-clocked, so only when the
+        //    source's island fires; a fenced router's source holds its flits
+        //    and raises a wakeup request instead).
+        for (node, source) in sources.iter_mut().enumerate() {
+            let island = &mut islands[island_of[node] as usize];
+            deliver_flits(&mut injection_channels[node], now, &mut routers[node], LOCAL_PORT, gating);
+            if !island.fires {
+                continue;
+            }
+            if fault_block && faults.is_some_and(|f| f.router_dead(node)) {
+                // Parked (as in the sparse phase 6): a dead router's source
+                // holds its flits until the router recovers.
+            } else if gate_fencing && gating.states[node].is_fenced() {
+                if source.has_pending_flits() {
+                    gating.request_wakeup(node, island.local_cycle);
+                    gating.fenced_sources[node] = true;
+                }
+            } else if let Some(flit) = source.try_inject() {
+                injection_channels[node].send(now, flit);
+                inject_wheel.schedule(now + link_latency, node as u32);
+                window.flits_injected += 1;
+                island.window.flits_injected += 1;
+                if let Some(t) = tenants.as_mut() {
+                    t.windows[t.map.slot_of(node) as usize].flits_injected += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Delivers the flits due on `channel` into input `in_port` of `router`, the
+/// channel's receiver; under gating an arrival ends the receiver's idle span.
+#[inline]
+fn deliver_flits(
+    channel: &mut DelayChannel<Flit>,
+    now: u64,
+    router: &mut Router,
+    in_port: usize,
+    gating: &mut GatingController,
+) {
+    let mut delivered = false;
+    channel.deliver(now, |flit| {
+        router.accept_flit(in_port, flit);
+        delivered = true;
+    });
+    if delivered && gating.enabled {
+        gating.on_flit_arrival(router.node());
+    }
+}

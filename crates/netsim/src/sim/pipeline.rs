@@ -1,0 +1,385 @@
+//! Phase 4, the router pipelines: **one kernel, one effects path**.
+//!
+//! [`tick_router`] is the only place a router's cycle is spelled out — the
+//! dead-router check, the fence mask, SA/ST, the sends on the router's own
+//! outbound channels, VA, RC, the telemetry probe and the quiescence test. It
+//! reads a [`PipelineView`] (state nobody writes during the phase), writes a
+//! [`NodeLanes`] (state only this router's tick writes) and leaves everything
+//! that touches shared state in the [`TraversalOutput`] it filled.
+//! [`Effects::apply`] is the only place those leftovers — wheel schedules,
+//! wakeup requests, drop and ejection tallies, sink acceptance, worklist and
+//! idle-span updates — are applied.
+//!
+//! The steppers are drivers of that pair and differ only in *which nodes they
+//! visit* and *when the effects are applied*: the dense reference visits
+//! every unfenced node of a firing island and applies at once; the sparse
+//! engine visits the active bitset and applies at once (both in
+//! [`NocSimulation::pipeline_phase`]); island workers visit their islands'
+//! slice of the bitset and park each node's output for the main thread to
+//! apply in ascending node order (see [`threaded`](super::threaded)).
+
+use super::islands::IslandDomain;
+use super::worklist::{DueWheel, NodeSet};
+use super::{NocSimulation, TenantAccounting, Tick, WindowMeasurement};
+use crate::fault::FaultState;
+use crate::flit::Flit;
+use crate::gating::GatingController;
+use crate::link::DelayChannel;
+use crate::router::{Router, TraversalOutput};
+use crate::routing::RoutingAlgorithm;
+use crate::sink::Sink;
+use crate::stats::SimStats;
+use crate::telemetry::RouterProbe;
+use crate::topology::{Topology, PORT_COUNT};
+
+/// `(neighbour, neighbour_input_port)` per `(node, port)`.
+pub(super) type NeighborTable = [[Option<(usize, usize)>; PORT_COUNT]];
+
+/// What the pipeline phase of one tick reads and nothing writes until the
+/// phase is over — safe to share between island workers.
+pub(super) struct PipelineView<'a> {
+    now: u64,
+    fault_block: bool,
+    /// Whether any fence (gating or fault) is up this tick.
+    fencing: bool,
+    topo: &'a Topology,
+    routing: &'a dyn RoutingAlgorithm,
+    neighbor_table: &'a NeighborTable,
+    faults: Option<&'a FaultState>,
+}
+
+impl<'a> PipelineView<'a> {
+    pub(super) fn new(
+        tick: Tick,
+        topo: &'a Topology,
+        routing: &'a dyn RoutingAlgorithm,
+        neighbor_table: &'a NeighborTable,
+        faults: Option<&'a FaultState>,
+    ) -> Self {
+        PipelineView {
+            now: tick.now,
+            fault_block: tick.fault_block,
+            fencing: tick.gate_fencing || tick.fault_block,
+            topo,
+            routing,
+            neighbor_table,
+            faults,
+        }
+    }
+}
+
+/// The state one router's tick writes and no other router's tick touches:
+/// the router, its `PORT_COUNT` outbound flit and credit channels, and its
+/// telemetry probe slot.
+pub(super) struct NodeLanes<'a> {
+    pub(super) router: &'a mut Router,
+    pub(super) flit_out: &'a mut [Option<DelayChannel<Flit>>],
+    pub(super) credit_out: &'a mut [DelayChannel<usize>],
+    pub(super) probe: Option<&'a mut RouterProbe>,
+}
+
+/// How a router's tick ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(super) enum Visit {
+    /// The router still buffers flits and stays on the worklist.
+    #[default]
+    Busy,
+    /// The router buffers nothing (any more): it leaves the worklist and,
+    /// under gating, starts its idle span.
+    Drained,
+    /// A dead router was purged at its death; a stale worklist bit (from a
+    /// wheel entry of a drained channel) is simply cleared again, and a dead
+    /// router never starts a gating idle span.
+    Dead,
+}
+
+/// One router's cycle: SA/ST, then VA, then RC (reverse order, so a flit
+/// advances at most one stage per cycle). Flits and credits leave on the
+/// router's own channels here; every effect on shared state is left in
+/// `out` for [`Effects::apply`].
+///
+/// `inline(always)`, here and on [`Effects::apply`]: with three drivers
+/// calling them the plain hint is not taken, and an out-of-line call per
+/// router per tick measured 3–4 % on loaded fabrics.
+#[inline(always)]
+pub(super) fn tick_router(
+    view: &PipelineView<'_>,
+    gating: &GatingController,
+    node: usize,
+    lanes: NodeLanes<'_>,
+    out: &mut TraversalOutput,
+) -> Visit {
+    out.clear();
+    if view.fault_block && view.faults.is_some_and(|f| f.router_dead(node)) {
+        return Visit::Dead;
+    }
+    let fault_ports =
+        if view.fault_block { view.faults.map_or(0, |f| f.blocked_ports(node)) } else { 0 };
+    let fence =
+        if view.fencing { fault_ports | fence_mask(view.neighbor_table, gating, node) } else { 0 };
+    let router = lanes.router;
+    router.sa_st_stage_fenced(out, fence);
+    for outgoing in &out.outgoing {
+        lanes.flit_out[outgoing.out_port]
+            .as_mut()
+            .expect("router only routes towards existing links")
+            .send(view.now, outgoing.flit);
+    }
+    for credit in &out.credits {
+        lanes.credit_out[credit.in_port].send(view.now, credit.vc);
+    }
+    router.va_stage();
+    router.rc_stage_blocked(view.topo, view.routing, fault_ports);
+    if let Some(probe) = lanes.probe {
+        // Read-only probe of the traversal output and post-stage stall
+        // state, at the same pipeline point under every driver.
+        probe.record(out, fence, router);
+    }
+    if router.is_quiescent() {
+        Visit::Drained
+    } else {
+        Visit::Busy
+    }
+}
+
+/// The shared state the pipeline phase writes: everything a router's tick
+/// changes outside its own [`NodeLanes`]. Held by exactly one thread.
+pub(super) struct Effects<'a> {
+    tick: Tick,
+    link_latency: u64,
+    credit_latency: u64,
+    neighbor_table: &'a NeighborTable,
+    island_of: &'a [u32],
+    islands: &'a mut [IslandDomain],
+    gating: &'a mut GatingController,
+    active: &'a mut NodeSet,
+    flit_wheel: &'a mut DueWheel,
+    credit_wheel: &'a mut DueWheel,
+    sink: &'a mut Sink,
+    totals: &'a mut SimStats,
+    window: &'a mut WindowMeasurement,
+    tenants: Option<&'a mut TenantAccounting>,
+    total_dropped: &'a mut u64,
+}
+
+impl Effects<'_> {
+    /// Applies what `node`'s tick left in `out`. Called in ascending node
+    /// order by every driver, so wheel slot order, wakeup order, sink
+    /// acceptance order and every floating-point window sum are the same
+    /// whichever driver ran the kernel.
+    #[inline(always)]
+    pub(super) fn apply(&mut self, node: usize, visit: Visit, out: &TraversalOutput) {
+        let island = self.island_of[node] as usize;
+        if self.gating.enabled && out.fenced_ports != 0 {
+            // A ready flit was held back by a fence: wake the sleeping
+            // neighbour(s) it is destined for. (Fault fences wake nothing —
+            // `request_wakeup` ignores routers that are not gated.)
+            let mut fenced = out.fenced_ports;
+            while fenced != 0 {
+                let port = fenced.trailing_zeros() as usize;
+                fenced &= fenced - 1;
+                let (nbr, _) = self.neighbor_table[node][port]
+                    .expect("a fenced port implies a neighbouring router");
+                let cycle = self.islands[self.island_of[nbr] as usize].local_cycle;
+                self.gating.request_wakeup(nbr, cycle);
+            }
+        }
+        if out.dropped > 0 || !out.ejected.is_empty() {
+            self.tally(node, island, out);
+        }
+        for outgoing in &out.outgoing {
+            let idx = node * PORT_COUNT + outgoing.out_port;
+            self.flit_wheel.schedule(self.tick.now + self.link_latency, idx as u32);
+        }
+        for credit in &out.credits {
+            let idx = node * PORT_COUNT + credit.in_port;
+            self.credit_wheel.schedule(self.tick.now + self.credit_latency, idx as u32);
+        }
+        if visit != Visit::Busy {
+            self.active.set_to(node, false);
+        }
+        if visit == Visit::Drained && self.gating.enabled && !self.gating.idle[node] {
+            // The router just drained: start its idle span (a stale worklist
+            // entry for an already idle router must not restart the span).
+            self.gating.mark_idle(node, self.islands[island].local_cycle);
+        }
+    }
+
+    /// Counts `node`'s drops and ejections in the global, island and tenant
+    /// windows and hands the ejected flits to the sink.
+    fn tally(&mut self, node: usize, island: usize, out: &TraversalOutput) {
+        let mut tenant_window =
+            self.tenants.as_deref_mut().map(|t| &mut t.windows[t.map.slot_of(node) as usize]);
+        let island_window = &mut self.islands[island].window;
+        if out.dropped > 0 {
+            *self.total_dropped += out.dropped;
+            self.window.flits_dropped += out.dropped;
+            island_window.flits_dropped += out.dropped;
+            if let Some(tw) = tenant_window.as_deref_mut() {
+                tw.flits_dropped += out.dropped;
+            }
+        }
+        for flit in &out.ejected {
+            self.window.flits_ejected += 1;
+            island_window.flits_ejected += 1;
+            if let Some(tw) = tenant_window.as_deref_mut() {
+                tw.flits_ejected += 1;
+            }
+            if let Some(rec) = self.sink.accept(flit, self.tick.now, self.tick.wall_ps) {
+                self.totals.record(&rec);
+                for w in [&mut *self.window, &mut *island_window]
+                    .into_iter()
+                    .chain(tenant_window.as_deref_mut())
+                {
+                    w.packets_ejected += 1;
+                    w.latency_cycles_sum += rec.latency_cycles;
+                    w.delay_ps_sum += rec.delay_ps;
+                }
+            }
+        }
+    }
+}
+
+/// The per-router fence mask: bits of output ports whose downstream router
+/// is power-gated or still waking. Computed only on cycles where at least
+/// one router is fenced; fault fences (failed links / dead neighbours) are
+/// ORed in separately from the cached
+/// [`FaultState::blocked_ports`](crate::fault::FaultState::blocked_ports)
+/// masks.
+#[inline]
+fn fence_mask(neighbor_table: &NeighborTable, gating: &GatingController, node: usize) -> u8 {
+    if !gating.enabled || gating.fenced_count == 0 {
+        return 0;
+    }
+    let mut fence = 0u8;
+    for (port, entry) in neighbor_table[node].iter().enumerate() {
+        if let Some((nbr, _)) = entry {
+            if gating.states[*nbr].is_fenced() {
+                fence |= 1u8 << port;
+            }
+        }
+    }
+    fence
+}
+
+/// One tick's pipeline phase as the calling thread runs it — the disjoint
+/// borrows of the simulation it needs: what the kernel reads, the per-node
+/// arrays it writes, the shared state the effects path writes, and the
+/// traversal scratch and fire mask of the serial drivers.
+pub(super) struct SerialPipeline<'a> {
+    view: PipelineView<'a>,
+    routers: &'a mut [Router],
+    flit_channels: &'a mut [Option<DelayChannel<Flit>>],
+    credit_channels: &'a mut [DelayChannel<usize>],
+    probes: Option<&'a mut [RouterProbe]>,
+    pub(super) fx: Effects<'a>,
+    scratch: &'a mut TraversalOutput,
+    fire_words: &'a [u64],
+}
+
+impl SerialPipeline<'_> {
+    /// The kernel on `node`, its effects applied at once.
+    #[inline(always)]
+    fn visit(&mut self, node: usize) {
+        let ports = node * PORT_COUNT..(node + 1) * PORT_COUNT;
+        let lanes = NodeLanes {
+            router: &mut self.routers[node],
+            flit_out: &mut self.flit_channels[ports.clone()],
+            credit_out: &mut self.credit_channels[ports],
+            probe: self.probes.as_deref_mut().map(|p| &mut p[node]),
+        };
+        let visit = tick_router(&self.view, self.fx.gating, node, lanes, self.scratch);
+        self.fx.apply(node, visit, self.scratch);
+    }
+}
+
+impl NocSimulation {
+    /// Splits the simulation into the borrows of the pipeline phase.
+    pub(super) fn serial_pipeline(&mut self, tick: Tick) -> SerialPipeline<'_> {
+        let NocSimulation {
+            topo,
+            routing,
+            routers,
+            sink,
+            flit_channels,
+            credit_channels,
+            neighbor_table,
+            totals,
+            window,
+            scratch,
+            active,
+            flit_wheel,
+            credit_wheel,
+            link_latency,
+            credit_latency,
+            regions,
+            islands,
+            fire_words,
+            gating,
+            faults,
+            total_dropped,
+            tenants,
+            telemetry,
+            ..
+        } = self;
+        SerialPipeline {
+            view: PipelineView::new(tick, topo, &**routing, neighbor_table, faults.as_ref()),
+            routers,
+            flit_channels,
+            credit_channels,
+            probes: telemetry.as_deref_mut().map(|t| t.routers.as_mut_slice()),
+            fx: Effects {
+                tick,
+                link_latency: *link_latency,
+                credit_latency: *credit_latency,
+                neighbor_table,
+                island_of: regions.assignments(),
+                islands,
+                gating,
+                active,
+                flit_wheel,
+                credit_wheel,
+                sink,
+                totals,
+                window,
+                tenants: tenants.as_mut(),
+                total_dropped,
+            },
+            scratch,
+            fire_words,
+        }
+    }
+
+    /// Phase 4 on the calling thread: the dense reference scans the node
+    /// list, the sparse engine drains the active worklist; both run the
+    /// kernel and apply its effects node by node, in ascending node order.
+    pub(super) fn pipeline_phase(&mut self, tick: Tick) {
+        let dense = self.dense_step;
+        let mut p = self.serial_pipeline(tick);
+        if dense {
+            // Every router of a firing island, fenced (gated or waking)
+            // ones excepted — exactly the routers the sparse worklist can
+            // hold, found here without consulting it.
+            for node in 0..p.routers.len() {
+                if p.fx.islands[p.fx.island_of[node] as usize].fires
+                    && !(tick.gate_fencing && p.fx.gating.states[node].is_fenced())
+                {
+                    p.visit(node);
+                }
+            }
+            return;
+        }
+        // Active routers only; flit arrival (phases 5/6) re-inserts a
+        // drained router. Routers of non-firing islands are masked out and
+        // stay active.
+        for widx in 0..p.fx.active.words.len() {
+            let gate = if tick.all_fire { u64::MAX } else { p.fire_words[widx] };
+            let mut w = p.fx.active.words[widx] & gate;
+            while w != 0 {
+                let node = (widx << 6) | w.trailing_zeros() as usize;
+                w &= w - 1;
+                p.visit(node);
+            }
+        }
+    }
+}

@@ -1,0 +1,948 @@
+//! Unit tests of the simulation driver.
+
+use super::*;
+use crate::traffic::{SyntheticTraffic, TrafficPattern};
+use crate::units::Hertz;
+
+fn small_cfg() -> NetworkConfig {
+    NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .build()
+        .unwrap()
+}
+
+fn sim_with(rate: f64, pattern: TrafficPattern, cfg: NetworkConfig, seed: u64) -> NocSimulation {
+    let traffic = SyntheticTraffic::new(pattern, rate, cfg.packet_length());
+    NocSimulation::new(cfg, Box::new(traffic), seed)
+}
+
+#[test]
+fn packets_are_delivered_under_light_load() {
+    let mut sim = sim_with(0.05, TrafficPattern::Uniform, small_cfg(), 1);
+    sim.run_cycles(5_000);
+    assert!(sim.total_packets_delivered() > 50, "light load must deliver packets");
+    let stats = sim.stats();
+    let avg = stats.avg_latency_cycles().unwrap();
+    assert!(avg > 5.0 && avg < 120.0, "zero-load-ish latency should be moderate, got {avg}");
+}
+
+#[test]
+fn flit_conservation_after_drain() {
+    let mut sim = sim_with(0.08, TrafficPattern::Uniform, small_cfg(), 2);
+    sim.run_cycles(3_000);
+    // Stop injecting and drain.
+    let generated = sim.total_flits_generated();
+    // Conservation while running: everything generated is either queued at
+    // a source, buffered in the network, in flight on a channel (bounded),
+    // or already received by a sink.
+    let received = sim.sink.flits_received();
+    let queued = sim.queued_source_flits() as u64;
+    let buffered = sim.buffered_network_flits() as u64;
+    assert!(
+        received + queued + buffered <= generated,
+        "cannot receive more flits than were generated"
+    );
+    assert!(
+        generated - (received + queued + buffered) < 2_000,
+        "most generated flits must be accounted for (rest are in flight on links)"
+    );
+}
+
+#[test]
+fn latency_grows_with_load() {
+    let cfg = small_cfg();
+    let mut low = sim_with(0.05, TrafficPattern::Uniform, cfg.clone(), 3);
+    let mut high = sim_with(0.30, TrafficPattern::Uniform, cfg, 3);
+    low.run_cycles(8_000);
+    high.run_cycles(8_000);
+    let l = low.stats().avg_latency_cycles().unwrap();
+    let h = high.stats().avg_latency_cycles().unwrap();
+    assert!(h > l, "latency must grow with offered load ({l} vs {h})");
+}
+
+#[test]
+fn slowing_the_clock_keeps_cycles_but_stretches_time() {
+    let cfg = small_cfg();
+    let mut fast = sim_with(0.05, TrafficPattern::Uniform, cfg.clone(), 4);
+    let mut slow = sim_with(0.05, TrafficPattern::Uniform, cfg, 4);
+    slow.set_noc_frequency(Hertz::from_mhz(500.0));
+    fast.run_cycles(4_000);
+    slow.run_cycles(4_000);
+    // Same number of NoC cycles, but the slow run spans twice the time.
+    assert!((slow.wall_time().as_ns() - 2.0 * fast.wall_time().as_ns()).abs() < 1.0);
+    // The slow NoC sees a higher per-NoC-cycle injection rate, therefore
+    // equal-or-higher latency in cycles and clearly higher delay in ns.
+    let d_fast = fast.stats().avg_delay_ns().unwrap();
+    let d_slow = slow.stats().avg_delay_ns().unwrap();
+    assert!(d_slow > d_fast * 1.5, "delay must stretch when the clock slows ({d_fast} -> {d_slow})");
+}
+
+#[test]
+fn deterministic_given_a_seed() {
+    let cfg = small_cfg();
+    let mut a = sim_with(0.1, TrafficPattern::Uniform, cfg.clone(), 99);
+    let mut b = sim_with(0.1, TrafficPattern::Uniform, cfg, 99);
+    a.run_cycles(3_000);
+    b.run_cycles(3_000);
+    assert_eq!(a.total_packets_delivered(), b.total_packets_delivered());
+    assert_eq!(a.stats(), b.stats());
+}
+
+#[test]
+fn window_measurements_cover_the_run() {
+    let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 5);
+    sim.run_cycles(2_000);
+    let w1 = sim.take_window();
+    assert_eq!(w1.noc_cycles, 2_000);
+    assert!(w1.flits_generated > 0);
+    assert!(w1.packets_ejected > 0);
+    assert!(w1.avg_delay_ns().unwrap() > 0.0);
+    // The rate estimate should be near the configured 0.1 flits/node-cycle.
+    let rate = w1.node_injection_rate(sim.node_count());
+    assert!((rate - 0.1).abs() < 0.03, "measured rate {rate} too far from 0.1");
+    // A second window starts from scratch.
+    sim.run_cycles(100);
+    let w2 = sim.take_window();
+    assert_eq!(w2.noc_cycles, 100);
+}
+
+#[test]
+fn activity_counters_accumulate_and_reset() {
+    let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 6);
+    sim.run_cycles(2_000);
+    let act = sim.take_activity();
+    let total = act.total();
+    assert!(total.buffer_writes > 0);
+    assert!(total.crossbar_traversals > 0);
+    assert_eq!(total.cycles, 2_000 * sim.node_count() as u64);
+    let empty = sim.take_activity();
+    assert_eq!(empty.total().buffer_writes, 0);
+    assert_eq!(empty.total().cycles, 0);
+}
+
+#[test]
+fn reset_activity_discards_the_window() {
+    let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 6);
+    sim.run_cycles(500);
+    sim.reset_activity();
+    sim.run_cycles(250);
+    let act = sim.take_activity();
+    assert_eq!(act.total().cycles, 250 * sim.node_count() as u64);
+}
+
+#[test]
+fn deterministic_pattern_traffic_flows() {
+    for pattern in [
+        TrafficPattern::Tornado,
+        TrafficPattern::BitComplement,
+        TrafficPattern::Transpose,
+        TrafficPattern::Neighbor,
+    ] {
+        let mut sim = sim_with(0.1, pattern, small_cfg(), 7);
+        sim.run_cycles(5_000);
+        assert!(
+            sim.total_packets_delivered() > 20,
+            "{} should deliver packets",
+            pattern.name()
+        );
+    }
+}
+
+#[test]
+fn saturation_shows_up_as_growing_source_queues() {
+    // Offered load far above capacity: queues must build up.
+    let mut sim = sim_with(0.9, TrafficPattern::Uniform, small_cfg(), 8);
+    sim.run_cycles(4_000);
+    let q1 = sim.queued_source_flits();
+    sim.run_cycles(4_000);
+    let q2 = sim.queued_source_flits();
+    assert!(q2 > q1, "above saturation the source queues keep growing ({q1} -> {q2})");
+}
+
+fn torus_cfg() -> NetworkConfig {
+    NetworkConfig::builder()
+        .torus(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn torus_delivers_packets_under_light_load() {
+    let mut sim = sim_with(0.05, TrafficPattern::Uniform, torus_cfg(), 1);
+    assert!(sim.topology().is_torus());
+    sim.run_cycles(5_000);
+    assert!(sim.total_packets_delivered() > 50, "torus light load must deliver packets");
+    // Wrap links shorten paths: average latency must not exceed the mesh's.
+    let mut mesh = sim_with(0.05, TrafficPattern::Uniform, small_cfg(), 1);
+    mesh.run_cycles(5_000);
+    let t = sim.stats().avg_latency_cycles().unwrap();
+    let m = mesh.stats().avg_latency_cycles().unwrap();
+    assert!(t < m, "torus latency {t} should beat mesh latency {m}");
+}
+
+#[test]
+fn torus_sustains_heavy_adversarial_load_without_deadlock() {
+    // Tornado traffic around the rings is the classic torus deadlock
+    // scenario: without the dateline VC discipline the wrap-around
+    // channel-dependency cycle wedges. Progress must continue throughout.
+    for pattern in [TrafficPattern::Tornado, TrafficPattern::Uniform] {
+        let mut sim = sim_with(0.6, pattern, torus_cfg(), 3);
+        let mut last = 0;
+        for chunk in 0..6 {
+            sim.run_cycles(2_000);
+            let delivered = sim.total_packets_delivered();
+            assert!(
+                delivered > last,
+                "{} on the torus stalled in chunk {chunk} ({last} packets)",
+                pattern.name()
+            );
+            last = delivered;
+        }
+    }
+}
+
+#[test]
+fn torus_runs_are_deterministic() {
+    let cfg = torus_cfg();
+    let mut a = sim_with(0.2, TrafficPattern::Uniform, cfg.clone(), 11);
+    let mut b = sim_with(0.2, TrafficPattern::Uniform, cfg, 11);
+    a.run_cycles(3_000);
+    b.run_cycles(3_000);
+    assert_eq!(a.take_window(), b.take_window());
+    assert_eq!(a.stats(), b.stats());
+}
+
+#[test]
+fn bursty_traffic_flows_end_to_end() {
+    use crate::traffic::BurstyTraffic;
+    let cfg = torus_cfg();
+    let traffic =
+        BurstyTraffic::new(TrafficPattern::Hotspot, 0.1, cfg.packet_length(), 60.0, 4.0);
+    let mut sim = NocSimulation::new(cfg, Box::new(traffic), 5);
+    sim.run_cycles(8_000);
+    assert!(sim.total_packets_delivered() > 30, "bursty hotspot torus must make progress");
+    let rate = sim.take_window().node_injection_rate(sim.node_count());
+    assert!((rate - 0.1).abs() < 0.05, "long-run bursty rate {rate} should approach 0.1");
+}
+
+#[test]
+fn frequency_is_clamped_to_config_range() {
+    let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 9);
+    sim.set_noc_frequency(Hertz::from_mhz(10.0));
+    assert_eq!(sim.noc_frequency(), Hertz::from_mhz(333.0));
+    sim.set_noc_frequency(Hertz::from_ghz(5.0));
+    assert_eq!(sim.noc_frequency(), Hertz::from_ghz(1.0));
+}
+
+#[test]
+fn dense_reference_loop_matches_sparse_engine() {
+    let cfg = small_cfg();
+    let mut sparse = sim_with(0.12, TrafficPattern::Uniform, cfg.clone(), 42);
+    let mut dense = sim_with(0.12, TrafficPattern::Uniform, cfg, 42);
+    sparse.set_dense_stepping(false);
+    dense.set_dense_stepping(true);
+    for _ in 0..5 {
+        sparse.run_cycles(400);
+        dense.run_cycles(400);
+        assert_eq!(sparse.take_window(), dense.take_window());
+    }
+    assert_eq!(sparse.stats(), dense.stats());
+    assert_eq!(sparse.total_packets_delivered(), dense.total_packets_delivered());
+}
+
+#[test]
+fn switching_engines_mid_run_preserves_behaviour() {
+    let cfg = small_cfg();
+    let mut toggled = sim_with(0.15, TrafficPattern::Uniform, cfg.clone(), 13);
+    let mut reference = sim_with(0.15, TrafficPattern::Uniform, cfg, 13);
+    reference.set_dense_stepping(false);
+    for chunk in 0..6 {
+        toggled.set_dense_stepping(chunk % 2 == 0);
+        toggled.run_cycles(350);
+        reference.run_cycles(350);
+        assert_eq!(toggled.take_window(), reference.take_window(), "chunk {chunk}");
+    }
+    assert_eq!(toggled.stats(), reference.stats());
+}
+
+#[test]
+fn active_worklist_mirrors_buffer_occupancy() {
+    let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 21);
+    let mut saw_active = false;
+    for _ in 0..60 {
+        sim.run_cycles(37);
+        let active = sim.active_router_count();
+        let buffered = sim.buffered_network_flits();
+        assert_eq!(
+            active == 0,
+            buffered == 0,
+            "worklist ({active}) out of sync with buffered flits ({buffered})"
+        );
+        saw_active |= active > 0;
+    }
+    assert!(saw_active, "a loaded 4x4 mesh must activate routers at some point");
+}
+
+#[test]
+fn single_island_is_the_default_and_tracks_the_global_clock() {
+    let mut sim = sim_with(0.1, TrafficPattern::Uniform, small_cfg(), 4);
+    assert_eq!(sim.island_count(), 1);
+    sim.run_cycles(1_000);
+    assert_eq!(sim.island_cycle(0), sim.current_cycle());
+    assert_eq!(sim.island_frequency(0), sim.noc_frequency());
+    // Per-island control degenerates to the global knob.
+    sim.set_island_frequency(0, Hertz::from_mhz(500.0));
+    assert_eq!(sim.noc_frequency(), Hertz::from_mhz(500.0));
+    let windows = sim.take_island_windows();
+    assert_eq!(windows.len(), 1);
+    let global = sim.take_window();
+    assert_eq!(windows[0].noc_cycles, global.noc_cycles);
+    assert_eq!(windows[0].flits_generated, global.flits_generated);
+    assert_eq!(windows[0].flits_ejected, global.flits_ejected);
+}
+
+fn quadrant_cfg() -> NetworkConfig {
+    NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .regions(crate::region::RegionLayout::Quadrants)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn slowed_island_completes_fewer_domain_cycles() {
+    let mut sim = sim_with(0.05, TrafficPattern::Uniform, quadrant_cfg(), 5);
+    assert_eq!(sim.island_count(), 4);
+    sim.set_island_frequency(3, Hertz::from_mhz(500.0));
+    sim.run_cycles(4_000);
+    // Base ticks run at 1 GHz; island 3 fires on half of them.
+    assert_eq!(sim.island_cycle(0), 4_000);
+    let slow = sim.island_cycle(3);
+    assert!((slow as i64 - 2_000).unsigned_abs() <= 1, "expected ~2000, got {slow}");
+    let windows = sim.take_island_windows();
+    assert_eq!(windows[3].noc_cycles, slow);
+    // The slowed island keeps delivering its share of traffic.
+    assert!(windows[3].flits_ejected > 0);
+}
+
+#[test]
+fn returning_to_the_base_rate_clears_fractional_cycle_backlog() {
+    // Slow an island, stop mid-fraction (acc = 0.5), restore it to the
+    // base rate, then slow it again: the second slowdown must start
+    // from a clean divider, not fire early on the stale backlog.
+    let mut sim = sim_with(0.0, TrafficPattern::Uniform, quadrant_cfg(), 1);
+    sim.set_island_frequency(1, Hertz::from_mhz(500.0));
+    sim.run_cycles(3); // fires on tick 2 only; acc ends at 0.5
+    assert_eq!(sim.island_cycle(1), 1);
+    sim.set_island_frequency(1, Hertz::from_ghz(1.0));
+    sim.run_cycles(4);
+    assert_eq!(sim.island_cycle(1), 5);
+    sim.set_island_frequency(1, Hertz::from_mhz(500.0));
+    sim.run_cycles(3);
+    // A fresh half-rate divider fires once in 3 ticks (on tick 2); a
+    // stale acc of 0.5 would have fired twice (ticks 1 and 3).
+    assert_eq!(sim.island_cycle(1), 6);
+}
+
+#[test]
+fn atomic_retune_preserves_untouched_island_divider_phase() {
+    let init = [
+        Hertz::from_ghz(1.0),
+        Hertz::from_mhz(500.0),
+        Hertz::from_mhz(400.0),
+        Hertz::from_mhz(400.0),
+    ];
+    // Swap which island anchors the base rate (0: 1 GHz → 400 MHz,
+    // 2: 400 MHz → 1 GHz); island 1 is untouched and mid-fraction.
+    let swapped = [
+        Hertz::from_mhz(400.0),
+        Hertz::from_mhz(500.0),
+        Hertz::from_ghz(1.0),
+        Hertz::from_mhz(400.0),
+    ];
+    let mut sim = sim_with(0.0, TrafficPattern::Uniform, quadrant_cfg(), 1);
+    sim.set_island_frequencies(&init);
+    sim.run_cycles(3); // island 1 fires on tick 2 and owes half a cycle
+    assert_eq!(sim.island_cycle(1), 1);
+    sim.set_island_frequencies(&swapped);
+    sim.run_cycles(1);
+    assert_eq!(
+        sim.island_cycle(1),
+        2,
+        "an untouched island's half-cycle backlog must survive an atomic retune"
+    );
+    // The same retune applied one island at a time dips the base rate
+    // to 500 MHz in between, which legitimately resets island 1's
+    // divider (it transiently *is* the base) — the control loop
+    // therefore applies frequency vectors atomically.
+    let mut seq = sim_with(0.0, TrafficPattern::Uniform, quadrant_cfg(), 1);
+    seq.set_island_frequencies(&init);
+    seq.run_cycles(3);
+    seq.set_island_frequency(0, Hertz::from_mhz(400.0));
+    seq.set_island_frequency(2, Hertz::from_ghz(1.0));
+    seq.run_cycles(1);
+    assert_eq!(seq.island_cycle(1), 1, "sequential retune loses the backlog");
+}
+
+#[test]
+fn island_windows_sum_to_the_global_window() {
+    let mut sim = sim_with(0.15, TrafficPattern::Uniform, quadrant_cfg(), 6);
+    sim.set_island_frequency(1, Hertz::from_mhz(700.0));
+    sim.set_island_frequency(2, Hertz::from_mhz(400.0));
+    sim.run_cycles(3_000);
+    let islands = sim.take_island_windows();
+    let global = sim.take_window();
+    assert_eq!(islands.iter().map(|w| w.flits_generated).sum::<u64>(), global.flits_generated);
+    assert_eq!(islands.iter().map(|w| w.flits_injected).sum::<u64>(), global.flits_injected);
+    assert_eq!(islands.iter().map(|w| w.flits_ejected).sum::<u64>(), global.flits_ejected);
+    assert_eq!(islands.iter().map(|w| w.packets_ejected).sum::<u64>(), global.packets_ejected);
+    assert_eq!(
+        islands.iter().map(|w| w.latency_cycles_sum).sum::<u64>(),
+        global.latency_cycles_sum
+    );
+    for w in &islands {
+        assert_eq!(w.wall_time_ps, global.wall_time_ps);
+        assert_eq!(w.node_cycles, global.node_cycles);
+    }
+}
+
+#[test]
+fn sparse_and_dense_engines_agree_on_multi_island_runs() {
+    let cfg = quadrant_cfg();
+    let mut sparse = sim_with(0.12, TrafficPattern::Uniform, cfg.clone(), 42);
+    let mut dense = sim_with(0.12, TrafficPattern::Uniform, cfg, 42);
+    sparse.set_dense_stepping(false);
+    dense.set_dense_stepping(true);
+    for (island, mhz) in [(0usize, 1000.0), (1, 666.0), (2, 500.0), (3, 333.0)] {
+        sparse.set_island_frequency(island, Hertz::from_mhz(mhz));
+        dense.set_island_frequency(island, Hertz::from_mhz(mhz));
+    }
+    for _ in 0..5 {
+        sparse.run_cycles(400);
+        dense.run_cycles(400);
+        assert_eq!(sparse.take_window(), dense.take_window());
+        assert_eq!(sparse.take_island_windows(), dense.take_island_windows());
+    }
+    assert_eq!(sparse.stats(), dense.stats());
+    assert_eq!(sparse.total_packets_delivered(), dense.total_packets_delivered());
+    assert_eq!(sparse.buffered_network_flits(), dense.buffered_network_flits());
+}
+
+#[test]
+fn multi_island_network_with_slow_islands_still_drains() {
+    // Slowing three of four quadrants must not wedge the network: stop
+    // injecting and every in-flight packet completes.
+    let cfg = quadrant_cfg();
+    let traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.1, cfg.packet_length());
+    let mut sim = NocSimulation::new(cfg, Box::new(traffic), 9);
+    sim.set_island_frequency(1, Hertz::from_mhz(333.0));
+    sim.set_island_frequency(2, Hertz::from_mhz(500.0));
+    sim.set_island_frequency(3, Hertz::from_mhz(333.0));
+    sim.run_cycles(3_000);
+    assert!(sim.total_packets_delivered() > 30);
+    // A zero-rate tail lets the network drain completely.
+    let cfg2 = quadrant_cfg();
+    let drained = SyntheticTraffic::new(TrafficPattern::Uniform, 0.0, cfg2.packet_length());
+    let mut sim2 = NocSimulation::new(cfg2, Box::new(drained), 9);
+    sim2.set_island_frequency(2, Hertz::from_mhz(333.0));
+    sim2.run_cycles(500);
+    assert!(sim2.is_quiescent());
+}
+
+#[test]
+fn island_activity_cycles_track_island_clocks() {
+    let mut sim = sim_with(0.1, TrafficPattern::Uniform, quadrant_cfg(), 11);
+    sim.set_island_frequency(3, Hertz::from_mhz(500.0));
+    sim.run_cycles(2_000);
+    let act = sim.take_activity();
+    let map = sim.region_map().clone();
+    for node in 0..sim.node_count() {
+        let island = map.island_of(node) as usize;
+        assert_eq!(
+            act.routers[node].cycles,
+            sim.island_cycle(island),
+            "router {node} must report its island's domain cycles"
+        );
+    }
+}
+
+fn gated_cfg(threshold: u64, wakeup: u64) -> NetworkConfig {
+    NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .gating(crate::gating::GatingConfig::enabled(threshold, wakeup))
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn idle_network_gates_every_router_after_the_threshold() {
+    let mut sim = sim_with(0.0, TrafficPattern::Uniform, gated_cfg(16, 4), 1);
+    assert!(sim.gating_enabled());
+    assert_eq!(sim.gated_router_count(), 0);
+    sim.run_cycles(8);
+    assert_eq!(sim.gated_router_count(), 0, "below the idle threshold nothing gates");
+    sim.run_cycles(100);
+    assert_eq!(sim.gated_router_count(), sim.node_count(), "a silent network fully gates");
+    assert!(sim.is_quiescent());
+    for node in 0..sim.node_count() {
+        assert_eq!(sim.router_gate_state(node), crate::gating::GateState::Gated);
+    }
+    let act = sim.take_activity();
+    let total = act.total();
+    assert_eq!(total.sleep_events, sim.node_count() as u64);
+    assert_eq!(total.wake_events, 0);
+    assert!(total.gated_cycles > 0);
+    for r in &act.routers {
+        assert!(r.gated_cycles <= r.cycles);
+    }
+}
+
+#[test]
+fn traffic_wakes_gated_routers_and_loses_no_flits() {
+    let mut sim = sim_with(0.02, TrafficPattern::Uniform, gated_cfg(8, 5), 3);
+    sim.run_cycles(12_000);
+    assert!(sim.total_packets_delivered() > 20, "gated light load still delivers");
+    let act = sim.take_activity().total();
+    assert!(act.sleep_events > 0, "light load must trigger power-downs");
+    assert!(act.wake_events > 0, "arrivals must trigger wakeups");
+    // Flit conservation: nothing was lost through the sleep/wake churn.
+    let accounted = sim.total_flits_received()
+        + sim.queued_source_flits() as u64
+        + sim.buffered_network_flits() as u64
+        + sim.in_flight_flits() as u64;
+    assert_eq!(accounted, sim.total_flits_generated());
+}
+
+#[test]
+fn gating_disabled_is_bit_identical_to_an_ungated_run() {
+    let plain = small_cfg();
+    let explicit = NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .gating(crate::gating::GatingConfig::disabled())
+        .build()
+        .unwrap();
+    let mut a = sim_with(0.12, TrafficPattern::Uniform, plain, 9);
+    let mut b = sim_with(0.12, TrafficPattern::Uniform, explicit, 9);
+    for _ in 0..4 {
+        a.run_cycles(500);
+        b.run_cycles(500);
+        assert_eq!(a.take_window(), b.take_window());
+    }
+    assert_eq!(a.stats(), b.stats());
+}
+
+#[test]
+fn sparse_and_dense_engines_agree_under_gating() {
+    let cfg = gated_cfg(6, 3);
+    let mut sparse = sim_with(0.05, TrafficPattern::Uniform, cfg.clone(), 42);
+    let mut dense = sim_with(0.05, TrafficPattern::Uniform, cfg, 42);
+    sparse.set_dense_stepping(false);
+    dense.set_dense_stepping(true);
+    for _ in 0..6 {
+        sparse.run_cycles(400);
+        dense.run_cycles(400);
+        assert_eq!(sparse.take_window(), dense.take_window());
+        assert_eq!(sparse.take_activity(), dense.take_activity());
+        assert_eq!(sparse.gated_router_count(), dense.gated_router_count());
+    }
+    assert_eq!(sparse.stats(), dense.stats());
+    assert_eq!(sparse.total_packets_delivered(), dense.total_packets_delivered());
+}
+
+#[test]
+fn runtime_disable_wakes_the_whole_network() {
+    let mut sim = sim_with(0.0, TrafficPattern::Uniform, gated_cfg(4, 8), 5);
+    sim.run_cycles(50);
+    assert_eq!(sim.gated_router_count(), sim.node_count());
+    sim.set_gating_enabled(false);
+    assert_eq!(sim.gated_router_count(), 0);
+    assert!(!sim.gating_enabled());
+    let act = sim.take_activity().total();
+    assert_eq!(act.wake_events, sim.node_count() as u64, "forced un-gating counts as wakes");
+    sim.run_cycles(100);
+    assert_eq!(sim.gated_router_count(), 0, "disabled gating must not re-gate");
+    // Re-enabling starts fresh idle spans.
+    sim.set_gating_enabled(true);
+    sim.run_cycles(50);
+    assert_eq!(sim.gated_router_count(), sim.node_count());
+}
+
+#[test]
+fn island_threshold_actuator_controls_per_island_gating() {
+    let cfg = NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .regions(crate::region::RegionLayout::Quadrants)
+        .gating(crate::gating::GatingConfig::enabled(8, 4).with_island_override(2, 40, 4))
+        .build()
+        .unwrap();
+    let mut sim = sim_with(0.0, TrafficPattern::Uniform, cfg, 7);
+    assert_eq!(sim.island_idle_threshold(0), 8);
+    assert_eq!(sim.island_idle_threshold(2), 40);
+    sim.run_cycles(20);
+    // Islands 0,1,3 (threshold 8) have gated; island 2 (threshold 40) not yet.
+    let map = sim.region_map().clone();
+    for node in 0..sim.node_count() {
+        let gated = sim.router_gate_state(node) == crate::gating::GateState::Gated;
+        assert_eq!(gated, map.island_of(node) != 2, "node {node}");
+    }
+    // Raise island 2's threshold to "never": it must stay awake forever.
+    sim.set_island_idle_threshold(2, crate::gating::GATE_NEVER);
+    sim.run_cycles(200);
+    assert_eq!(
+        sim.gated_router_count(),
+        sim.node_count() - map.nodes_of(2).len(),
+        "a GATE_NEVER island never powers down"
+    );
+    // Lowering the threshold re-arms the already idle routers.
+    sim.set_island_idle_threshold(2, 4);
+    sim.run_cycles(10);
+    assert_eq!(sim.gated_router_count(), sim.node_count());
+}
+
+fn conservation_holds(sim: &NocSimulation) {
+    let accounted = sim.total_flits_received()
+        + sim.queued_source_flits() as u64
+        + sim.buffered_network_flits() as u64
+        + sim.in_flight_flits() as u64
+        + sim.total_flits_dropped();
+    assert_eq!(
+        accounted,
+        sim.total_flits_generated(),
+        "generated = received + queued + buffered + in flight + dropped"
+    );
+}
+
+use crate::fault::FaultConfig;
+
+fn faulted_cfg(faults: FaultConfig) -> NetworkConfig {
+    NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .faults(faults)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn zero_fault_config_is_bit_identical_to_the_seed_behaviour() {
+    // An *empty* fault config must not even allocate the fault state,
+    // and an adaptive run with zero faults must still deliver normally.
+    let plain = sim_with(0.12, TrafficPattern::Uniform, small_cfg(), 9);
+    assert!(plain.faults.is_none());
+    let mut a = sim_with(0.12, TrafficPattern::Uniform, small_cfg(), 9);
+    let mut b = sim_with(0.12, TrafficPattern::Uniform, faulted_cfg(FaultConfig::none()), 9);
+    a.run_cycles(2_000);
+    b.run_cycles(2_000);
+    assert_eq!(a.take_window(), b.take_window());
+    assert_eq!(a.stats(), b.stats());
+}
+
+#[test]
+fn permanent_router_death_conserves_flits_and_reports_drops() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    let cfg = faulted_cfg(FaultConfig::scheduled(vec![FaultEvent::permanent(
+        FaultTarget::Router { node: 5 },
+        500,
+    )]));
+    let mut sim = sim_with(0.10, TrafficPattern::Uniform, cfg, 3);
+    sim.run_cycles(3_000);
+    assert!(sim.total_flits_dropped() > 0, "a loaded router dies with flits in it");
+    assert!(sim.reachable_pairs_fraction() < 1.0);
+    conservation_holds(&sim);
+    let w = sim.take_window();
+    assert_eq!(w.flits_dropped, sim.total_flits_dropped(), "window saw every drop");
+}
+
+#[test]
+fn transient_router_death_recovers_and_conserves() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    let cfg = faulted_cfg(FaultConfig::scheduled(vec![FaultEvent::transient(
+        FaultTarget::Router { node: 10 },
+        400,
+        300,
+    )]));
+    let mut sim = sim_with(0.08, TrafficPattern::Uniform, cfg, 7);
+    sim.run_cycles(500);
+    assert!((sim.reachable_pairs_fraction() - 210.0 / 240.0).abs() < 1e-12);
+    sim.run_cycles(5_000);
+    assert_eq!(sim.reachable_pairs_fraction(), 1.0, "recovered network is whole");
+    conservation_holds(&sim);
+    // Traffic keeps flowing after recovery.
+    let before = sim.total_packets_delivered();
+    sim.run_cycles(2_000);
+    assert!(sim.total_packets_delivered() > before);
+}
+
+#[test]
+fn transient_link_faults_conserve_and_drop_nothing() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    let cfg = faulted_cfg(
+        FaultConfig::scheduled(vec![
+            FaultEvent::transient(FaultTarget::Link { node: 5, dir: Direction::East }, 200, 400),
+            FaultEvent::transient(FaultTarget::Link { node: 9, dir: Direction::South }, 300, 500),
+        ]),
+    );
+    let mut sim = sim_with(0.10, TrafficPattern::Uniform, cfg, 11);
+    sim.run_cycles(4_000);
+    assert_eq!(sim.total_flits_dropped(), 0, "link fences never vaporise flits");
+    conservation_holds(&sim);
+    let before = sim.total_packets_delivered();
+    sim.run_cycles(1_000);
+    assert!(sim.total_packets_delivered() > before, "network recovered");
+}
+
+#[test]
+fn sparse_and_dense_engines_agree_under_fault_storms() {
+    use crate::fault::HazardConfig;
+    let cfg = faulted_cfg(FaultConfig::none().with_hazard(HazardConfig {
+        link_rate: 2e-4,
+        router_rate: 2e-4,
+        transient_fraction: 0.7,
+        transient_duration: 150,
+    }));
+    let mut sparse = sim_with(0.10, TrafficPattern::Uniform, cfg.clone(), 42);
+    let mut dense = sim_with(0.10, TrafficPattern::Uniform, cfg, 42);
+    sparse.set_dense_stepping(false);
+    dense.set_dense_stepping(true);
+    for chunk in 0..6 {
+        sparse.run_cycles(500);
+        dense.run_cycles(500);
+        assert_eq!(sparse.take_window(), dense.take_window(), "chunk {chunk}");
+        assert_eq!(sparse.total_flits_dropped(), dense.total_flits_dropped());
+    }
+    assert_eq!(sparse.stats(), dense.stats());
+    assert!(sparse.total_flits_dropped() > 0, "storm hit something");
+    conservation_holds(&sparse);
+    conservation_holds(&dense);
+}
+
+#[test]
+fn adaptive_routing_delivers_around_a_permanent_link_fault_where_xy_strands() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    // Kill the 5→6 link before any traffic: XY routes 4→7 through it and
+    // strands; minimal-adaptive detours and keeps delivering everything.
+    let faults = FaultConfig::scheduled(vec![FaultEvent::permanent(
+        FaultTarget::Link { node: 5, dir: Direction::East },
+        0,
+    )]);
+    let traffic = |cfg: &NetworkConfig| {
+        let mut rates = vec![vec![0.0; 16]; 16];
+        rates[4][7] = 0.2;
+        Box::new(crate::traffic::MatrixTraffic::new(rates, cfg.packet_length()))
+    };
+    let xy_cfg = faulted_cfg(faults.clone());
+    let mut xy = NocSimulation::new(xy_cfg.clone(), traffic(&xy_cfg), 3);
+    let ad_cfg = xy_cfg.to_builder().routing(crate::routing::RoutingKind::MinimalAdaptive)
+        .build()
+        .unwrap();
+    let mut adaptive = NocSimulation::new(ad_cfg.clone(), traffic(&ad_cfg), 3);
+    xy.run_cycles(4_000);
+    adaptive.run_cycles(4_000);
+    assert_eq!(xy.reachable_pairs_fraction(), 1.0, "the mesh is still connected");
+    assert_eq!(xy.total_packets_delivered(), 0, "XY cannot route around the dead link");
+    assert!(xy.queued_source_flits() + xy.buffered_network_flits() > 0, "XY strands flits");
+    assert!(adaptive.total_packets_delivered() > 100, "adaptive detours around the fault");
+    conservation_holds(&xy);
+    conservation_holds(&adaptive);
+}
+
+#[test]
+fn faults_compose_with_power_gating() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    let cfg = NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .gating(crate::gating::GatingConfig::enabled(8, 4))
+        .faults(FaultConfig::scheduled(vec![FaultEvent::transient(
+            FaultTarget::Router { node: 6 },
+            300,
+            500,
+        )]))
+        .build()
+        .unwrap();
+    let mut sparse = sim_with(0.05, TrafficPattern::Uniform, cfg.clone(), 13);
+    let mut dense = sim_with(0.05, TrafficPattern::Uniform, cfg, 13);
+    sparse.set_dense_stepping(false);
+    dense.set_dense_stepping(true);
+    for _ in 0..8 {
+        sparse.run_cycles(400);
+        dense.run_cycles(400);
+        assert_eq!(sparse.take_window(), dense.take_window());
+    }
+    assert_eq!(sparse.stats(), dense.stats());
+    conservation_holds(&sparse);
+}
+
+#[test]
+fn zero_rate_network_is_quiescent_and_stays_so() {
+    let mut sim = sim_with(0.0, TrafficPattern::Uniform, small_cfg(), 3);
+    assert!(sim.is_quiescent(), "a fresh network is quiescent");
+    sim.run_cycles(1_000);
+    assert!(sim.is_quiescent());
+    assert_eq!(sim.active_router_count(), 0);
+    assert_eq!(sim.in_flight_flits(), 0);
+    assert_eq!(sim.in_flight_credits(), 0);
+    let w = sim.take_window();
+    assert_eq!(w.noc_cycles, 1_000);
+    assert_eq!(w.flits_generated, 0);
+    assert_eq!(w.flits_ejected, 0);
+}
+
+#[test]
+fn event_horizon_jump_absorbs_an_idle_run_and_stays_bit_identical() {
+    let cfg = small_cfg();
+    let mut skipping = sim_with(0.0, TrafficPattern::Uniform, cfg.clone(), 11);
+    let mut stepping = sim_with(0.0, TrafficPattern::Uniform, cfg, 11);
+    skipping.set_event_skipping(true);
+    stepping.set_event_skipping(false);
+    skipping.run_cycles(10_000);
+    stepping.run_cycles(10_000);
+    assert_eq!(skipping.current_cycle(), 10_000);
+    assert_eq!(skipping.take_window(), stepping.take_window());
+    assert_eq!(skipping.take_activity(), stepping.take_activity());
+    assert_eq!(stepping.skipped_cycle_count(), 0);
+    assert!(
+        skipping.skipped_cycle_count() >= 9_990,
+        "an idle run should be almost entirely jumped, got {}",
+        skipping.skipped_cycle_count()
+    );
+}
+
+#[test]
+fn event_horizon_skipping_agrees_with_stepping_under_load() {
+    // Under sustained load the jump engine rarely engages, but whenever
+    // it does the behaviour must stay bit-identical.
+    let cfg = small_cfg();
+    let mut skipping = sim_with(0.08, TrafficPattern::Transpose, cfg.clone(), 5);
+    let mut stepping = sim_with(0.08, TrafficPattern::Transpose, cfg, 5);
+    skipping.set_event_skipping(true);
+    stepping.set_event_skipping(false);
+    for _ in 0..5 {
+        skipping.run_cycles(400);
+        stepping.run_cycles(400);
+        assert_eq!(skipping.take_window(), stepping.take_window());
+    }
+    assert_eq!(skipping.stats(), stepping.stats());
+}
+
+#[test]
+fn event_horizon_jump_composes_with_power_gating() {
+    // An idle gated network: sleep timers land exactly where base-tick
+    // stepping puts them, then the fully gated network is one long jump.
+    let cfg = gated_cfg(16, 4);
+    let mut skipping = sim_with(0.0, TrafficPattern::Uniform, cfg.clone(), 7);
+    let mut stepping = sim_with(0.0, TrafficPattern::Uniform, cfg, 7);
+    skipping.set_event_skipping(true);
+    stepping.set_event_skipping(false);
+    skipping.run_cycles(5_000);
+    stepping.run_cycles(5_000);
+    assert_eq!(skipping.gated_router_count(), skipping.node_count());
+    assert_eq!(skipping.gated_router_count(), stepping.gated_router_count());
+    assert_eq!(skipping.take_window(), stepping.take_window());
+    assert_eq!(skipping.take_activity(), stepping.take_activity());
+    assert!(
+        skipping.skipped_cycle_count() > 4_000,
+        "the gated span should be jumped, got {}",
+        skipping.skipped_cycle_count()
+    );
+}
+
+#[test]
+fn event_horizon_jump_lands_scheduled_faults_on_time() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    // A transient router outage on an idle network: the death and the
+    // recovery are horizon events; jumps must stop exactly on them.
+    let faults = FaultConfig::scheduled(vec![FaultEvent::transient(
+        FaultTarget::Router { node: 5 },
+        1_000,
+        2_000,
+    )]);
+    let cfg = faulted_cfg(faults);
+    let mut skipping = sim_with(0.0, TrafficPattern::Uniform, cfg.clone(), 3);
+    let mut stepping = sim_with(0.0, TrafficPattern::Uniform, cfg, 3);
+    skipping.set_event_skipping(true);
+    stepping.set_event_skipping(false);
+    for _ in 0..4 {
+        skipping.run_cycles(1_000);
+        stepping.run_cycles(1_000);
+        assert_eq!(skipping.take_window(), stepping.take_window());
+        assert_eq!(skipping.reachable_pairs_fraction(), stepping.reachable_pairs_fraction());
+    }
+    assert!(skipping.skipped_cycle_count() > 3_000);
+}
+
+#[test]
+fn parallel_island_stepping_matches_serial_bit_for_bit() {
+    let cfg = quadrant_cfg();
+    let mut parallel = sim_with(0.12, TrafficPattern::Uniform, cfg.clone(), 42);
+    let mut serial = sim_with(0.12, TrafficPattern::Uniform, cfg, 42);
+    for (island, mhz) in [(0usize, 1000.0), (1, 666.0), (2, 500.0), (3, 333.0)] {
+        parallel.set_island_frequency(island, Hertz::from_mhz(mhz));
+        serial.set_island_frequency(island, Hertz::from_mhz(mhz));
+    }
+    for _ in 0..5 {
+        parallel.run_cycles_with_workers(400, 4);
+        serial.run_cycles_with_workers(400, 1);
+        assert_eq!(parallel.take_window(), serial.take_window());
+        assert_eq!(parallel.take_island_windows(), serial.take_island_windows());
+        assert_eq!(parallel.take_activity(), serial.take_activity());
+    }
+    assert_eq!(parallel.stats(), serial.stats());
+    assert_eq!(parallel.total_packets_delivered(), serial.total_packets_delivered());
+    assert_eq!(parallel.buffered_network_flits(), serial.buffered_network_flits());
+}
+
+#[test]
+fn parallel_island_stepping_composes_with_gating_and_faults() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    let cfg = NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .regions(crate::region::RegionLayout::Quadrants)
+        .gating(crate::gating::GatingConfig::enabled(8, 4))
+        .faults(FaultConfig::scheduled(vec![FaultEvent::transient(
+            FaultTarget::Router { node: 6 },
+            300,
+            500,
+        )]))
+        .build()
+        .unwrap();
+    let mut parallel = sim_with(0.06, TrafficPattern::Uniform, cfg.clone(), 13);
+    let mut serial = sim_with(0.06, TrafficPattern::Uniform, cfg, 13);
+    parallel.set_island_frequency(2, Hertz::from_mhz(500.0));
+    serial.set_island_frequency(2, Hertz::from_mhz(500.0));
+    for _ in 0..8 {
+        parallel.run_cycles_with_workers(400, 2);
+        serial.run_cycles_with_workers(400, 1);
+        assert_eq!(parallel.take_window(), serial.take_window());
+        assert_eq!(parallel.gated_router_count(), serial.gated_router_count());
+        assert_eq!(parallel.total_flits_dropped(), serial.total_flits_dropped());
+    }
+    assert_eq!(parallel.stats(), serial.stats());
+    conservation_holds(&parallel);
+    conservation_holds(&serial);
+}

@@ -580,15 +580,14 @@ pub struct EngineProfile {
     /// Nanoseconds in the pre-pipeline phases (clocks, gating, faults,
     /// generation, credit delivery).
     pub pre_ns: u64,
-    /// Nanoseconds in the router-pipeline phase (serial form).
+    /// Nanoseconds in the router-pipeline phase. Under island workers this
+    /// is the main thread's span from opening the barrier to having applied
+    /// every worker's effects.
     pub pipeline_ns: u64,
     /// Nanoseconds in the post-pipeline phases (deliveries, injection).
     pub post_ns: u64,
     /// Nanoseconds spent inside the event-horizon skip routine.
     pub skip_ns: u64,
-    /// Nanoseconds whole dense reference steps took (the dense loop is not
-    /// phase-split).
-    pub dense_step_ns: u64,
     /// Per-worker nanoseconds spent in the parallel island-pipeline phase —
     /// the island-thread balance (empty unless parallel stepping ran).
     pub worker_busy_ns: Vec<u64>,
@@ -597,7 +596,7 @@ pub struct EngineProfile {
 impl EngineProfile {
     /// Total attributed nanoseconds across the serial phases.
     pub fn total_ns(&self) -> u64 {
-        self.pre_ns + self.pipeline_ns + self.post_ns + self.skip_ns + self.dense_step_ns
+        self.pre_ns + self.pipeline_ns + self.post_ns + self.skip_ns
     }
 
     /// Imbalance of the parallel island workers: slowest worker's busy time

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, the complete test suite, clippy with
-# warnings promoted to errors, and the determinism goldens a second time on
-# the dense reference stepping loop. Run before every push.
+# The full local CI gate: release build, the complete test suite (once — it
+# covers every engine mode in-process), the benchmark package's tests, docs,
+# and clippy with warnings promoted to errors. Run before every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,42 +12,19 @@ cargo build --release
 # and tests/sparse_equivalence.rs) run as part of the workspace test pass
 # below. Their inputs are sampled from per-case fixed seeds (see the proptest
 # shim), so runs are reproducible; PROPTEST_CASES pins the case budget
-# explicitly so local and CI runs cover the same corpus.
+# explicitly so local and CI runs cover the same corpus. Every engine mode —
+# sparse with and without skipping, the dense reference, island workers — is
+# selected in-process through the simulation's setters (tests/common/mod.rs),
+# so one pass covers them all.
 echo "==> cargo test -q (property suites at PROPTEST_CASES=${PROPTEST_CASES:-64}, fixed seeds)"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q
 
-# The sparse activity-tracked engine is the default; the dense O(nodes×ports)
-# reference loop must never rot, so the determinism goldens, the differential
-# suite, the island invariants, the power-gating invariants and the
-# fault-injection invariants run a second time with NOC_DENSE_STEP=1 forcing
-# every simulation (including the ones inside the sweep engines) onto the
-# dense path. The golden window constants are engine-independent by contract,
-# and so are the voltage-frequency island fire-gating, the router
-# sleep/wakeup state machines, and the fault fence/purge/recovery protocol.
-# The checkpoint invariants join both reference-engine passes: the snapshot
-# bit-identity contract explicitly spans engines (a snapshot taken under one
-# stepping mode must resume exactly under another). The trace invariants join
-# them too: replay ≡ record bit-identity must hold on whichever engine the
-# replay runs under — and so do the telemetry invariants: the observer layer
-# must stay zero-perturbation on the dense reference exactly as it is on the
-# sparse engine.
-echo "==> NOC_DENSE_STEP=1 cargo test -q --test determinism --test sparse_equivalence --test island_invariants --test gating_invariants --test fault_invariants --test checkpoint_invariants --test trace_invariants --test telemetry_invariants (dense reference loop)"
-NOC_DENSE_STEP=1 PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q --test determinism --test sparse_equivalence --test island_invariants --test gating_invariants --test fault_invariants --test checkpoint_invariants --test trace_invariants --test telemetry_invariants
-
-# Event-horizon cycle-skipping is on by default, so the main test pass above
-# already exercises it; the base-tick (non-skipping) path is the reference
-# that must never rot. NOC_NO_SKIP=1 forces every simulation onto per-tick
-# stepping and re-runs the determinism goldens plus the skip/no-skip and
-# subsystem differentials — the golden windows are skip-independent by
-# contract. NOC_SWEEP_THREADS=1 does the same for per-island parallel
-# stepping: the threaded path clamps to the serial step, pinning that the
-# serial reference still matches the goldens the parity tests compare
-# against.
-echo "==> NOC_NO_SKIP=1 cargo test -q --test determinism --test sparse_equivalence --test checkpoint_invariants --test trace_invariants --test telemetry_invariants (base-tick reference path)"
-NOC_NO_SKIP=1 PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q --test determinism --test sparse_equivalence --test checkpoint_invariants --test trace_invariants --test telemetry_invariants
-
-echo "==> NOC_SWEEP_THREADS=1 cargo test -q --test determinism --test sparse_equivalence (serial island stepping)"
-NOC_SWEEP_THREADS=1 PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q --test determinism --test sparse_equivalence
+# The benchmark package drives the simulator through its public functions
+# (run_cycles, run_cycles_with_workers, install_telemetry, counters, the
+# EngineProfile fields); its own tests catch a break in that surface before
+# the benchmark gate runs.
+echo "==> cargo test -q --offline --manifest-path benchmark/Cargo.toml"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Documentation is part of the contract: every public item is documented
 # (#![warn(missing_docs)] + clippy -D warnings below), rustdoc links must

@@ -11,10 +11,10 @@
 //!    random mid-run cycle, serialized through the byte format, restored
 //!    into a fresh simulation (standing in for a restarted process), and
 //!    stepped alongside an uninterrupted twin; every subsequent window and
-//!    the final ledgers must match exactly. The suite runs under both
-//!    stepping engines and with skipping on and off (`NOC_DENSE_STEP=1`,
-//!    `NOC_NO_SKIP=1` in CI), and the restored run may resume under a
-//!    *different* engine than the one that took the snapshot.
+//!    the final ledgers must match exactly. The pausing and the resuming
+//!    run take opposite engine settings (dense or sparse, skipping on or
+//!    off), so every snapshot is taken under one engine and resumed under
+//!    another.
 //! 2. **Determinism of the format** — snapshotting twice without stepping,
 //!    or snapshotting after a restore, yields byte-identical snapshots.
 //! 3. **Rejection of the wrong world** — restoring into a simulation built
@@ -125,6 +125,10 @@ proptest! {
             paused.set_island_frequency(2, Hertz::from_mhz(400.0));
         }
 
+        // The snapshot is taken under the opposite engine settings of the
+        // run that resumes from it.
+        paused.set_dense_stepping(!resume_dense);
+        paused.set_event_skipping(!resume_skip);
         reference.run_cycles(pause_at);
         paused.run_cycles(pause_at);
         let snap = through_bytes(&paused.snapshot());

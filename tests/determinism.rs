@@ -6,7 +6,12 @@
 //!    4×4 baseline scenario `(config, uniform traffic, seed 2015)` is checked
 //!    in. Any hot-path change that alters simulated behaviour (rather than
 //!    just making it faster) trips this test; an intentional behaviour change
-//!    must update the constants below *deliberately*.
+//!    must update the constants below *deliberately*. The goldens are
+//!    checked under every engine mode ([`common::ENGINE_MODES`]) — sparse
+//!    with and without event-horizon skipping, the dense reference, and two
+//!    island workers on a quadrant partition of the same fabric (every
+//!    island at the base rate fires on every tick, so the partition changes
+//!    who steps a router, never what happens).
 //! 2. **Serial / parallel parity** — a multi-policy load sweep produces
 //!    bit-identical [`OperatingPointResult`]s whether the `(policy × load)`
 //!    grid runs on one thread or across all cores, because every operating
@@ -17,8 +22,12 @@ use noc_dvfs::scenario::{scenario_grid, sweep_scenario, sweep_scenario_serial};
 use noc_dvfs::sweep::{sweep_policies, sweep_policies_serial};
 use noc_dvfs::{ClosedLoopConfig, PolicyKind, RmsdConfig};
 use noc_sim::{
-    BurstyTraffic, NetworkConfig, NocSimulation, SyntheticTraffic, TrafficPattern, TrafficSpec,
+    BurstyTraffic, NetworkConfig, NocSimulation, RegionLayout, SyntheticTraffic, TrafficPattern,
+    TrafficSpec,
 };
+
+mod common;
+use common::ENGINE_MODES;
 
 /// One expected measurement window (mirrors `WindowMeasurement`, minus the
 /// fields that are trivially zero in this scenario).
@@ -205,29 +214,44 @@ const GOLDEN_TORUS_WINDOWS: [GoldenWindow; 6] = [
     },
 ];
 
-fn assert_windows_match(sim: &mut NocSimulation, expected: &[GoldenWindow]) {
-    for (i, e) in expected.iter().enumerate() {
-        sim.run_cycles(500);
-        let w = sim.take_window();
-        assert_eq!(w.noc_cycles, e.noc_cycles, "window {i}: noc_cycles");
-        assert_eq!(w.node_cycles, e.node_cycles, "window {i}: node_cycles");
-        assert_eq!(w.wall_time_ps, e.wall_time_ps, "window {i}: wall_time_ps");
-        assert_eq!(w.flits_generated, e.flits_generated, "window {i}: flits_generated");
-        assert_eq!(w.flits_injected, e.flits_injected, "window {i}: flits_injected");
-        assert_eq!(w.packets_ejected, e.packets_ejected, "window {i}: packets_ejected");
-        assert_eq!(w.flits_ejected, e.flits_ejected, "window {i}: flits_ejected");
-        assert_eq!(w.latency_cycles_sum, e.latency_cycles_sum, "window {i}: latency_cycles_sum");
-        assert_eq!(w.delay_ps_sum, e.delay_ps_sum, "window {i}: delay_ps_sum");
+/// Checks `expected` against `cfg` under `traffic`, seed 2015, in every
+/// engine mode, on the fabric as configured and split into quadrant islands.
+fn assert_windows_match(
+    cfg: &NetworkConfig,
+    traffic: impl Fn() -> Box<dyn TrafficSpec>,
+    expected: &[GoldenWindow],
+) {
+    for layout in [RegionLayout::Whole, RegionLayout::Quadrants] {
+        let cfg = cfg.to_builder().regions(layout).build().unwrap();
+        for mode in &ENGINE_MODES {
+            let mut sim = NocSimulation::new(cfg.clone(), traffic(), 2015);
+            mode.select(&mut sim);
+            for (i, e) in expected.iter().enumerate() {
+                mode.run(&mut sim, 500);
+                let w = sim.take_window();
+                let at = format!("{layout:?}, {}, window {i}", mode.name);
+                assert_eq!(w.noc_cycles, e.noc_cycles, "{at}: noc_cycles");
+                assert_eq!(w.node_cycles, e.node_cycles, "{at}: node_cycles");
+                assert_eq!(w.wall_time_ps, e.wall_time_ps, "{at}: wall_time_ps");
+                assert_eq!(w.flits_generated, e.flits_generated, "{at}: flits_generated");
+                assert_eq!(w.flits_injected, e.flits_injected, "{at}: flits_injected");
+                assert_eq!(w.packets_ejected, e.packets_ejected, "{at}: packets_ejected");
+                assert_eq!(w.flits_ejected, e.flits_ejected, "{at}: flits_ejected");
+                assert_eq!(w.latency_cycles_sum, e.latency_cycles_sum, "{at}: latency_cycles_sum");
+                assert_eq!(w.delay_ps_sum, e.delay_ps_sum, "{at}: delay_ps_sum");
+            }
+        }
     }
 }
 
 #[test]
 fn golden_torus_hotspot_bursty_sequence_is_stable() {
     let cfg = torus_4x4();
-    let traffic =
-        BurstyTraffic::new(TrafficPattern::Hotspot, 0.10, cfg.packet_length(), 200.0, 4.0);
-    let mut sim = NocSimulation::new(cfg, Box::new(traffic), 2015);
-    assert_windows_match(&mut sim, &GOLDEN_TORUS_WINDOWS);
+    let length = cfg.packet_length();
+    let traffic = || -> Box<dyn TrafficSpec> {
+        Box::new(BurstyTraffic::new(TrafficPattern::Hotspot, 0.10, length, 200.0, 4.0))
+    };
+    assert_windows_match(&cfg, traffic, &GOLDEN_TORUS_WINDOWS);
 }
 
 #[test]
@@ -253,24 +277,11 @@ fn scenario_grid_sweeps_have_serial_parallel_parity() {
 #[test]
 fn golden_window_sequence_is_stable() {
     let cfg = baseline_4x4();
-    let traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.10, cfg.packet_length());
-    let mut sim = NocSimulation::new(cfg, Box::new(traffic), 2015);
-    for (i, expected) in GOLDEN_WINDOWS.iter().enumerate() {
-        sim.run_cycles(500);
-        let w = sim.take_window();
-        assert_eq!(w.noc_cycles, expected.noc_cycles, "window {i}: noc_cycles");
-        assert_eq!(w.node_cycles, expected.node_cycles, "window {i}: node_cycles");
-        assert_eq!(w.wall_time_ps, expected.wall_time_ps, "window {i}: wall_time_ps");
-        assert_eq!(w.flits_generated, expected.flits_generated, "window {i}: flits_generated");
-        assert_eq!(w.flits_injected, expected.flits_injected, "window {i}: flits_injected");
-        assert_eq!(w.packets_ejected, expected.packets_ejected, "window {i}: packets_ejected");
-        assert_eq!(w.flits_ejected, expected.flits_ejected, "window {i}: flits_ejected");
-        assert_eq!(
-            w.latency_cycles_sum, expected.latency_cycles_sum,
-            "window {i}: latency_cycles_sum"
-        );
-        assert_eq!(w.delay_ps_sum, expected.delay_ps_sum, "window {i}: delay_ps_sum");
-    }
+    let length = cfg.packet_length();
+    let traffic = || -> Box<dyn TrafficSpec> {
+        Box::new(SyntheticTraffic::new(TrafficPattern::Uniform, 0.10, length))
+    };
+    assert_windows_match(&cfg, traffic, &GOLDEN_WINDOWS);
 }
 
 #[test]

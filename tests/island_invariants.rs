@@ -5,10 +5,8 @@
 //! 1. **Single-island bit-identity** — a configuration with an explicit
 //!    one-island partition (named `Whole` layout *or* a degenerate custom
 //!    map) reproduces the pre-VFI golden window sequence of
-//!    `tests/determinism.rs` bit for bit, under both the sparse engine and
-//!    the dense reference loop (`NOC_DENSE_STEP=1` in CI re-runs this file
-//!    on the dense path). The island machinery must be a structural no-op
-//!    when there is nothing to partition.
+//!    `tests/determinism.rs` bit for bit. The island machinery must be a
+//!    structural no-op when there is nothing to partition.
 //! 2. **Window-sum conservation** — on *any* partition, the per-island
 //!    windows of [`NocSimulation::take_island_windows`] sum field-by-field
 //!    (for the additive flit/packet/latency fields) to the global

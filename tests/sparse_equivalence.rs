@@ -3,8 +3,8 @@
 //! The sparse engine (active-router worklist + channel due-lists) is a pure
 //! scheduling optimization: it must produce **bit-identical**
 //! [`WindowMeasurement`] sequences to the dense `O(nodes × ports)` reference
-//! loop retained behind `NOC_DENSE_STEP=1` /
-//! [`NocSimulation::set_dense_stepping`]. Three contracts are pinned here:
+//! loop retained behind [`NocSimulation::set_dense_stepping`]. Five
+//! contracts are pinned here:
 //!
 //! 1. **Differential equivalence** — randomized scenarios from the PR-2 grid
 //!    (mesh/torus × every pattern × Bernoulli/bursty injection, random link
@@ -17,13 +17,13 @@
 //!    which zero node cycles complete performs zero RNG draws, so runs where
 //!    the NoC outpaces the node clock stay bit-identical too.
 //! 4. **Event-horizon skipping** — jumping the clock over quiescent spans
-//!    ([`NocSimulation::set_event_skipping`], `NOC_NO_SKIP=1` in CI) is a
+//!    ([`NocSimulation::set_event_skipping`]) is a
 //!    pure scheduling optimization too: randomized differentials across
 //!    gating × faults × islands × bursty injection (including a
 //!    quiescent-then-burst source that forces long horizon jumps) pin it
 //!    bit-identical to base-tick stepping.
 //! 5. **Island-thread parity** — per-island parallel stepping
-//!    ([`NocSimulation::run_cycles_with_workers`], `NOC_SWEEP_THREADS`) is
+//!    ([`NocSimulation::run_cycles_with_workers`]) is
 //!    pinned bit-identical to the serial step on the golden scenarios.
 
 use noc_sim::{
@@ -423,17 +423,12 @@ proptest! {
             skipping.total_packets_delivered() > 0,
             "the burst must inject traffic (rate {rate})"
         );
-        // The silent prelude really was jumped, not stepped. (Under
-        // NOC_DENSE_STEP=1 the dense reference loop is selected and skipping
-        // never applies — the bit-identity checks above still hold, but the
-        // jump itself only happens on the sparse engine.)
-        if !skipping.dense_stepping() {
-            prop_assert!(
-                skipping.skipped_cycle_count() >= silence / 2,
-                "expected a long horizon jump over {} silent cycles, skipped only {}",
-                silence, skipping.skipped_cycle_count()
-            );
-        }
+        // The silent prelude really was jumped, not stepped.
+        prop_assert!(
+            skipping.skipped_cycle_count() >= silence / 2,
+            "expected a long horizon jump over {} silent cycles, skipped only {}",
+            silence, skipping.skipped_cycle_count()
+        );
     }
 }
 

@@ -136,7 +136,7 @@ proptest! {
         if observed.total_packets_delivered() > 0 {
             prop_assert!(grants > 0, "delivered traffic must be visible to the probes");
         }
-        if observed.skipped_cycle_count() > 0 && !observed.dense_stepping() {
+        if observed.skipped_cycle_count() > 0 {
             let jumped: u64 = telemetry.snapshots().map(|s| s.horizon_skipped_cycles).sum();
             prop_assert!(jumped > 0, "horizon jumps must be visible to the probes");
         }
@@ -212,21 +212,28 @@ fn profiled_parallel_stepping_matches_the_serial_golden() {
     }
     assert_eq!(serial.stats(), threaded2.stats());
     assert_eq!(serial.stats(), threaded4.stats());
-    // The profiler measured real work on every worker thread. (Under the
-    // NOC_DENSE_STEP=1 CI override the explicit worker counts clamp to the
-    // serial dense reference, so no worker threads — or busy slots — exist.)
+    // The profiler measured real work on every worker thread.
     for (sim, workers) in [(&threaded2, 2), (&threaded4, 4)] {
         let profile = sim.telemetry().expect("telemetry installed").profile();
         assert!(profile.steps >= 3_000, "every base tick is a profiled step");
         assert!(profile.total_ns() > 0);
-        if sim.dense_stepping() {
-            assert!(profile.worker_busy_ns.is_empty(), "dense reference spawns no workers");
-        } else {
-            assert_eq!(profile.worker_busy_ns.len(), workers);
-            assert!(profile.worker_busy_ns.iter().all(|&ns| ns > 0), "idle profiled worker");
-            assert!(profile.worker_imbalance().is_some());
-        }
+        assert_eq!(profile.worker_busy_ns.len(), workers);
+        assert!(profile.worker_busy_ns.iter().all(|&ns| ns > 0), "idle profiled worker");
+        assert!(profile.worker_imbalance().is_some());
     }
+}
+
+/// The threaded driver attributes its barrier-to-barrier span: a profiled
+/// run with island workers has a pipeline bucket, and the total covers every
+/// bucket (it once covered only `pre` and `post`).
+#[test]
+fn profiled_island_workers_attribute_the_pipeline_span() {
+    let mut sim = NocSimulation::new(subsystem_cfg(false, false, true), scenario_traffic(0.15, false), 5);
+    sim.install_telemetry(TelemetryConfig::default().with_profile(true));
+    sim.run_cycles_with_workers(1_000, 2);
+    let profile = sim.telemetry().expect("telemetry installed").profile();
+    assert!(profile.pipeline_ns > 0, "the span between the barriers went unattributed");
+    assert!(profile.total_ns() >= profile.pre_ns + profile.post_ns + profile.pipeline_ns);
 }
 
 /// Snapshot ring and event ring stay bounded; the snapshot windows abut.

@@ -9,10 +9,11 @@
 //!    faults × islands × topology configuration axes and under mid-run
 //!    DVFS frequency changes. The replay run deliberately uses a
 //!    *different* RNG seed: a recorded trace must drive the network
-//!    without consulting the traffic RNG at all. CI re-runs this file
-//!    under `NOC_DENSE_STEP=1` and `NOC_NO_SKIP=1`, so the contract holds
-//!    on the dense reference engine and with event-horizon skipping
-//!    disabled.
+//!    without consulting the traffic RNG at all. Every record→replay pair
+//!    runs under every engine mode ([`common::ENGINE_MODES`]): sparse with
+//!    and without event-horizon skipping, the dense reference, and two
+//!    island workers (clamped to the serial step where the configuration
+//!    has a single island).
 //! 2. **Per-tenant ledger replay** — with a [`TenantMap`] installed on
 //!    both runs, the per-tenant window ledgers replay bit-identically too.
 //! 3. **Bounded memory** — replaying a trace much larger than one chunk
@@ -27,6 +28,9 @@ use noc_sim::{
 };
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+
+mod common;
+use common::{EngineMode, ENGINE_MODES};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir =
@@ -65,25 +69,40 @@ fn configs() -> Vec<(&'static str, NetworkConfig)> {
 /// one node cycle per NoC tick.
 const PLAN: [(f64, u64); 4] = [(1000.0, 500), (500.0, 400), (800.0, 600), (333.0, 500)];
 
-/// Drives `sim` through the shared schedule and returns its window ledger
-/// (plus the per-tenant ledgers when a map is installed).
-fn drive(sim: &mut NocSimulation) -> (Vec<WindowMeasurement>, Vec<Vec<WindowMeasurement>>) {
+/// Drives `sim` through the shared schedule under `mode` and returns its
+/// window ledger (plus the per-tenant ledgers when a map is installed).
+fn drive(
+    sim: &mut NocSimulation,
+    mode: &EngineMode,
+) -> (Vec<WindowMeasurement>, Vec<Vec<WindowMeasurement>>) {
     let mut windows = Vec::new();
     let mut tenant_windows = Vec::new();
     for (mhz, cycles) in PLAN {
         sim.set_noc_frequency(Hertz::from_mhz(mhz));
-        sim.run_cycles(cycles);
+        mode.run(sim, cycles);
         windows.push(sim.take_window());
         tenant_windows.push(sim.take_tenant_windows());
     }
     (windows, tenant_windows)
 }
 
-/// Records a run of `cfg` under uniform traffic into `dir`, returning its
-/// ledgers; then replays the trace on a fresh simulation with a different
+/// In every engine mode: records a run of `cfg` under uniform traffic into a
+/// directory, then replays the trace on a fresh simulation with a different
 /// seed and asserts bit-identity.
 fn assert_replay_matches_record(name: &str, cfg: NetworkConfig, map: Option<TenantMap>) {
-    let dir = tmpdir(name);
+    for mode in &ENGINE_MODES {
+        assert_replay_matches_record_under(mode, name, cfg.clone(), map.clone());
+    }
+}
+
+fn assert_replay_matches_record_under(
+    mode: &EngineMode,
+    name: &str,
+    cfg: NetworkConfig,
+    map: Option<TenantMap>,
+) {
+    let name = &format!("{name} [{}]", mode.name);
+    let dir = tmpdir(&name.replace(|c: char| !c.is_ascii_alphanumeric(), "-"));
     let writer = Arc::new(Mutex::new(
         TraceWriter::create(&dir, cfg.packet_length(), cfg.node_count(), 256).unwrap(),
     ));
@@ -93,10 +112,11 @@ fn assert_replay_matches_record(name: &str, cfg: NetworkConfig, map: Option<Tena
         recording = recording.with_tenants(map);
     }
     let mut record_sim = NocSimulation::new(cfg.clone(), Box::new(recording), 2015);
+    mode.select(&mut record_sim);
     if let Some(map) = &map {
         record_sim.set_tenant_map(map.clone()).unwrap();
     }
-    let (recorded_windows, recorded_tenants) = drive(&mut record_sim);
+    let (recorded_windows, recorded_tenants) = drive(&mut record_sim, mode);
     let recorded_stats = *record_sim.stats();
     let summary = writer.lock().unwrap().finish().unwrap();
     assert!(summary.events > 0, "{name}: the recording must capture injections");
@@ -105,10 +125,11 @@ fn assert_replay_matches_record(name: &str, cfg: NetworkConfig, map: Option<Tena
     let replay = TraceTraffic::open(&dir).unwrap();
     assert_eq!(replay.node_count(), cfg.node_count());
     let mut replay_sim = NocSimulation::new(cfg, Box::new(replay), 77_777);
+    mode.select(&mut replay_sim);
     if let Some(map) = &map {
         replay_sim.set_tenant_map(map.clone()).unwrap();
     }
-    let (replayed_windows, replayed_tenants) = drive(&mut replay_sim);
+    let (replayed_windows, replayed_tenants) = drive(&mut replay_sim, mode);
 
     assert_eq!(replayed_windows, recorded_windows, "{name}: window ledger must replay exactly");
     assert_eq!(replayed_tenants, recorded_tenants, "{name}: tenant ledgers must replay exactly");
@@ -145,14 +166,14 @@ fn replay_is_deterministic_across_replays() {
     let inner = SyntheticTraffic::new(TrafficPattern::Transpose, 0.2, cfg.packet_length());
     let recording = RecordingTraffic::new(Box::new(inner), Arc::clone(&writer));
     let mut sim = NocSimulation::new(cfg.clone(), Box::new(recording), 9);
-    let _ = drive(&mut sim);
+    let _ = drive(&mut sim, &ENGINE_MODES[0]);
     writer.lock().unwrap().finish().unwrap();
 
     let mut ledgers = Vec::new();
     for seed in [1u64, 424_242] {
         let replay = TraceTraffic::open(&dir).unwrap();
         let mut sim = NocSimulation::new(cfg.clone(), Box::new(replay), seed);
-        ledgers.push(drive(&mut sim));
+        ledgers.push(drive(&mut sim, &ENGINE_MODES[0]));
     }
     assert_eq!(ledgers[0], ledgers[1], "replay must not depend on the simulation seed");
     let _ = std::fs::remove_dir_all(&dir);
