@@ -83,7 +83,10 @@ impl RoundRobinArbiter {
     /// Rotates the priority pointer past `winner`.
     pub fn commit(&mut self, winner: usize) {
         assert!(winner < self.size, "winner index out of range");
-        self.next_priority = (winner + 1) % self.size;
+        // Wrap with a compare: this runs twice per grant, and `% size` is a
+        // division by a value the compiler cannot see.
+        let next = winner + 1;
+        self.next_priority = if next == self.size { 0 } else { next };
     }
 }
 

@@ -95,10 +95,13 @@ impl VcBuffer {
         w.put_usize(self.peak_occupancy);
     }
 
-    /// Replaces the buffer contents with the checkpointed ones.
+    /// Replaces the buffer contents with the checkpointed ones. `nodes` is
+    /// the network's node count: a flit from or for a node beyond it would
+    /// take route computation off the topology.
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
+        nodes: usize,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let n = r.read_usize()?;
@@ -107,7 +110,11 @@ impl VcBuffer {
         }
         self.slots.clear();
         for _ in 0..n {
-            self.slots.push_back(Flit::load_state(r)?);
+            let flit = Flit::load_state(r)?;
+            if flit.src() >= nodes || flit.dst() >= nodes {
+                return Err(SnapshotError::Corrupt("buffered flit endpoint"));
+            }
+            self.slots.push_back(flit);
         }
         let peak = r.read_usize()?;
         if peak > self.capacity {

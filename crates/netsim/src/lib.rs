@@ -51,8 +51,8 @@
 //! | [`routing`] | dimension-ordered (XY/YX) + minimal-adaptive escape-VC routing, torus datelines | invoked once per head flit, not per flit |
 //! | [`buffer`] | per-VC FIFO buffers | capacity fixed at construction; never reallocates |
 //! | [`arbiter`] | round-robin arbiters | mask-based grant in two bit operations |
-//! | [`allocator`] | separable input-first allocator | single pass over requests; persistent scratch, zero allocation per round |
-//! | [`router`] | the VC router pipeline (RC → VA → SA → ST) | flat VC arrays + per-port state bitmasks; appends into a caller-owned [`TraversalOutput`](router::TraversalOutput) |
+//! | [`allocator`] | separable input-first allocator | mask-native: one member mask per group in, grants out; a lone requester is granted without arbitration; zero allocation per round |
+//! | [`router`] | the VC router pipeline (RC → VA → SA → ST) | flat VC arrays + per-port state bitmasks kept incrementally — SA's requests are `active & nonempty & credit_ok`, no per-VC scan; appends into a caller-owned [`TraversalOutput`](router::TraversalOutput) |
 //! | [`link`] | inter-router flit and credit channels | callback delivery ([`DelayChannel::deliver`](link::DelayChannel::deliver)), no per-cycle `Vec`; [`next_due`](link::DelayChannel::next_due) cursor feeds the driver's due-lists |
 //! | [`traffic`] | synthetic patterns, bursty sources and traffic matrices | — |
 //! | [`source`] | node-clock-driven packet generation | clone-free injection ([`Source::try_inject`](source::Source::try_inject)) |
@@ -82,11 +82,11 @@
 //! **zero heap allocations**. That property rests on a simple ownership
 //! contract:
 //!
-//! * **Routers own their allocation scratch.** The request list reused by the
-//!   VA and SA stages and the grant buffers inside the two
-//!   [`SeparableAllocator`](allocator::SeparableAllocator)s live in the
-//!   [`Router`](router::Router) / allocator and are cleared *by the stage
-//!   that fills them*, at the start of each round.
+//! * **Routers keep their request sets, not rebuild them.** The VA and SA
+//!   stages hand the two [`SeparableAllocator`](allocator::SeparableAllocator)s
+//!   per-port bitmasks the [`Router`](router::Router) updates as flits and
+//!   credits arrive and leave; the only per-round scratch is each
+//!   allocator's grant buffer, cleared at the start of the round.
 //! * **The driver owns the traversal scratch.** One
 //!   [`TraversalOutput`](router::TraversalOutput) lives in [`NocSimulation`]
 //!   and is cleared by the driver before each router's SA/ST stage; the

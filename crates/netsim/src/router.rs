@@ -14,7 +14,7 @@
 //! activity-driven power estimation flow.
 
 use crate::activity::RouterActivity;
-use crate::allocator::{AllocRequest, SeparableAllocator};
+use crate::allocator::SeparableAllocator;
 use crate::buffer::VcBuffer;
 use crate::config::NetworkConfig;
 use crate::flit::Flit;
@@ -67,10 +67,26 @@ impl InputVc {
     }
 }
 
+/// [`OutputVc::owner`] of an output VC no input VC of this router holds: a
+/// free one, or one retired by [`Router::resync_output`].
+const NO_OWNER: u16 = u16::MAX;
+
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
     credits: usize,
     allocated: bool,
+    /// Derived: the `Active` input VC this output VC is allocated to, as
+    /// `(port << 8) | vc`, so that a returning credit finds the
+    /// [`DerivedState::credit_ok`] bit it may have to set without a division
+    /// by the VC count. Sits in what was padding, so the credit path touches
+    /// no cache line it did not touch before.
+    owner: u16,
+}
+
+/// The [`OutputVc::owner`] tag of input VC (`port`, `vc`).
+#[inline]
+fn owner_tag(port: usize, vc: usize) -> u16 {
+    ((port << 8) | vc) as u16
 }
 
 /// A flit leaving the router towards a neighbouring router.
@@ -134,26 +150,119 @@ impl TraversalOutput {
     }
 }
 
+/// What the router keeps incrementally although it is a pure function of the
+/// per-VC state (each input VC's control state, buffer, route and output VC;
+/// each output VC's credits and `allocated` flag): per-port bitmasks, bit
+/// `vc` for VC `vc` of that port, and the counts that go with them. Together
+/// with [`OutputVc::owner`] this is the router's *derived* state. Every
+/// place that changes the per-VC state updates it; [`Router::derive`]
+/// recomputes it from scratch, which is how a checkpoint restore rebuilds it
+/// and how debug builds check it after every tick.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct DerivedState {
+    /// Input VCs in the `Routing` state.
+    routing_mask: [u64; PORT_COUNT],
+    /// Input VCs in the `VcAllocation` state.
+    va_mask: [u64; PORT_COUNT],
+    /// Input VCs in the `Active` state.
+    active_mask: [u64; PORT_COUNT],
+    /// Input VCs in the `Draining` state (orphaned packet remainders being
+    /// discarded after an upstream failure).
+    drain_mask: [u64; PORT_COUNT],
+    /// Output VCs *not* allocated to a packet.
+    free_out_mask: [u64; PORT_COUNT],
+    /// Input VCs holding at least one flit. Set by
+    /// [`accept_flit`](Router::accept_flit), cleared by the pop that empties
+    /// the buffer.
+    nonempty: [u64; PORT_COUNT],
+    /// `Active` input VCs whose output VC has a credit (always, towards the
+    /// local port). Set by the VA grant and by
+    /// [`accept_credit`](Router::accept_credit), cleared by the SA grant that
+    /// spends the last credit and by the tail's release. A switch request is
+    /// exactly `active_mask & nonempty & credit_ok`.
+    credit_ok: [u64; PORT_COUNT],
+    /// Number of VCs in the `Routing` state across all ports — lets
+    /// [`rc_stage`](Router::rc_stage) return without scanning the per-port
+    /// masks in the common streaming case (body flits flowing, no new head).
+    routing_pending: u32,
+    /// Number of VCs in the `VcAllocation` state across all ports (same role
+    /// for [`va_stage`](Router::va_stage)).
+    va_pending: u32,
+    /// Total flits currently buffered (lets idle routers skip their pipeline
+    /// stages cheaply).
+    buffered: usize,
+}
+
+impl DerivedState {
+    /// The derived state of a router of `vcs` VCs per port that holds no
+    /// flit and no packet.
+    fn idle(vcs: usize) -> Self {
+        DerivedState { free_out_mask: [u64::MAX >> (64 - vcs); PORT_COUNT], ..Self::default() }
+    }
+}
+
+/// The output port a head parked in `VcAllocation` was routed to, and the
+/// free output VCs it may be given there.
+#[inline]
+fn va_candidates(
+    free_out_mask: &[u64; PORT_COUNT],
+    class_masks: &[u64; 2],
+    input: &InputVc,
+) -> (usize, u64) {
+    let out_port = input.out_port.expect("out_port set during RC") as usize;
+    let mut free = free_out_mask[out_port];
+    if out_port != LOCAL_PORT {
+        // Dateline discipline: inter-router links only hand out VCs of the
+        // packet's class (no-op on a mesh, where both class masks cover
+        // every VC).
+        free &= class_masks[usize::from(input.next_class)];
+    }
+    (out_port, free)
+}
+
+/// Of the input VCs `waiting` on the port whose VCs start at `inputs[base]`,
+/// those routed to an output port in `fence`, and the fenced ports they head
+/// for. The only per-VC walk switch allocation and the stall census make,
+/// and only while a fence is up.
+#[inline]
+fn held_by_fence(inputs: &[InputVc], base: usize, waiting: u64, fence: u8) -> (u64, u8) {
+    let (mut held, mut ports) = (0u64, 0u8);
+    let mut mask = if fence == 0 { 0 } else { waiting };
+    while mask != 0 {
+        let vc = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        let out_port = 1u8 << inputs[base + vc].out_port.expect("active VC has a route");
+        if fence & out_port != 0 {
+            held |= 1u64 << vc;
+            ports |= out_port;
+        }
+    }
+    (held, ports)
+}
+
 /// One mesh router.
 ///
 /// # Scratch-buffer contract
 ///
-/// The router owns persistent scratch (`requests`, plus the grant buffers
-/// inside the two allocators) that is cleared and refilled inside each
-/// pipeline stage. Callers provide the [`TraversalOutput`] that
-/// [`sa_st_stage`](Self::sa_st_stage) appends into and are responsible for
-/// clearing it between routers/cycles; the router never clears it, so one
-/// buffer can also accumulate output across several routers if desired.
+/// The router's only per-round scratch is the grant buffer inside each of
+/// its two allocators; the request sets they arbitrate over are bitmasks the
+/// router keeps up to date as flits and credits arrive and leave (see
+/// [`sa_st_stage_fenced`](Self::sa_st_stage_fenced)). Callers provide the
+/// [`TraversalOutput`] that [`sa_st_stage`](Self::sa_st_stage) appends into
+/// and are responsible for clearing it between routers/cycles; the router
+/// never clears it, so one buffer can also accumulate output across several
+/// routers if desired.
 ///
 /// # Performance
 ///
 /// Input and output VC state lives in flat `Vec`s indexed by
 /// `port * vcs + vc`, and every pipeline stage walks per-port bitmasks
-/// (`routing_mask`, `va_mask`, `active_mask`) instead of scanning all
-/// `PORT_COUNT × vcs` VC slots, so a stage's cost is proportional to the
-/// number of VCs that actually need work that cycle. At most 64 VCs per port
-/// are supported (the masks are `u64`, matching the allocator's arbiter
-/// limit).
+/// instead of scanning all `PORT_COUNT × vcs` VC slots, so a stage's cost is
+/// proportional to the number of VCs that actually need work that cycle —
+/// and switch allocation, the stage that runs for every buffered flit, reads
+/// its requests off three masks without visiting a VC at all. At most 64 VCs
+/// per port are supported (the masks are `u64`, matching the allocator's
+/// arbiter limit).
 #[derive(Debug)]
 pub struct Router {
     node: usize,
@@ -165,24 +274,7 @@ pub struct Router {
     vc_allocator: SeparableAllocator,
     sw_allocator: SeparableAllocator,
     out_vc_rr: Vec<usize>,
-    /// Per-port bitmask of input VCs in the `Routing` state.
-    routing_mask: [u64; PORT_COUNT],
-    /// Per-port bitmask of input VCs in the `VcAllocation` state.
-    va_mask: [u64; PORT_COUNT],
-    /// Number of VCs in the `Routing` state across all ports — lets
-    /// [`rc_stage`](Self::rc_stage) return without scanning the per-port
-    /// masks in the common streaming case (body flits flowing, no new head).
-    routing_pending: u32,
-    /// Number of VCs in the `VcAllocation` state across all ports (same role
-    /// for [`va_stage`](Self::va_stage)).
-    va_pending: u32,
-    /// Per-port bitmask of input VCs in the `Active` state.
-    active_mask: [u64; PORT_COUNT],
-    /// Per-port bitmask of input VCs in the `Draining` state (orphaned
-    /// packet remainders being discarded after an upstream failure).
-    drain_mask: [u64; PORT_COUNT],
-    /// Per-port bitmask of output VCs *not* allocated to a packet.
-    free_out_mask: [u64; PORT_COUNT],
+    derived: DerivedState,
     /// Dateline VC-class masks: `class_masks[c]` is the set of output VCs a
     /// packet in class `c` may be assigned on an inter-router link. On a mesh
     /// both masks cover every VC (no restriction); on a torus class 0 owns
@@ -190,11 +282,6 @@ pub struct Router {
     /// channel-dependency cycles of wrap-around routes.
     class_masks: [u64; 2],
     activity: RouterActivity,
-    /// Total flits currently buffered (kept incrementally so that idle
-    /// routers can skip their pipeline stages cheaply).
-    buffered: usize,
-    /// Scratch: allocation requests of the current VA or SA round.
-    requests: Vec<AllocRequest>,
 }
 
 impl Router {
@@ -210,9 +297,9 @@ impl Router {
         assert!(vcs <= 64, "router supports at most 64 virtual channels per port");
         let depth = cfg.buffer_depth();
         let inputs = (0..PORT_COUNT * vcs).map(|_| InputVc::new(depth)).collect();
-        let outputs =
-            (0..PORT_COUNT * vcs).map(|_| OutputVc { credits: depth, allocated: false }).collect();
-        let all_vcs_free = if vcs == 64 { u64::MAX } else { (1u64 << vcs) - 1 };
+        let free_output = OutputVc { credits: depth, allocated: false, owner: NO_OWNER };
+        let derived = DerivedState::idle(vcs);
+        let all_vcs_free = derived.free_out_mask[0];
         let class_masks = match cfg.topology_kind() {
             TopologyKind::Mesh => [all_vcs_free, all_vcs_free],
             TopologyKind::Torus => {
@@ -227,21 +314,13 @@ impl Router {
             node,
             vcs,
             inputs,
-            outputs,
+            outputs: vec![free_output; PORT_COUNT * vcs],
             vc_allocator: SeparableAllocator::new(PORT_COUNT, vcs, PORT_COUNT * vcs),
             sw_allocator: SeparableAllocator::new(PORT_COUNT, vcs, PORT_COUNT),
             out_vc_rr: vec![0; PORT_COUNT],
-            routing_mask: [0; PORT_COUNT],
-            va_mask: [0; PORT_COUNT],
-            routing_pending: 0,
-            va_pending: 0,
-            active_mask: [0; PORT_COUNT],
-            drain_mask: [0; PORT_COUNT],
-            free_out_mask: [all_vcs_free; PORT_COUNT],
+            derived,
             class_masks,
             activity: RouterActivity::new(),
-            buffered: 0,
-            requests: Vec::with_capacity(PORT_COUNT * vcs),
         }
     }
 
@@ -294,12 +373,12 @@ impl Router {
     #[inline]
     pub fn is_quiescent(&self) -> bool {
         debug_assert!(
-            self.buffered > 0
-                || (self.routing_mask.iter().all(|&m| m == 0)
-                    && self.va_mask.iter().all(|&m| m == 0)),
+            self.derived.buffered > 0
+                || (self.derived.routing_mask.iter().all(|&m| m == 0)
+                    && self.derived.va_mask.iter().all(|&m| m == 0)),
             "a VC waiting for RC/VA must have its head flit buffered"
         );
-        self.buffered == 0
+        self.derived.buffered == 0
     }
 
     /// Control state of input VC (`port`, `vc`) — intended for tests and
@@ -328,7 +407,7 @@ impl Router {
 
     /// Total number of flits buffered in this router.
     pub fn buffered_flits(&self) -> usize {
-        self.buffered
+        self.derived.buffered
     }
 
     /// Accepts a flit arriving on input `in_port` (its `vc` field selects the
@@ -344,27 +423,29 @@ impl Router {
         let vc = flit.vc();
         assert!(vc < self.vcs, "flit arrived on unknown VC {vc}");
         let input = &mut self.inputs[in_port * self.vcs + vc];
+        let d = &mut self.derived;
         input.buffer.push(flit);
-        self.buffered += 1;
+        d.buffered += 1;
+        d.nonempty[in_port] |= 1u64 << vc;
         self.activity.buffer_writes += 1;
         let front_is_head = input.buffer.front().map(|f| f.kind.is_head()).unwrap_or(false);
         if input.state == VcState::Idle {
             if front_is_head {
                 input.state = VcState::Routing;
-                self.routing_mask[in_port] |= 1u64 << vc;
-                self.routing_pending += 1;
+                d.routing_mask[in_port] |= 1u64 << vc;
+                d.routing_pending += 1;
             } else {
                 // A body/tail flit with no packet context: its head died in a
                 // failed component upstream. Discard the orphaned remainder.
                 input.state = VcState::Draining;
-                self.drain_mask[in_port] |= 1u64 << vc;
+                d.drain_mask[in_port] |= 1u64 << vc;
             }
         } else if input.state == VcState::Draining && front_is_head {
             // The orphan was fully drained and a fresh packet starts.
             input.state = VcState::Routing;
-            self.drain_mask[in_port] &= !(1u64 << vc);
-            self.routing_mask[in_port] |= 1u64 << vc;
-            self.routing_pending += 1;
+            d.drain_mask[in_port] &= !(1u64 << vc);
+            d.routing_mask[in_port] |= 1u64 << vc;
+            d.routing_pending += 1;
         }
     }
 
@@ -377,14 +458,19 @@ impl Router {
     pub fn accept_credit(&mut self, out_port: usize, vc: usize) {
         assert!(out_port < PORT_COUNT, "credit for unknown output port {out_port}");
         assert!(vc < self.vcs, "credit for unknown VC {vc}");
-        self.outputs[out_port * self.vcs + vc].credits += 1;
+        let output = &mut self.outputs[out_port * self.vcs + vc];
+        output.credits += 1;
+        if output.owner != NO_OWNER {
+            let owner = usize::from(output.owner);
+            self.derived.credit_ok[owner >> 8] |= 1u64 << (owner & 0xff);
+        }
     }
 
     /// Route-computation stage: resolves the output port (and, on a torus,
     /// the dateline VC class) of every head flit waiting in the `Routing`
     /// state.
     pub fn rc_stage(&mut self, topo: &Topology, routing: &dyn RoutingAlgorithm) {
-        self.rc_stage_blocked(topo, routing, 0);
+        self.rc_stage_blocked(topo, routing, 0, routing.route_is_static());
     }
 
     /// [`rc_stage`](Self::rc_stage) with a mask of output ports that lead to
@@ -394,42 +480,51 @@ impl Router {
     /// ignore the mask (their default `route_around` delegates to `route`),
     /// so with `blocked == 0` — or any DO algorithm — this is byte-for-byte
     /// the plain stage.
+    ///
+    /// `static_route` is the algorithm's
+    /// [`route_is_static`](RoutingAlgorithm::route_is_static), which the
+    /// caller resolves once per tick rather than once per router.
     pub fn rc_stage_blocked(
         &mut self,
         topo: &Topology,
         routing: &dyn RoutingAlgorithm,
         blocked: u8,
+        static_route: bool,
     ) {
-        if self.routing_pending == 0 && self.va_pending == 0 {
+        let d = &mut self.derived;
+        // Heads still waiting in VcAllocation re-run route computation every
+        // cycle, unless the route is static: an adaptive algorithm may pick a
+        // different port or VC class as faults/fences appear and disappear,
+        // and Duato's deadlock-freedom argument needs blocked packets to keep
+        // being offered the escape path. A static algorithm would recompute
+        // the identical route, so its parked heads are left alone.
+        let reroute_parked = !static_route && d.va_pending != 0;
+        if d.routing_pending == 0 && !reroute_parked {
             return;
         }
         // Ports with no free adaptive-class VC left, for availability-aware
         // adaptive selection (RC precedes VA, so the mask is stable across
-        // this cycle's selections).
+        // this cycle's selections). A static route does not look at it.
         let mut adaptive_full = 0u8;
-        for dir_port in 0..LOCAL_PORT {
-            if self.free_out_mask[dir_port] & self.class_masks[1] == 0 {
-                adaptive_full |= 1u8 << dir_port;
+        if !static_route {
+            for dir_port in 0..LOCAL_PORT {
+                if d.free_out_mask[dir_port] & self.class_masks[1] == 0 {
+                    adaptive_full |= 1u8 << dir_port;
+                }
             }
         }
         for port in 0..PORT_COUNT {
-            let fresh = self.routing_mask[port];
-            // Heads still waiting in VcAllocation re-run route computation
-            // every cycle: an adaptive algorithm may pick a different port or
-            // VC class as faults/fences appear and disappear, and Duato's
-            // deadlock-freedom argument needs blocked packets to keep being
-            // offered the escape path. Dimension-ordered algorithms recompute
-            // the identical route, so this is behaviour-neutral for them.
-            let mut mask = fresh | self.va_mask[port];
+            let fresh = d.routing_mask[port];
+            let mut mask = if reroute_parked { fresh | d.va_mask[port] } else { fresh };
             if mask == 0 {
                 continue;
             }
             if fresh != 0 {
                 // Every VC in Routing state advances to VcAllocation.
-                self.va_mask[port] |= fresh;
-                self.routing_mask[port] = 0;
-                self.va_pending += fresh.count_ones();
-                self.routing_pending -= fresh.count_ones();
+                d.va_mask[port] |= fresh;
+                d.routing_mask[port] = 0;
+                d.va_pending += fresh.count_ones();
+                d.routing_pending -= fresh.count_ones();
             }
             while mask != 0 {
                 let vc = mask.trailing_zeros() as usize;
@@ -467,69 +562,63 @@ impl Router {
     /// Virtual-channel allocation stage: assigns a free downstream VC to each
     /// winning head flit.
     pub fn va_stage(&mut self) {
-        if self.va_pending == 0 {
+        if self.derived.va_pending == 0 {
             return;
         }
-        // Gather requests into the persistent scratch buffer: every input VC
-        // waiting for VC allocation proposes one candidate output VC on its
-        // output port (round-robin pick over the free-VC bitmask: first free
-        // VC at or after the rotating start, wrapping to the lowest free VC).
-        self.requests.clear();
-        for port in 0..PORT_COUNT {
-            let mut mask = self.va_mask[port];
+        let vcs = self.vcs;
+        // Requests: every input VC waiting for VC allocation whose output
+        // port has a free VC of its class.
+        let mut requesting = [0u64; PORT_COUNT];
+        for (port, wanting) in requesting.iter_mut().enumerate() {
+            let mut mask = self.derived.va_mask[port];
             while mask != 0 {
                 let vc = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                let input = &self.inputs[port * self.vcs + vc];
+                let input = &self.inputs[port * vcs + vc];
                 debug_assert_eq!(input.state, VcState::VcAllocation);
-                let out_port = input.out_port.expect("out_port set during RC") as usize;
-                let mut free = self.free_out_mask[out_port];
-                if out_port != LOCAL_PORT {
-                    // Dateline discipline: inter-router links only hand out
-                    // VCs of the packet's class (no-op on a mesh, where both
-                    // class masks cover every VC).
-                    free &= self.class_masks[usize::from(input.next_class)];
+                let (_, free) =
+                    va_candidates(&self.derived.free_out_mask, &self.class_masks, input);
+                if free != 0 {
+                    *wanting |= 1u64 << vc;
                 }
-                if free == 0 {
-                    continue;
-                }
-                let start = self.out_vc_rr[out_port];
-                let at_or_after = free & !((1u64 << start) - 1);
-                let ovc = if at_or_after != 0 {
-                    at_or_after.trailing_zeros() as usize
-                } else {
-                    free.trailing_zeros() as usize
-                };
-                self.requests.push(AllocRequest {
-                    group: port,
-                    member: vc,
-                    resource: out_port * self.vcs + ovc,
-                });
             }
         }
-        if self.requests.is_empty() {
-            return;
-        }
-        for grant in self.vc_allocator.allocate(&self.requests) {
-            let out_port = grant.resource / self.vcs;
-            let out_vc = grant.resource % self.vcs;
+        // Each proposes one candidate output VC on its output port:
+        // round-robin over the free-VC bitmask (first free VC at or after the
+        // rotating start, wrapping to the lowest free VC). Nothing the pick
+        // reads changes before the grants are applied, so it is made only
+        // for the one VC per port the allocator asks about.
+        let (inputs, free_out_mask, class_masks, out_vc_rr) =
+            (&self.inputs, &self.derived.free_out_mask, &self.class_masks, &self.out_vc_rr);
+        let grants = self.vc_allocator.allocate(&requesting, |port, vc| {
+            let input = &inputs[port * vcs + vc];
+            let (out_port, free) = va_candidates(free_out_mask, class_masks, input);
+            let at_or_after = free & !((1u64 << out_vc_rr[out_port]) - 1);
+            let candidate = if at_or_after != 0 { at_or_after } else { free };
+            out_port * vcs + candidate.trailing_zeros() as usize
+        });
+        let d = &mut self.derived;
+        for grant in grants {
+            let (port, vc) = (grant.group, grant.member);
+            let input = &mut self.inputs[port * vcs + vc];
+            let out_port = input.out_port.expect("out_port set during RC") as usize;
+            let out_vc = grant.resource - out_port * vcs;
             let output = &mut self.outputs[grant.resource];
-            if output.allocated {
-                // Another grant in the same round took it (cannot happen with
-                // a separable allocator granting each resource once, but keep
-                // the invariant explicit).
-                continue;
-            }
+            debug_assert!(!output.allocated, "the allocator grants each output VC once");
             output.allocated = true;
-            self.free_out_mask[out_port] &= !(1u64 << out_vc);
-            let input = &mut self.inputs[grant.group * self.vcs + grant.member];
+            output.owner = owner_tag(port, vc);
+            d.free_out_mask[out_port] &= !(1u64 << out_vc);
             input.out_vc = Some(out_vc as u8);
             input.state = VcState::Active;
-            self.va_mask[grant.group] &= !(1u64 << grant.member);
-            self.va_pending -= 1;
-            self.active_mask[grant.group] |= 1u64 << grant.member;
+            d.va_mask[port] &= !(1u64 << vc);
+            d.va_pending -= 1;
+            d.active_mask[port] |= 1u64 << vc;
+            if out_port == LOCAL_PORT || output.credits > 0 {
+                d.credit_ok[port] |= 1u64 << vc;
+            }
             self.activity.vc_allocations += 1;
-            self.out_vc_rr[out_port] = (out_vc + 1) % self.vcs;
+            let next = out_vc + 1;
+            self.out_vc_rr[out_port] = if next == vcs { 0 } else { next };
         }
     }
 
@@ -552,47 +641,42 @@ impl Router {
     /// evolves identically to a credit stall — and the port is recorded in
     /// [`TraversalOutput::fenced_ports`] so the driver can raise a wakeup
     /// request. With `fence == 0` this is byte-for-byte the unfenced stage.
+    ///
+    /// The requests are read off the masks the router keeps — an `Active` VC
+    /// that holds a flit and has a credit — so the stage visits a VC only to
+    /// move its flit; only under a fence does it look at each waiting VC's
+    /// output port.
     pub fn sa_st_stage_fenced(&mut self, out: &mut TraversalOutput, fence: u8) {
-        if self.buffered == 0 {
+        if self.derived.buffered == 0 {
             return;
         }
         self.drain_orphans(out);
-        self.requests.clear();
-        for port in 0..PORT_COUNT {
-            let mut mask = self.active_mask[port];
-            while mask != 0 {
-                let vc = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let input = &self.inputs[port * self.vcs + vc];
-                debug_assert_eq!(input.state, VcState::Active);
-                if input.buffer.is_empty() {
-                    continue;
-                }
-                let out_port = input.out_port.expect("active VC has a route") as usize;
-                if fence & (1u8 << out_port) != 0 {
-                    out.fenced_ports |= 1u8 << out_port;
-                    continue;
-                }
-                let out_vc = input.out_vc.expect("active VC has an output VC") as usize;
-                let has_credit = out_port == LOCAL_PORT
-                    || self.outputs[out_port * self.vcs + out_vc].credits > 0;
-                if has_credit {
-                    self.requests.push(AllocRequest { group: port, member: vc, resource: out_port });
-                }
-            }
+        let vcs = self.vcs;
+        let d = &mut self.derived;
+        let mut requesting = [0u64; PORT_COUNT];
+        for (port, ready) in requesting.iter_mut().enumerate() {
+            let waiting = d.active_mask[port] & d.nonempty[port];
+            let (held, ports) = held_by_fence(&self.inputs, port * vcs, waiting, fence);
+            out.fenced_ports |= ports;
+            *ready = waiting & d.credit_ok[port] & !held;
         }
-        if self.requests.is_empty() {
-            return;
-        }
-        for grant in self.sw_allocator.allocate(&self.requests) {
+        let inputs = &self.inputs;
+        let grants = self.sw_allocator.allocate(&requesting, |port, vc| {
+            inputs[port * vcs + vc].out_port.expect("active VC has a route") as usize
+        });
+        for grant in grants {
             let in_port = grant.group;
             let in_vc = grant.member;
-            let in_idx = in_port * self.vcs + in_vc;
+            let in_bit = 1u64 << in_vc;
             let out_port = grant.resource;
-            let out_vc = self.inputs[in_idx].out_vc.expect("active VC has an output VC") as usize;
-            let mut flit =
-                self.inputs[in_idx].buffer.pop().expect("granted VC has a buffered flit");
-            self.buffered -= 1;
+            let input = &mut self.inputs[in_port * vcs + in_vc];
+            debug_assert_eq!(input.state, VcState::Active);
+            let out_vc = input.out_vc.expect("active VC has an output VC") as usize;
+            let mut flit = input.buffer.pop().expect("granted VC has a buffered flit");
+            d.buffered -= 1;
+            if input.buffer.is_empty() {
+                d.nonempty[in_port] &= !in_bit;
+            }
             self.activity.buffer_reads += 1;
             self.activity.crossbar_traversals += 1;
             self.activity.switch_allocations += 1;
@@ -600,35 +684,39 @@ impl Router {
             let is_tail = flit.kind.is_tail();
             flit.vc = out_vc as u8;
             flit.hops += 1;
+            let output = &mut self.outputs[out_port * vcs + out_vc];
             if out_port == LOCAL_PORT {
                 self.activity.ejected_flits += 1;
                 out.ejected.push(flit);
             } else {
-                let output = &mut self.outputs[out_port * self.vcs + out_vc];
                 debug_assert!(output.credits > 0, "switch allocation granted without credit");
                 output.credits -= 1;
+                if output.credits == 0 {
+                    d.credit_ok[in_port] &= !in_bit;
+                }
                 self.activity.link_flits += 1;
                 out.outgoing.push(OutgoingFlit { out_port, flit });
             }
             if is_tail {
                 // The tail releases both the output VC and the input VC.
-                self.outputs[out_port * self.vcs + out_vc].allocated = false;
-                self.free_out_mask[out_port] |= 1u64 << out_vc;
-                self.active_mask[in_port] &= !(1u64 << in_vc);
-                let input = &mut self.inputs[in_idx];
+                output.allocated = false;
+                output.owner = NO_OWNER;
+                d.free_out_mask[out_port] |= 1u64 << out_vc;
+                d.active_mask[in_port] &= !in_bit;
+                d.credit_ok[in_port] &= !in_bit;
                 input.state = VcState::Idle;
                 input.out_port = None;
                 input.out_vc = None;
                 if let Some(front) = input.buffer.front() {
                     if front.kind.is_head() {
                         input.state = VcState::Routing;
-                        self.routing_mask[in_port] |= 1u64 << in_vc;
-                        self.routing_pending += 1;
+                        d.routing_mask[in_port] |= in_bit;
+                        d.routing_pending += 1;
                     } else {
                         // The next packet lost its head in a failed component
                         // upstream; discard its orphaned remainder.
                         input.state = VcState::Draining;
-                        self.drain_mask[in_port] |= 1u64 << in_vc;
+                        d.drain_mask[in_port] |= in_bit;
                     }
                 }
             }
@@ -640,8 +728,9 @@ impl Router {
     /// and counting the drop in [`TraversalOutput::dropped`]. A VC whose
     /// front flit is a head resumes normal routing instead.
     fn drain_orphans(&mut self, out: &mut TraversalOutput) {
+        let d = &mut self.derived;
         for port in 0..PORT_COUNT {
-            let mut mask = self.drain_mask[port];
+            let mut mask = d.drain_mask[port];
             while mask != 0 {
                 let vc = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
@@ -650,16 +739,19 @@ impl Router {
                 let Some(front) = input.buffer.front() else { continue };
                 if !front.kind.is_head() {
                     input.buffer.pop().expect("front flit exists");
-                    self.buffered -= 1;
+                    d.buffered -= 1;
+                    if input.buffer.is_empty() {
+                        d.nonempty[port] &= !(1u64 << vc);
+                    }
                     self.activity.buffer_reads += 1;
                     out.credits.push(CreditReturn { in_port: port, vc });
                     out.dropped += 1;
                 }
                 if input.buffer.front().map(|f| f.kind.is_head()).unwrap_or(false) {
                     input.state = VcState::Routing;
-                    self.drain_mask[port] &= !(1u64 << vc);
-                    self.routing_mask[port] |= 1u64 << vc;
-                    self.routing_pending += 1;
+                    d.drain_mask[port] &= !(1u64 << vc);
+                    d.routing_mask[port] |= 1u64 << vc;
+                    d.routing_pending += 1;
                 }
             }
         }
@@ -670,7 +762,8 @@ impl Router {
     /// [`RoutingAlgorithm::wants_escape_classes`]. On a torus the dateline
     /// masks already have this shape, so the split only changes mesh routers.
     pub(crate) fn split_vc_classes(&mut self) {
-        let all = if self.vcs == 64 { u64::MAX } else { (1u64 << self.vcs) - 1 };
+        // Either partition covers every VC between its two classes.
+        let all = self.class_masks[0] | self.class_masks[1];
         let low = (1u64 << self.vcs.div_ceil(2)) - 1;
         self.class_masks = [low, all & !low];
     }
@@ -678,8 +771,9 @@ impl Router {
     /// Empties every input buffer (router death): each discarded flit is
     /// counted as dropped and produces a [`CreditReturn`] that the driver
     /// routes to the upstream neighbour or local source, keeping their credit
-    /// accounting exact. All pipeline state is then factory-reset (`depth` is
-    /// the configured buffer depth, restoring full output credits).
+    /// accounting exact. All pipeline state, derived state included, is then
+    /// factory-reset (`depth` is the configured buffer depth, restoring full
+    /// output credits).
     ///
     /// Returns the number of flits dropped.
     pub(crate) fn purge_all(&mut self, depth: usize, credits: &mut Vec<CreditReturn>) -> u64 {
@@ -697,20 +791,9 @@ impl Router {
                 input.next_class = 0;
             }
         }
-        for out in self.outputs.iter_mut() {
-            out.credits = depth;
-            out.allocated = false;
-        }
-        let all = if self.vcs == 64 { u64::MAX } else { (1u64 << self.vcs) - 1 };
-        self.routing_mask = [0; PORT_COUNT];
-        self.va_mask = [0; PORT_COUNT];
-        self.drain_mask = [0; PORT_COUNT];
-        self.active_mask = [0; PORT_COUNT];
-        self.routing_pending = 0;
-        self.va_pending = 0;
-        self.free_out_mask = [all; PORT_COUNT];
+        self.outputs.fill(OutputVc { credits: depth, allocated: false, owner: NO_OWNER });
+        self.derived = DerivedState::idle(self.vcs);
         self.out_vc_rr.fill(0);
-        self.buffered = 0;
         dropped
     }
 
@@ -720,14 +803,17 @@ impl Router {
     /// outputs facing a VC still holding pre-fault flits are *retired*
     /// (`retired = true`: permanently allocated with zero credits, so they
     /// are never granted again and cannot corrupt the neighbour's state).
+    ///
+    /// The router was purged when it failed and has carried no packet since,
+    /// so no input VC owns the output and no `credit_ok` bit depends on it.
     pub(crate) fn resync_output(&mut self, port: usize, vc: usize, credits: usize, retired: bool) {
         let output = &mut self.outputs[port * self.vcs + vc];
-        output.credits = credits;
-        output.allocated = retired;
+        debug_assert_eq!(output.owner, NO_OWNER, "resync of an output VC a packet holds");
+        *output = OutputVc { credits, allocated: retired, owner: NO_OWNER };
         if retired {
-            self.free_out_mask[port] &= !(1u64 << vc);
+            self.derived.free_out_mask[port] &= !(1u64 << vc);
         } else {
-            self.free_out_mask[port] |= 1u64 << vc;
+            self.derived.free_out_mask[port] |= 1u64 << vc;
         }
     }
 
@@ -747,55 +833,127 @@ impl Router {
     /// its last credit counts as credit-stalled, which is exactly its state
     /// for the next cycle). VCs that merely lost a switch-arbitration round
     /// are not counted: they are throughput-limited, not stalled.
+    ///
+    /// Credit stalls and route waits are popcounts of the kept masks; a VC is
+    /// visited only while it waits for VC allocation (which class it wants)
+    /// or while a fence is up (which port it heads for).
     pub(crate) fn stall_census(&self, fence: u8, census: &mut crate::telemetry::StallCensus) {
-        if self.buffered == 0 {
+        let d = &self.derived;
+        if d.buffered == 0 {
             return;
         }
         let split_classes = self.class_masks[0] != self.class_masks[1];
         for port in 0..PORT_COUNT {
+            // Active VCs with an empty buffer wait for body flits upstream;
+            // they are not stalled here.
+            let waiting = d.active_mask[port] & d.nonempty[port];
             // One merged test skips ports with no waiting VC at all — the
             // common case on a lightly loaded router — before the per-mask
-            // walks below.
-            if self.routing_mask[port] | self.va_mask[port] | self.active_mask[port] == 0 {
+            // work below.
+            if d.routing_mask[port] | d.va_mask[port] | waiting == 0 {
                 continue;
             }
-            census.route_wait += u64::from(self.routing_mask[port].count_ones());
-            let mut mask = self.va_mask[port];
+            census.route_wait += u64::from(d.routing_mask[port].count_ones());
+            let mut mask = d.va_mask[port];
             while mask != 0 {
                 let vc = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let input = &self.inputs[port * self.vcs + vc];
-                let out_port = input.out_port.expect("out_port set during RC") as usize;
-                let mut free = self.free_out_mask[out_port];
-                if out_port != LOCAL_PORT {
-                    free &= self.class_masks[usize::from(input.next_class)];
-                }
+                let (_, free) = va_candidates(&d.free_out_mask, &self.class_masks, input);
                 if free == 0 && input.next_class == 0 && split_classes {
                     census.escape_hold += 1;
                 } else {
                     census.va_wait += 1;
                 }
             }
-            let mut mask = self.active_mask[port];
-            while mask != 0 {
-                let vc = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let input = &self.inputs[port * self.vcs + vc];
-                if input.buffer.is_empty() {
-                    // Waiting for body flits upstream, not stalled here.
-                    continue;
+            let (held, _) = held_by_fence(&self.inputs, port * self.vcs, waiting, fence);
+            census.fenced += u64::from(held.count_ones());
+            census.no_credit += u64::from((waiting & !held & !d.credit_ok[port]).count_ones());
+        }
+    }
+
+    /// Recomputes the derived state from the per-VC state, checking on the
+    /// way that the per-VC state is one the pipeline can have produced —
+    /// everything a stage would otherwise `expect`: a VC waiting for RC or VA
+    /// holds its head flit, a VC waiting for VA has a route, an `Active` VC
+    /// has a route and an allocated output VC of its own, an idle VC is empty.
+    /// The error names the first condition that does not hold. Returned with
+    /// the masks: the [`OutputVc::owner`] each output VC must carry.
+    fn derive(&self) -> Result<(DerivedState, Vec<u16>), &'static str> {
+        let mut d = DerivedState::default();
+        let mut owners = vec![NO_OWNER; self.outputs.len()];
+        for port in 0..PORT_COUNT {
+            for vc in 0..self.vcs {
+                let bit = 1u64 << vc;
+                if !self.outputs[port * self.vcs + vc].allocated {
+                    d.free_out_mask[port] |= bit;
                 }
-                let out_port = input.out_port.expect("active VC has a route") as usize;
-                if fence & (1u8 << out_port) != 0 {
-                    census.fenced += 1;
-                } else if out_port != LOCAL_PORT {
-                    let out_vc = input.out_vc.expect("active VC has an output VC") as usize;
-                    if self.outputs[out_port * self.vcs + out_vc].credits == 0 {
-                        census.no_credit += 1;
+                let input = &self.inputs[port * self.vcs + vc];
+                d.buffered += input.buffer.len();
+                if !input.buffer.is_empty() {
+                    d.nonempty[port] |= bit;
+                }
+                let holds_head = input.buffer.front().is_some_and(|f| f.kind.is_head());
+                let out_port = input.out_port.map(usize::from).filter(|&p| p < PORT_COUNT);
+                match input.state {
+                    VcState::Idle if input.buffer.is_empty() => {}
+                    VcState::Idle => return Err("idle VC holds flits"),
+                    VcState::Draining => d.drain_mask[port] |= bit,
+                    VcState::Routing if holds_head => {
+                        d.routing_mask[port] |= bit;
+                        d.routing_pending += 1;
+                    }
+                    VcState::VcAllocation
+                        if holds_head && out_port.is_some() && input.next_class <= 1 =>
+                    {
+                        d.va_mask[port] |= bit;
+                        d.va_pending += 1;
+                    }
+                    VcState::Routing | VcState::VcAllocation => {
+                        return Err("VC awaiting RC/VA without its head flit or route")
+                    }
+                    VcState::Active => {
+                        let out_vc = input.out_vc.map(usize::from).filter(|&v| v < self.vcs);
+                        let (Some(out_port), Some(out_vc)) = (out_port, out_vc) else {
+                            return Err("active VC without a route or an output VC");
+                        };
+                        let output = &self.outputs[out_port * self.vcs + out_vc];
+                        if !output.allocated {
+                            return Err("active VC's output VC is not allocated");
+                        }
+                        let owner = &mut owners[out_port * self.vcs + out_vc];
+                        if *owner != NO_OWNER {
+                            return Err("two active VCs hold one output VC");
+                        }
+                        *owner = owner_tag(port, vc);
+                        d.active_mask[port] |= bit;
+                        if out_port == LOCAL_PORT || output.credits > 0 {
+                            d.credit_ok[port] |= bit;
+                        }
                     }
                 }
             }
         }
+        Ok((d, owners))
+    }
+
+    /// Checks the invariant the mask-native stages rest on: the derived state
+    /// the router maintains equals the one recomputed from the per-VC state,
+    /// and every `Active` VC and its output VC point at each other. The
+    /// pipeline kernel calls it after every tick in debug builds, so every
+    /// differential and property suite checks it along the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the maintained state has drifted.
+    pub(crate) fn debug_check_derived(&self) {
+        let node = self.node;
+        let (fresh, owners) = self.derive().unwrap_or_else(|what| panic!("router {node}: {what}"));
+        assert_eq!(self.derived, fresh, "router {node}: derived state drifted");
+        assert!(
+            self.outputs.iter().map(|output| output.owner).eq(owners),
+            "router {node}: output VC owners drifted"
+        );
     }
 }
 
@@ -804,8 +962,10 @@ impl Router {
     /// Encodes every piece of mutable pipeline state for a checkpoint:
     /// input/output VC state, both allocator arbiter banks, the round-robin
     /// cursors, the per-port state bitmasks and the activity window. The node
-    /// index, VC count and allocation scratch are not written (configuration
-    /// and per-round scratch respectively).
+    /// index and VC count are configuration and are not written; of the
+    /// derived state only what the format has always carried is written (the
+    /// state masks, the pending counts, the buffered-flit count) —
+    /// `nonempty`, `credit_ok` and the output owners never are.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
         for input in &self.inputs {
             w.put_u8(match input.state {
@@ -829,29 +989,37 @@ impl Router {
         for cursor in &self.out_vc_rr {
             w.put_usize(*cursor);
         }
-        for masks in
-            [&self.routing_mask, &self.va_mask, &self.active_mask, &self.drain_mask, &self.free_out_mask]
+        let d = &self.derived;
+        for masks in [&d.routing_mask, &d.va_mask, &d.active_mask, &d.drain_mask, &d.free_out_mask]
         {
             for mask in masks {
                 w.put_u64(*mask);
             }
         }
-        w.put_u32(self.routing_pending);
-        w.put_u32(self.va_pending);
+        w.put_u32(d.routing_pending);
+        w.put_u32(d.va_pending);
         w.put_u64(self.class_masks[0]);
         w.put_u64(self.class_masks[1]);
         self.activity.save_state(w);
-        w.put_usize(self.buffered);
+        w.put_usize(d.buffered);
     }
 
     /// Restores the pipeline state written by [`save_state`](Self::save_state)
-    /// into a router built from the same configuration.
+    /// into a router built from the same configuration, for a network of
+    /// `nodes` nodes.
+    ///
+    /// The derived state is rebuilt from the per-VC state rather than read:
+    /// the stored masks and counts only have to agree with it, and a
+    /// snapshot in which they do not — or whose per-VC state the pipeline
+    /// cannot have produced (see [`derive`](Self::derive)) — is corrupt.
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
+        nodes: usize,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let vcs = self.vcs;
+        let depth = self.inputs[0].buffer.capacity();
         for input in &mut self.inputs {
             input.state = match r.read_u8()? {
                 0 => VcState::Idle,
@@ -861,7 +1029,7 @@ impl Router {
                 4 => VcState::Draining,
                 _ => return Err(SnapshotError::Corrupt("VC state")),
             };
-            input.buffer.load_state(r)?;
+            input.buffer.load_state(r, nodes)?;
             let out_port = r.read_opt_u64()?;
             if out_port.is_some_and(|p| p >= PORT_COUNT as u64) {
                 return Err(SnapshotError::Corrupt("VC out port"));
@@ -876,6 +1044,9 @@ impl Router {
         }
         for output in &mut self.outputs {
             output.credits = r.read_usize()?;
+            if output.credits > depth {
+                return Err(SnapshotError::Corrupt("output VC credits"));
+            }
             output.allocated = r.read_bool()?;
         }
         self.vc_allocator.load_state(r)?;
@@ -887,28 +1058,38 @@ impl Router {
             }
             *cursor = c;
         }
+        let mut stored = DerivedState::default();
         for masks in [
-            &mut self.routing_mask,
-            &mut self.va_mask,
-            &mut self.active_mask,
-            &mut self.drain_mask,
-            &mut self.free_out_mask,
+            &mut stored.routing_mask,
+            &mut stored.va_mask,
+            &mut stored.active_mask,
+            &mut stored.drain_mask,
+            &mut stored.free_out_mask,
         ] {
             for mask in masks.iter_mut() {
                 *mask = r.read_u64()?;
             }
         }
-        self.routing_pending = r.read_u32()?;
-        self.va_pending = r.read_u32()?;
-        self.class_masks[0] = r.read_u64()?;
-        self.class_masks[1] = r.read_u64()?;
-        self.activity.load_state(r)?;
-        let buffered = r.read_usize()?;
-        let actual: usize = self.inputs.iter().map(|input| input.buffer.len()).sum();
-        if buffered != actual {
-            return Err(SnapshotError::Corrupt("router buffered-flit count"));
+        stored.routing_pending = r.read_u32()?;
+        stored.va_pending = r.read_u32()?;
+        // The class partition follows from the configuration the router was
+        // built from; the stored copy can only confirm it.
+        if [r.read_u64()?, r.read_u64()?] != self.class_masks {
+            return Err(SnapshotError::Corrupt("router VC class masks"));
         }
-        self.buffered = buffered;
+        self.activity.load_state(r)?;
+        stored.buffered = r.read_usize()?;
+
+        let (derived, owners) = self.derive().map_err(SnapshotError::Corrupt)?;
+        stored.nonempty = derived.nonempty;
+        stored.credit_ok = derived.credit_ok;
+        if stored != derived {
+            return Err(SnapshotError::Corrupt("router masks disagree with the per-VC state"));
+        }
+        for (output, owner) in self.outputs.iter_mut().zip(owners) {
+            output.owner = owner;
+        }
+        self.derived = derived;
         Ok(())
     }
 }
@@ -940,6 +1121,7 @@ mod tests {
         router.sa_st_stage(&mut out);
         router.va_stage();
         router.rc_stage(mesh, routing);
+        router.debug_check_derived();
         out
     }
 
@@ -1288,7 +1470,13 @@ mod tests {
                 let mut out = TraversalOutput::default();
                 self.routers[i].sa_st_stage(&mut out);
                 self.routers[i].va_stage();
-                self.routers[i].rc_stage_blocked(&self.topo, routing, self.blocked[i]);
+                self.routers[i].rc_stage_blocked(
+                    &self.topo,
+                    routing,
+                    self.blocked[i],
+                    routing.route_is_static(),
+                );
+                self.routers[i].debug_check_derived();
                 emitted.extend(out.outgoing);
                 assert!(out.ejected.is_empty(), "harness packets never eject");
             }
@@ -1305,7 +1493,13 @@ mod tests {
                 let mut out = TraversalOutput::default();
                 self.routers[i].sa_st_stage(&mut out);
                 self.routers[i].va_stage();
-                self.routers[i].rc_stage_blocked(&self.topo, routing, self.blocked[i]);
+                self.routers[i].rc_stage_blocked(
+                    &self.topo,
+                    routing,
+                    self.blocked[i],
+                    routing.route_is_static(),
+                );
+                self.routers[i].debug_check_derived();
                 outs.push(out);
             }
             let mut moved = 0u64;
@@ -1435,6 +1629,59 @@ mod tests {
             h.feed(6, Direction::South, o.flit.vc, o.flit);
         }
         h
+    }
+
+    #[test]
+    fn adaptive_head_parked_in_vc_allocation_reroutes_when_a_fault_appears() {
+        // RC leaves a parked head alone only for algorithms that declare
+        // their route static. A minimal-adaptive head waiting for an output
+        // VC must keep re-selecting: when a fault blocks the port it was
+        // parked on, the very next RC moves it to another one.
+        let routing = MinimalAdaptive::new();
+        assert!(!routing.route_is_static());
+        let cfg = adaptive_config();
+        let topo = Topology::mesh(4, 4);
+        let mut router = Router::new(5, &cfg);
+        router.split_vc_classes();
+        let (east, south) = (Direction::East.index(), Direction::South.index());
+        let pump = |router: &mut Router, blocked: u8| {
+            let mut emitted = Vec::new();
+            for _ in 0..4 {
+                let mut out = TraversalOutput::default();
+                router.sa_st_stage(&mut out);
+                router.va_stage();
+                router.rc_stage_blocked(&topo, &routing, blocked, routing.route_is_static());
+                router.debug_check_derived();
+                emitted.extend(out.outgoing.iter().map(|o| (o.out_port, o.flit.vc)));
+            }
+            emitted
+        };
+        // Three fillers pin every output VC the head could be given (their
+        // heads leave, their tails never come): East's adaptive VC, South's
+        // adaptive VC, and — entering on the escape class from the West —
+        // East's escape VC.
+        for (id, port, vc, dst, pinned) in [
+            (90, Direction::Local, 1, 7usize, (east, 1u8)),
+            (91, Direction::North, 1, 13, (south, 1)),
+            (92, Direction::West, 0, 7, (east, 0)),
+        ] {
+            let mut head = Flit::packet(PacketId::new(id), 4, dst, 6, 0, 0.0)[0];
+            head.vc = vc;
+            router.accept_flit(port.index(), head);
+            assert_eq!(pump(&mut router, 0), vec![pinned], "filler {id}");
+        }
+        // The head under test wants node 10 (one hop east, one south). Both
+        // adaptive VCs are taken, so it is offered the escape hop East —
+        // whose VC is taken too — and parks there.
+        let head = Flit::packet(PacketId::new(1), 5, 10, 6, 0, 0.0)[0];
+        router.accept_flit(LOCAL_PORT, head);
+        assert!(pump(&mut router, 0).is_empty());
+        assert_eq!(router.input_vc_state(LOCAL_PORT, 0), VcState::VcAllocation);
+        assert_eq!(router.input_vc_route(LOCAL_PORT, 0), (Some(east), None));
+        // The East link fails while it waits: it moves to the South port.
+        assert!(pump(&mut router, 1u8 << east).is_empty());
+        assert_eq!(router.input_vc_state(LOCAL_PORT, 0), VcState::VcAllocation);
+        assert_eq!(router.input_vc_route(LOCAL_PORT, 0), (Some(south), None));
     }
 
     #[test]

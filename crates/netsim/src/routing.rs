@@ -74,6 +74,19 @@ pub trait RoutingAlgorithm: Debug + Send + Sync {
         (self.route(topo, current, dst), self.next_vc_class(topo, src, current, dst))
     }
 
+    /// Whether [`route_around`](Self::route_around) is a pure function of
+    /// `(src, current, dst)` — it ignores the input port and class, the
+    /// blocked ports and the adaptive-VC availability.
+    ///
+    /// The router computes such a route once, when the head flit arrives,
+    /// instead of again every cycle the head waits for an output VC. The
+    /// default is `false`, which is always safe; the dimension-ordered
+    /// algorithms return `true`. An algorithm that overrides `route_around`
+    /// to look at any of its context arguments must leave this `false`.
+    fn route_is_static(&self) -> bool {
+        false
+    }
+
     /// Whether the router must split its virtual channels into an escape
     /// class (class 0) and an adaptive class (class 1) on *every* topology.
     ///
@@ -207,6 +220,10 @@ impl RoutingAlgorithm for XyRouting {
             0
         }
     }
+
+    fn route_is_static(&self) -> bool {
+        true
+    }
 }
 
 /// Dimension-ordered routing that corrects Y first, then X.
@@ -261,6 +278,10 @@ impl RoutingAlgorithm for YxRouting {
         } else {
             0
         }
+    }
+
+    fn route_is_static(&self) -> bool {
+        true
     }
 }
 
@@ -849,6 +870,49 @@ mod tests {
         }
         assert!(!xy.wants_escape_classes());
         assert!(MinimalAdaptive::new().wants_escape_classes());
+    }
+
+    #[test]
+    fn static_routes_ignore_every_context_argument() {
+        // The premise of `route_is_static`: the router computes such a route
+        // once and never again while the head waits, so the answer must not
+        // depend on anything that can change meanwhile (`blocked`,
+        // `adaptive_full`) or that RC reads off the waiting VC (`in_port`,
+        // `in_class`). Every blocked × adaptive_full pair is tried for every
+        // (src, current, dst); the input port and class cycle through their
+        // ten combinations inside each pair's sweep.
+        let xy = XyRouting::new();
+        let yx = YxRouting::new();
+        assert!(xy.route_is_static() && yx.route_is_static());
+        assert!(!MinimalAdaptive::new().route_is_static());
+        let algorithms: [&dyn RoutingAlgorithm; 2] = [&xy, &yx];
+        let topologies = [
+            Topology::mesh(4, 4),
+            Topology::torus(4, 4),
+            Topology::mesh(5, 3),
+            Topology::torus(5, 3),
+        ];
+        for topo in &topologies {
+            let n = topo.node_count();
+            for routing in algorithms {
+                for (src, current, dst) in
+                    (0..n * n * n).map(|i| (i / (n * n), i / n % n, i % n))
+                {
+                    let expected = (
+                        routing.route(topo, current, dst),
+                        routing.next_vc_class(topo, src, current, dst),
+                    );
+                    for context in 0..256 * 16usize {
+                        let (blocked, adaptive_full) = ((context >> 4) as u8, (context & 15) as u8);
+                        let (in_port, in_class) = (context % 5, (context / 5 % 2) as u8);
+                        let got = routing.route_around(
+                            topo, src, current, dst, in_port, in_class, blocked, adaptive_full,
+                        );
+                        assert_eq!(got, expected, "{topo}: {src} -> {dst} at {current}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

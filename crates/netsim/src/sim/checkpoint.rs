@@ -229,8 +229,9 @@ impl NocSimulation {
         self.next_packet_id = r.read_u64()?;
 
         r.expect_tag(snap_tags::ROUTERS)?;
+        let nodes = self.topo.node_count();
         for router in &mut self.routers {
-            router.load_state(r)?;
+            router.load_state(r, nodes)?;
         }
 
         r.expect_tag(snap_tags::SOURCES)?;

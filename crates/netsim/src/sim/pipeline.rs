@@ -44,6 +44,8 @@ pub(super) struct PipelineView<'a> {
     fencing: bool,
     topo: &'a Topology,
     routing: &'a dyn RoutingAlgorithm,
+    /// [`RoutingAlgorithm::route_is_static`], asked once per tick.
+    static_route: bool,
     neighbor_table: &'a NeighborTable,
     faults: Option<&'a FaultState>,
 }
@@ -62,6 +64,7 @@ impl<'a> PipelineView<'a> {
             fencing: tick.gate_fencing || tick.fault_block,
             topo,
             routing,
+            static_route: routing.route_is_static(),
             neighbor_table,
             faults,
         }
@@ -129,11 +132,14 @@ pub(super) fn tick_router(
         lanes.credit_out[credit.in_port].send(view.now, credit.vc);
     }
     router.va_stage();
-    router.rc_stage_blocked(view.topo, view.routing, fault_ports);
+    router.rc_stage_blocked(view.topo, view.routing, fault_ports, view.static_route);
     if let Some(probe) = lanes.probe {
         // Read-only probe of the traversal output and post-stage stall
         // state, at the same pipeline point under every driver.
         probe.record(out, fence, router);
+    }
+    if cfg!(debug_assertions) {
+        router.debug_check_derived();
     }
     if router.is_quiescent() {
         Visit::Drained

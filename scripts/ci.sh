@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, the complete test suite (once — it
-# covers every engine mode in-process), the benchmark package's tests, docs,
-# and clippy with warnings promoted to errors. Run before every push.
+# The full local CI gate: release build (with and without the simulator's
+# default features), the complete test suite (once — it covers every engine
+# mode in-process), the benchmark package's tests, docs, and clippy with
+# warnings promoted to errors. Run before every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
+
+# The simulator without its default `snapshot` feature: the router's
+# rebuild-from-per-VC-state code is shared by the checkpoint restore (feature
+# on) and the debug invariant check (always), so the minimal build is where
+# a line on the wrong side of that boundary stops compiling.
+echo "==> cargo build --release --offline --no-default-features -p noc-sim"
+cargo build --release --offline --no-default-features -p noc-sim
 
 # The property suites (tests/{routing,traffic,simulator,policy}_properties.rs
 # and tests/sparse_equivalence.rs) run as part of the workspace test pass
@@ -37,5 +45,8 @@ cargo test -q --doc
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --offline --no-default-features -p noc-sim -- -D warnings"
+cargo clippy --offline --no-default-features -p noc-sim -- -D warnings
 
 echo "CI gate passed."
