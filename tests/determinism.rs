@@ -1,6 +1,6 @@
 //! Determinism contract of the simulator and the sweep engine.
 //!
-//! Two guarantees are pinned here:
+//! Three guarantees are pinned here:
 //!
 //! 1. **Golden windows** — the exact [`WindowMeasurement`] sequence of the
 //!    4×4 baseline scenario `(config, uniform traffic, seed 2015)` is checked
@@ -16,11 +16,19 @@
 //!    bit-identical [`OperatingPointResult`]s whether the `(policy × load)`
 //!    grid runs on one thread or across all cores, because every operating
 //!    point is an independent simulation with an explicit seed.
+//! 3. **Golden closed-loop points** — `to_bits` of power, delay, frequency
+//!    and Vdd of the control loop on the 4×4 baseline, for the default
+//!    single-island partition (through both `run_operating_point` and
+//!    `run_operating_point_islands`: global DVFS is the one-island case),
+//!    for quadrant islands, and for break-even-aware gating.
 
 use noc_dvfs::experiments::{compare_policies_synthetic, ExperimentQuality};
 use noc_dvfs::scenario::{scenario_grid, sweep_scenario, sweep_scenario_serial};
 use noc_dvfs::sweep::{sweep_policies, sweep_policies_serial};
-use noc_dvfs::{ClosedLoopConfig, PolicyKind, RmsdConfig};
+use noc_dvfs::{
+    run_operating_point, run_operating_point_gated, run_operating_point_islands, BreakEvenConfig,
+    ClosedLoopConfig, DmsdConfig, GatingPolicyKind, OperatingPointResult, PolicyKind, RmsdConfig,
+};
 use noc_sim::{
     BurstyTraffic, NetworkConfig, NocSimulation, RegionLayout, SyntheticTraffic, TrafficPattern,
     TrafficSpec,
@@ -335,4 +343,280 @@ fn figure_driver_is_deterministic_across_invocations() {
     let a = compare_policies_synthetic("parity", &net, TrafficPattern::Uniform, &quality, None);
     let b = compare_policies_synthetic("parity", &net, TrafficPattern::Uniform, &quality, None);
     assert_eq!(a, b);
+}
+
+/// One pinned closed-loop operating point: `to_bits` of the four averages a
+/// figure reads plus the delivered-packet count.
+#[derive(Debug, PartialEq)]
+struct GoldenPoint {
+    power_mw: u64,
+    avg_delay_ns: u64,
+    avg_frequency_ghz: u64,
+    avg_vdd: u64,
+    packets_delivered: u64,
+}
+
+impl GoldenPoint {
+    fn of(p: &OperatingPointResult) -> Self {
+        GoldenPoint {
+            power_mw: p.power_mw.to_bits(),
+            avg_delay_ns: p.avg_delay_ns.to_bits(),
+            avg_frequency_ghz: p.avg_frequency_ghz.to_bits(),
+            avg_vdd: p.avg_vdd.to_bits(),
+            packets_delivered: p.packets_delivered,
+        }
+    }
+}
+
+/// `[power_mw, avg_delay_ns]`, `[avg_frequency_ghz, avg_vdd]` (all `to_bits`)
+/// and the packet count of one golden point.
+const fn golden(power_delay: [u64; 2], freq_vdd: [u64; 2], packets_delivered: u64) -> GoldenPoint {
+    GoldenPoint {
+        power_mw: power_delay[0],
+        avg_delay_ns: power_delay[1],
+        avg_frequency_ghz: freq_vdd[0],
+        avg_vdd: freq_vdd[1],
+        packets_delivered,
+    }
+}
+
+/// Loads of the closed-loop golden grid: `baseline_4x4`,
+/// `ClosedLoopConfig::quick()`, seed 2015, uniform traffic, policy-major over
+/// [`golden_loop_policies`] at these two loads. The light load gates under
+/// `BreakEvenAware`; the heavier one makes RMSD and DMSD leave the frequency
+/// floor and the quadrant islands diverge.
+const GOLDEN_LOOP_LOADS: [f64; 2] = [0.04, 0.12];
+
+fn golden_loop_policies() -> [PolicyKind; 3] {
+    [
+        PolicyKind::NoDvfs,
+        PolicyKind::Rmsd(RmsdConfig::with_lambda_max(0.3)),
+        PolicyKind::Dmsd(DmsdConfig::with_target_ns(45.0)),
+    ]
+}
+
+/// Calls `check(index, traffic, policy)` for every point of the golden grid,
+/// in the order the constant tables below are written.
+fn for_each_golden_loop_point(mut check: impl FnMut(usize, Box<dyn TrafficSpec>, PolicyKind)) {
+    let mut index = 0;
+    for policy in golden_loop_policies() {
+        for load in GOLDEN_LOOP_LOADS {
+            let traffic = SyntheticTraffic::new(TrafficPattern::Uniform, load, 5);
+            check(index, Box::new(traffic), policy.clone());
+            index += 1;
+        }
+    }
+}
+
+/// Golden closed-loop points on the default single-island partition.
+const GOLDEN_LOOP_WHOLE: [GoldenPoint; 6] = [
+    // No-DVFS @ 0.04
+    golden(
+        [0x40480395810624dd, 0x4032af673e63e9cc],
+        [0x3ff0000000000000, 0x3feccccccccccccd],
+        1153,
+    ),
+    // No-DVFS @ 0.12
+    golden(
+        [0x40510e3b58b37eee, 0x40341db80c836396],
+        [0x3ff0000000000000, 0x3feccccccccccccd],
+        3437,
+    ),
+    // RMSD @ 0.04
+    golden(
+        [0x4023a34991adf07e, 0x404da272511cc78d],
+        [0x3fd54fdf3b645a1d, 0x3fe1eb851eb851ec],
+        1158,
+    ),
+    // RMSD @ 0.12
+    golden(
+        [0x4034ea166d235d1d, 0x404d38d8d5eed7f5],
+        [0x3fd9ac46920ac9dc, 0x3fe301a5d262cb66],
+        3475,
+    ),
+    // DMSD @ 0.04
+    golden(
+        [0x4031d9711856460e, 0x40422c5f42593d46],
+        [0x3fe14f7f4f400424, 0x3fe53ac08868b3c2],
+        1184,
+    ),
+    // DMSD @ 0.12
+    golden(
+        [0x403e89d309dd9c22, 0x40429808f0796ba7],
+        [0x3fe246a4853c6c75, 0x3fe5b6196b75297b],
+        3471,
+    ),
+];
+
+/// Golden closed-loop points under per-island control on
+/// `RegionLayout::Quadrants`: the aggregate plus each island's time-averaged
+/// frequency (`residency.avg_frequency_ghz().to_bits()`).
+const GOLDEN_LOOP_QUADRANTS: [(GoldenPoint, [u64; 4]); 6] = [
+    // No-DVFS @ 0.04
+    (
+        golden(
+            [0x40480395810624dd, 0x4032af673e63e9cc],
+            [0x3ff0000000000000, 0x3feccccccccccccd],
+            1153,
+        ),
+        [0x3ff0000000000000, 0x3ff0000000000000,
+         0x3ff0000000000000, 0x3ff0000000000000],
+    ),
+    // No-DVFS @ 0.12
+    (
+        golden(
+            [0x40510e3b58b37eee, 0x40341db80c836396],
+            [0x3ff0000000000000, 0x3feccccccccccccd],
+            3437,
+        ),
+        [0x3ff0000000000000, 0x3ff0000000000000,
+         0x3ff0000000000000, 0x3ff0000000000000],
+    ),
+    // RMSD @ 0.04
+    (
+        golden(
+            [0x4023a34991adf07e, 0x404da272511cc78d],
+            [0x3fd54fdf3b645a1d, 0x3fe1eb851eb851ec],
+            1158,
+        ),
+        [0x3fd54fdf3b645a1d, 0x3fd54fdf3b645a1d,
+         0x3fd54fdf3b645a1d, 0x3fd54fdf3b645a1d],
+    ),
+    // RMSD @ 0.12
+    (
+        golden(
+            [0x4034e6039293351c, 0x404c8d90d3d571fe],
+            [0x3fd9b0b3bd3927ac, 0x3fe302a952fcb666],
+            3474,
+        ),
+        [0x3fda0c2db3e36976, 0x3fd9a1dec3e6e9c3,
+         0x3fd834536b6212ab, 0x3fdae06f11b838d3],
+    ),
+    // DMSD @ 0.04
+    (
+        golden(
+            [0x4031c780039173db, 0x404218ca4afb9f27],
+            [0x3fe1451303fb675e, 0x3fe5358f0f1f17ff],
+            1182,
+        ),
+        [0x3fe146882a23a14b, 0x3fe1207b7487820e,
+         0x3fe1545f52692965, 0x3fe158e91ed950bd],
+    ),
+    // DMSD @ 0.12
+    (
+        golden(
+            [0x403e79f120192004, 0x4042a1ba8ae8b585],
+            [0x3fe2432e41449fde, 0x3fe5b45ef00501f5],
+            3474,
+        ),
+        [0x3fe26bd9c794438c, 0x3fe226edeb72728c,
+         0x3fe2453f7faafe2b, 0x3fe234b1d260cb32],
+    ),
+];
+
+/// Golden closed-loop points under `BreakEvenAware` gating on the default
+/// partition: the aggregate plus `gated_fraction().to_bits()`.
+const GOLDEN_LOOP_GATED: [(GoldenPoint, u64); 6] = [
+    // No-DVFS @ 0.04
+    (
+        golden(
+            [0x4045e607f84bbebc, 0x403d458e38e38e39],
+            [0x3ff0000000000000, 0x3feccccccccccccd],
+            1152,
+        ),
+        0x3fd518cdb5d11fa1,
+    ),
+    // No-DVFS @ 0.12
+    (
+        golden(
+            [0x40510e3b58b37eee, 0x40341db80c836396],
+            [0x3ff0000000000000, 0x3feccccccccccccd],
+            3437,
+        ),
+        0x0000000000000000,
+    ),
+    // RMSD @ 0.04
+    (
+        golden(
+            [0x4023a34991adf07e, 0x404da272511cc78d],
+            [0x3fd54fdf3b645a1d, 0x3fe1eb851eb851ec],
+            1158,
+        ),
+        0x0000000000000000,
+    ),
+    // RMSD @ 0.12
+    (
+        golden(
+            [0x4034ea166d235d1d, 0x404d38d8d5eed7f5],
+            [0x3fd9ac46920ac9dc, 0x3fe301a5d262cb66],
+            3475,
+        ),
+        0x0000000000000000,
+    ),
+    // DMSD @ 0.04
+    (
+        golden(
+            [0x403b86a31b60d52e, 0x4042e39986fe22ac],
+            [0x3fe75ad2ec26774d, 0x3fe84676b93da187],
+            1166,
+        ),
+        0x3fccce6be35022ec,
+    ),
+    // DMSD @ 0.12
+    (
+        golden(
+            [0x403e58babe2d1790, 0x4042a5d18ded8ca4],
+            [0x3fe2387dec7bcb0e, 0x3fe5af06ee0e60b9],
+            3472,
+        ),
+        0x0000000000000000,
+    ),
+];
+
+#[test]
+fn golden_closed_loop_points_on_the_default_partition_are_stable() {
+    // Global DVFS is the one-island case: `run_operating_point` and the
+    // aggregate of `run_operating_point_islands` must hit the same constants.
+    let net = baseline_4x4();
+    let cfg = ClosedLoopConfig::quick();
+    for_each_golden_loop_point(|i, traffic, policy| {
+        let p = run_operating_point(&net, traffic, policy, &cfg, 2015);
+        assert_eq!(GoldenPoint::of(&p), GOLDEN_LOOP_WHOLE[i], "run_operating_point, point {i}");
+    });
+    for_each_golden_loop_point(|i, traffic, policy| {
+        let p = run_operating_point_islands(&net, traffic, policy, &cfg, 2015);
+        assert_eq!(p.islands.len(), 1);
+        assert_eq!(
+            GoldenPoint::of(&p.aggregate),
+            GOLDEN_LOOP_WHOLE[i],
+            "run_operating_point_islands aggregate, point {i}"
+        );
+    });
+}
+
+#[test]
+fn golden_closed_loop_points_on_quadrant_islands_are_stable() {
+    let net = baseline_4x4().to_builder().regions(RegionLayout::Quadrants).build().unwrap();
+    let cfg = ClosedLoopConfig::quick();
+    for_each_golden_loop_point(|i, traffic, policy| {
+        let p = run_operating_point_islands(&net, traffic, policy, &cfg, 2015);
+        let (aggregate, island_freqs) = &GOLDEN_LOOP_QUADRANTS[i];
+        assert_eq!(&GoldenPoint::of(&p.aggregate), aggregate, "aggregate, point {i}");
+        let freqs: Vec<u64> =
+            p.islands.iter().map(|s| s.residency.avg_frequency_ghz().to_bits()).collect();
+        assert_eq!(freqs, island_freqs, "island frequencies, point {i}");
+    });
+}
+
+#[test]
+fn golden_gated_closed_loop_points_are_stable() {
+    let net = baseline_4x4();
+    let cfg = ClosedLoopConfig::quick();
+    let gating = GatingPolicyKind::BreakEvenAware(BreakEvenConfig::new());
+    for_each_golden_loop_point(|i, traffic, policy| {
+        let p = run_operating_point_gated(&net, traffic, policy, gating, &cfg, 2015);
+        let (aggregate, gated_fraction) = &GOLDEN_LOOP_GATED[i];
+        assert_eq!(&GoldenPoint::of(&p.aggregate), aggregate, "aggregate, point {i}");
+        assert_eq!(p.gated_fraction().to_bits(), *gated_fraction, "gated fraction, point {i}");
+    });
 }
