@@ -2,10 +2,8 @@
 //!
 //! This crate turns the experiment drivers of [`noc_dvfs::experiments`] into
 //! printable tables: one table (or set of tables) per figure of the paper.
-//! The `figures` binary is the entry point used to populate `EXPERIMENTS.md`;
-//! the Criterion benches under `benches/` time representative slices of each
-//! experiment so that performance regressions of the simulator itself are
-//! caught.
+//! The `figures` binary is the entry point used to populate `EXPERIMENTS.md`.
+//! Timing lives elsewhere: `benchmark/run.sh` is the repository's benchmark.
 //!
 //! ```no_run
 //! use noc_bench::render_comparison;

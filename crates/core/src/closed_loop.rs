@@ -7,9 +7,16 @@
 //! voltage), then report the average latency, delay, power and frequency over
 //! the measurement phase.
 
-use crate::policy::{ControlMeasurement, PolicyKind};
-use noc_power::{model::EnergyBreakdown, DegradedModeReport, FdsoiTech, RouterPowerModel};
-use noc_sim::{Hertz, NetworkConfig, NocSimulation, TrafficSpec};
+use crate::gating::{break_even_cycles, GatingPolicyKind, DEFAULT_WAKEUP_LATENCY};
+use crate::island::{IslandSummary, MultiIslandController};
+use crate::policy::PolicyKind;
+use noc_power::{
+    model::EnergyBreakdown, DegradedModeReport, FdsoiTech, FrequencyResidency, GatingResidency,
+    RouterPowerModel, Volts,
+};
+use noc_sim::{
+    GatingConfig, Hertz, NetworkConfig, NocSimulation, TrafficSpec, WindowMeasurement,
+};
 use serde::{Deserialize, Serialize};
 
 /// Timing parameters of the closed control loop.
@@ -126,16 +133,14 @@ pub struct OperatingPointResult {
 }
 
 impl OperatingPointResult {
-    /// Energy per delivered flit in picojoules (power × time / flits), a
-    /// convenient scalar for ablation tables.
-    pub fn energy_per_flit_pj(&self) -> f64 {
+    /// Energy per delivered packet in picojoules (power × time / packets),
+    /// a convenient scalar for ablation tables.
+    pub fn energy_per_packet_pj(&self) -> f64 {
         if self.packets_delivered == 0 {
             return 0.0;
         }
-        let energy_pj = self.power_mw * self.measurement_wall_ns; // mW·ns = pJ
-        let flits = self.throughput.max(f64::MIN_POSITIVE); // flits/cycle/node
-        let _ = flits;
-        energy_pj / (self.packets_delivered as f64)
+        // mW · ns = pJ
+        self.power_mw * self.measurement_wall_ns / (self.packets_delivered as f64)
     }
 }
 
@@ -154,8 +159,8 @@ pub fn degraded_mode_report(
         flits_dropped: faulted.flits_dropped,
         avg_latency_cycles: faulted.avg_latency_cycles,
         fault_free_latency_cycles: fault_free.avg_latency_cycles,
-        energy_per_flit_pj: faulted.energy_per_flit_pj(),
-        fault_free_energy_per_flit_pj: fault_free.energy_per_flit_pj(),
+        energy_per_packet_pj: faulted.energy_per_packet_pj(),
+        fault_free_energy_per_packet_pj: fault_free.energy_per_packet_pj(),
     }
 }
 
@@ -167,9 +172,12 @@ pub fn degraded_mode_report(
 /// * `loop_cfg` — control-loop timing (see [`ClosedLoopConfig`]);
 /// * `seed` — RNG seed making the run reproducible.
 ///
-/// This is the single-clock (global DVFS) loop of the paper; for per-island
-/// control over a partitioned network see
-/// [`run_operating_point_islands`](crate::run_operating_point_islands).
+/// The loop drives `net`'s voltage-frequency island partition. On the default
+/// single-island partition that is the single-clock (global DVFS) loop of the
+/// paper; on a partitioned network every island runs its own instance of
+/// `policy` and this function returns the network-level aggregate —
+/// [`run_operating_point_islands`](crate::run_operating_point_islands)
+/// returns the per-island detail of the same run.
 ///
 /// ```
 /// use noc_dvfs::{run_operating_point, ClosedLoopConfig, PolicyKind, RmsdConfig};
@@ -205,32 +213,113 @@ pub fn run_operating_point(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> OperatingPointResult {
+    run_loop(net, traffic, policy, None, loop_cfg, seed).aggregate
+}
+
+/// Everything one run of the control loop measures: the network-level
+/// operating point, one summary per island and, on a gated run, the gating
+/// residency. The three public entry points each return the part they name.
+pub(crate) struct LoopResult {
+    pub(crate) aggregate: OperatingPointResult,
+    pub(crate) islands: Vec<IslandSummary>,
+    pub(crate) gating: Option<GatingResidency>,
+}
+
+/// **The** closed control loop: run a window, measure, let every island's
+/// policy instance pick its next frequency, price the window.
+///
+/// The loop always drives `net`'s region partition — one controller, one
+/// `(frequency, Vdd)` level and one residency record per island — and global
+/// DVFS is its one-island case, bit for bit what the historical single-clock
+/// loop computed: the island's clock divider is `f / f == 1.0` exactly, its
+/// node weight in the frequency/Vdd averages is `n / n == 1.0`, and
+/// [`RouterPowerModel::island_energy`] folds the routers in the order
+/// [`RouterPowerModel::network_energy`] does.
+///
+/// With `gating` set the same control update also re-derives every island's
+/// idle threshold and the measurement phase accumulates a
+/// [`GatingResidency`]; a network that left gating off has it enabled with
+/// the policy's initial threshold and [`DEFAULT_WAKEUP_LATENCY`], one that
+/// configures its own [`GatingConfig`] is used as-is.
+pub(crate) fn run_loop(
+    net: &NetworkConfig,
+    traffic: Box<dyn TrafficSpec>,
+    policy: PolicyKind,
+    gating: Option<GatingPolicyKind>,
+    loop_cfg: &ClosedLoopConfig,
+    seed: u64,
+) -> LoopResult {
     loop_cfg.validate();
     let offered_load = traffic.offered_load();
     let tech = FdsoiTech::new();
     let power_model = RouterPowerModel::new();
-    let mut sim = NocSimulation::new(net.clone(), traffic, seed);
-    let mut controller = policy.build(net);
+    let net = match gating {
+        Some(kind) if !net.gating().is_enabled() => net
+            .to_builder()
+            .gating(GatingConfig::enabled(
+                kind.initial_threshold(&power_model, &tech, net),
+                DEFAULT_WAKEUP_LATENCY,
+            ))
+            .build()
+            .expect("enabling gating preserves config validity"),
+        _ => net.clone(),
+    };
+    let region_map = net.region_map();
+    let island_of = region_map.assignments();
+    let node_counts = region_map.node_counts();
+    let island_count = node_counts.len();
+    let mut controller = MultiIslandController::new(&policy, &net);
+    let mut gating_residency = gating.map(|_| GatingResidency::new(island_of.to_vec()));
 
     // The control period is fixed in wall-clock time: `control_period_cycles`
-    // cycles of the fastest clock.
-    let period_ps = loop_cfg.control_period_cycles as f64 * net.max_frequency().period().as_ps();
+    // cycles of the fastest clock. Interval lengths are counted in base
+    // ticks, whose rate is the fastest island's current frequency.
+    let max_frequency = net.max_frequency();
+    let period_ps = loop_cfg.control_period_cycles as f64 * max_frequency.period().as_ps();
+    let mut sim = NocSimulation::new(net, traffic, seed);
+    sim.set_noc_frequency(max_frequency);
 
-    let mut frequency = net.max_frequency();
-    sim.set_noc_frequency(frequency);
+    // One control update, the only place the loop re-tunes the network.
+    // Every island's controller reads its own window; the frequency vector is
+    // applied atomically (a per-island loop of `set_island_frequency` calls
+    // would pass through transient base rates and could spuriously reset an
+    // untouched island's clock divider); a gated run then re-derives each
+    // island's idle threshold against the break-even time at the frequency
+    // it is *about to run at*. Returns the largest relative frequency change
+    // over the islands, which the settle check reads.
+    let retune = |sim: &mut NocSimulation,
+                  controller: &mut MultiIslandController,
+                  windows: &[WindowMeasurement]| {
+        let before = controller.frequencies().to_vec();
+        let next = controller.next_frequencies(windows);
+        sim.set_island_frequencies(next);
+        if let Some(kind) = gating {
+            for (island, window) in windows.iter().enumerate() {
+                let break_even = break_even_cycles(&power_model, &tech, next[island]);
+                let threshold = kind.next_threshold(window, node_counts[island], break_even);
+                sim.set_island_idle_threshold(island, threshold);
+            }
+        }
+        before
+            .iter()
+            .zip(next)
+            .map(|(b, n)| (n.as_hz() - b.as_hz()).abs() / b.as_hz())
+            .fold(0.0, f64::max)
+    };
 
     // Warm-up: run the loop but discard the measurements. After the fixed
-    // warm-up intervals, keep going (up to `max_settle_intervals`) until the
-    // controller's output frequency stabilises, so that the measurement phase
-    // captures steady-state behaviour (what the paper reports).
+    // warm-up intervals, keep going (up to `max_settle_intervals`) until every
+    // island's controller output is stable over three consecutive intervals,
+    // so that the measurement phase captures steady-state behaviour (what the
+    // paper reports).
     let mut stable_checks = 0;
     for interval in 0..(loop_cfg.warmup_intervals + loop_cfg.max_settle_intervals) {
         if interval >= loop_cfg.warmup_intervals && stable_checks >= 3 {
             break;
         }
-        let cycles = interval_cycles(period_ps, frequency);
-        sim.run_cycles(cycles);
-        let window = sim.take_window();
+        sim.run_cycles(interval_cycles(period_ps, sim.noc_frequency()));
+        let _ = sim.take_window();
+        let windows = sim.take_island_windows();
         // Warm-up windows are discarded: reset the activity counters in
         // place instead of materialising a per-router vector only to drop
         // it. Together with the simulator's sparse stepping (quiescent
@@ -238,44 +327,62 @@ pub fn run_operating_point(
         // model's idle-router fast path, this keeps the controller's
         // between-window overhead proportional to traffic, not network size.
         sim.reset_activity();
-        let measurement = ControlMeasurement {
-            window,
-            node_count: sim.node_count(),
-            current_frequency: frequency,
-        };
-        let next = controller.next_frequency(&measurement);
-        let relative_change = (next.as_hz() - frequency.as_hz()).abs() / frequency.as_hz();
-        if relative_change <= loop_cfg.settle_tolerance {
+        if retune(&mut sim, &mut controller, &windows) <= loop_cfg.settle_tolerance {
             stable_checks += 1;
         } else {
             stable_checks = 0;
         }
-        frequency = next;
-        sim.set_noc_frequency(frequency);
     }
 
     // Measurement phase.
     sim.reset_stats();
+    let mut residencies = vec![FrequencyResidency::new(); island_count];
     let mut energy = EnergyBreakdown::default();
-    let mut freq_time_product = 0.0; // Hz · ps
-    let mut vdd_time_product = 0.0; // V · ps
+    let mut freq_time_product = 0.0; // Hz · ps, node-weighted across islands
+    let mut vdd_time_product = 0.0; // V · ps, node-weighted across islands
     let mut total_wall_ps = 0.0;
     let mut flits_generated = 0u64;
     let mut flits_ejected = 0u64;
     let mut flits_dropped = 0u64;
     let mut node_cycles = 0u64;
     let mut noc_cycles = 0u64;
+    let mut island_flits_generated = vec![0u64; island_count];
+    let mut island_delay_ps = vec![0.0f64; island_count];
+    let mut island_packets = vec![0u64; island_count];
+    let mut island_cycles = vec![0u64; island_count];
+    let total_nodes = sim.node_count() as f64;
 
     for _ in 0..loop_cfg.measure_intervals {
-        let cycles = interval_cycles(period_ps, frequency);
-        sim.run_cycles(cycles);
+        sim.run_cycles(interval_cycles(period_ps, sim.noc_frequency()));
         let window = sim.take_window();
+        let windows = sim.take_island_windows();
         let activity = sim.take_activity();
-        let vdd = tech.vdd_for_frequency(frequency);
-        energy += power_model.network_energy(&activity, frequency, vdd, window.wall_time_ps);
+        let levels: Vec<(Hertz, Volts)> =
+            controller.frequencies().iter().map(|&f| (f, tech.vdd_for_frequency(f))).collect();
 
-        freq_time_product += frequency.as_hz() * window.wall_time_ps;
-        vdd_time_product += vdd.as_volts() * window.wall_time_ps;
+        for (island, &(f, vdd)) in levels.iter().enumerate() {
+            let e = power_model.island_energy(
+                &activity,
+                island_of,
+                island as u32,
+                f,
+                vdd,
+                window.wall_time_ps,
+            );
+            residencies[island].record(f, vdd, window.wall_time_ps, e);
+            energy += e;
+            let weight = node_counts[island] as f64 / total_nodes;
+            freq_time_product += f.as_hz() * weight * window.wall_time_ps;
+            vdd_time_product += vdd.as_volts() * weight * window.wall_time_ps;
+            island_flits_generated[island] += windows[island].flits_generated;
+            island_delay_ps[island] += windows[island].delay_ps_sum;
+            island_packets[island] += windows[island].packets_ejected;
+            island_cycles[island] += windows[island].noc_cycles;
+        }
+        if let Some(residency) = gating_residency.as_mut() {
+            residency.record(&power_model, &activity, &levels, window.wall_time_ps);
+        }
+
         total_wall_ps += window.wall_time_ps;
         flits_generated += window.flits_generated;
         flits_ejected += window.flits_ejected;
@@ -283,57 +390,51 @@ pub fn run_operating_point(
         node_cycles += window.node_cycles;
         noc_cycles += window.noc_cycles;
 
-        let measurement = ControlMeasurement {
-            window,
-            node_count: sim.node_count(),
-            current_frequency: frequency,
-        };
-        frequency = controller.next_frequency(&measurement);
-        sim.set_noc_frequency(frequency);
+        retune(&mut sim, &mut controller, &windows);
     }
 
     let stats = sim.stats();
-    let node_count = sim.node_count() as f64;
-    let measured_rate = if node_cycles > 0 {
-        flits_generated as f64 / (node_cycles as f64 * node_count)
-    } else {
-        0.0
-    };
-    let throughput = if noc_cycles > 0 {
-        flits_ejected as f64 / (noc_cycles as f64 * node_count)
-    } else {
-        0.0
-    };
+    let per = |sum: f64, span: f64| if span > 0.0 { sum / span } else { 0.0 };
     let total_wall_ns = total_wall_ps / 1.0e3;
-
-    OperatingPointResult {
+    let aggregate = OperatingPointResult {
         policy: policy.name().to_string(),
         offered_load,
-        measured_rate,
+        measured_rate: per(flits_generated as f64, node_cycles as f64 * total_nodes),
         avg_latency_cycles: stats.avg_latency_cycles().unwrap_or(0.0),
         avg_delay_ns: stats.avg_delay_ns().unwrap_or(0.0),
         max_delay_ns: stats.max_delay_ps / 1.0e3,
-        power_mw: if total_wall_ns > 0.0 { energy.total_pj() / total_wall_ns } else { 0.0 },
-        dynamic_power_mw: if total_wall_ns > 0.0 { energy.dynamic_pj / total_wall_ns } else { 0.0 },
-        static_power_mw: if total_wall_ns > 0.0 { energy.static_pj / total_wall_ns } else { 0.0 },
-        avg_frequency_ghz: if total_wall_ps > 0.0 {
-            freq_time_product / total_wall_ps / 1.0e9
-        } else {
-            0.0
-        },
-        avg_vdd: if total_wall_ps > 0.0 { vdd_time_product / total_wall_ps } else { 0.0 },
-        throughput,
+        power_mw: per(energy.total_pj(), total_wall_ns),
+        dynamic_power_mw: per(energy.dynamic_pj, total_wall_ns),
+        static_power_mw: per(energy.static_pj, total_wall_ns),
+        avg_frequency_ghz: per(freq_time_product, total_wall_ps) / 1.0e9,
+        avg_vdd: per(vdd_time_product, total_wall_ps),
+        throughput: per(flits_ejected as f64, noc_cycles as f64 * total_nodes),
         packets_delivered: stats.packets,
         measurement_wall_ns: total_wall_ns,
         flits_dropped,
         reachability: sim.reachable_pairs_fraction(),
-    }
+    };
+    let islands = residencies
+        .into_iter()
+        .enumerate()
+        .map(|(island, residency)| IslandSummary {
+            island,
+            nodes: node_counts[island],
+            residency,
+            measured_rate: per(
+                island_flits_generated[island] as f64,
+                node_cycles as f64 * node_counts[island] as f64,
+            ),
+            avg_delay_ns: per(island_delay_ps[island], island_packets[island] as f64) / 1.0e3,
+            domain_cycles: island_cycles[island],
+        })
+        .collect();
+    LoopResult { aggregate, islands, gating: gating_residency }
 }
 
-/// Number of NoC cycles that fit in one control period at frequency `f`
-/// (shared with the per-island loop in [`crate::island`], where `f` is the
-/// base — fastest-island — clock).
-pub(crate) fn interval_cycles(period_ps: f64, f: Hertz) -> u64 {
+/// Number of base-clock cycles that fit in one control period when the base
+/// (fastest-island) clock runs at `f`.
+fn interval_cycles(period_ps: f64, f: Hertz) -> u64 {
     ((period_ps / f.period().as_ps()).round() as u64).max(1)
 }
 

@@ -135,8 +135,35 @@ fn synthetic_factory(
     }
 }
 
+/// The `λ_max` of one synthetic scenario: the paper's margin below the
+/// saturation rate found by one search at the quality's probe budget.
+fn synthetic_lambda_max(
+    net: &NetworkConfig,
+    pattern: TrafficPattern,
+    quality: &ExperimentQuality,
+) -> f64 {
+    PAPER_LAMBDA_MAX_MARGIN
+        * find_saturation_rate(net, pattern, quality.saturation_probe_cycles, quality.seed)
+}
+
+/// Sweeps `policies` over the standard load grid `[0.1 λ_max, λ_max]` of one
+/// synthetic pattern, for a `lambda_max` the caller already searched.
+fn compare_at(
+    label: &str,
+    net: &NetworkConfig,
+    pattern: TrafficPattern,
+    quality: &ExperimentQuality,
+    lambda_max: f64,
+    policies: &[PolicyKind],
+) -> PolicyComparison {
+    let loads = load_grid(0.1 * lambda_max, lambda_max, quality.load_points);
+    let factory = synthetic_factory(pattern, net.packet_length());
+    let curves = sweep_policies(net, &loads, &factory, policies, &quality.loop_cfg, quality.seed);
+    PolicyComparison { label: label.to_string(), lambda_max, curves }
+}
+
 /// Runs a three-policy comparison for one synthetic pattern on one network
-/// configuration. This is the shared engine behind Figs. 2, 4, 6, 7 and 8.
+/// configuration. This is the shared engine behind Figs. 4, 6, 7 and 8.
 pub fn compare_policies_synthetic(
     label: &str,
     net: &NetworkConfig,
@@ -144,15 +171,9 @@ pub fn compare_policies_synthetic(
     quality: &ExperimentQuality,
     policies: Option<Vec<PolicyKind>>,
 ) -> PolicyComparison {
-    let saturation =
-        find_saturation_rate(net, pattern, quality.saturation_probe_cycles, quality.seed);
-    let lambda_max = PAPER_LAMBDA_MAX_MARGIN * saturation;
+    let lambda_max = synthetic_lambda_max(net, pattern, quality);
     let policies = policies.unwrap_or_else(|| standard_policies(lambda_max));
-    let loads = load_grid(0.1 * lambda_max, lambda_max, quality.load_points);
-    let factory = synthetic_factory(pattern, net.packet_length());
-    let curves =
-        sweep_policies(net, &loads, &factory, &policies, &quality.loop_cfg, quality.seed);
-    PolicyComparison { label: label.to_string(), lambda_max, curves }
+    compare_at(label, net, pattern, quality, lambda_max, &policies)
 }
 
 /// Fig. 2: RMSD vs No-DVFS on the baseline 5×5 uniform scenario.
@@ -163,26 +184,11 @@ pub fn compare_policies_synthetic(
 /// peak near `λ_min`.
 pub fn fig2_rmsd_vs_nodvfs(quality: &ExperimentQuality) -> PolicyComparison {
     let net = NetworkConfig::paper_baseline();
-    let saturation = find_saturation_rate(
-        &net,
-        TrafficPattern::Uniform,
-        quality.saturation_probe_cycles,
-        quality.seed,
-    );
-    let lambda_max = PAPER_LAMBDA_MAX_MARGIN * saturation;
-    let policies = vec![
-        PolicyKind::NoDvfs,
-        PolicyKind::Rmsd(RmsdConfig::with_lambda_max(lambda_max)),
-    ];
-    let mut comparison = compare_policies_synthetic(
-        "uniform 5x5 (Fig. 2)",
-        &net,
-        TrafficPattern::Uniform,
-        quality,
-        Some(policies),
-    );
-    comparison.lambda_max = lambda_max;
-    comparison
+    let pattern = TrafficPattern::Uniform;
+    let lambda_max = synthetic_lambda_max(&net, pattern, quality);
+    let policies =
+        [PolicyKind::NoDvfs, PolicyKind::Rmsd(RmsdConfig::with_lambda_max(lambda_max))];
+    compare_at("uniform 5x5 (Fig. 2)", &net, pattern, quality, lambda_max, &policies)
 }
 
 /// Figs. 4 and 6: the full No-DVFS / RMSD / DMSD comparison on the baseline

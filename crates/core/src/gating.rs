@@ -1,35 +1,31 @@
-//! Power-gating policies and combined DVFS + gating control.
+//! Power-gating policies: the second control axis of the closed loop.
 //!
 //! DVFS (the paper's contribution) scales dynamic power with load; power
 //! gating attacks the remaining leakage and clock-tree power of routers that
-//! are *idle*. This module closes the loop at the same per-island
-//! granularity the DVFS controllers use:
+//! are *idle*. Gating is decided at the same per-island granularity, from
+//! the same measurement windows and in the same control update as DVFS:
 //!
 //! * [`GatingPolicyKind`] — how aggressively to sleep: [`ImmediateSleep`]
 //!   (threshold 0), [`IdleThreshold(N)`] (fixed), or [`BreakEvenAware`] —
 //!   sleep only when the predicted idle period exceeds the energy
 //!   break-even time of a sleep/wake transition pair, using the same
 //!   windowed measurements the DVFS policies consume;
-//! * [`CombinedController`] — one DVFS policy instance *and* one gating
-//!   decision per voltage-frequency island, advanced together from the
-//!   per-island measurement windows;
-//! * [`run_operating_point_gated`] — the closed loop: co-simulates the
-//!   network (with its sleep state machines), the combined controller and
-//!   the power model, and reports the aggregate operating point, the
-//!   per-island summaries and the full
-//!   [`GatingResidency`] (time gated, wake
-//!   events, energy saved vs. transition cost).
+//! * [`run_operating_point_gated`] — the closed loop
+//!   ([`crate::closed_loop`]) with a gating policy set: every control update
+//!   re-tunes each island's frequency *and* idle threshold, and the result
+//!   carries the aggregate operating point, the per-island summaries and
+//!   the full [`GatingResidency`] (time gated, wake events, energy saved
+//!   vs. transition cost).
 //!
 //! [`ImmediateSleep`]: GatingPolicyKind::ImmediateSleep
 //! [`IdleThreshold(N)`]: GatingPolicyKind::IdleThreshold
 //! [`BreakEvenAware`]: GatingPolicyKind::BreakEvenAware
 
-use crate::closed_loop::ClosedLoopConfig;
-use crate::island::{run_islands_loop, IslandSummary, MultiIslandController};
+use crate::closed_loop::{run_loop, ClosedLoopConfig, OperatingPointResult};
+use crate::island::IslandSummary;
 use crate::policy::PolicyKind;
-use noc_power::{FdsoiTech, GatingResidency, RouterPowerModel, Volts};
-use crate::closed_loop::OperatingPointResult;
-use noc_sim::{GatingConfig, Hertz, NetworkConfig, TrafficSpec, WindowMeasurement, GATE_NEVER};
+use noc_power::{FdsoiTech, GatingResidency, RouterPowerModel};
+use noc_sim::{Hertz, NetworkConfig, TrafficSpec, WindowMeasurement, GATE_NEVER};
 use serde::{Deserialize, Serialize};
 
 /// Wakeup latency assumed when a gated run enables gating on a network whose
@@ -153,105 +149,6 @@ pub(crate) fn break_even_cycles(model: &RouterPowerModel, tech: &FdsoiTech, f: H
     model.break_even_ps(f, vdd) / f.period().as_ps()
 }
 
-/// The gating half of a combined control update — **the** single
-/// implementation of the threshold rule, shared by [`CombinedController`]
-/// and [`run_operating_point_gated`]: one idle threshold per island,
-/// evaluated with the break-even time at the frequency that island is
-/// *about to run at*.
-fn next_thresholds_into(
-    gating: &GatingPolicyKind,
-    model: &RouterPowerModel,
-    tech: &FdsoiTech,
-    windows: &[WindowMeasurement],
-    node_counts: &[usize],
-    frequencies: &[Hertz],
-    thresholds: &mut [u64],
-) {
-    for (island, window) in windows.iter().enumerate() {
-        let be = break_even_cycles(model, tech, frequencies[island]);
-        thresholds[island] = gating.next_threshold(window, node_counts[island], be);
-    }
-}
-
-/// One DVFS policy instance **and** one gating decision per
-/// voltage-frequency island, advanced together: the combined controller of
-/// the issue's control stack. Each control update consumes the per-island
-/// measurement windows once and produces the frequency vector (via
-/// [`MultiIslandController`]) plus the idle-threshold vector (via
-/// [`GatingPolicyKind::next_threshold`] at each island's *new* operating
-/// point, so the break-even bar always matches the frequency about to run).
-#[derive(Debug)]
-pub struct CombinedController {
-    dvfs: MultiIslandController,
-    gating: GatingPolicyKind,
-    thresholds: Vec<u64>,
-    node_counts: Vec<usize>,
-    model: RouterPowerModel,
-    tech: FdsoiTech,
-}
-
-impl CombinedController {
-    /// Builds the combined controller for `net`'s island partition.
-    pub fn new(policy: &PolicyKind, gating: GatingPolicyKind, net: &NetworkConfig) -> Self {
-        let model = RouterPowerModel::new();
-        let tech = FdsoiTech::new();
-        let node_counts = net.region_map().node_counts().to_vec();
-        let initial = gating.initial_threshold(&model, &tech, net);
-        CombinedController {
-            dvfs: MultiIslandController::new(policy, net),
-            gating,
-            thresholds: vec![initial; node_counts.len()],
-            node_counts,
-            model,
-            tech,
-        }
-    }
-
-    /// Number of islands under control.
-    pub fn island_count(&self) -> usize {
-        self.node_counts.len()
-    }
-
-    /// The most recently chosen frequency per island.
-    pub fn frequencies(&self) -> &[Hertz] {
-        self.dvfs.frequencies()
-    }
-
-    /// The most recently chosen idle threshold per island
-    /// ([`GATE_NEVER`] = the island must not initiate power-downs).
-    pub fn thresholds(&self) -> &[u64] {
-        &self.thresholds
-    }
-
-    /// Advances both control axes from the per-island windows and returns
-    /// `(frequencies, idle thresholds)` for the next interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `windows` does not hold one window per island.
-    pub fn next_controls(&mut self, windows: &[WindowMeasurement]) -> (&[Hertz], &[u64]) {
-        let freqs = self.dvfs.next_frequencies(windows).to_vec();
-        next_thresholds_into(
-            &self.gating,
-            &self.model,
-            &self.tech,
-            windows,
-            &self.node_counts,
-            &freqs,
-            &mut self.thresholds,
-        );
-        (self.dvfs.frequencies(), &self.thresholds)
-    }
-
-    /// Clears the DVFS state and restores every island to `initial`
-    /// frequency; thresholds fall back to the gating policy's initial value.
-    pub fn reset(&mut self, initial: Hertz, net: &NetworkConfig) {
-        self.dvfs.reset(initial);
-        let t = self.gating.initial_threshold(&self.model, &self.tech, net);
-        self.thresholds.fill(t);
-    }
-}
-
 /// Aggregate + per-island + gating-residency result of one gated operating
 /// point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -272,15 +169,16 @@ impl GatedOperatingPointResult {
 }
 
 /// Runs one closed-loop operating point under **combined per-island DVFS and
-/// power-gating control**: the gated analogue of
-/// [`run_operating_point_islands`](crate::run_operating_point_islands).
+/// power-gating control**.
 ///
 /// If `net` does not already enable gating, it is enabled with the policy's
 /// initial idle threshold and [`DEFAULT_WAKEUP_LATENCY`]; a network that
-/// configures its own [`GatingConfig`] (custom wakeup latency, per-island
-/// overrides) is used as-is. Each control interval re-tunes every island's
-/// frequency *and* idle threshold; the measurement phase accumulates the
-/// [`GatingResidency`] alongside the usual power/delay bookkeeping.
+/// configures its own [`GatingConfig`](noc_sim::GatingConfig) (custom wakeup
+/// latency, per-island overrides) is used as-is. Each control interval
+/// re-tunes every island's frequency *and* idle threshold — the threshold
+/// against the break-even time at the frequency the island is about to run
+/// at —; the measurement phase accumulates the [`GatingResidency`] alongside
+/// the usual power/delay bookkeeping.
 ///
 /// ```
 /// use noc_dvfs::{run_operating_point_gated, ClosedLoopConfig, GatingPolicyKind, PolicyKind};
@@ -318,63 +216,18 @@ pub fn run_operating_point_gated(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> GatedOperatingPointResult {
-    let model = RouterPowerModel::new();
-    let tech = FdsoiTech::new();
-    let initial_threshold = gating.initial_threshold(&model, &tech, net);
-    let net = if net.gating().is_enabled() {
-        net.clone()
-    } else {
-        net.to_builder()
-            .gating(GatingConfig::enabled(initial_threshold, DEFAULT_WAKEUP_LATENCY))
-            .build()
-            .expect("enabling gating preserves config validity")
-    };
-    let region_map = net.region_map();
-    let island_of = region_map.assignments().to_vec();
-    let node_counts = region_map.node_counts().to_vec();
-    let mut residency = GatingResidency::new(island_of);
-    let gating_kind = gating;
-
-    let result = run_islands_loop(
-        &net,
-        traffic,
-        policy,
-        loop_cfg,
-        seed,
-        |sim, freqs, windows| {
-            let mut thresholds = vec![0u64; freqs.len()];
-            next_thresholds_into(
-                &gating_kind,
-                &model,
-                &tech,
-                windows,
-                &node_counts,
-                freqs,
-                &mut thresholds,
-            );
-            for (island, &threshold) in thresholds.iter().enumerate() {
-                sim.set_island_idle_threshold(island, threshold);
-            }
-        },
-        |activity, freqs, wall_ps| {
-            let levels: Vec<(Hertz, Volts)> =
-                freqs.iter().map(|&f| (f, tech.vdd_for_frequency(f))).collect();
-            residency.record(&model, activity, &levels, wall_ps);
-        },
-    );
-
+    let run = run_loop(net, traffic, policy, Some(gating), loop_cfg, seed);
     GatedOperatingPointResult {
-        aggregate: result.aggregate,
-        islands: result.islands,
-        gating: residency,
+        aggregate: run.aggregate,
+        islands: run.islands,
+        gating: run.gating.expect("a gated run records its residency"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rmsd::RmsdConfig;
-    use noc_sim::{RegionLayout, SyntheticTraffic, TrafficPattern};
+    use noc_sim::{SyntheticTraffic, TrafficPattern};
 
     fn small_net() -> NetworkConfig {
         NetworkConfig::builder()
@@ -415,39 +268,6 @@ mod tests {
         // A silent island always gates.
         let silent = window(0.0, 10_000, 16);
         assert_eq!(be.next_threshold(&silent, 16, 30.0), 30);
-    }
-
-    #[test]
-    fn combined_controller_drives_both_axes_per_island() {
-        let net = NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(5)
-            .regions(RegionLayout::Quadrants)
-            .build()
-            .unwrap();
-        let mut c = CombinedController::new(
-            &PolicyKind::Rmsd(RmsdConfig::with_lambda_max(0.3)),
-            GatingPolicyKind::BreakEvenAware(BreakEvenConfig::new()),
-            &net,
-        );
-        assert_eq!(c.island_count(), 4);
-        // Island 2 busy, the rest silent: island 2 must run faster and must
-        // not gate, the silent islands slow down and gate.
-        let windows = [
-            window(0.0, 1_000, 4),
-            window(0.0, 1_000, 4),
-            window(0.5, 1_000, 4),
-            window(0.0, 1_000, 4),
-        ];
-        let (freqs, thresholds) = c.next_controls(&windows);
-        assert!(freqs[2] > freqs[0], "the loaded island runs faster");
-        assert_eq!(thresholds[2], GATE_NEVER, "a busy island must not sleep");
-        assert_ne!(thresholds[0], GATE_NEVER, "a silent island sleeps");
-        assert!(thresholds[0] >= 1);
-        c.reset(net.max_frequency(), &net);
-        assert!(c.frequencies().iter().all(|&f| f == net.max_frequency()));
     }
 
     #[test]

@@ -7,22 +7,23 @@
 //!
 //! * [`MultiIslandController`] instantiates one [`DvfsPolicy`] (No-DVFS,
 //!   RMSD or the PI-based DMSD) per island and feeds each from its island's
-//!   own [`WindowMeasurement`];
-//! * [`run_operating_point_islands`] is the island analogue of
-//!   [`run_operating_point`](crate::run_operating_point): it co-simulates
-//!   the network, the per-island controllers and the power model, and
-//!   reports the aggregate operating point plus one
-//!   [`IslandSummary`] per island — including the island's
-//!   frequency/voltage residency ([`FrequencyResidency`]).
+//!   own [`WindowMeasurement`] — it is the controller the closed loop
+//!   ([`crate::closed_loop`]) drives on every network;
+//! * [`run_operating_point_islands`] runs that loop and reports the
+//!   aggregate operating point plus one [`IslandSummary`] per island —
+//!   including the island's frequency/voltage residency
+//!   ([`FrequencyResidency`]).
 //!
-//! With the default single-island partition the per-island machinery
-//! degenerates to exactly the global loop: same measurements, one
-//! controller, one residency.
+//! There is one loop, and the paper's global DVFS is its one-island case:
+//! on the default partition the single island's window is the network's, one
+//! controller instance sees it, and the aggregate is bit-identical to what
+//! [`run_operating_point`](crate::run_operating_point) returns (it *is* that
+//! value).
 
-use crate::closed_loop::{interval_cycles, ClosedLoopConfig, OperatingPointResult};
+use crate::closed_loop::{run_loop, ClosedLoopConfig, OperatingPointResult};
 use crate::policy::{ControlMeasurement, DvfsPolicy, PolicyKind};
-use noc_power::{model::EnergyBreakdown, FdsoiTech, FrequencyResidency, RouterPowerModel};
-use noc_sim::{Hertz, NetworkActivity, NetworkConfig, NocSimulation, TrafficSpec, WindowMeasurement};
+use noc_power::FrequencyResidency;
+use noc_sim::{Hertz, NetworkConfig, TrafficSpec, WindowMeasurement};
 use serde::{Deserialize, Serialize};
 
 /// One DVFS controller instance per voltage-frequency island.
@@ -59,8 +60,9 @@ impl MultiIslandController {
     }
 
     /// Feeds every island's controller its island window (as produced by
-    /// [`NocSimulation::take_island_windows`]) and returns the frequencies
-    /// to apply for the next control interval, indexed by island id.
+    /// [`take_island_windows`](noc_sim::NocSimulation::take_island_windows))
+    /// and returns the frequencies to apply for the next control interval,
+    /// indexed by island id.
     ///
     /// # Panics
     ///
@@ -88,8 +90,8 @@ impl MultiIslandController {
     }
 }
 
-/// The measured behaviour of one island over the measurement phase of
-/// [`run_operating_point_islands`].
+/// The measured behaviour of one island over the measurement phase of the
+/// closed loop.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IslandSummary {
     /// Island id (index into the region partition).
@@ -133,14 +135,15 @@ impl IslandOperatingPointResult {
     }
 }
 
-/// Runs one closed-loop operating point with **per-island DVFS control**:
-/// the island analogue of [`run_operating_point`](crate::run_operating_point).
+/// Runs one closed-loop operating point with **per-island DVFS control** and
+/// returns the per-island detail next to the aggregate.
 ///
 /// Every island of `net`'s region partition gets an independent instance of
 /// `policy` fed by its own per-island measurement window; the power model
 /// integrates each island's activity at that island's `(frequency, Vdd)`
-/// operating level. On the default single-island partition the aggregate
-/// result matches the global loop's semantics (one controller, one domain).
+/// operating level. This is the same run
+/// [`run_operating_point`](crate::run_operating_point) performs — that
+/// function returns only [`aggregate`](IslandOperatingPointResult::aggregate).
 ///
 /// ```
 /// use noc_dvfs::island::run_operating_point_islands;
@@ -177,200 +180,8 @@ pub fn run_operating_point_islands(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> IslandOperatingPointResult {
-    run_islands_loop(net, traffic, policy, loop_cfg, seed, |_, _, _| {}, |_, _, _| {})
-}
-
-/// The island control loop shared by [`run_operating_point_islands`] and the
-/// gated variant ([`run_operating_point_gated`](crate::run_operating_point_gated)).
-///
-/// `control_hook(sim, frequencies, windows)` runs after every control update
-/// (warm-up and measurement) with the frequencies just applied — the gated
-/// loop actuates per-island idle thresholds there. `measure_hook(activity,
-/// frequencies, wall_span_ps)` runs once per measured interval with the
-/// interval's activity and the frequencies that were in force — the gated
-/// loop accumulates its [`GatingResidency`](noc_power::GatingResidency)
-/// there. With no-op hooks this is exactly the historical per-island loop,
-/// bit for bit.
-pub(crate) fn run_islands_loop(
-    net: &NetworkConfig,
-    traffic: Box<dyn TrafficSpec>,
-    policy: PolicyKind,
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-    mut control_hook: impl FnMut(&mut NocSimulation, &[Hertz], &[WindowMeasurement]),
-    mut measure_hook: impl FnMut(&NetworkActivity, &[Hertz], f64),
-) -> IslandOperatingPointResult {
-    loop_cfg.validate();
-    let offered_load = traffic.offered_load();
-    let tech = FdsoiTech::new();
-    let power_model = RouterPowerModel::new();
-    let mut sim = NocSimulation::new(net.clone(), traffic, seed);
-    let region_map = net.region_map();
-    let island_of = region_map.assignments().to_vec();
-    let island_count = region_map.island_count();
-    let node_counts = region_map.node_counts().to_vec();
-    let mut controller = MultiIslandController::new(&policy, net);
-
-    // The control period is fixed in wall-clock time: `control_period_cycles`
-    // cycles of the fastest clock. Interval lengths are counted in base
-    // ticks, whose rate is the fastest island's current frequency.
-    let period_ps = loop_cfg.control_period_cycles as f64 * net.max_frequency().period().as_ps();
-    sim.set_noc_frequency(net.max_frequency());
-
-    // The whole vector is applied atomically: a per-island loop of
-    // `set_island_frequency` calls would pass through transient base rates
-    // and could spuriously reset an untouched island's clock divider.
-    let apply =
-        |sim: &mut NocSimulation, freqs: &[Hertz]| sim.set_island_frequencies(freqs);
-
-    // Warm-up plus adaptive settling, discarding measurements: run until
-    // every island's controller output is stable (checked over three
-    // consecutive intervals), so the measurement phase captures the steady
-    // state of all control loops.
-    let mut stable_checks = 0;
-    for interval in 0..(loop_cfg.warmup_intervals + loop_cfg.max_settle_intervals) {
-        if interval >= loop_cfg.warmup_intervals && stable_checks >= 3 {
-            break;
-        }
-        let cycles = interval_cycles(period_ps, sim.noc_frequency());
-        sim.run_cycles(cycles);
-        let _ = sim.take_window();
-        let windows = sim.take_island_windows();
-        sim.reset_activity();
-        let before: Vec<Hertz> = controller.frequencies().to_vec();
-        let next = controller.next_frequencies(&windows);
-        let worst_change = before
-            .iter()
-            .zip(next.iter())
-            .map(|(b, n)| (n.as_hz() - b.as_hz()).abs() / b.as_hz())
-            .fold(0.0, f64::max);
-        if worst_change <= loop_cfg.settle_tolerance {
-            stable_checks += 1;
-        } else {
-            stable_checks = 0;
-        }
-        let next = next.to_vec();
-        apply(&mut sim, &next);
-        control_hook(&mut sim, &next, &windows);
-    }
-
-    // Measurement phase.
-    sim.reset_stats();
-    let mut residencies = vec![FrequencyResidency::new(); island_count];
-    let mut energy = EnergyBreakdown::default();
-    let mut freq_time_product = 0.0; // Hz · ps, node-weighted across islands
-    let mut vdd_time_product = 0.0; // V · ps, node-weighted across islands
-    let mut total_wall_ps = 0.0;
-    let mut flits_generated = 0u64;
-    let mut flits_ejected = 0u64;
-    let mut flits_dropped = 0u64;
-    let mut node_cycles = 0u64;
-    let mut noc_cycles = 0u64;
-    let mut island_rate_flits = vec![0u64; island_count];
-    let mut island_delay_ps = vec![0.0f64; island_count];
-    let mut island_packets = vec![0u64; island_count];
-    let mut island_cycles = vec![0u64; island_count];
-    let total_nodes = sim.node_count() as f64;
-
-    for _ in 0..loop_cfg.measure_intervals {
-        let cycles = interval_cycles(period_ps, sim.noc_frequency());
-        sim.run_cycles(cycles);
-        let window = sim.take_window();
-        let windows = sim.take_island_windows();
-        let activity = sim.take_activity();
-
-        for island in 0..island_count {
-            let f = controller.frequencies()[island];
-            let vdd = tech.vdd_for_frequency(f);
-            let e = power_model.island_energy(
-                &activity,
-                &island_of,
-                island as u32,
-                f,
-                vdd,
-                window.wall_time_ps,
-            );
-            residencies[island].record(f, vdd, window.wall_time_ps, e);
-            energy += e;
-            let weight = node_counts[island] as f64 / total_nodes;
-            freq_time_product += f.as_hz() * weight * window.wall_time_ps;
-            vdd_time_product += vdd.as_volts() * weight * window.wall_time_ps;
-            island_rate_flits[island] += windows[island].flits_generated;
-            island_delay_ps[island] += windows[island].delay_ps_sum;
-            island_packets[island] += windows[island].packets_ejected;
-            island_cycles[island] += windows[island].noc_cycles;
-        }
-
-        total_wall_ps += window.wall_time_ps;
-        flits_generated += window.flits_generated;
-        flits_ejected += window.flits_ejected;
-        flits_dropped += window.flits_dropped;
-        node_cycles += window.node_cycles;
-        noc_cycles += window.noc_cycles;
-
-        measure_hook(&activity, controller.frequencies(), window.wall_time_ps);
-        let next = controller.next_frequencies(&windows).to_vec();
-        apply(&mut sim, &next);
-        control_hook(&mut sim, &next, &windows);
-    }
-
-    let stats = sim.stats();
-    let measured_rate = if node_cycles > 0 {
-        flits_generated as f64 / (node_cycles as f64 * total_nodes)
-    } else {
-        0.0
-    };
-    let throughput = if noc_cycles > 0 {
-        flits_ejected as f64 / (noc_cycles as f64 * total_nodes)
-    } else {
-        0.0
-    };
-    let total_wall_ns = total_wall_ps / 1.0e3;
-
-    let aggregate = OperatingPointResult {
-        policy: policy.name().to_string(),
-        offered_load,
-        measured_rate,
-        avg_latency_cycles: stats.avg_latency_cycles().unwrap_or(0.0),
-        avg_delay_ns: stats.avg_delay_ns().unwrap_or(0.0),
-        max_delay_ns: stats.max_delay_ps / 1.0e3,
-        power_mw: if total_wall_ns > 0.0 { energy.total_pj() / total_wall_ns } else { 0.0 },
-        dynamic_power_mw: if total_wall_ns > 0.0 { energy.dynamic_pj / total_wall_ns } else { 0.0 },
-        static_power_mw: if total_wall_ns > 0.0 { energy.static_pj / total_wall_ns } else { 0.0 },
-        avg_frequency_ghz: if total_wall_ps > 0.0 {
-            freq_time_product / total_wall_ps / 1.0e9
-        } else {
-            0.0
-        },
-        avg_vdd: if total_wall_ps > 0.0 { vdd_time_product / total_wall_ps } else { 0.0 },
-        throughput,
-        packets_delivered: stats.packets,
-        measurement_wall_ns: total_wall_ns,
-        flits_dropped,
-        reachability: sim.reachable_pairs_fraction(),
-    };
-
-    let islands = (0..island_count)
-        .map(|island| IslandSummary {
-            island,
-            nodes: node_counts[island],
-            residency: residencies[island].clone(),
-            measured_rate: if node_cycles > 0 {
-                island_rate_flits[island] as f64
-                    / (node_cycles as f64 * node_counts[island] as f64)
-            } else {
-                0.0
-            },
-            avg_delay_ns: if island_packets[island] > 0 {
-                island_delay_ps[island] / island_packets[island] as f64 / 1.0e3
-            } else {
-                0.0
-            },
-            domain_cycles: island_cycles[island],
-        })
-        .collect();
-
-    IslandOperatingPointResult { aggregate, islands }
+    let run = run_loop(net, traffic, policy, None, loop_cfg, seed);
+    IslandOperatingPointResult { aggregate: run.aggregate, islands: run.islands }
 }
 
 #[cfg(test)]

@@ -17,10 +17,18 @@
 //!   2–3× lower — the better power-delay trade-off.
 //! * [`NoDvfs`] — the always-at-maximum-frequency baseline.
 //!
-//! The [`closed_loop`] module co-simulates a policy with the cycle-accurate
-//! [`noc_sim`] network and the [`noc_power`] power model; [`experiments`]
-//! exposes one driver per figure of the paper, and [`sweep`]/[`summary`]
-//! provide the generic sweep machinery and the headline power/delay ratios.
+//! The [`closed_loop`] module holds the one control loop that co-simulates a
+//! policy with the cycle-accurate [`noc_sim`] network and the [`noc_power`]
+//! power model. The loop drives the network's voltage-frequency island
+//! partition — the paper's global DVFS is its one-island case — and,
+//! optionally, a power-gating policy; [`run_operating_point`],
+//! [`run_operating_point_islands`] and [`run_operating_point_gated`] are
+//! three views of its result (aggregate, + per-island, + gating residency).
+//! [`sweep`] fans a `(policy × load)` grid of such points out over one
+//! parallel grid (and its serial reference twin), [`experiments`] exposes
+//! one driver per figure of the paper, [`scenario`] widens the grid to
+//! topology × pattern × injection × island × gating axes, and [`summary`]
+//! reads off the headline power/delay ratios.
 //!
 //! ## Quick example
 //!
@@ -80,8 +88,8 @@ pub use coordinator::{
 };
 pub use dmsd::{Dmsd, DmsdConfig};
 pub use gating::{
-    run_operating_point_gated, BreakEvenConfig, CombinedController, GatedOperatingPointResult,
-    GatingPolicyKind, DEFAULT_WAKEUP_LATENCY,
+    run_operating_point_gated, BreakEvenConfig, GatedOperatingPointResult, GatingPolicyKind,
+    DEFAULT_WAKEUP_LATENCY,
 };
 pub use island::{
     run_operating_point_islands, IslandOperatingPointResult, IslandSummary, MultiIslandController,

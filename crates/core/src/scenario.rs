@@ -16,13 +16,15 @@
 //! scenario reuses the generic sweep machinery ([`crate::sweep`]), so the
 //! serial and parallel executors stay bit-identical per scenario.
 
-use crate::closed_loop::ClosedLoopConfig;
+use crate::closed_loop::{run_loop, ClosedLoopConfig};
 use crate::experiments::{ExperimentQuality, PolicyComparison, PAPER_LAMBDA_MAX_MARGIN};
 use crate::gating::{run_operating_point_gated, GatedOperatingPointResult, GatingPolicyKind};
 use crate::island::{run_operating_point_islands, IslandOperatingPointResult};
 use crate::policy::PolicyKind;
 use crate::saturation::find_saturation_load;
-use crate::sweep::{load_grid, sweep_policies, sweep_policies_serial, PolicyCurve, SweepPoint};
+use crate::sweep::{
+    grid_parallel, grid_serial, load_grid, sweep_curves, PolicyCurve, PolicyGrid, SweepPoint,
+};
 use noc_sim::{
     BurstyTraffic, ConfigError, Direction, FaultConfig, FaultEvent, FaultTarget, HazardConfig,
     NetworkConfig, RegionLayout, RoutingKind, SyntheticTraffic, Topology, TopologyKind,
@@ -473,15 +475,15 @@ pub fn sweep_scenario_grid(
 /// Parallel multi-policy sweep of one scenario over explicit loads (used by
 /// the figure drivers above and directly by parity tests).
 ///
-/// The island axis is honoured here: a multi-island scenario
-/// (`regions != Whole`) runs under **per-island control**
-/// ([`run_operating_point_islands`], one policy instance per island) and
-/// each curve point carries the aggregate operating point — so the same
-/// drivers ([`compare_policies_scenario`], [`sweep_scenario_grid`]) produce
-/// genuinely different numbers per layout instead of relabelled global-DVFS
-/// runs. Single-island scenarios take the historical global-DVFS path
-/// unchanged. For the per-island detail (residency, per-island rates) use
-/// [`sweep_scenario_islands`].
+/// Every point is one run of the closed loop on `net` with the scenario's
+/// traffic and gating policy, and each curve point carries the aggregate
+/// operating point. The island axis needs no dispatch: the loop drives
+/// whatever partition `net` was built with ([`Scenario::network`]), so a
+/// quadrant scenario runs one policy instance per quadrant and a
+/// single-island scenario is the paper's global DVFS — genuinely different
+/// numbers per layout, not relabelled copies. For the per-island detail
+/// (residency, per-island rates) use [`sweep_scenario_islands`]; for the
+/// gating residency, [`sweep_scenario_gated`].
 pub fn sweep_scenario(
     net: &NetworkConfig,
     scenario: Scenario,
@@ -490,20 +492,7 @@ pub fn sweep_scenario(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Vec<PolicyCurve> {
-    if scenario.gating.is_some() {
-        return aggregate_gated_curves(
-            policies,
-            sweep_scenario_gated(net, scenario, loads, policies, loop_cfg, seed),
-        );
-    }
-    if scenario.regions == RegionLayout::Whole {
-        let factory = |load: f64| scenario.traffic(net, load);
-        return sweep_policies(net, loads, &factory, policies, loop_cfg, seed);
-    }
-    aggregate_curves(
-        policies,
-        sweep_scenario_islands(net, scenario, loads, policies, loop_cfg, seed),
-    )
+    sweep_scenario_on(grid_parallel, net, scenario, loads, policies, loop_cfg, seed)
 }
 
 /// Serial reference implementation of [`sweep_scenario`] — bit-identical
@@ -516,41 +505,23 @@ pub fn sweep_scenario_serial(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Vec<PolicyCurve> {
-    if scenario.gating.is_some() {
-        return aggregate_gated_curves(
-            policies,
-            sweep_scenario_gated_serial(net, scenario, loads, policies, loop_cfg, seed),
-        );
-    }
-    if scenario.regions == RegionLayout::Whole {
-        let factory = |load: f64| scenario.traffic(net, load);
-        return sweep_policies_serial(net, loads, &factory, policies, loop_cfg, seed);
-    }
-    aggregate_curves(
-        policies,
-        sweep_scenario_islands_serial(net, scenario, loads, policies, loop_cfg, seed),
-    )
+    sweep_scenario_on(grid_serial, net, scenario, loads, policies, loop_cfg, seed)
 }
 
-/// Projects per-policy island sweeps onto labelled aggregate
-/// [`PolicyCurve`]s (each point keeps the network-level
-/// [`OperatingPointResult`](crate::OperatingPointResult), dropping the
-/// per-island detail).
-fn aggregate_curves(
+/// [`sweep_scenario`] / [`sweep_scenario_serial`] on the given grid.
+fn sweep_scenario_on(
+    grid: PolicyGrid<SweepPoint>,
+    net: &NetworkConfig,
+    scenario: Scenario,
+    loads: &[f64],
     policies: &[PolicyKind],
-    groups: Vec<Vec<IslandSweepPoint>>,
+    loop_cfg: &ClosedLoopConfig,
+    seed: u64,
 ) -> Vec<PolicyCurve> {
-    policies
-        .iter()
-        .zip(groups)
-        .map(|(p, points)| PolicyCurve {
-            policy: p.name().to_string(),
-            points: points
-                .into_iter()
-                .map(|point| SweepPoint { load: point.load, result: point.result.aggregate })
-                .collect(),
-        })
-        .collect()
+    sweep_curves(grid, loads, policies, &|policy, load| {
+        let traffic = scenario.traffic(net, load);
+        run_loop(net, traffic, policy.clone(), scenario.gating, loop_cfg, seed).aggregate
+    })
 }
 
 /// [`scenario_grid`] crossed with the given voltage-frequency island
@@ -570,10 +541,10 @@ pub fn scenario_grid_islands(
         .collect()
 }
 
-/// Parallel multi-policy, multi-load sweep of one scenario under
-/// **per-island DVFS control** ([`run_operating_point_islands`]): the
-/// island analogue of [`sweep_scenario`]. Returns, per policy, the
-/// `(load, aggregate + per-island)` results in load order.
+/// Parallel multi-policy, multi-load sweep of one scenario keeping the
+/// **per-island detail** of every point ([`run_operating_point_islands`]).
+/// Returns, per policy, the `(load, aggregate + per-island)` results in load
+/// order; the aggregates are the points [`sweep_scenario`] returns.
 ///
 /// Like every sweep, each operating point is an independent simulation with
 /// an explicit seed, so the output is bit-identical to
@@ -582,8 +553,39 @@ pub fn scenario_grid_islands(
 /// # Panics
 ///
 /// Panics on a gated scenario (`scenario.gating != None`): those sweep
-/// through [`sweep_scenario_gated`] (or the [`sweep_scenario`] dispatcher).
+/// through [`sweep_scenario_gated`] (or [`sweep_scenario`]).
 pub fn sweep_scenario_islands(
+    net: &NetworkConfig,
+    scenario: Scenario,
+    loads: &[f64],
+    policies: &[PolicyKind],
+    loop_cfg: &ClosedLoopConfig,
+    seed: u64,
+) -> Vec<Vec<IslandSweepPoint>> {
+    sweep_scenario_islands_on(grid_parallel, net, scenario, loads, policies, loop_cfg, seed)
+}
+
+/// Serial reference implementation of [`sweep_scenario_islands`] —
+/// bit-identical results, used by the parity tests.
+///
+/// # Panics
+///
+/// Panics on a gated scenario, like [`sweep_scenario_islands`].
+pub fn sweep_scenario_islands_serial(
+    net: &NetworkConfig,
+    scenario: Scenario,
+    loads: &[f64],
+    policies: &[PolicyKind],
+    loop_cfg: &ClosedLoopConfig,
+    seed: u64,
+) -> Vec<Vec<IslandSweepPoint>> {
+    sweep_scenario_islands_on(grid_serial, net, scenario, loads, policies, loop_cfg, seed)
+}
+
+/// [`sweep_scenario_islands`] / [`sweep_scenario_islands_serial`] on the
+/// given grid.
+fn sweep_scenario_islands_on(
+    grid: PolicyGrid<IslandSweepPoint>,
     net: &NetworkConfig,
     scenario: Scenario,
     loads: &[f64],
@@ -593,10 +595,10 @@ pub fn sweep_scenario_islands(
 ) -> Vec<Vec<IslandSweepPoint>> {
     assert!(
         scenario.gating.is_none(),
-        "gated scenarios must sweep through sweep_scenario_gated (or the sweep_scenario \
-         dispatcher) — running them ungated would mislabel the curves"
+        "gated scenarios must sweep through sweep_scenario_gated (or sweep_scenario) — \
+         running them ungated would mislabel the curves"
     );
-    crate::sweep::sweep_policy_grid(loads, policies.len(), |pi, load| IslandSweepPoint {
+    grid(loads, policies.len(), &|pi, load| IslandSweepPoint {
         load,
         result: run_operating_point_islands(
             net,
@@ -608,47 +610,6 @@ pub fn sweep_scenario_islands(
     })
 }
 
-/// Serial reference implementation of [`sweep_scenario_islands`] —
-/// bit-identical results, used by the parity tests.
-///
-/// # Panics
-///
-/// Panics on a gated scenario (`scenario.gating != None`): those sweep
-/// through [`sweep_scenario_gated_serial`] (or the [`sweep_scenario_serial`]
-/// dispatcher).
-pub fn sweep_scenario_islands_serial(
-    net: &NetworkConfig,
-    scenario: Scenario,
-    loads: &[f64],
-    policies: &[PolicyKind],
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> Vec<Vec<IslandSweepPoint>> {
-    assert!(
-        scenario.gating.is_none(),
-        "gated scenarios must sweep through sweep_scenario_gated_serial (or the \
-         sweep_scenario_serial dispatcher) — running them ungated would mislabel the curves"
-    );
-    policies
-        .iter()
-        .map(|policy| {
-            loads
-                .iter()
-                .map(|&load| IslandSweepPoint {
-                    load,
-                    result: run_operating_point_islands(
-                        net,
-                        scenario.traffic(net, load),
-                        policy.clone(),
-                        loop_cfg,
-                        seed,
-                    ),
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// One `(load, island-controlled result)` pair of an island sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IslandSweepPoint {
@@ -656,25 +617,6 @@ pub struct IslandSweepPoint {
     pub load: f64,
     /// The aggregate + per-island operating point.
     pub result: IslandOperatingPointResult,
-}
-
-/// Projects per-policy gated sweeps onto labelled aggregate
-/// [`PolicyCurve`]s, dropping the per-island and residency detail.
-fn aggregate_gated_curves(
-    policies: &[PolicyKind],
-    groups: Vec<Vec<GatedSweepPoint>>,
-) -> Vec<PolicyCurve> {
-    policies
-        .iter()
-        .zip(groups)
-        .map(|(p, points)| PolicyCurve {
-            policy: p.name().to_string(),
-            points: points
-                .into_iter()
-                .map(|point| SweepPoint { load: point.load, result: point.result.aggregate })
-                .collect(),
-        })
-        .collect()
 }
 
 /// [`scenario_grid`] crossed with power-gating policies: every valid
@@ -744,10 +686,10 @@ pub fn scenario_grid_tenants(base: &NetworkConfig, mixes: &[TenantMix]) -> Vec<S
 }
 
 /// Parallel multi-policy, multi-load sweep of one scenario under **combined
-/// DVFS + power-gating control**
-/// ([`run_operating_point_gated`]): the
-/// gated analogue of [`sweep_scenario_islands`]. Returns, per policy, the
-/// `(load, gated result)` points in load order; each point carries the full
+/// DVFS + power-gating control** keeping the full detail of every point
+/// ([`run_operating_point_gated`]). Returns, per policy, the
+/// `(load, gated result)` points in load order; each point carries the
+/// per-island summaries and the full
 /// [`GatingResidency`](noc_power::GatingResidency).
 ///
 /// # Panics
@@ -761,18 +703,7 @@ pub fn sweep_scenario_gated(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Vec<Vec<GatedSweepPoint>> {
-    let gating = scenario.gating.expect("sweep_scenario_gated needs a gated scenario");
-    crate::sweep::sweep_policy_grid(loads, policies.len(), |pi, load| GatedSweepPoint {
-        load,
-        result: run_operating_point_gated(
-            net,
-            scenario.traffic(net, load),
-            policies[pi].clone(),
-            gating,
-            loop_cfg,
-            seed,
-        ),
-    })
+    sweep_scenario_gated_on(grid_parallel, net, scenario, loads, policies, loop_cfg, seed)
 }
 
 /// Serial reference implementation of [`sweep_scenario_gated`] —
@@ -789,26 +720,32 @@ pub fn sweep_scenario_gated_serial(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Vec<Vec<GatedSweepPoint>> {
+    sweep_scenario_gated_on(grid_serial, net, scenario, loads, policies, loop_cfg, seed)
+}
+
+/// [`sweep_scenario_gated`] / [`sweep_scenario_gated_serial`] on the given
+/// grid.
+fn sweep_scenario_gated_on(
+    grid: PolicyGrid<GatedSweepPoint>,
+    net: &NetworkConfig,
+    scenario: Scenario,
+    loads: &[f64],
+    policies: &[PolicyKind],
+    loop_cfg: &ClosedLoopConfig,
+    seed: u64,
+) -> Vec<Vec<GatedSweepPoint>> {
     let gating = scenario.gating.expect("sweep_scenario_gated needs a gated scenario");
-    policies
-        .iter()
-        .map(|policy| {
-            loads
-                .iter()
-                .map(|&load| GatedSweepPoint {
-                    load,
-                    result: run_operating_point_gated(
-                        net,
-                        scenario.traffic(net, load),
-                        policy.clone(),
-                        gating,
-                        loop_cfg,
-                        seed,
-                    ),
-                })
-                .collect()
-        })
-        .collect()
+    grid(loads, policies.len(), &|pi, load| GatedSweepPoint {
+        load,
+        result: run_operating_point_gated(
+            net,
+            scenario.traffic(net, load),
+            policies[pi].clone(),
+            gating,
+            loop_cfg,
+            seed,
+        ),
+    })
 }
 
 /// One `(load, gated result)` pair of a gated sweep.
@@ -847,6 +784,29 @@ mod tests {
             saturation_probe_cycles: 3_000,
             seed: 7,
         }
+    }
+
+    fn no_dvfs_and_rmsd() -> Vec<PolicyKind> {
+        vec![PolicyKind::NoDvfs, PolicyKind::Rmsd(crate::rmsd::RmsdConfig::with_lambda_max(0.3))]
+    }
+
+    /// Sweeps `scenario` on the 4×4 base with `ClosedLoopConfig::quick()` and
+    /// seed 2015 through [`sweep_scenario`] and [`sweep_scenario_serial`],
+    /// asserts the two grids agree bit for bit, and returns the network and
+    /// the curves for the caller's own assertions.
+    fn assert_sweep_parity(
+        scenario: Scenario,
+        loads: &[f64],
+        policies: &[PolicyKind],
+    ) -> (NetworkConfig, Vec<PolicyCurve>) {
+        let net = scenario.network(&small_base()).unwrap();
+        let loop_cfg = ClosedLoopConfig::quick();
+        let parallel = sweep_scenario(&net, scenario, loads, policies, &loop_cfg, 2015);
+        let serial = sweep_scenario_serial(&net, scenario, loads, policies, &loop_cfg, 2015);
+        assert_eq!(parallel, serial, "parity broke for {}", scenario.label());
+        assert_eq!(parallel.len(), policies.len());
+        assert!(parallel.iter().all(|curve| curve.points.len() == loads.len()));
+        (net, parallel)
     }
 
     #[test]
@@ -939,52 +899,50 @@ mod tests {
         // Hotspot load is concentrated in one quadrant, so per-island RMSD
         // must land on a different operating point than global RMSD: the
         // quadrant layout's curve cannot be a relabelled copy of the whole-
-        // island curve. The aggregates must also match the dedicated
-        // island-sweep path bit for bit (same seeds, same loop).
-        let base = small_base();
+        // island curve. The aggregates must also match the per-island sweep
+        // bit for bit (same seeds, same loop).
         let scenario = Scenario::new(TopologyKind::Mesh, TrafficPattern::Hotspot);
         let quad = scenario.islands(RegionLayout::Quadrants);
-        let net_whole = scenario.network(&base).unwrap();
-        let net_quad = quad.network(&base).unwrap();
         let loads = [0.1];
         let policies = vec![PolicyKind::Rmsd(crate::rmsd::RmsdConfig::with_lambda_max(0.3))];
-        let loop_cfg = ClosedLoopConfig::quick();
-        let whole_curves =
-            sweep_scenario(&net_whole, scenario, &loads, &policies, &loop_cfg, 2015);
-        let quad_curves = sweep_scenario(&net_quad, quad, &loads, &policies, &loop_cfg, 2015);
+        let (_, whole_curves) = assert_sweep_parity(scenario, &loads, &policies);
+        let (net_quad, quad_curves) = assert_sweep_parity(quad, &loads, &policies);
         assert_ne!(
             whole_curves[0].points[0].result, quad_curves[0].points[0].result,
             "quadrant islands must not be a relabelled global-DVFS run"
         );
-        let island_points =
-            sweep_scenario_islands(&net_quad, quad, &loads, &policies, &loop_cfg, 2015);
+        let island_points = sweep_scenario_islands(
+            &net_quad,
+            quad,
+            &loads,
+            &policies,
+            &ClosedLoopConfig::quick(),
+            2015,
+        );
         assert_eq!(quad_curves[0].points[0].result, island_points[0][0].result.aggregate);
-        // Serial parity holds on the island-dispatched path too.
-        let serial = sweep_scenario_serial(&net_quad, quad, &loads, &policies, &loop_cfg, 2015);
-        assert_eq!(quad_curves, serial);
     }
 
     #[test]
     fn island_scenario_sweep_serial_parallel_parity() {
-        let base = small_base();
         let scenario = Scenario::new(TopologyKind::Torus, TrafficPattern::Uniform)
             .islands(RegionLayout::Quadrants);
-        let net = scenario.network(&base).unwrap();
         let loads = [0.06, 0.12];
-        let policies =
-            vec![PolicyKind::NoDvfs, PolicyKind::Rmsd(crate::rmsd::RmsdConfig::with_lambda_max(0.3))];
+        let policies = no_dvfs_and_rmsd();
         let loop_cfg = ClosedLoopConfig::quick();
+        let (net, curves) = assert_sweep_parity(scenario, &loads, &policies);
         let parallel =
             sweep_scenario_islands(&net, scenario, &loads, &policies, &loop_cfg, 2015);
         let serial =
             sweep_scenario_islands_serial(&net, scenario, &loads, &policies, &loop_cfg, 2015);
         assert_eq!(parallel, serial);
         assert_eq!(parallel.len(), 2);
-        for curve in &parallel {
-            assert_eq!(curve.len(), 2);
-            for point in curve {
+        for (group, curve) in parallel.iter().zip(&curves) {
+            assert_eq!(group.len(), 2);
+            for (point, curve_point) in group.iter().zip(&curve.points) {
                 assert_eq!(point.result.islands.len(), 4);
                 assert!(point.result.aggregate.packets_delivered > 0);
+                // The curve sweep's point is this point's aggregate.
+                assert_eq!(curve_point.result, point.result.aggregate);
             }
         }
     }
@@ -1013,35 +971,29 @@ mod tests {
     #[test]
     fn gated_scenario_sweep_serial_parallel_parity() {
         use crate::gating::GatingPolicyKind;
-        let base = small_base();
         let scenario = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
             .gated(GatingPolicyKind::IdleThreshold(12));
-        let net = scenario.network(&base).unwrap();
         let loads = [0.02, 0.05];
-        let policies =
-            vec![PolicyKind::NoDvfs, PolicyKind::Rmsd(crate::rmsd::RmsdConfig::with_lambda_max(0.3))];
+        let policies = no_dvfs_and_rmsd();
         let loop_cfg = ClosedLoopConfig::quick();
+        let (net, curves) = assert_sweep_parity(scenario, &loads, &policies);
         let parallel = sweep_scenario_gated(&net, scenario, &loads, &policies, &loop_cfg, 2015);
         let serial =
             sweep_scenario_gated_serial(&net, scenario, &loads, &policies, &loop_cfg, 2015);
         assert_eq!(parallel, serial);
-        for curve in &parallel {
-            for point in curve {
+        for (group, curve) in parallel.iter().zip(&curves) {
+            for (point, curve_point) in group.iter().zip(&curve.points) {
                 assert!(point.result.aggregate.packets_delivered > 0);
                 assert!(point.result.gated_fraction() > 0.0, "light loads must gate");
+                // The curve sweep runs gated scenarios gated: its point is
+                // this point's aggregate, bit for bit.
+                assert_eq!(curve_point.result, point.result.aggregate);
             }
         }
-        // The standard sweep dispatches gated scenarios to the gated loop:
-        // aggregates must match the dedicated path bit for bit.
-        let curves = sweep_scenario(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        assert_eq!(curves[0].points[0].result, parallel[0][0].result.aggregate);
-        let curves_serial =
-            sweep_scenario_serial(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        assert_eq!(curves, curves_serial);
         // And a gated curve is a genuinely different operating point from
         // the ungated one (lower power at light load).
         let ungated = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform);
-        let plain = sweep_scenario(&net, ungated, &loads, &policies, &loop_cfg, 2015);
+        let (_, plain) = assert_sweep_parity(ungated, &loads, &policies);
         assert!(
             curves[0].points[0].result.power_mw < plain[0].points[0].result.power_mw,
             "gating must show up as saved power"
@@ -1121,25 +1073,16 @@ mod tests {
 
     #[test]
     fn faulted_scenario_sweep_parity_and_degraded_mode_report() {
-        let base = small_base();
-        let scenario = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
-            .routed(RoutingKind::MinimalAdaptive)
-            .faulted(FaultProfile::PermanentLinks { count: 2, at_cycle: 0 });
-        let net = scenario.network(&base).unwrap();
+        // The fault-free reference of the same workload, then the faults.
+        let reference = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
+            .routed(RoutingKind::MinimalAdaptive);
+        let scenario = reference.faulted(FaultProfile::PermanentLinks { count: 2, at_cycle: 0 });
         let loads = [0.05];
         let policies = vec![PolicyKind::NoDvfs];
-        let loop_cfg = ClosedLoopConfig::quick();
-        let parallel = sweep_scenario(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        let serial = sweep_scenario_serial(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        assert_eq!(parallel, serial);
+        let (_, parallel) = assert_sweep_parity(scenario, &loads, &policies);
         let faulted = &parallel[0].points[0].result;
         assert!(faulted.packets_delivered > 0, "adaptive routing must survive 2 dead links");
-        // The fault-free reference of the same workload.
-        let reference =
-            Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
-                .routed(RoutingKind::MinimalAdaptive);
-        let ref_net = reference.network(&base).unwrap();
-        let plain = sweep_scenario(&ref_net, reference, &loads, &policies, &loop_cfg, 2015);
+        let (_, plain) = assert_sweep_parity(reference, &loads, &policies);
         let fault_free = &plain[0].points[0].result;
         assert_eq!(fault_free.reachability, 1.0);
         assert_eq!(fault_free.flits_dropped, 0);
@@ -1188,14 +1131,7 @@ mod tests {
 
     #[test]
     fn scenario_sweep_serial_parallel_parity() {
-        let base = small_base();
         let scenario = Scenario::new(TopologyKind::Torus, TrafficPattern::Tornado).bursty();
-        let net = scenario.network(&base).unwrap();
-        let loads = [0.05, 0.12];
-        let policies = vec![PolicyKind::NoDvfs];
-        let loop_cfg = ClosedLoopConfig::quick();
-        let parallel = sweep_scenario(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        let serial = sweep_scenario_serial(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        assert_eq!(parallel, serial);
+        assert_sweep_parity(scenario, &[0.05, 0.12], &[PolicyKind::NoDvfs]);
     }
 }

@@ -1,11 +1,15 @@
-//! Load sweeps: run one policy over a list of load levels.
+//! Load sweeps: run policies over a list of load levels.
 //!
 //! Every operating point of a sweep is an independent simulation with an
-//! explicit seed, so sweeps are embarrassingly parallel: [`sweep_policies`]
-//! and [`sweep_policy`] flatten the `(policy × load)` grid into one work list
-//! and fan it out over the [`parallel`](crate::parallel) executor. Results
-//! are reassembled in grid order and are **bit-identical** to the serial
-//! variants ([`sweep_policies_serial`]) for the same seeds; set
+//! explicit seed, so sweeps are embarrassingly parallel. There is one grid:
+//! `grid_parallel` flattens the `(policy × load)` grid into one work list
+//! and fans it out over the [`parallel`](crate::parallel) executor, and
+//! `grid_serial` is its reference twin, the policy-major double loop the
+//! parity tests compare against. Every sweep of the crate — [`sweep_policy`],
+//! [`sweep_policies`], the scenario, per-island and gated sweeps of
+//! [`crate::scenario`], each with its `_serial` variant — is a per-point
+//! function handed to one of the two, so results are reassembled in grid
+//! order and are **bit-identical** between them for the same seeds; set
 //! `NOC_SWEEP_THREADS=1` to force serial execution globally.
 
 use crate::closed_loop::{run_operating_point, ClosedLoopConfig, OperatingPointResult};
@@ -81,34 +85,24 @@ impl PolicyCurve {
     }
 }
 
-/// Runs `policy` at every load in `loads`, building the traffic for each load
-/// with `make_traffic`. Operating points run in parallel across cores; the
-/// returned curve is bit-identical to a serial run with the same seed.
-pub fn sweep_policy(
-    net: &NetworkConfig,
-    loads: &[f64],
-    make_traffic: TrafficFactory<'_>,
-    policy: &PolicyKind,
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> PolicyCurve {
-    let points = par_map(loads, |_, &load| SweepPoint {
-        load,
-        result: run_operating_point(net, make_traffic(load), policy.clone(), loop_cfg, seed),
-    });
-    PolicyCurve { policy: policy.name().to_string(), points }
-}
+/// A `(policy index, load) → point` function evaluated over a grid. It must
+/// be pure in its arguments so that [`grid_parallel`] stays bit-identical to
+/// [`grid_serial`].
+pub(crate) type GridPoint<'a, P> = &'a (dyn Fn(usize, f64) -> P + Sync);
 
-/// Flattens a `(policy × load)` grid into one parallel work list and
-/// regroups the results per policy (in policy-major, then load order) — the
-/// shared engine behind every parallel sweep ([`sweep_policies`], the
-/// scenario sweeps, and the per-island sweeps). `point` must be a pure
-/// function of its `(policy index, load)` arguments so the parallel
-/// execution stays bit-identical to a serial double loop.
-pub(crate) fn sweep_policy_grid<P: Send>(
+/// One of the two grid executors, [`grid_parallel`] or [`grid_serial`]: runs
+/// a [`GridPoint`] at every `(policy, load)` pair and returns the results
+/// grouped per policy, in load order.
+pub(crate) type PolicyGrid<P> = fn(&[f64], usize, GridPoint<'_, P>) -> Vec<Vec<P>>;
+
+/// The parallel grid: flattens the `(policy × load)` grid into one work list
+/// (policy-major, then load order), so all curves of a figure progress
+/// simultaneously and a single slow operating point cannot serialize an
+/// entire policy, then regroups the results per policy.
+pub(crate) fn grid_parallel<P: Send>(
     loads: &[f64],
     policy_count: usize,
-    point: impl Fn(usize, f64) -> P + Sync,
+    point: GridPoint<'_, P>,
 ) -> Vec<Vec<P>> {
     let grid: Vec<(usize, f64)> = (0..policy_count)
         .flat_map(|pi| loads.iter().map(move |&load| (pi, load)))
@@ -117,13 +111,57 @@ pub(crate) fn sweep_policy_grid<P: Send>(
     (0..policy_count).map(|_| results.by_ref().take(loads.len()).collect()).collect()
 }
 
+/// The serial reference of [`grid_parallel`]: the policy-major double loop,
+/// one point at a time on the calling thread. Used by the parity tests and
+/// available for debugging (`NOC_SWEEP_THREADS=1` achieves the same through
+/// the parallel path).
+pub(crate) fn grid_serial<P>(
+    loads: &[f64],
+    policy_count: usize,
+    point: GridPoint<'_, P>,
+) -> Vec<Vec<P>> {
+    (0..policy_count).map(|pi| loads.iter().map(|&load| point(pi, load)).collect()).collect()
+}
+
+/// Evaluates `point` for every `(policy, load)` pair on `grid` and labels
+/// each policy's points with its name: the one projection from grid results
+/// to [`PolicyCurve`]s, shared by every curve-returning sweep.
+pub(crate) fn sweep_curves(
+    grid: PolicyGrid<SweepPoint>,
+    loads: &[f64],
+    policies: &[PolicyKind],
+    point: &(dyn Fn(&PolicyKind, f64) -> OperatingPointResult + Sync),
+) -> Vec<PolicyCurve> {
+    let groups = grid(loads, policies.len(), &|pi, load| SweepPoint {
+        load,
+        result: point(&policies[pi], load),
+    });
+    policies
+        .iter()
+        .zip(groups)
+        .map(|(p, points)| PolicyCurve { policy: p.name().to_string(), points })
+        .collect()
+}
+
+/// [`sweep_policies`] / [`sweep_policies_serial`] on the given grid.
+fn sweep_policies_on(
+    grid: PolicyGrid<SweepPoint>,
+    net: &NetworkConfig,
+    loads: &[f64],
+    make_traffic: TrafficFactory<'_>,
+    policies: &[PolicyKind],
+    loop_cfg: &ClosedLoopConfig,
+    seed: u64,
+) -> Vec<PolicyCurve> {
+    sweep_curves(grid, loads, policies, &|policy, load| {
+        run_operating_point(net, make_traffic(load), policy.clone(), loop_cfg, seed)
+    })
+}
+
 /// Runs several policies over the same loads (the standard No-DVFS / RMSD /
-/// DMSD comparison of every figure).
-///
-/// The whole `(policy × load)` grid is flattened into one parallel work list,
-/// so all curves of a figure progress simultaneously and a single slow
-/// operating point cannot serialize an entire policy. Per-point seeding is
-/// unchanged from the serial path, making the output bit-identical to
+/// DMSD comparison of every figure), building the traffic for each load with
+/// `make_traffic`. Operating points run in parallel across cores; per-point
+/// seeding is that of the serial path, making the output bit-identical to
 /// [`sweep_policies_serial`].
 pub fn sweep_policies(
     net: &NetworkConfig,
@@ -133,42 +171,7 @@ pub fn sweep_policies(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Vec<PolicyCurve> {
-    let curves = sweep_policy_grid(loads, policies.len(), |pi, load| SweepPoint {
-        load,
-        result: run_operating_point(
-            net,
-            make_traffic(load),
-            policies[pi].clone(),
-            loop_cfg,
-            seed,
-        ),
-    });
-    policies
-        .iter()
-        .zip(curves)
-        .map(|(p, points)| PolicyCurve { policy: p.name().to_string(), points })
-        .collect()
-}
-
-/// Serial reference implementation of [`sweep_policy`] — used by the parity
-/// tests and available for debugging (`NOC_SWEEP_THREADS=1` achieves the
-/// same through the parallel path).
-pub fn sweep_policy_serial(
-    net: &NetworkConfig,
-    loads: &[f64],
-    make_traffic: TrafficFactory<'_>,
-    policy: &PolicyKind,
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> PolicyCurve {
-    let points = loads
-        .iter()
-        .map(|&load| SweepPoint {
-            load,
-            result: run_operating_point(net, make_traffic(load), policy.clone(), loop_cfg, seed),
-        })
-        .collect();
-    PolicyCurve { policy: policy.name().to_string(), points }
+    sweep_policies_on(grid_parallel, net, loads, make_traffic, policies, loop_cfg, seed)
 }
 
 /// Serial reference implementation of [`sweep_policies`].
@@ -180,10 +183,33 @@ pub fn sweep_policies_serial(
     loop_cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Vec<PolicyCurve> {
-    policies
-        .iter()
-        .map(|p| sweep_policy_serial(net, loads, make_traffic, p, loop_cfg, seed))
-        .collect()
+    sweep_policies_on(grid_serial, net, loads, make_traffic, policies, loop_cfg, seed)
+}
+
+/// [`sweep_policies`] for a single policy.
+pub fn sweep_policy(
+    net: &NetworkConfig,
+    loads: &[f64],
+    make_traffic: TrafficFactory<'_>,
+    policy: &PolicyKind,
+    loop_cfg: &ClosedLoopConfig,
+    seed: u64,
+) -> PolicyCurve {
+    let policies = std::slice::from_ref(policy);
+    sweep_policies(net, loads, make_traffic, policies, loop_cfg, seed).remove(0)
+}
+
+/// Serial reference implementation of [`sweep_policy`].
+pub fn sweep_policy_serial(
+    net: &NetworkConfig,
+    loads: &[f64],
+    make_traffic: TrafficFactory<'_>,
+    policy: &PolicyKind,
+    loop_cfg: &ClosedLoopConfig,
+    seed: u64,
+) -> PolicyCurve {
+    let policies = std::slice::from_ref(policy);
+    sweep_policies_serial(net, loads, make_traffic, policies, loop_cfg, seed).remove(0)
 }
 
 /// Generates `count` evenly spaced loads in `[lo, hi]` (inclusive).

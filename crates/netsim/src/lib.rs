@@ -101,8 +101,7 @@
 //!   the flit path clones.
 //!
 //! Benchmarks: `benchmark/run.sh` is the repository's benchmark (end-to-end
-//! metrics, `--traced` for per-layer numbers); `cargo bench -p noc-bench
-//! --bench sim_throughput` gives interactive cycles/second.
+//! metrics, `--traced` for per-layer numbers).
 
 // `deny`, not `forbid`: the per-island parallel stepper in `sim/threaded.rs`
 // carries the crate's only `unsafe` (barrier-synchronised workers reading the

@@ -261,7 +261,10 @@ impl RouterPowerModel {
         self.router_energy(activity, frequency, vdd, duration_ps).total_pj() / (duration_ps / 1.0e3)
     }
 
-    /// Energy consumed by the whole NoC over an interval.
+    /// The one energy fold behind [`network_energy`](Self::network_energy),
+    /// [`island_energy`](Self::island_energy) and
+    /// [`tenant_energy`](Self::tenant_energy): sums the energy of `routers`,
+    /// all at (`frequency`, `vdd`) over `duration_ps`, in iteration order.
     ///
     /// Idle routers take a fast path: their switching-event energy is exactly
     /// zero, so their contribution is the clock-tree + leakage energy, which
@@ -269,19 +272,17 @@ impl RouterPowerModel {
     /// per call. For a drained network between measurement windows (a light
     /// DVFS sweep's common case) the per-interval cost collapses from one
     /// full energy evaluation per router to one total. The per-router value
-    /// is the same `f64` either way, and routers are folded in the same
-    /// order, so the result is bit-identical to the naive loop.
-    pub fn network_energy(
+    /// is the same `f64` either way, so the result is bit-identical to the
+    /// naive loop over the same routers.
+    fn fold_energy<'a>(
         &self,
-        activity: &NetworkActivity,
+        routers: impl Iterator<Item = &'a RouterActivity>,
         frequency: Hertz,
         vdd: Volts,
         duration_ps: f64,
     ) -> EnergyBreakdown {
         let idle = self.router_energy(&RouterActivity::new(), frequency, vdd, duration_ps);
-        activity
-            .routers
-            .iter()
+        routers
             .map(|r| {
                 if r.is_idle() {
                     idle
@@ -292,18 +293,49 @@ impl RouterPowerModel {
             .fold(EnergyBreakdown::default(), |acc, e| acc + e)
     }
 
+    /// [`fold_energy`](Self::fold_energy) over the routers that `part_of`
+    /// assigns to `part`, in ascending node order.
+    fn partition_energy(
+        &self,
+        activity: &NetworkActivity,
+        part_of: &[u32],
+        part: u32,
+        frequency: Hertz,
+        vdd: Volts,
+        duration_ps: f64,
+    ) -> EnergyBreakdown {
+        assert!(
+            part_of.len() >= activity.routers.len(),
+            "the node assignment must cover every router"
+        );
+        let members =
+            activity.routers.iter().zip(part_of).filter(|(_, &p)| p == part).map(|(r, _)| r);
+        self.fold_energy(members, frequency, vdd, duration_ps)
+    }
+
+    /// Energy consumed by the whole NoC over an interval: every router, in
+    /// ascending node order, with the idle-router fast path (bit-identical
+    /// to summing [`router_energy`](Self::router_energy) over the routers).
+    pub fn network_energy(
+        &self,
+        activity: &NetworkActivity,
+        frequency: Hertz,
+        vdd: Volts,
+        duration_ps: f64,
+    ) -> EnergyBreakdown {
+        self.fold_energy(activity.routers.iter(), frequency, vdd, duration_ps)
+    }
+
     /// Energy consumed by the routers of **one voltage-frequency island**
     /// over an interval during which that island ran at (`frequency`,
     /// `vdd`).
     ///
     /// `island_of` assigns each router (by node id) to an island, exactly as
     /// [`RegionMap::assignments`](noc_sim::RegionMap::assignments) reports
-    /// it; only the routers of `island` contribute. Idle routers take the
-    /// same fast path as [`network_energy`](Self::network_energy), each
-    /// router's contribution is the same `f64` either way, and routers are
-    /// folded in ascending node order — for the single-island partition the
-    /// result is therefore bit-identical to
-    /// [`network_energy`](Self::network_energy).
+    /// it; only the routers of `island` contribute. It is the fold of
+    /// [`network_energy`](Self::network_energy) restricted to those routers
+    /// — same fast path, same per-router `f64`, ascending node order — so for
+    /// the single-island partition the two are bit-identical.
     ///
     /// # Panics
     ///
@@ -317,24 +349,7 @@ impl RouterPowerModel {
         vdd: Volts,
         duration_ps: f64,
     ) -> EnergyBreakdown {
-        assert!(
-            island_of.len() >= activity.routers.len(),
-            "island assignment must cover every router"
-        );
-        let idle = self.router_energy(&RouterActivity::new(), frequency, vdd, duration_ps);
-        activity
-            .routers
-            .iter()
-            .zip(island_of.iter())
-            .filter(|(_, &i)| i == island)
-            .map(|(r, _)| {
-                if r.is_idle() {
-                    idle
-                } else {
-                    self.router_energy(r, frequency, vdd, duration_ps)
-                }
-            })
-            .fold(EnergyBreakdown::default(), |acc, e| acc + e)
+        self.partition_energy(activity, island_of, island, frequency, vdd, duration_ps)
     }
 
     /// Energy consumed by the routers assigned to **one tenant slot** over
@@ -343,13 +358,12 @@ impl RouterPowerModel {
     /// `slot_of` assigns each router (by node id) to a tenant slot, exactly
     /// as [`TenantMap::assignments`](noc_sim::TenantMap::assignments)
     /// reports it (slot `tenant_count` being the background slot for
-    /// unmapped nodes); only the routers of `slot` contribute. This is the
-    /// same fold as [`island_energy`](Self::island_energy) keyed by a
-    /// different partition: idle routers take the fast path, each router's
-    /// contribution is the same `f64` either way, and routers fold in
-    /// ascending node order — so summing over every slot of a
-    /// [`TenantMap`](noc_sim::TenantMap) is bit-identical to
-    /// [`network_energy`](Self::network_energy) on the whole fabric.
+    /// unmapped nodes); only the routers of `slot` contribute. It is the
+    /// fold of [`island_energy`](Self::island_energy) keyed by a different
+    /// partition, so summing over every slot of a
+    /// [`TenantMap`](noc_sim::TenantMap) partitions
+    /// [`network_energy`](Self::network_energy) on the whole fabric without
+    /// overlap, and the single-slot map reproduces it bit for bit.
     ///
     /// # Panics
     ///
@@ -363,24 +377,7 @@ impl RouterPowerModel {
         vdd: Volts,
         duration_ps: f64,
     ) -> EnergyBreakdown {
-        assert!(
-            slot_of.len() >= activity.routers.len(),
-            "tenant assignment must cover every router"
-        );
-        let idle = self.router_energy(&RouterActivity::new(), frequency, vdd, duration_ps);
-        activity
-            .routers
-            .iter()
-            .zip(slot_of.iter())
-            .filter(|(_, &s)| s == slot)
-            .map(|(r, _)| {
-                if r.is_idle() {
-                    idle
-                } else {
-                    self.router_energy(r, frequency, vdd, duration_ps)
-                }
-            })
-            .fold(EnergyBreakdown::default(), |acc, e| acc + e)
+        self.partition_energy(activity, slot_of, slot, frequency, vdd, duration_ps)
     }
 
     /// Average power of the whole NoC over an interval, with a per-router

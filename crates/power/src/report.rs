@@ -195,10 +195,10 @@ pub struct DegradedModeReport {
     pub avg_latency_cycles: f64,
     /// Average packet latency of the fault-free reference run, NoC cycles.
     pub fault_free_latency_cycles: f64,
-    /// Energy per delivered flit of the faulted run, picojoules.
-    pub energy_per_flit_pj: f64,
-    /// Energy per delivered flit of the fault-free reference, picojoules.
-    pub fault_free_energy_per_flit_pj: f64,
+    /// Energy per delivered packet of the faulted run, picojoules.
+    pub energy_per_packet_pj: f64,
+    /// Energy per delivered packet of the fault-free reference, picojoules.
+    pub fault_free_energy_per_packet_pj: f64,
 }
 
 impl DegradedModeReport {
@@ -214,12 +214,12 @@ impl DegradedModeReport {
     }
 
     /// Extra energy attributable to rerouting and congestion around faults,
-    /// picojoules: the per-flit energy excess over the fault-free reference
-    /// times the flits the faulted run still delivered. Clamped at zero —
+    /// picojoules: the per-packet energy excess over the fault-free reference
+    /// times the packets the faulted run still delivered. Clamped at zero —
     /// a faulted run that delivers less traffic can legitimately spend less
     /// total energy, which is not a rerouting cost.
     pub fn rerouting_energy_pj(&self) -> f64 {
-        let excess = (self.energy_per_flit_pj - self.fault_free_energy_per_flit_pj).max(0.0);
+        let excess = (self.energy_per_packet_pj - self.fault_free_energy_per_packet_pj).max(0.0);
         excess * self.packets_delivered as f64
     }
 
@@ -296,8 +296,8 @@ mod tests {
             flits_dropped: 42,
             avg_latency_cycles: 30.0,
             fault_free_latency_cycles: 20.0,
-            energy_per_flit_pj: 5.5,
-            fault_free_energy_per_flit_pj: 5.0,
+            energy_per_packet_pj: 5.5,
+            fault_free_energy_per_packet_pj: 5.0,
         };
         assert!((r.latency_inflation() - 1.5).abs() < 1e-12);
         assert!((r.rerouting_energy_pj() - 500.0).abs() < 1e-9);
@@ -306,8 +306,8 @@ mod tests {
         let whole = DegradedModeReport {
             reachability: 1.0,
             packets_delivered: 10,
-            energy_per_flit_pj: 4.0,
-            fault_free_energy_per_flit_pj: 5.0,
+            energy_per_packet_pj: 4.0,
+            fault_free_energy_per_packet_pj: 5.0,
             ..Default::default()
         };
         assert_eq!(whole.latency_inflation(), 1.0);

@@ -107,8 +107,8 @@ fn storm_demo() {
         report.latency_inflation()
     );
     println!(
-        "energy per flit     {:>10.1} pJ      (fault-free {:.1} pJ)",
-        report.energy_per_flit_pj, report.fault_free_energy_per_flit_pj
+        "energy per packet   {:>10.1} pJ      (fault-free {:.1} pJ)",
+        report.energy_per_packet_pj, report.fault_free_energy_per_packet_pj
     );
     println!("rerouting energy    {:>10.1} pJ", report.rerouting_energy_pj());
     println!("degraded            {:>10}", report.is_degraded());

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full local CI gate: release build (with and without the simulator's
-# default features), the complete test suite (once — it covers every engine
-# mode in-process), the benchmark package's tests, docs, and clippy with
-# warnings promoted to errors. Run before every push.
+# default features), the figure CLI's serial/parallel parity, the complete
+# test suite (once — it covers every engine mode in-process), the benchmark
+# package's tests, docs, and clippy with warnings promoted to errors. Run
+# before every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +16,17 @@ cargo build --release
 # a line on the wrong side of that boundary stops compiling.
 echo "==> cargo build --release --offline --no-default-features -p noc-sim"
 cargo build --release --offline --no-default-features -p noc-sim
+
+# The figure CLI end to end (saturation search, sweep grid, closed loop, power
+# model, tables; ~2 s per run): Fig. 2 on the parallel grid and again with the
+# sweep forced onto one worker must print the same bytes.
+echo "==> figures --quality quick --fig 2: parallel vs NOC_SWEEP_THREADS=1"
+fig_out="$(mktemp -d)"
+trap 'rm -rf "$fig_out"' EXIT
+figures=(cargo run --release --quiet -p noc-bench --bin figures -- --quality quick --fig 2)
+"${figures[@]}" >"$fig_out/parallel.txt"
+NOC_SWEEP_THREADS=1 "${figures[@]}" >"$fig_out/serial.txt"
+diff "$fig_out/parallel.txt" "$fig_out/serial.txt"
 
 # The property suites (tests/{routing,traffic,simulator,policy}_properties.rs
 # and tests/sparse_equivalence.rs) run as part of the workspace test pass

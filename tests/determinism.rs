@@ -265,15 +265,21 @@ fn golden_torus_hotspot_bursty_sequence_is_stable() {
 #[test]
 fn scenario_grid_sweeps_have_serial_parallel_parity() {
     // The widened (topology × pattern × injection) grid: every scenario the
-    // 4×4 base admits, swept once serially and once across all cores; the
+    // 4×4 base admits, swept once on the serial grid and once on the parallel
+    // grid (`NOC_SWEEP_THREADS` workers, all cores unless set); the
     // operating points must be bit-identical. One cheap load point and a
     // single policy per scenario keep the full-grid check affordable.
     let base = baseline_4x4();
     let loads = [0.08];
     let policies = [PolicyKind::NoDvfs];
     let loop_cfg = ClosedLoopConfig::quick();
-    let grid = scenario_grid(&base, true);
+    let mut grid = scenario_grid(&base, true);
     assert_eq!(grid.len(), 32, "4x4 admits the full 2 topo x 8 pattern x 2 process grid");
+    // One loop and one grid pair serve every axis, so the island and gating
+    // axes are two more cases of the same check, not a separate sweep.
+    let uniform = grid[0];
+    grid.push(uniform.islands(RegionLayout::Quadrants));
+    grid.push(uniform.gated(GatingPolicyKind::IdleThreshold(12)));
     for scenario in grid {
         let net = scenario.network(&base).expect("grid scenarios are valid");
         let parallel = sweep_scenario(&net, scenario, &loads, &policies, &loop_cfg, 2015);
