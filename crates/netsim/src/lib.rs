@@ -72,8 +72,8 @@
 //! keyed by delivery cycle) and a pending-source worklist make the per-cycle
 //! cost proportional to the flits actually moving, not to `nodes × ports`.
 //! Quiescent routers, empty channels and idle sources cost nothing. Packet
-//! generation keeps its exact per-node-per-cycle RNG draw order, so the
-//! sparse engine is bit-identical to the dense reference loop retained
+//! generation keeps its exact per-node-per-cycle RNG draw order (the
+//! contract of [`TrafficSpec::generate_tick`]), so the sparse engine is bit-identical to the dense reference loop retained
 //! behind [`NocSimulation::set_dense_stepping`] (see the [`sim`] module docs
 //! and the README's *Activity-tracked stepping* section for the quiescence
 //! contract).

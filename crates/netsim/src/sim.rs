@@ -24,9 +24,11 @@
 //!   flits; an idle source costs nothing, a credit-blocked source stays in
 //!   the worklist (backed-up traffic *is* activity).
 //!
-//! Packet **generation order is sacred**: sources draw from the shared RNG
-//! once per node per node-clock cycle, in node order, whichever engine steps
-//! — the sparse engine is a pure scheduling optimization and every
+//! Packet **generation order is sacred**: every engine makes the same one
+//! [`TrafficSpec::generate_tick`] call per tick, and that method's contract
+//! fixes the order in which the shared RNG is consumed (nodes ascending,
+//! node cycles ascending within a node) — the sparse engine is a pure
+//! scheduling optimization and every
 //! `WindowMeasurement` it produces is bit-identical to the dense reference
 //! ([`NocSimulation::set_dense_stepping`]), which finds the same work by
 //! scanning every node and every `node × port` channel instead of consulting
@@ -571,7 +573,7 @@ impl NocSimulation {
     /// * **No fault event due.** The next scheduled fault transition bounds
     ///   the horizon; per-cycle hazard draws disable skipping entirely
     ///   (every tick must then draw from the fault RNG).
-    /// * **No RNG draw owed.** Packet generation draws once per node per
+    /// * **No RNG draw owed.** Packet generation owes its draws for every
     ///   node-clock cycle, so a tick is only skipped if it emits zero node
     ///   cycles ([`DualClock::peek_advance`], bit-exact) **or** the traffic
     ///   specification declares those node cycles draw-free

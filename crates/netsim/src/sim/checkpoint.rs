@@ -235,8 +235,9 @@ impl NocSimulation {
         }
 
         r.expect_tag(snap_tags::SOURCES)?;
+        let depth = self.cfg.buffer_depth();
         for source in &mut self.sources {
-            source.load_state(r)?;
+            source.load_state(r, depth, nodes)?;
         }
 
         r.expect_tag(snap_tags::SINK)?;

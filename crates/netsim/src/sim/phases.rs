@@ -1,15 +1,17 @@
 //! The phases of one tick around the router pipelines: 1 — clocks, island
-//! dividers, the gating and fault state machines; 2 — packet generation;
-//! 3 — credit delivery; 5 — link flit delivery; 6 — injection. Phases 1–2
-//! are one piece of code for every engine. In phases 3, 5 and 6 the engines
-//! part ways on purpose: the sparse engine drains timing wheels and the
-//! pending-source worklist, the dense reference scans every `node × port`
-//! channel and every source — an independent way of finding the same work,
-//! which is what the differential suites compare.
+//! dividers, the gating and fault state machines; 2 — packet generation
+//! (one [`TrafficSpec::generate_tick`](crate::TrafficSpec::generate_tick)
+//! call, which owns the RNG draw order; a source is touched only when a
+//! packet is emitted for it); 3 — credit delivery; 5 — link flit delivery;
+//! 6 — injection. Phases 1–2 are one piece of code for every engine. In
+//! phases 3, 5 and 6 the engines part ways on purpose: the sparse engine
+//! drains timing wheels and the pending-source worklist, the dense reference
+//! scans every `node × port` channel and every source — an independent way
+//! of finding the same work, which is what the differential suites compare.
 
 use super::{advance_island_clocks, NocSimulation, Tick};
 use crate::fault::{FaultState, FaultTransition};
-use crate::flit::Flit;
+use crate::flit::{Flit, PacketId};
 use crate::gating::GatingController;
 use crate::link::DelayChannel;
 use crate::router::{CreditReturn, Router, VcState, LOCAL_PORT};
@@ -268,12 +270,16 @@ impl NocSimulation {
             }
         }
 
-        // 2. Packet generation in the node clock domain. Every source draws
-        //    from the shared RNG in node order — this loop is *never* made
-        //    sparse, because skipping a draw would shift the random stream of
-        //    every later node. When the NoC outpaces the node clock, zero
-        //    node cycles complete and the whole phase is provably dead
-        //    (zero loop iterations per source, zero RNG draws), so it is
+        // 2. Packet generation in the node clock domain: one
+        //    `generate_tick` call covers every node and every node cycle of
+        //    this tick, in the draw order that method's contract fixes — the
+        //    phase is *never* made sparse, because skipping a draw would
+        //    shift the random stream of every later node. Only a generated
+        //    packet touches engine state: it takes the next packet id, is
+        //    queued on its source, counted in the global / island / tenant
+        //    windows, and puts the source on the injection worklist. When
+        //    the NoC outpaces the node clock, zero node cycles complete and
+        //    the whole phase is provably dead (no draw), so it is
         //    short-circuited.
         if node_cycles > 0 {
             let NocSimulation {
@@ -290,28 +296,28 @@ impl NocSimulation {
                 ..
             } = self;
             let island_of = regions.assignments();
-            for (node, source) in sources.iter_mut().enumerate() {
-                let before = source.flits_generated();
-                source.generate(
-                    node_cycles,
-                    start_node_cycle,
-                    traffic.as_mut(),
-                    topo,
-                    rng,
-                    next_packet_id,
-                    tick.now,
-                    tick.wall_ps,
-                );
-                let generated = source.flits_generated() - before;
-                if generated > 0 {
-                    window.flits_generated += generated;
-                    islands[island_of[node] as usize].window.flits_generated += generated;
-                    if let Some(t) = tenants.as_mut() {
-                        t.windows[t.map.slot_of(node) as usize].flits_generated += generated;
-                    }
-                    pending_sources.insert(node);
+            let nodes = sources.len();
+            let packet_length = traffic.packet_length();
+            let mut queue_packet = |src: usize, _node_cycle: u64, dst: usize| {
+                let id = PacketId::new(*next_packet_id);
+                *next_packet_id += 1;
+                let flits =
+                    sources[src].push_packet(id, dst, packet_length, tick.now, tick.wall_ps);
+                window.flits_generated += flits;
+                islands[island_of[src] as usize].window.flits_generated += flits;
+                if let Some(t) = tenants.as_mut() {
+                    t.windows[t.map.slot_of(src) as usize].flits_generated += flits;
                 }
-            }
+                pending_sources.insert(src);
+            };
+            traffic.generate_tick(
+                nodes,
+                start_node_cycle,
+                node_cycles,
+                topo,
+                rng,
+                &mut queue_packet,
+            );
         }
 
         self.deliver_credits(tick);

@@ -947,20 +947,23 @@ fn parallel_island_stepping_composes_with_gating_and_faults() {
     conservation_holds(&serial);
 }
 
-// ----- hostile snapshot bytes in the router section --------------------------
+// ----- hostile snapshot bytes in the router and source sections ---------------
 
-/// One bit flipped in every byte of the router section of a loaded snapshot:
-/// each mangled snapshot is either refused by `restore`, or restores into a
-/// simulation that runs on without a panic (debug builds check every router's
-/// derived state after every tick on the way). Before the router rebuilt its
-/// masks from the per-VC state on load, roughly one flip in eight restored
-/// `Ok` and then indexed out of bounds or met an `expect` inside a pipeline
-/// stage.
+/// One bit flipped in every byte of the router section, then of the source
+/// section, of a loaded snapshot: each mangled snapshot is either refused by
+/// `restore`, or restores into a simulation that runs on without a panic
+/// (debug builds check every router's derived state after every tick on the
+/// way). Before the router rebuilt its masks from the per-VC state on load,
+/// roughly one flip in eight restored `Ok` and then indexed out of bounds or
+/// met an `expect` inside a pipeline stage; before the source checked its
+/// queue's packet framing, endpoints and credit counts, a flipped flit kind
+/// met the `expect` in `Source::injection_vc` and a flipped credit count
+/// overran the router's local input VC.
 #[cfg(feature = "snapshot")]
 #[test]
 fn bit_flips_in_the_router_section_are_refused_or_harmless() {
     use crate::snapshot::{SimSnapshot, SnapWriter};
-    // Nine routers keep the sweep (one restore per byte of the section, and
+    // Nine routers keep the sweep (one restore per byte of a section, and
     // a 200-cycle run for each one accepted) to a few seconds.
     let loaded = || {
         let cfg = NetworkConfig::builder().mesh(3, 3).virtual_channels(2).buffer_depth(4);
@@ -971,38 +974,47 @@ fn bit_flips_in_the_router_section_are_refused_or_harmless() {
     sim.run_cycles(400);
     let buffered = sim.routers.iter().map(Router::buffered_flits).sum::<usize>();
     assert!(buffered > 20, "the snapshot must catch packets in every stage, got {buffered} flits");
+    let queued = sim.sources.iter().map(Source::queued_flits).sum::<usize>();
+    assert!(queued > 8, "the snapshot must catch flits queued at the sources, got {queued}");
     let snap = sim.snapshot();
     let bytes = snap.to_bytes();
 
-    // The router section's place in the byte stream, measured with the same
-    // codecs that wrote it: the file header, then the sections ahead of the
-    // routers (tag, clock; tag, four RNG words and the packet counter), then
-    // the routers' own tag.
+    // The sections' places in the byte stream, measured with the same codecs
+    // that wrote them: the file header, then the sections ahead of the
+    // routers (tag, clock; tag, four RNG words and the packet counter), the
+    // routers' own tag and the routers, the sources' tag and the sources.
     let encoded_len = |save: &dyn Fn(&mut SnapWriter)| {
         let mut w = SnapWriter::new();
         save(&mut w);
         w.into_vec().len()
     };
     let header = bytes.len() - snap.payload_len();
-    let start = header + 1 + encoded_len(&|w| sim.clock.save_state(w)) + 1 + 5 * 8 + 1;
-    let end = start + encoded_len(&|w| sim.routers.iter().for_each(|r| r.save_state(w)));
+    let routers = header + 1 + encoded_len(&|w| sim.clock.save_state(w)) + 1 + 5 * 8 + 1;
+    let routers_end = routers + encoded_len(&|w| sim.routers.iter().for_each(|r| r.save_state(w)));
+    let sources = routers_end + 1;
+    let sources_end = sources + encoded_len(&|w| sim.sources.iter().for_each(|s| s.save_state(w)));
 
-    let (mut refused, mut survived) = (0, 0);
-    for i in start..end {
-        let mut mangled = bytes.clone();
-        mangled[i] ^= 1 << (i % 8);
-        let mangled = SimSnapshot::from_bytes(&mangled).expect("the header is intact");
-        let mut fresh = loaded();
-        if fresh.restore(&mangled).is_err() {
-            refused += 1;
-            continue;
+    // Most of the router section is checked state; most of a source is
+    // payload a flip turns into another legal value (a queued flit's
+    // timestamps and packet id, the generation counters).
+    for (section, range, mostly_checked) in
+        [("router", routers..routers_end, true), ("source", sources..sources_end, false)]
+    {
+        let (mut refused, mut survived) = (0, 0);
+        for i in range {
+            let mut mangled = bytes.clone();
+            mangled[i] ^= 1 << (i % 8);
+            let mangled = SimSnapshot::from_bytes(&mangled).expect("the header is intact");
+            let mut fresh = loaded();
+            if fresh.restore(&mangled).is_err() {
+                refused += 1;
+                continue;
+            }
+            fresh.run_cycles(200);
+            survived += 1;
         }
-        fresh.run_cycles(200);
-        survived += 1;
+        let floor = if mostly_checked { survived } else { 0 };
+        assert!(refused > floor, "{section}: {refused} refused, {survived} survived");
+        assert!(survived > 0, "{section}: some flips must reach the run");
     }
-    // Most of the section is checked state; the rest is payload a flip turns
-    // into another legal value (a flit's timestamps, an arbiter pointer, an
-    // activity counter).
-    assert!(refused > survived, "{refused} refused, {survived} survived");
-    assert!(survived > 0, "some flips must reach the run");
 }

@@ -92,16 +92,41 @@ impl Source {
         !self.pending.is_empty()
     }
 
-    /// Runs `node_cycles` node-clock cycles of packet generation, covering
-    /// the absolute node cycles `start_node_cycle ..
+    /// Queues the flits of one new packet for `dst`, created at NoC cycle
+    /// `cycle` / wall time `wall_ps`, and returns how many flits that is. The
+    /// one way a packet enters the queue: flits are written straight into
+    /// the queue's storage, so a packet costs no allocation once the queue
+    /// has grown to its working size.
+    #[inline]
+    pub fn push_packet(
+        &mut self,
+        id: PacketId,
+        dst: usize,
+        packet_length: usize,
+        cycle: u64,
+        wall_ps: f64,
+    ) -> u64 {
+        let node = self.node;
+        self.pending.extend(
+            (0..packet_length).map(|i| Flit::new(id, node, dst, i, packet_length, cycle, wall_ps)),
+        );
+        self.flits_generated += packet_length as u64;
+        self.packets_generated += 1;
+        packet_length as u64
+    }
+
+    /// Runs `node_cycles` node-clock cycles of packet generation for this
+    /// node alone, covering the absolute node cycles `start_node_cycle ..
     /// start_node_cycle + node_cycles` (the clock the event-horizon skip
-    /// contract and trace record/replay speak in).
+    /// contract and trace record/replay speak in). The simulation engine
+    /// generates for the whole fabric at once through
+    /// [`TrafficSpec::generate_tick`]; this is the single-source form for
+    /// driving a `Source` by hand.
     ///
     /// `next_packet_id` is a monotonically increasing counter shared across
     /// sources (owned by the simulation); newly generated packets consume ids
     /// from it.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
     pub fn generate(
         &mut self,
         node_cycles: u64,
@@ -119,17 +144,7 @@ impl Source {
             {
                 let id = PacketId::new(*next_packet_id);
                 *next_packet_id += 1;
-                let flits = Flit::packet(
-                    id,
-                    self.node,
-                    dst,
-                    traffic.packet_length(),
-                    current_cycle,
-                    wall_time_ps,
-                );
-                self.flits_generated += flits.len() as u64;
-                self.packets_generated += 1;
-                self.pending.extend(flits);
+                self.push_packet(id, dst, traffic.packet_length(), current_cycle, wall_time_ps);
             }
         }
     }
@@ -232,15 +247,29 @@ impl Source {
     }
 
     /// Replaces the mutable source state with the checkpointed one.
+    ///
+    /// `depth` is the buffer depth of the injection channel's VCs and `nodes`
+    /// the fabric's node count: a snapshot is refused when a credit count
+    /// exceeds the buffer it stands for, when a queued flit does not come
+    /// from this node or goes to no node, or when the queue is not a run of
+    /// whole packets behind the (possibly partly injected) one the active VC
+    /// belongs to — states the injection path would otherwise index or
+    /// `expect` its way into.
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
+        depth: usize,
+        nodes: usize,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let queued = r.read_usize()?;
         self.pending.clear();
         for _ in 0..queued {
-            self.pending.push_back(Flit::load_state(r)?);
+            let flit = Flit::load_state(r)?;
+            if flit.src() != self.node || flit.dst() >= nodes {
+                return Err(SnapshotError::Corrupt("queued flit endpoint"));
+            }
+            self.pending.push_back(flit);
         }
         let vcs = r.read_usize()?;
         if vcs != self.credits.len() {
@@ -248,10 +277,20 @@ impl Source {
         }
         for credit in &mut self.credits {
             *credit = r.read_usize()?;
+            if *credit > depth {
+                return Err(SnapshotError::Corrupt("source credit count"));
+            }
         }
         let active_vc = r.read_opt_u64()?.map(|vc| vc as usize);
         if active_vc.is_some_and(|vc| vc >= self.credits.len()) {
             return Err(SnapshotError::Corrupt("source active VC"));
+        }
+        let mut mid_packet = active_vc.is_some();
+        for flit in &self.pending {
+            if flit.kind.is_head() == mid_packet {
+                return Err(SnapshotError::Corrupt("source queue packet framing"));
+            }
+            mid_packet = !flit.kind.is_tail();
         }
         self.active_vc = active_vc;
         let next_vc = r.read_usize()?;

@@ -696,6 +696,35 @@ impl TrafficSpec for RecordingTraffic {
         Some(dst)
     }
 
+    fn generate_tick(
+        &mut self,
+        nodes: usize,
+        start_node_cycle: u64,
+        node_cycles: u64,
+        topo: &Topology,
+        rng: &mut StdRng,
+        emit: &mut dyn FnMut(usize, u64, usize),
+    ) {
+        let RecordingTraffic { inner, writer, tenant_slots } = self;
+        // Locked by the tick's first packet and held to its end: a tick that
+        // generates nothing never touches the mutex.
+        let mut locked = None;
+        inner.generate_tick(
+            nodes,
+            start_node_cycle,
+            node_cycles,
+            topo,
+            rng,
+            &mut |src, node_cycle, dst| {
+                let tenant = tenant_slots.as_ref().map_or(0, |slots| slots[src]);
+                locked
+                    .get_or_insert_with(|| writer.lock().expect("trace writer poisoned"))
+                    .record(TraceEvent { node_cycle, src: src as u32, dst: dst as u32, tenant });
+                emit(src, node_cycle, dst);
+            },
+        );
+    }
+
     fn silent_node_cycles(&self, from_node_cycle: u64) -> u64 {
         self.inner.silent_node_cycles(from_node_cycle)
     }
@@ -1162,5 +1191,40 @@ mod tests {
         assert_eq!(restored.events_pending(), 0);
         assert!(!restored.load_extra_state(&[1, 2, 3]));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batched_generation_matches_the_per_call_definition() {
+        use crate::traffic::batch_contract::{assert_batched_matches_per_call, cases, topologies};
+        let read_all = |dir: &PathBuf| {
+            let mut reader = TraceReader::open(dir).unwrap();
+            std::iter::from_fn(|| reader.next().unwrap()).collect::<Vec<_>>()
+        };
+        let (dir, dir_ref) = (tmpdir("batched"), tmpdir("batched-ref"));
+        for topo in topologies() {
+            // Slots differ between neighbours so a misattributed event shows.
+            let owners = (0..topo.node_count()).map(|node| Some((node % 3) as u32)).collect();
+            let tenants = TenantMap::new(owners, 3).unwrap();
+            let nodes = topo.node_count();
+            for ((case, inner), (_, inner_ref)) in cases(&topo).into_iter().zip(cases(&topo)) {
+                let record = |inner: Box<dyn TrafficSpec>, dir: &PathBuf| {
+                    let writer = TraceWriter::create(dir, inner.packet_length(), nodes, 512);
+                    let writer = Arc::new(Mutex::new(writer.unwrap()));
+                    (RecordingTraffic::new(inner, writer.clone()).with_tenants(&tenants), writer)
+                };
+                let (mut batched, writer) = record(inner, &dir);
+                let (reference, writer_ref) = record(inner_ref, &dir_ref);
+                let case = format!("recording {case}");
+                let reference = Box::new(reference);
+                let packets = assert_batched_matches_per_call(&mut batched, reference, &topo, &case);
+                writer.lock().unwrap().finish().unwrap();
+                writer_ref.lock().unwrap().finish().unwrap();
+                let events = read_all(&dir);
+                assert_eq!(events.len(), packets, "{case}: one event per packet");
+                assert_eq!(events, read_all(&dir_ref), "{case}: recorded events");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir_ref);
     }
 }

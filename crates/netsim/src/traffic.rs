@@ -200,8 +200,80 @@ fn uniform_excluding(src: usize, n: usize, rng: &mut StdRng) -> Option<usize> {
     Some(d)
 }
 
+/// A Bernoulli trial of fixed probability `p` as one integer compare: draws
+/// from the generator exactly when `rng.gen_bool(p)` would and returns what it
+/// would, for every raw generator output.
+///
+/// `gen_bool` tests `k·2⁻⁵³ < p` with `k = next_u64() >> 11`. Both sides
+/// scale exactly by 2⁵³, and an integer `k` is below the real `p·2⁵³` exactly
+/// when it is below its ceiling, so for `0 < p < 1` the test is
+/// `k < ⌈p·2⁵³⌉`, a threshold in `1..2⁵³`. The two values outside that range
+/// stand for `p ≤ 0` and `p ≥ 1`, which decide without consuming a draw —
+/// as `gen_bool` does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Bernoulli {
+    threshold: u64,
+}
+
+impl Bernoulli {
+    const NEVER: u64 = 0;
+    const ALWAYS: u64 = 1 << 53;
+
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]` (the range `gen_bool` asserts).
+    fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "Bernoulli probability must be in [0, 1]");
+        let threshold = if p <= 0.0 {
+            Self::NEVER
+        } else if p >= 1.0 {
+            Self::ALWAYS
+        } else {
+            (p * Self::ALWAYS as f64).ceil() as u64
+        };
+        Bernoulli { threshold }
+    }
+
+    #[inline]
+    fn draw(self, rng: &mut StdRng) -> bool {
+        match self.threshold {
+            Self::NEVER => false,
+            Self::ALWAYS => true,
+            threshold => (rng.next_u64() >> 11) < threshold,
+        }
+    }
+}
+
 /// A source of traffic: decides, once per node-clock cycle and per node,
 /// whether to generate a packet and where it should go.
+///
+/// # The draw-order contract
+///
+/// Every simulation result is defined by the order in which the shared
+/// generator is consumed, and that order is the contract of
+/// [`generate_tick`](Self::generate_tick): nodes ascending, node cycles
+/// ascending within a node, [`maybe_generate`](Self::maybe_generate) for each
+/// pair. The engine reaches generation through `generate_tick` only, so an
+/// implementation that provides just the required methods gets that order
+/// from the default body:
+///
+/// ```
+/// # use noc_sim::{Mesh2d, SyntheticTraffic, TrafficPattern, TrafficSpec};
+/// # use rand::{rngs::StdRng, SeedableRng};
+/// # let (topo, mut rng) = (Mesh2d::new(4, 4), StdRng::seed_from_u64(1));
+/// let mut traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.3, 5);
+/// traffic.generate_tick(16, 0, 1, &topo, &mut rng, &mut |src, _, dst| assert_ne!(src, dst));
+/// ```
+///
+/// An override exists to make that sweep cheaper (one call per tick instead
+/// of one per node per node cycle, probabilities turned into integer
+/// thresholds once). It **may** restructure the loop, hoist per-node checks
+/// and batch its own bookkeeping; it **must** leave `rng` in the state the
+/// default body would, call `emit` with the same `(src, node_cycle, dst)`
+/// sequence, and leave the same
+/// [`save_extra_state`](Self::save_extra_state) bytes behind. The
+/// `batched_generation_matches_the_per_call_definition` tests in this module
+/// and in `trace` hold every override in the crate to that, bit for bit.
 pub trait TrafficSpec: Debug + Send {
     /// Number of flits in every generated packet.
     fn packet_length(&self) -> usize;
@@ -214,8 +286,10 @@ pub trait TrafficSpec: Debug + Send {
     /// `node_cycle` (the same clock [`silent_node_cycles`](Self::silent_node_cycles)
     /// speaks about: cycle 0 is the first node cycle of the run).
     ///
-    /// The simulation sweeps nodes in ascending order and, within one node,
-    /// cycles in ascending order — the RNG draw order every engine preserves.
+    /// This is the *definition* of the source: the default
+    /// [`generate_tick`](Self::generate_tick) calls it for nodes in ascending
+    /// order and, within one node, cycles in ascending order, and an
+    /// overriding `generate_tick` must be indistinguishable from that sweep.
     /// Memoryless sources ignore `node_cycle`; recorders log it and replay
     /// sources match against it.
     ///
@@ -228,19 +302,48 @@ pub trait TrafficSpec: Debug + Send {
         rng: &mut StdRng,
     ) -> Option<usize>;
 
+    /// One tick of packet generation for the whole fabric: decides for every
+    /// node in `0..nodes` and every node cycle in `start_node_cycle ..
+    /// start_node_cycle + node_cycles` whether a packet is generated, and
+    /// calls `emit(src, node_cycle, dst)` for each one. This is the only
+    /// generation entry point the simulation engine uses.
+    ///
+    /// The default body is the draw order every result is defined against —
+    /// nodes ascending, node cycles ascending within a node,
+    /// [`maybe_generate`](Self::maybe_generate) for each. An override must
+    /// consume exactly the draws this body would, emit the same sequence and
+    /// end in the same state (see the [trait docs](TrafficSpec)).
+    fn generate_tick(
+        &mut self,
+        nodes: usize,
+        start_node_cycle: u64,
+        node_cycles: u64,
+        topo: &Topology,
+        rng: &mut StdRng,
+        emit: &mut dyn FnMut(usize, u64, usize),
+    ) {
+        for src in 0..nodes {
+            for node_cycle in start_node_cycle..start_node_cycle + node_cycles {
+                if let Some(dst) = self.maybe_generate(src, node_cycle, topo, rng) {
+                    emit(src, node_cycle, dst);
+                }
+            }
+        }
+    }
+
     /// Number of consecutive node cycles, starting at the absolute node cycle
     /// `from_node_cycle`, for which [`maybe_generate`](Self::maybe_generate)
     /// is guaranteed to return `None` **and** draw nothing from the RNG, for
     /// every node.
     ///
     /// This is the traffic side of the event-horizon skipping contract: the
-    /// simulation may replace the per-node `maybe_generate` calls of a node
-    /// cycle inside this span with one [`skip_node_cycles`](Self::skip_node_cycles)
-    /// call. Returning `0` (the default) declares the source never provably
-    /// silent and disables generation skipping; `u64::MAX` means silent
-    /// forever. Implementations must be conservative — claiming silence for a
-    /// cycle that would have drawn or generated breaks bit-identity with the
-    /// non-skipping engine.
+    /// simulation may replace the [`generate_tick`](Self::generate_tick)
+    /// calls covering node cycles inside this span with one
+    /// [`skip_node_cycles`](Self::skip_node_cycles) call. Returning `0` (the
+    /// default) declares the source never provably silent and disables
+    /// generation skipping; `u64::MAX` means silent forever. Implementations
+    /// must be conservative — claiming silence for a cycle that would have
+    /// drawn or generated breaks bit-identity with the non-skipping engine.
     fn silent_node_cycles(&self, from_node_cycle: u64) -> u64 {
         let _ = from_node_cycle;
         0
@@ -248,8 +351,9 @@ pub trait TrafficSpec: Debug + Send {
 
     /// Informs the source that `node_cycles` node cycles it declared silent
     /// via [`silent_node_cycles`](Self::silent_node_cycles) elapsed without
-    /// per-node `maybe_generate` calls. Stateful sources advance their
-    /// internal position here; memoryless sources need no action (default).
+    /// a [`generate_tick`](Self::generate_tick) call. Stateful sources advance
+    /// their internal position here; memoryless sources need no action
+    /// (default).
     fn skip_node_cycles(&mut self, node_cycles: u64) {
         let _ = node_cycles;
     }
@@ -341,6 +445,32 @@ impl TrafficSpec for SyntheticTraffic {
             self.pattern.destination(src, topo, rng)
         } else {
             None
+        }
+    }
+
+    fn generate_tick(
+        &mut self,
+        nodes: usize,
+        start_node_cycle: u64,
+        node_cycles: u64,
+        topo: &Topology,
+        rng: &mut StdRng,
+        emit: &mut dyn FnMut(usize, u64, usize),
+    ) {
+        // A zero-rate source draws nothing, as in `maybe_generate`.
+        if self.packet_probability <= 0.0 {
+            return;
+        }
+        let pattern = self.pattern;
+        let packet_draw = Bernoulli::new(self.packet_probability);
+        for src in 0..nodes {
+            for node_cycle in start_node_cycle..start_node_cycle + node_cycles {
+                if packet_draw.draw(rng) {
+                    if let Some(dst) = pattern.destination(src, topo, rng) {
+                        emit(src, node_cycle, dst);
+                    }
+                }
+            }
         }
     }
 
@@ -487,6 +617,41 @@ impl TrafficSpec for BurstyTraffic {
         }
     }
 
+    fn generate_tick(
+        &mut self,
+        nodes: usize,
+        start_node_cycle: u64,
+        node_cycles: u64,
+        topo: &Topology,
+        rng: &mut StdRng,
+        emit: &mut dyn FnMut(usize, u64, usize),
+    ) {
+        // No draw, and no growth of the chain vector, without a node cycle.
+        if self.injection_rate <= 0.0 || node_cycles == 0 {
+            return;
+        }
+        // The per-call path grows the chain vector node by node; one sweep
+        // over `0..nodes` leaves it at this length.
+        if self.on.len() < nodes {
+            self.on.resize(nodes, false);
+        }
+        let pattern = self.pattern;
+        let burst_draw = Bernoulli::new(self.burst_probability);
+        let on_to_off_draw = Bernoulli::new(self.p_on_to_off);
+        let off_to_on_draw = Bernoulli::new(self.p_off_to_on);
+        for (src, on) in self.on[..nodes].iter_mut().enumerate() {
+            for node_cycle in start_node_cycle..start_node_cycle + node_cycles {
+                // Advance the node's Markov chain, then draw in the new state.
+                *on ^= if *on { on_to_off_draw.draw(rng) } else { off_to_on_draw.draw(rng) };
+                if *on && burst_draw.draw(rng) {
+                    if let Some(dst) = pattern.destination(src, topo, rng) {
+                        emit(src, node_cycle, dst);
+                    }
+                }
+            }
+        }
+    }
+
     fn silent_node_cycles(&self, _from_node_cycle: u64) -> u64 {
         // The Markov chains advance (and draw) every node cycle whenever the
         // rate is positive, so only the degenerate zero-rate source — which
@@ -532,6 +697,10 @@ pub struct MatrixTraffic {
     /// Cached per-row `min(total / length, 1)` draw probabilities (see
     /// [`SyntheticTraffic::packet_probability`]).
     row_probabilities: Vec<f64>,
+    /// The same probabilities as the integer tests
+    /// [`generate_tick`](TrafficSpec::generate_tick) runs; a row that sends
+    /// nothing never draws.
+    row_draws: Vec<Bernoulli>,
     packet_length: usize,
 }
 
@@ -553,11 +722,12 @@ impl MatrixTraffic {
             }
         }
         let row_totals: Vec<f64> = rates.iter().map(|row| row.iter().sum()).collect();
-        let row_probabilities = row_totals
+        let row_probabilities: Vec<f64> = row_totals
             .iter()
             .map(|&total| (total / packet_length as f64).min(1.0))
             .collect();
-        MatrixTraffic { rates, row_totals, row_probabilities, packet_length }
+        let row_draws = row_probabilities.iter().map(|&p| Bernoulli::new(p)).collect();
+        MatrixTraffic { rates, row_totals, row_probabilities, row_draws, packet_length }
     }
 
     /// Number of nodes covered by the matrix.
@@ -585,6 +755,23 @@ impl MatrixTraffic {
             .map(|row| row.iter().map(|r| r * factor).collect())
             .collect();
         MatrixTraffic::new(rates, self.packet_length)
+    }
+
+    /// The destination of a packet `src` has decided to send, chosen
+    /// proportionally to the row's rates (one draw; the row total is
+    /// positive).
+    fn pick_destination(&self, src: usize, rng: &mut StdRng) -> Option<usize> {
+        let mut pick = rng.gen_range(0.0..self.row_totals[src]);
+        for (dst, &r) in self.rates[src].iter().enumerate() {
+            if r <= 0.0 {
+                continue;
+            }
+            if pick < r {
+                return if dst == src { None } else { Some(dst) };
+            }
+            pick -= r;
+        }
+        None
     }
 }
 
@@ -617,18 +804,29 @@ impl TrafficSpec for MatrixTraffic {
         if !rng.gen_bool(self.row_probabilities[src]) {
             return None;
         }
-        // Choose the destination proportionally to its rate.
-        let mut pick = rng.gen_range(0.0..total);
-        for (dst, &r) in self.rates[src].iter().enumerate() {
-            if r <= 0.0 {
-                continue;
+        self.pick_destination(src, rng)
+    }
+
+    fn generate_tick(
+        &mut self,
+        nodes: usize,
+        start_node_cycle: u64,
+        node_cycles: u64,
+        _topo: &Topology,
+        rng: &mut StdRng,
+        emit: &mut dyn FnMut(usize, u64, usize),
+    ) {
+        // Nodes beyond the matrix, and rows that send nothing (their draw is
+        // `NEVER`: a total of zero is a probability of zero), draw nothing.
+        for (src, &row_draw) in self.row_draws.iter().enumerate().take(nodes) {
+            for node_cycle in start_node_cycle..start_node_cycle + node_cycles {
+                if row_draw.draw(rng) {
+                    if let Some(dst) = self.pick_destination(src, rng) {
+                        emit(src, node_cycle, dst);
+                    }
+                }
             }
-            if pick < r {
-                return if dst == src { None } else { Some(dst) };
-            }
-            pick -= r;
         }
-        None
     }
 
     fn silent_node_cycles(&self, _from_node_cycle: u64) -> u64 {
@@ -639,6 +837,141 @@ impl TrafficSpec for MatrixTraffic {
         } else {
             0
         }
+    }
+}
+
+/// The test harness of the [`generate_tick`](TrafficSpec::generate_tick)
+/// override contract, shared with the `trace` module's tests.
+#[cfg(test)]
+pub(crate) mod batch_contract {
+    use super::*;
+    use rand::SeedableRng;
+
+    /// Forwards the required methods only, so its `generate_tick` is the
+    /// trait's default body: the per-call definition of the wrapped source.
+    #[derive(Debug)]
+    struct PerCall(Box<dyn TrafficSpec>);
+
+    impl TrafficSpec for PerCall {
+        fn packet_length(&self) -> usize {
+            self.0.packet_length()
+        }
+        fn offered_load(&self) -> f64 {
+            self.0.offered_load()
+        }
+        fn maybe_generate(
+            &mut self,
+            src: usize,
+            node_cycle: u64,
+            topo: &Topology,
+            rng: &mut StdRng,
+        ) -> Option<usize> {
+            self.0.maybe_generate(src, node_cycle, topo, rng)
+        }
+    }
+
+    /// Ticks per case, cycling through 0, 1, 2 and 3 node cycles per tick.
+    const TICKS: usize = 2_400;
+
+    /// Drives `batched` through its own `generate_tick` and `reference` —
+    /// the same source in the same state — through the default body, from
+    /// equal seeds, and asserts after every tick the same emit sequence, the
+    /// same generator state and the same `save_extra_state` bytes. Returns
+    /// the number of packets emitted.
+    pub(crate) fn assert_batched_matches_per_call(
+        batched: &mut dyn TrafficSpec,
+        reference: Box<dyn TrafficSpec>,
+        topo: &Topology,
+        case: &str,
+    ) -> usize {
+        let mut per_call = PerCall(reference);
+        let nodes = topo.node_count();
+        let mut rng = StdRng::seed_from_u64(2015);
+        let mut rng_ref = rng.clone();
+        let (mut emitted, mut emitted_ref) = (Vec::new(), Vec::new());
+        let (mut state, mut state_ref) = (Vec::new(), Vec::new());
+        let (mut start, mut packets) = (0u64, 0usize);
+        for tick in 0..TICKS {
+            let node_cycles = [1, 0, 2, 1, 3, 1][tick % 6];
+            emitted.clear();
+            emitted_ref.clear();
+            batched.generate_tick(nodes, start, node_cycles, topo, &mut rng, &mut |s, c, d| {
+                emitted.push((s, c, d))
+            });
+            per_call.generate_tick(nodes, start, node_cycles, topo, &mut rng_ref, &mut |s, c, d| {
+                emitted_ref.push((s, c, d))
+            });
+            assert_eq!(emitted, emitted_ref, "{case}: packets of tick {tick}");
+            assert_eq!(rng, rng_ref, "{case}: generator state after tick {tick}");
+            state.clear();
+            state_ref.clear();
+            batched.save_extra_state(&mut state);
+            per_call.0.save_extra_state(&mut state_ref);
+            assert_eq!(state, state_ref, "{case}: checkpoint state after tick {tick}");
+            start += node_cycles;
+            packets += emitted.len();
+        }
+        assert_eq!(rng.next_u64(), rng_ref.next_u64(), "{case}: next draw");
+        packets
+    }
+
+    /// The grids the cases run on: square with a power-of-two node count
+    /// (every pattern validates), and odd-sized non-square.
+    pub(crate) fn topologies() -> [Topology; 2] {
+        [Topology::new(4, 4), Topology::new(5, 3)]
+    }
+
+    /// Every source of this module in every regime its draw logic
+    /// distinguishes, freshly built for the grid `topo` (two calls give two
+    /// sets in equal state).
+    pub(crate) fn cases(topo: &Topology) -> Vec<(String, Box<dyn TrafficSpec>)> {
+        let mut cases: Vec<(String, Box<dyn TrafficSpec>)> = Vec::new();
+        let grid = format!("{}x{}", topo.width(), topo.height());
+        for pattern in TrafficPattern::ALL {
+            if pattern.validate_for(topo).is_err() {
+                continue;
+            }
+            // Silent, rare, busy, and one packet per node cycle (p = 1: no
+            // Bernoulli draw, only the destination's).
+            for rate in [0.0, 1e-4, 0.3, 4.0] {
+                cases.push((
+                    format!("synthetic {} {rate} on {grid}", pattern.name()),
+                    Box::new(SyntheticTraffic::new(pattern, rate, 4)),
+                ));
+            }
+        }
+        let bursty = |rate, burst, factor| -> Box<dyn TrafficSpec> {
+            Box::new(BurstyTraffic::new(TrafficPattern::Uniform, rate, 5, burst, factor))
+        };
+        cases.push((format!("bursty on {grid}"), bursty(0.2, 50.0, 4.0)));
+        cases.push((format!("bursty silent on {grid}"), bursty(0.0, 10.0, 3.0)));
+        // Average rate = clamped peak rate: OFF→ON and the packet draw are
+        // certain, ON→OFF impossible — no Bernoulli draw at all.
+        cases.push((format!("bursty permanently on, {grid}"), bursty(5.0, 10.0, 2.0)));
+        // Renormalized transition probabilities: OFF→ON is exactly 1.
+        cases.push((format!("bursty clamped off-to-on, {grid}"), bursty(0.3, 2.0, 1.1)));
+        cases.push((
+            format!("bursty hotspot on {grid}"),
+            Box::new(BurstyTraffic::new(TrafficPattern::Hotspot, 0.4, 2, 8.0, 2.0)),
+        ));
+
+        // A matrix smaller than the fabric, with a silent row, a row whose
+        // packet probability is clamped to 1, a self-addressed rate and
+        // ordinary rows.
+        let n = topo.node_count() - 3;
+        let mut rates = vec![vec![0.0; n]; n];
+        for (src, row) in rates.iter_mut().enumerate().skip(1) {
+            for (dst, rate) in row.iter_mut().enumerate() {
+                *rate = if (src + 2 * dst) % 3 == 0 { 0.02 * (1 + dst % 4) as f64 } else { 0.0 };
+            }
+        }
+        rates[2][5] = 7.0;
+        cases.push((format!("matrix on {grid}"), Box::new(MatrixTraffic::new(rates, 3))));
+        cases.push((
+            format!("matrix all zero on {grid}"),
+            Box::new(MatrixTraffic::new(vec![vec![0.0; n]; n], 3)),
+        ));
+        cases
     }
 }
 
@@ -954,5 +1287,60 @@ mod tests {
         assert!((m.offered_load() - 0.2).abs() < 1e-12);
         assert!((m.row_total(0) - 0.4).abs() < 1e-12);
         assert_eq!(m.node_count(), 2);
+    }
+
+    #[test]
+    fn batched_generation_matches_the_per_call_definition() {
+        for topo in batch_contract::topologies() {
+            let references = batch_contract::cases(&topo);
+            for ((case, mut batched), (_, reference)) in
+                batch_contract::cases(&topo).into_iter().zip(references)
+            {
+                let load = batched.offered_load();
+                let packets = batch_contract::assert_batched_matches_per_call(
+                    batched.as_mut(),
+                    reference,
+                    &topo,
+                    &case,
+                );
+                // A case that never emits would compare two empty sequences.
+                assert!(packets > 0 || load < 0.1, "{case}: no packet at load {load}");
+            }
+        }
+    }
+
+    /// `gen_bool` on a generator whose next output is `raw`.
+    fn gen_bool_of(raw: u64, p: f64) -> bool {
+        struct Fixed(u64);
+        impl Rng for Fixed {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        Fixed(raw).gen_bool(p)
+    }
+
+    #[test]
+    fn bernoulli_threshold_equals_the_float_compare() {
+        let ulp = (1u64 << 53) as f64;
+        let mut r = rng();
+        for p in [1.0 / ulp, 1e-9, 1e-4, 0.1, 0.5, 1.0 - 1.0 / ulp] {
+            let threshold = Bernoulli::new(p).threshold;
+            assert!((1..1 << 53).contains(&threshold), "p = {p}: threshold {threshold}");
+            let agrees = |raw: u64| {
+                assert_eq!((raw >> 11) < threshold, gen_bool_of(raw, p), "p = {p}, raw = {raw:#x}");
+            };
+            // Around the threshold, with the discarded low bits clear and set.
+            for k in (threshold - 1..=threshold + 1).filter(|&k| k < 1 << 53) {
+                agrees(k << 11);
+                agrees(k << 11 | 0x7ff);
+            }
+            (0..1_000_000).for_each(|_| agrees(r.next_u64()));
+        }
+        // The two certain outcomes consume nothing, as `gen_bool` does.
+        let before = r.clone();
+        assert!(!Bernoulli::new(0.0).draw(&mut r));
+        assert!(Bernoulli::new(1.0).draw(&mut r));
+        assert_eq!(r, before);
     }
 }
