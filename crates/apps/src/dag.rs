@@ -18,7 +18,6 @@
 use crate::task_graph::{TaskEdge, TaskGraph, TaskGraphError, TaskNode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -27,7 +26,7 @@ use std::fmt;
 const MAX_EDGE_WEIGHT: f64 = 1e12;
 
 /// Configuration for [`random_task_graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DagConfig {
     /// Number of tasks (DAG vertices). At least 2: one source, one sink.
     pub tasks: usize,

@@ -1,13 +1,12 @@
 //! Application task graphs and their conversion into NoC traffic matrices.
 
 use noc_sim::MatrixTraffic;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 /// A computation block of the application, mapped onto one mesh node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskNode {
     /// Human-readable task name (e.g. `"motion estimation"`).
     pub name: String,
@@ -16,7 +15,7 @@ pub struct TaskNode {
 }
 
 /// A directed communication between two tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskEdge {
     /// Index of the producing task in [`TaskGraph::tasks`].
     pub src_task: usize,
@@ -78,7 +77,7 @@ impl fmt::Display for TaskGraphError {
 impl Error for TaskGraphError {}
 
 /// A mapped application task graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     name: String,
     mesh_width: usize,

@@ -17,10 +17,9 @@ use noc_power::{
 use noc_sim::{
     GatingConfig, Hertz, NetworkConfig, NocSimulation, TrafficSpec, WindowMeasurement,
 };
-use serde::{Deserialize, Serialize};
 
 /// Timing parameters of the closed control loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClosedLoopConfig {
     /// Control update period expressed in cycles *at the maximum frequency*
     /// (the paper uses 10 000). The wall-clock period is therefore constant
@@ -91,7 +90,7 @@ impl Default for ClosedLoopConfig {
 
 /// The measured behaviour of one workload / policy combination — one point of
 /// a paper figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPointResult {
     /// Policy name (`"No-DVFS"`, `"RMSD"`, `"DMSD"`).
     pub policy: String,

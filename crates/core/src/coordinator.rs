@@ -35,7 +35,7 @@
 use crate::closed_loop::OperatingPointResult;
 use crate::parallel::worker_threads;
 use crate::policy::PolicyKind;
-use noc_sim::telemetry::{TelemetryEvent, TraceEmitter};
+use noc_sim::{write_atomic, TelemetryEvent, TraceEmitter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -574,17 +574,6 @@ fn checkpoint_path(journal_path: &Path, key: &str) -> PathBuf {
     let mut name = journal_path.file_name().unwrap_or_default().to_os_string();
     name.push(format!(".ckpt-{:016x}", fnv(0, key.as_bytes())));
     journal_path.with_file_name(name)
-}
-
-/// Atomic file replacement: write to a sibling temp file, then rename over
-/// the destination. A crash at any instant leaves either the old complete
-/// file or the new complete file — never a torn mix.
-///
-/// The implementation lives in [`noc_sim::trace`] (the trace recorder's
-/// chunk files share it); this re-delegation keeps the coordinator's
-/// long-standing public API.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    noc_sim::trace::write_atomic(path, bytes)
 }
 
 // ---------------------------------------------------------------------------

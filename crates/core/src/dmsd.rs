@@ -19,10 +19,9 @@
 use crate::pi::PiController;
 use crate::policy::{ControlMeasurement, DvfsPolicy};
 use noc_sim::{Hertz, NetworkConfig};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the DMSD policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DmsdConfig {
     /// The delay target the PI loop tracks, in nanoseconds (150 ns in the
     /// paper's Fig. 4).
@@ -93,12 +92,8 @@ impl Dmsd {
         }
     }
 
-    /// The delay target in nanoseconds.
-    pub fn target_delay_ns(&self) -> f64 {
-        self.config.target_delay_ns
-    }
-
     /// The current normalised PI output (`F/F_max`).
+    #[cfg(test)]
     pub fn normalized_output(&self) -> f64 {
         self.pi.output()
     }

@@ -25,7 +25,6 @@ use crate::sweep::{load_grid, sweep_policies, PolicyCurve};
 use noc_apps::{h264_encoder, video_conference_encoder, TaskGraph};
 use noc_power::{FdsoiTech, OperatingPoint};
 use noc_sim::{NetworkConfig, SyntheticTraffic, TopologyKind, TrafficPattern, TrafficSpec};
-use serde::{Deserialize, Serialize};
 
 /// The delay target used by DMSD throughout the paper (Fig. 4: 150 ns, chosen
 /// as the RMSD delay at `λ_max`).
@@ -42,7 +41,7 @@ pub const PAPER_LAMBDA_MAX_MARGIN: f64 = 0.9;
 pub const APP_PEAK_NODE_RATE: f64 = 0.35;
 
 /// Simulation-budget knobs shared by all experiment drivers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentQuality {
     /// Control-loop timing for every operating point.
     pub loop_cfg: ClosedLoopConfig,
@@ -94,7 +93,7 @@ impl ExperimentQuality {
 }
 
 /// The three policy curves of one scenario (one sub-plot of a paper figure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyComparison {
     /// Scenario label (traffic pattern, parameter value, application name…).
     pub label: String,
@@ -229,7 +228,7 @@ pub fn fig7_synthetic_patterns(quality: &ExperimentQuality) -> Vec<PolicyCompari
 }
 
 /// One axis of the Fig. 8 sensitivity analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SensitivityAxis {
     /// Number of virtual channels (paper values: 2, 4, 8).
     VirtualChannels,

@@ -26,7 +26,6 @@ use crate::island::IslandSummary;
 use crate::policy::PolicyKind;
 use noc_power::{FdsoiTech, GatingResidency, RouterPowerModel};
 use noc_sim::{Hertz, NetworkConfig, TrafficSpec, WindowMeasurement, GATE_NEVER};
-use serde::{Deserialize, Serialize};
 
 /// Wakeup latency assumed when a gated run enables gating on a network whose
 /// configuration left it off, in domain cycles. Real sleep-transistor
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_WAKEUP_LATENCY: u64 = 8;
 
 /// Parameters of the break-even-aware gating policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakEvenConfig {
     /// Safety margin: the predicted idle period must exceed
     /// `margin × break-even time` before the island's routers are allowed
@@ -49,11 +48,6 @@ impl BreakEvenConfig {
     pub fn new() -> Self {
         BreakEvenConfig { margin: 2.0 }
     }
-
-    /// A caller-chosen margin.
-    pub fn with_margin(margin: f64) -> Self {
-        BreakEvenConfig { margin }
-    }
 }
 
 impl Default for BreakEvenConfig {
@@ -64,7 +58,7 @@ impl Default for BreakEvenConfig {
 
 /// A value-level description of which gating policy to run (the gating
 /// analogue of [`PolicyKind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GatingPolicyKind {
     /// Sleep as soon as a router drains (idle threshold 0). Maximum gated
     /// residency, but thrashes below break-even under sparse traffic.
@@ -151,7 +145,7 @@ pub(crate) fn break_even_cycles(model: &RouterPowerModel, tech: &FdsoiTech, f: H
 
 /// Aggregate + per-island + gating-residency result of one gated operating
 /// point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatedOperatingPointResult {
     /// The network-level operating point (the shape every sweep consumes).
     pub aggregate: OperatingPointResult,

@@ -24,7 +24,6 @@ use crate::closed_loop::{run_loop, ClosedLoopConfig, OperatingPointResult};
 use crate::policy::{ControlMeasurement, DvfsPolicy, PolicyKind};
 use noc_power::FrequencyResidency;
 use noc_sim::{Hertz, NetworkConfig, TrafficSpec, WindowMeasurement};
-use serde::{Deserialize, Serialize};
 
 /// One DVFS controller instance per voltage-frequency island.
 ///
@@ -92,7 +91,7 @@ impl MultiIslandController {
 
 /// The measured behaviour of one island over the measurement phase of the
 /// closed loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IslandSummary {
     /// Island id (index into the region partition).
     pub island: usize,
@@ -112,7 +111,7 @@ pub struct IslandSummary {
 }
 
 /// Aggregate + per-island result of one island-controlled operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IslandOperatingPointResult {
     /// The network-level operating point (power, delay, throughput — the
     /// same shape every sweep and figure driver consumes). The

@@ -83,8 +83,8 @@ pub use closed_loop::{
 };
 pub use coordinator::{
     decode_operating_point, encode_operating_point, profile_path, run_sweep, shard_policy_grid,
-    write_atomic, ChaosConfig, CoordinatorConfig, CoordinatorError, PointContext, PointFailure,
-    PointRunner, SweepProfile, SweepReport, WorkUnit,
+    ChaosConfig, CoordinatorConfig, CoordinatorError, PointContext, PointFailure, PointRunner,
+    SweepProfile, SweepReport, WorkUnit,
 };
 pub use dmsd::{Dmsd, DmsdConfig};
 pub use gating::{
@@ -101,8 +101,8 @@ pub use rmsd::{Rmsd, RmsdConfig};
 pub use saturation::find_saturation_rate;
 pub use scenario::{
     compare_policies_scenario, scenario_grid, scenario_grid_faulted, scenario_grid_gated,
-    scenario_grid_islands, scenario_grid_tenants, sweep_scenario_gated, sweep_scenario_grid,
-    sweep_scenario_islands, FaultProfile, GatedSweepPoint, InjectionProcess, IslandSweepPoint,
+    scenario_grid_islands, scenario_grid_tenants, sweep_scenario_gated, sweep_scenario_islands,
+    FaultProfile, GatedSweepPoint, InjectionProcess, IslandSweepPoint,
     Scenario, TenantMix,
 };
 pub use summary::TradeOffSummary;

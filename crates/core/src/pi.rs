@@ -12,10 +12,9 @@
 //! anti-windup: because the increment is added to the *clamped* previous
 //! output, the integrator cannot accumulate past the actuator limits.
 
-use serde::{Deserialize, Serialize};
 
 /// Incremental PI controller with output clamping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiController {
     ki: f64,
     kp: f64,

@@ -3,7 +3,6 @@
 use crate::dmsd::{Dmsd, DmsdConfig};
 use crate::rmsd::{Rmsd, RmsdConfig};
 use noc_sim::{Hertz, NetworkConfig, WindowMeasurement};
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 
 /// Everything a DVFS controller learns at one control update: the window of
@@ -61,11 +60,6 @@ impl NoDvfs {
     pub fn new(cfg: &NetworkConfig) -> Self {
         NoDvfs { max_frequency: cfg.max_frequency() }
     }
-
-    /// Creates the baseline policy with an explicit maximum frequency.
-    pub fn with_frequency(max_frequency: Hertz) -> Self {
-        NoDvfs { max_frequency }
-    }
 }
 
 impl DvfsPolicy for NoDvfs {
@@ -83,7 +77,7 @@ impl DvfsPolicy for NoDvfs {
 /// A value-level description of which policy to run, used by sweeps and
 /// experiment drivers (where policies must be constructed repeatedly with the
 /// same parameters).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyKind {
     /// The always-at-`F_max` baseline.
     NoDvfs,

@@ -14,10 +14,9 @@
 
 use crate::policy::{ControlMeasurement, DvfsPolicy};
 use noc_sim::{Hertz, NetworkConfig};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the RMSD policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RmsdConfig {
     /// The target per-NoC-cycle injection rate `λ_max` (flits per NoC cycle
     /// per node); usually `0.9 ×` the measured saturation rate.
@@ -81,6 +80,7 @@ impl Rmsd {
 
     /// The node injection rate below which the frequency clips to `F_min`
     /// (the `λ_min` of the paper: `λ_max · F_min / F_max`).
+    #[cfg(test)]
     pub fn lambda_min(&self) -> f64 {
         self.config.lambda_max * self.min_frequency.as_hz() / self.max_frequency.as_hz()
     }

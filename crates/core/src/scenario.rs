@@ -30,10 +30,9 @@ use noc_sim::{
     NetworkConfig, RegionLayout, RoutingKind, SyntheticTraffic, Topology, TopologyKind,
     TrafficPattern, TrafficSpec,
 };
-use serde::{Deserialize, Serialize};
 
 /// How packets are released over time at each node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InjectionProcess {
     /// Memoryless Bernoulli injection (the paper's process).
     Bernoulli,
@@ -65,7 +64,7 @@ impl InjectionProcess {
 
 /// One point of the scenario grid: topology, pattern, injection process,
 /// voltage-frequency island layout and power-gating policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Mesh or torus.
     pub topology: TopologyKind,
@@ -108,7 +107,7 @@ pub struct Scenario {
 /// [`Scenario::traffic`]).
 ///
 /// [`TenantComposition`]: crate::tenant::TenantComposition
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantMix {
     /// Number of random-DAG tenants composed onto the fabric.
     pub tenants: u32,
@@ -196,7 +195,7 @@ impl TenantMix {
 /// can carry (the full [`FaultConfig`] owns a schedule `Vec` and so cannot
 /// live in the `Copy` scenario struct). [`Scenario::network`] expands the
 /// profile deterministically for the scenario's topology and dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultProfile {
     /// `count` permanent link failures injected at cycle `at_cycle`, spread
     /// evenly over the topology's canonical East/South link list — the same
@@ -450,28 +449,6 @@ pub fn compare_policies_scenario(
     Ok(PolicyComparison { label: scenario.label(), lambda_max, curves })
 }
 
-/// Runs every scenario of `scenarios` on `base`, skipping none: the caller
-/// builds the grid with [`scenario_grid`], which already filters invalid
-/// combinations.
-///
-/// # Panics
-///
-/// Panics if a scenario is invalid on `base` (grids from [`scenario_grid`]
-/// never are).
-pub fn sweep_scenario_grid(
-    base: &NetworkConfig,
-    scenarios: &[Scenario],
-    quality: &ExperimentQuality,
-) -> Vec<PolicyComparison> {
-    scenarios
-        .iter()
-        .map(|&s| {
-            compare_policies_scenario(base, s, quality)
-                .unwrap_or_else(|e| panic!("invalid scenario {}: {e}", s.label()))
-        })
-        .collect()
-}
-
 /// Parallel multi-policy sweep of one scenario over explicit loads (used by
 /// the figure drivers above and directly by parity tests).
 ///
@@ -547,8 +524,7 @@ pub fn scenario_grid_islands(
 /// order; the aggregates are the points [`sweep_scenario`] returns.
 ///
 /// Like every sweep, each operating point is an independent simulation with
-/// an explicit seed, so the output is bit-identical to
-/// [`sweep_scenario_islands_serial`].
+/// an explicit seed, so the output is bit-identical on the serial grid.
 ///
 /// # Panics
 ///
@@ -565,25 +541,8 @@ pub fn sweep_scenario_islands(
     sweep_scenario_islands_on(grid_parallel, net, scenario, loads, policies, loop_cfg, seed)
 }
 
-/// Serial reference implementation of [`sweep_scenario_islands`] —
-/// bit-identical results, used by the parity tests.
-///
-/// # Panics
-///
-/// Panics on a gated scenario, like [`sweep_scenario_islands`].
-pub fn sweep_scenario_islands_serial(
-    net: &NetworkConfig,
-    scenario: Scenario,
-    loads: &[f64],
-    policies: &[PolicyKind],
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> Vec<Vec<IslandSweepPoint>> {
-    sweep_scenario_islands_on(grid_serial, net, scenario, loads, policies, loop_cfg, seed)
-}
-
-/// [`sweep_scenario_islands`] / [`sweep_scenario_islands_serial`] on the
-/// given grid.
+/// [`sweep_scenario_islands`] on the given grid (the parity test runs it on
+/// the serial one).
 fn sweep_scenario_islands_on(
     grid: PolicyGrid<IslandSweepPoint>,
     net: &NetworkConfig,
@@ -611,7 +570,7 @@ fn sweep_scenario_islands_on(
 }
 
 /// One `(load, island-controlled result)` pair of an island sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IslandSweepPoint {
     /// The injection-rate load parameter.
     pub load: f64,
@@ -706,25 +665,8 @@ pub fn sweep_scenario_gated(
     sweep_scenario_gated_on(grid_parallel, net, scenario, loads, policies, loop_cfg, seed)
 }
 
-/// Serial reference implementation of [`sweep_scenario_gated`] —
-/// bit-identical results, used by the parity tests.
-///
-/// # Panics
-///
-/// Panics if the scenario has no gating axis (`scenario.gating == None`).
-pub fn sweep_scenario_gated_serial(
-    net: &NetworkConfig,
-    scenario: Scenario,
-    loads: &[f64],
-    policies: &[PolicyKind],
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> Vec<Vec<GatedSweepPoint>> {
-    sweep_scenario_gated_on(grid_serial, net, scenario, loads, policies, loop_cfg, seed)
-}
-
-/// [`sweep_scenario_gated`] / [`sweep_scenario_gated_serial`] on the given
-/// grid.
+/// [`sweep_scenario_gated`] on the given grid (the parity test runs it on
+/// the serial one).
 fn sweep_scenario_gated_on(
     grid: PolicyGrid<GatedSweepPoint>,
     net: &NetworkConfig,
@@ -749,7 +691,7 @@ fn sweep_scenario_gated_on(
 }
 
 /// One `(load, gated result)` pair of a gated sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatedSweepPoint {
     /// The injection-rate load parameter.
     pub load: f64,
@@ -932,8 +874,15 @@ mod tests {
         let (net, curves) = assert_sweep_parity(scenario, &loads, &policies);
         let parallel =
             sweep_scenario_islands(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        let serial =
-            sweep_scenario_islands_serial(&net, scenario, &loads, &policies, &loop_cfg, 2015);
+        let serial = sweep_scenario_islands_on(
+            grid_serial,
+            &net,
+            scenario,
+            &loads,
+            &policies,
+            &loop_cfg,
+            2015,
+        );
         assert_eq!(parallel, serial);
         assert_eq!(parallel.len(), 2);
         for (group, curve) in parallel.iter().zip(&curves) {
@@ -978,8 +927,15 @@ mod tests {
         let loop_cfg = ClosedLoopConfig::quick();
         let (net, curves) = assert_sweep_parity(scenario, &loads, &policies);
         let parallel = sweep_scenario_gated(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        let serial =
-            sweep_scenario_gated_serial(&net, scenario, &loads, &policies, &loop_cfg, 2015);
+        let serial = sweep_scenario_gated_on(
+            grid_serial,
+            &net,
+            scenario,
+            &loads,
+            &policies,
+            &loop_cfg,
+            2015,
+        );
         assert_eq!(parallel, serial);
         for (group, curve) in parallel.iter().zip(&curves) {
             for (point, curve_point) in group.iter().zip(&curve.points) {

@@ -7,10 +7,9 @@
 //! that tests, benches and EXPERIMENTS.md all report the same quantities.
 
 use crate::sweep::PolicyCurve;
-use serde::{Deserialize, Serialize};
 
 /// The headline ratios at one reference load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TradeOffSummary {
     /// The load at which the ratios were evaluated.
     pub load: f64,

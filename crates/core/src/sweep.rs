@@ -5,7 +5,7 @@
 //! `grid_parallel` flattens the `(policy × load)` grid into one work list
 //! and fans it out over the [`parallel`](crate::parallel) executor, and
 //! `grid_serial` is its reference twin, the policy-major double loop the
-//! parity tests compare against. Every sweep of the crate — [`sweep_policy`],
+//! parity tests compare against. Every sweep of the crate —
 //! [`sweep_policies`], the scenario, per-island and gated sweeps of
 //! [`crate::scenario`], each with its `_serial` variant — is a per-point
 //! function handed to one of the two, so results are reassembled in grid
@@ -16,14 +16,13 @@ use crate::closed_loop::{run_operating_point, ClosedLoopConfig, OperatingPointRe
 use crate::parallel::par_map;
 use crate::policy::PolicyKind;
 use noc_sim::{NetworkConfig, TrafficSpec};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic `load → workload` closure that can be shared across sweep
 /// worker threads.
 pub type TrafficFactory<'a> = &'a (dyn Fn(f64) -> Box<dyn TrafficSpec> + Sync);
 
 /// One (load, result) pair of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// The load parameter (injection rate for synthetic traffic, relative
     /// application speed for multimedia traffic).
@@ -33,7 +32,7 @@ pub struct SweepPoint {
 }
 
 /// A full load sweep for one policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyCurve {
     /// Policy name (figure legend label).
     pub policy: String,
@@ -186,32 +185,6 @@ pub fn sweep_policies_serial(
     sweep_policies_on(grid_serial, net, loads, make_traffic, policies, loop_cfg, seed)
 }
 
-/// [`sweep_policies`] for a single policy.
-pub fn sweep_policy(
-    net: &NetworkConfig,
-    loads: &[f64],
-    make_traffic: TrafficFactory<'_>,
-    policy: &PolicyKind,
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> PolicyCurve {
-    let policies = std::slice::from_ref(policy);
-    sweep_policies(net, loads, make_traffic, policies, loop_cfg, seed).remove(0)
-}
-
-/// Serial reference implementation of [`sweep_policy`].
-pub fn sweep_policy_serial(
-    net: &NetworkConfig,
-    loads: &[f64],
-    make_traffic: TrafficFactory<'_>,
-    policy: &PolicyKind,
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> PolicyCurve {
-    let policies = std::slice::from_ref(policy);
-    sweep_policies_serial(net, loads, make_traffic, policies, loop_cfg, seed).remove(0)
-}
-
 /// Generates `count` evenly spaced loads in `[lo, hi]` (inclusive).
 ///
 /// # Panics
@@ -262,14 +235,15 @@ mod tests {
     fn sweep_produces_one_point_per_load() {
         let net = small_net();
         let loads = [0.05, 0.15];
-        let curve = sweep_policy(
+        let curve = sweep_policies(
             &net,
             &loads,
             &uniform,
-            &PolicyKind::NoDvfs,
+            &[PolicyKind::NoDvfs],
             &ClosedLoopConfig::quick(),
             1,
-        );
+        )
+        .remove(0);
         assert_eq!(curve.points.len(), 2);
         assert_eq!(curve.policy, "No-DVFS");
         assert_eq!(curve.loads(), vec![0.05, 0.15]);
@@ -280,14 +254,15 @@ mod tests {
     #[test]
     fn nearest_point_lookup() {
         let net = small_net();
-        let curve = sweep_policy(
+        let curve = sweep_policies(
             &net,
             &[0.05, 0.10, 0.20],
             &uniform,
-            &PolicyKind::Rmsd(RmsdConfig::with_lambda_max(0.3)),
+            &[PolicyKind::Rmsd(RmsdConfig::with_lambda_max(0.3))],
             &ClosedLoopConfig::quick(),
             2,
-        );
+        )
+        .remove(0);
         assert_eq!(curve.nearest(0.11).load, 0.10);
         assert_eq!(curve.nearest(0.0).load, 0.05);
         assert_eq!(curve.nearest(9.0).load, 0.20);

@@ -26,13 +26,12 @@ use noc_power::{model::EnergyBreakdown, FdsoiTech, RouterPowerModel};
 use noc_sim::{
     MatrixTraffic, NetworkConfig, NocSimulation, TenantMap, TenantMapError, WindowMeasurement,
 };
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// One tenant: an application task graph (mapped on its own tile) and the
 /// relative speed it runs at.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantWorkload {
     /// The application graph, mapped on a `tile_size()` tile.
     pub graph: TaskGraph,
@@ -53,7 +52,7 @@ impl TenantWorkload {
 }
 
 /// Where each tenant's tile is placed on the fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MappingPolicy {
     /// Greedy row packing: tiles go left to right in placement order; when a
     /// tile would cross the fabric's right edge, placement moves down past
@@ -314,7 +313,7 @@ pub fn compose_tenants(
 }
 
 /// Per-slot QoS of one [`run_tenants`] measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantQos {
     /// The tenant id, or `None` for the background slot (fabric nodes
     /// outside every tile).
@@ -328,20 +327,9 @@ pub struct TenantQos {
     pub energy: EnergyBreakdown,
 }
 
-impl TenantQos {
-    /// The slot's throughput in flits ejected per NoC cycle.
-    pub fn throughput_flits_per_cycle(&self) -> f64 {
-        if self.window.noc_cycles == 0 {
-            0.0
-        } else {
-            self.window.flits_ejected as f64 / self.window.noc_cycles as f64
-        }
-    }
-}
-
 /// The result of one [`run_tenants`] measurement: the global window plus
 /// one [`TenantQos`] per slot (tenants first, background slot last).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// The fabric-wide measurement window.
     pub global: WindowMeasurement,

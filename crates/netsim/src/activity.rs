@@ -6,12 +6,11 @@
 //! the `noc-power` crate converts into energy given the operating voltage and
 //! frequency.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Switching-activity counters of one router (and its outgoing links) over
 /// some observation window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterActivity {
     /// Flits written into input buffers.
     pub buffer_writes: u64,
@@ -67,7 +66,6 @@ impl RouterActivity {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl RouterActivity {
     /// Encodes the counters for a simulation checkpoint.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
@@ -130,7 +128,7 @@ impl AddAssign for RouterActivity {
 }
 
 /// Activity of every router in the network over an observation window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkActivity {
     /// Per-router activity, indexed by node id.
     pub routers: Vec<RouterActivity>,

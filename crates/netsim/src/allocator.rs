@@ -70,16 +70,6 @@ impl SeparableAllocator {
         }
     }
 
-    /// Number of requester groups.
-    pub fn groups(&self) -> usize {
-        self.input_arbiters.len()
-    }
-
-    /// Number of resources.
-    pub fn resources(&self) -> usize {
-        self.resources
-    }
-
     /// Performs one allocation round.
     ///
     /// `member_masks[g]` is the set of members of group `g` that request
@@ -161,7 +151,6 @@ impl SeparableAllocator {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl SeparableAllocator {
     /// Encodes the persistent allocator state (the two arbiter banks) for a
     /// checkpoint. The grant buffer is per-round scratch and is not written.
@@ -258,7 +247,7 @@ mod tests {
         /// The mask-native round for a request list (each member at most
         /// once), so a test can state its requests as triples.
         fn allocate_list(&mut self, requests: &[AllocRequest]) -> Vec<AllocGrant> {
-            let mut masks = vec![0u64; self.groups()];
+            let mut masks = vec![0u64; self.input_arbiters.len()];
             for r in requests {
                 masks[r.group] |= 1u64 << r.member;
             }

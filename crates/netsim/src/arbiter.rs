@@ -22,45 +22,10 @@ impl RoundRobinArbiter {
         RoundRobinArbiter { size, next_priority: 0 }
     }
 
-    /// Number of requesters.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Grants one of the requesting inputs, if any, and rotates the priority
-    /// pointer past the winner.
-    ///
-    /// `requests[i] == true` means requester `i` wants a grant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != self.size()`.
-    pub fn arbitrate(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.size, "request vector size mismatch");
-        for offset in 0..self.size {
-            let candidate = (self.next_priority + offset) % self.size;
-            if requests[candidate] {
-                self.next_priority = (candidate + 1) % self.size;
-                return Some(candidate);
-            }
-        }
-        None
-    }
-
-    /// Grants among requesters without rotating the priority pointer.
-    ///
-    /// Useful for "speculative" queries where the caller may not accept the
-    /// grant; call [`commit`](Self::commit) to rotate afterwards.
-    pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.size, "request vector size mismatch");
-        (0..self.size)
-            .map(|offset| (self.next_priority + offset) % self.size)
-            .find(|&candidate| requests[candidate])
-    }
-
-    /// Like [`peek`](Self::peek) but the request vector is a bit mask
-    /// (bit `i` set means requester `i` wants a grant); avoids building a
-    /// slice on the allocator's hot path.
+    /// Grants among requesters without rotating the priority pointer; call
+    /// [`commit`](Self::commit) with the accepted winner to rotate
+    /// afterwards. Bit `i` of `requests` set means requester `i` wants a
+    /// grant; bits at or above the arbiter's size are ignored.
     ///
     /// # Panics
     ///
@@ -88,9 +53,19 @@ impl RoundRobinArbiter {
         let next = winner + 1;
         self.next_priority = if next == self.size { 0 } else { next };
     }
+
+    /// The textbook scan over a request slice (`requests[i] == true` means
+    /// requester `i` wants a grant) that [`peek_mask`](Self::peek_mask) must
+    /// agree with.
+    #[cfg(test)]
+    fn peek(&self, requests: &[bool]) -> Option<usize> {
+        assert_eq!(requests.len(), self.size, "request vector size mismatch");
+        (0..self.size)
+            .map(|offset| (self.next_priority + offset) % self.size)
+            .find(|&candidate| requests[candidate])
+    }
 }
 
-#[cfg(feature = "snapshot")]
 impl RoundRobinArbiter {
     /// Encodes the priority pointer (the arbiter's only mutable state) for a
     /// checkpoint.
@@ -115,61 +90,91 @@ impl RoundRobinArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Arbiter sizes the mask path is checked at: the degenerate single
+    /// requester, an odd width, and both sides of the `valid`-mask edge.
+    const SIZES: [usize; 4] = [1, 5, 63, 64];
+
+    /// One allocation round as the allocator runs it.
+    fn grant(arb: &mut RoundRobinArbiter, requests: u64) -> Option<usize> {
+        let winner = arb.peek_mask(requests)?;
+        arb.commit(winner);
+        Some(winner)
+    }
 
     #[test]
     fn grants_only_requesting_inputs() {
         let mut arb = RoundRobinArbiter::new(4);
-        assert_eq!(arb.arbitrate(&[false, false, true, false]), Some(2));
-        assert_eq!(arb.arbitrate(&[false, false, false, false]), None);
+        assert_eq!(grant(&mut arb, 0b0100), Some(2));
+        assert_eq!(grant(&mut arb, 0), None);
+        // Bits beyond the arbiter's width are not requesters.
+        assert_eq!(grant(&mut arb, 0b1_0000), None);
     }
 
     #[test]
     fn round_robin_is_fair_under_full_load() {
-        let mut arb = RoundRobinArbiter::new(3);
-        let all = [true, true, true];
-        let mut grants = Vec::new();
-        for _ in 0..6 {
-            grants.push(arb.arbitrate(&all).unwrap());
+        for size in SIZES {
+            let mut arb = RoundRobinArbiter::new(size);
+            let everyone = u64::MAX >> (64 - size);
+            let grants: Vec<usize> =
+                (0..2 * size).map(|_| grant(&mut arb, everyone).unwrap()).collect();
+            let expected: Vec<usize> = (0..size).chain(0..size).collect();
+            assert_eq!(grants, expected, "size {size}");
         }
-        assert_eq!(grants, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn priority_rotates_past_winner() {
-        let mut arb = RoundRobinArbiter::new(4);
-        assert_eq!(arb.arbitrate(&[true, false, false, true]), Some(0));
-        // After granting 0 the pointer moves to 1, so requester 3 wins next.
-        assert_eq!(arb.arbitrate(&[true, false, false, true]), Some(3));
-        assert_eq!(arb.arbitrate(&[true, false, false, true]), Some(0));
+        for size in SIZES {
+            // The lowest and the highest requester compete every round.
+            let last = size - 1;
+            let requests = 1 | (1u64 << last);
+            let mut arb = RoundRobinArbiter::new(size);
+            assert_eq!(grant(&mut arb, requests), Some(0), "size {size}");
+            // After granting 0 the pointer moves to 1, so the top requester
+            // wins next; granting it wraps the pointer back to 0.
+            assert_eq!(grant(&mut arb, requests), Some(last), "size {size}");
+            assert_eq!(grant(&mut arb, requests), Some(0), "size {size}");
+        }
     }
 
     #[test]
     fn peek_does_not_rotate() {
         let mut arb = RoundRobinArbiter::new(2);
-        assert_eq!(arb.peek(&[true, true]), Some(0));
-        assert_eq!(arb.peek(&[true, true]), Some(0));
+        assert_eq!(arb.peek_mask(0b11), Some(0));
+        assert_eq!(arb.peek_mask(0b11), Some(0));
         arb.commit(0);
-        assert_eq!(arb.peek(&[true, true]), Some(1));
+        assert_eq!(arb.peek_mask(0b11), Some(1));
     }
 
     #[test]
     fn mask_and_slice_peek_agree() {
-        let mut arb = RoundRobinArbiter::new(6);
-        let slice = [false, true, false, true, false, true];
-        let mask = 0b101010u64;
-        for _ in 0..10 {
-            assert_eq!(arb.peek(&slice), arb.peek_mask(mask));
-            let winner = arb.peek_mask(mask).unwrap();
-            arb.commit(winner);
+        let mut rng = StdRng::seed_from_u64(0x0a2b);
+        for size in 1..=64usize {
+            let mut arb = RoundRobinArbiter::new(size);
+            for round in 0..200 {
+                // Sparse, dense and unmasked-garbage request words alike.
+                let mask = match round % 3 {
+                    0 => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                    1 => rng.next_u64() | rng.next_u64(),
+                    _ => rng.next_u64(),
+                };
+                let slice: Vec<bool> = (0..size).map(|i| (mask >> i) & 1 == 1).collect();
+                assert_eq!(arb.peek_mask(mask), arb.peek(&slice), "size {size} mask {mask:#x}");
+                // Rotate the pointer through every position, winner or not.
+                arb.commit(round % size);
+            }
+            assert_eq!(arb.peek_mask(0), None);
         }
-        assert_eq!(arb.peek_mask(0), None);
     }
 
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn wrong_request_size_panics() {
-        let mut arb = RoundRobinArbiter::new(3);
-        let _ = arb.arbitrate(&[true, false]);
+        let arb = RoundRobinArbiter::new(3);
+        let _ = arb.peek(&[true, false]);
     }
 
     #[test]
@@ -180,16 +185,22 @@ mod tests {
 
     #[test]
     fn starvation_freedom_over_long_run() {
-        // Two persistent requesters must each win about half the grants.
-        let mut arb = RoundRobinArbiter::new(5);
-        let requests = [true, false, true, false, false];
-        let mut wins = [0usize; 5];
-        for _ in 0..1000 {
-            let w = arb.arbitrate(&requests).unwrap();
-            wins[w] += 1;
+        // Two persistent requesters must each win exactly half the grants and
+        // nobody else any: past the upper one the scan has to wrap around to
+        // the lower one, every other round.
+        for size in SIZES {
+            let contenders = [0, size / 2];
+            let requests = contenders.iter().fold(0u64, |m, &i| m | (1 << i));
+            let mut arb = RoundRobinArbiter::new(size);
+            let mut wins = vec![0usize; size];
+            for _ in 0..1000 {
+                wins[grant(&mut arb, requests).unwrap()] += 1;
+            }
+            let share = 1000 / requests.count_ones() as usize;
+            for (i, &won) in wins.iter().enumerate() {
+                let expected = if contenders.contains(&i) { share } else { 0 };
+                assert_eq!(won, expected, "size {size} requester {i}");
+            }
         }
-        assert_eq!(wins[0], 500);
-        assert_eq!(wins[2], 500);
-        assert_eq!(wins[1] + wins[3] + wins[4], 0);
     }
 }

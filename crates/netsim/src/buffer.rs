@@ -48,16 +48,6 @@ impl VcBuffer {
         self.capacity
     }
 
-    /// Free slots remaining.
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.slots.len()
-    }
-
-    /// Highest occupancy observed since construction (diagnostics).
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
-    }
-
     /// Appends a flit at the back.
     ///
     /// # Panics
@@ -83,7 +73,6 @@ impl VcBuffer {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl VcBuffer {
     /// Encodes the buffered flits and the sticky peak-occupancy diagnostic.
     /// Capacity is configuration and is not written.
@@ -149,17 +138,16 @@ mod tests {
     #[test]
     fn occupancy_accounting() {
         let mut buf = VcBuffer::new(3);
-        assert_eq!(buf.free_slots(), 3);
+        assert_eq!((buf.len(), buf.capacity()), (0, 3));
         buf.push(flit(0));
         buf.push(flit(1));
         assert_eq!(buf.len(), 2);
-        assert_eq!(buf.free_slots(), 1);
         assert!(!buf.is_full());
         buf.push(flit(2));
         assert!(buf.is_full());
-        assert_eq!(buf.peak_occupancy(), 3);
+        assert_eq!(buf.peak_occupancy, 3);
         buf.pop();
-        assert_eq!(buf.peak_occupancy(), 3, "peak is sticky");
+        assert_eq!(buf.peak_occupancy, 3, "peak is sticky");
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! how many *node* cycles elapsed in the meantime.
 
 use crate::units::{Hertz, Picoseconds};
-use serde::{Deserialize, Serialize};
 
 /// Tracks the NoC clock, the node clock and the wall-clock time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DualClock {
     node_frequency_hz: f64,
     noc_frequency_hz: f64,
@@ -41,11 +40,6 @@ impl DualClock {
     /// Current NoC clock frequency.
     pub fn noc_frequency(&self) -> Hertz {
         Hertz::new(self.noc_frequency_hz)
-    }
-
-    /// Fixed node clock frequency.
-    pub fn node_frequency(&self) -> Hertz {
-        Hertz::new(self.node_frequency_hz)
     }
 
     /// Changes the NoC clock frequency (takes effect from the next cycle).
@@ -100,14 +94,8 @@ impl DualClock {
         let total_node_cycles = (wall * self.node_cycles_per_ps) as u64;
         total_node_cycles.saturating_sub(self.node_cycles_emitted)
     }
-
-    /// Ratio `F_node / F_noc`, i.e. how many node cycles fit in one NoC cycle.
-    pub fn slowdown_factor(&self) -> f64 {
-        self.node_frequency_hz / self.noc_frequency_hz
-    }
 }
 
-#[cfg(feature = "snapshot")]
 impl DualClock {
     /// Encodes the complete clock state — including the cached period and
     /// rate terms, whose exact bit patterns the wall-time accumulation
@@ -165,7 +153,6 @@ mod tests {
             total += clk.advance_noc_cycle();
         }
         assert!((total as f64 - 3000.0).abs() < 5.0, "expected about 3000 node cycles, got {total}");
-        assert!((clk.slowdown_factor() - 3.0).abs() < 1e-3);
     }
 
     #[test]

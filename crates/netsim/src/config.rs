@@ -13,7 +13,6 @@ use crate::routing::RoutingKind;
 use crate::topology::{Topology, TopologyKind};
 use crate::traffic::{SyntheticTraffic, TrafficPattern};
 use crate::units::Hertz;
-use serde::{Deserialize, Serialize};
 
 /// Default node clock frequency used throughout the paper (1 GHz).
 pub const DEFAULT_NODE_FREQUENCY_HZ: f64 = 1.0e9;
@@ -45,7 +44,7 @@ pub const MAX_CHANNEL_LATENCY: u64 = 4096;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     topology: TopologyKind,
     width: usize,
@@ -324,7 +323,7 @@ impl NetworkConfigBuilder {
 
     /// Sets the link traversal latency in NoC cycles (default 1).
     ///
-    /// Clamped to `1..=`[`MAX_CHANNEL_LATENCY`], mirroring the existing
+    /// Clamped to `1..=MAX_CHANNEL_LATENCY`, mirroring the existing
     /// clamp-to-one convention: the simulator's channel due-lists allocate
     /// one slot per latency cycle, so the latency must be bounded (4096
     /// cycles is orders of magnitude beyond any physical link).
@@ -335,7 +334,7 @@ impl NetworkConfigBuilder {
 
     /// Sets the credit return latency in NoC cycles (default 1).
     ///
-    /// Clamped to `1..=`[`MAX_CHANNEL_LATENCY`] (see
+    /// Clamped to `1..=MAX_CHANNEL_LATENCY` (4096; see
     /// [`link_latency`](Self::link_latency)).
     pub fn credit_latency(mut self, cycles: u64) -> Self {
         self.credit_latency = cycles.clamp(1, MAX_CHANNEL_LATENCY);
@@ -427,10 +426,8 @@ impl NetworkConfigBuilder {
                 max_hz: self.max_frequency_hz,
             });
         }
-        // Resolve once to validate custom maps (length, contiguous ids) and
-        // to check gating overrides against the island count.
-        let region_map = self.regions.build(self.width, self.height)?;
-        self.gating.validate(region_map.island_count())?;
+        // Resolve once to validate custom maps (length, contiguous ids).
+        self.regions.build(self.width, self.height)?;
         Ok(NetworkConfig {
             topology: self.topology,
             width: self.width,
@@ -683,27 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_gating_override_for_missing_island() {
-        use crate::gating::GatingConfig;
-        use crate::region::RegionLayout;
-        let err = NetworkConfig::builder()
-            .mesh(4, 4)
-            .regions(RegionLayout::Quadrants)
-            .gating(GatingConfig::enabled(16, 4).with_island_override(4, 8, 2))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::GatingIslandOutOfRange { island: 4, island_count: 4 });
-        // The same override is valid on an island that exists.
-        let ok = NetworkConfig::builder()
-            .mesh(4, 4)
-            .regions(RegionLayout::Quadrants)
-            .gating(GatingConfig::enabled(16, 4).with_island_override(3, 8, 2))
-            .build()
-            .unwrap();
-        assert_eq!(ok.gating().overrides().len(), 1);
-    }
-
-    #[test]
     fn routing_and_faults_default_to_inert_and_round_trip() {
         use crate::fault::{FaultConfig, FaultEvent, FaultTarget};
         use crate::routing::RoutingKind;
@@ -767,8 +743,8 @@ mod tests {
     }
 
     #[test]
-    fn config_is_serializable_send_and_sync() {
-        fn assert_traits<T: serde::Serialize + serde::de::DeserializeOwned + Send + Sync>() {}
+    fn config_is_send_and_sync() {
+        fn assert_traits<T: Send + Sync>() {}
         assert_traits::<NetworkConfig>();
     }
 }

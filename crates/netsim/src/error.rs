@@ -69,14 +69,6 @@ pub enum ConfigError {
         /// The smallest id that owns no node.
         missing: u32,
     },
-    /// A per-island gating override names an island the region partition
-    /// does not have.
-    GatingIslandOutOfRange {
-        /// The island id named by the override.
-        island: usize,
-        /// Number of islands in the region partition.
-        island_count: usize,
-    },
     /// A scheduled fault targets a node beyond the grid.
     FaultNodeOutOfRange {
         /// The node named by the fault.
@@ -143,11 +135,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "region map island ids must be contiguous from 0: {island_count} islands \
                  implied but island {missing} owns no node"
-            ),
-            ConfigError::GatingIslandOutOfRange { island, island_count } => write!(
-                f,
-                "gating override names island {island} but the region partition has only \
-                 {island_count} island(s)"
             ),
             ConfigError::FaultNodeOutOfRange { node, nodes } => {
                 write!(f, "fault targets node {node} but the grid has only {nodes} nodes")

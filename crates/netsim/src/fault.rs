@@ -23,14 +23,13 @@ use crate::error::ConfigError;
 use crate::topology::{Direction, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Salt XORed into the simulation seed to derive the hazard RNG stream,
 /// keeping fault draws independent of the traffic RNG.
 pub const FAULT_RNG_SALT: u64 = 0x_FA17_FA17_FA17_FA17;
 
 /// The component a fault hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// The bidirectional link leaving `node` in direction `dir`. Both
     /// directed channels fail together; flits already on the wire still
@@ -62,7 +61,7 @@ impl FaultTarget {
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// The component that fails.
     pub target: FaultTarget,
@@ -92,7 +91,7 @@ impl FaultEvent {
 /// fails (at most one of each per cycle — adequate for realistic rates,
 /// which are many orders of magnitude below one per cycle). Victims are
 /// uniform over the topology's links/routers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HazardConfig {
     /// Per-link, per-cycle failure probability.
     pub link_rate: f64,
@@ -120,7 +119,7 @@ impl HazardConfig {
 /// Fault-injection configuration: an explicit schedule, an optional hazard
 /// process, or both. The default ([`FaultConfig::none`]) injects nothing and
 /// keeps the whole fault machinery structurally inert.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultConfig {
     schedule: Vec<FaultEvent>,
     hazard: Option<HazardConfig>,
@@ -137,12 +136,6 @@ impl FaultConfig {
         FaultConfig { schedule, hazard: None }
     }
 
-    /// Adds one scheduled event.
-    pub fn with_event(mut self, event: FaultEvent) -> Self {
-        self.schedule.push(event);
-        self
-    }
-
     /// Adds (or replaces) the hazard process.
     pub fn with_hazard(mut self, hazard: HazardConfig) -> Self {
         self.hazard = Some(hazard);
@@ -157,11 +150,6 @@ impl FaultConfig {
     /// The explicit schedule.
     pub fn schedule(&self) -> &[FaultEvent] {
         &self.schedule
-    }
-
-    /// The hazard process, if any.
-    pub fn hazard(&self) -> Option<&HazardConfig> {
-        self.hazard.as_ref()
     }
 
     /// Checks every scheduled target against the topology and the hazard
@@ -566,7 +554,6 @@ impl FaultState {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl FaultState {
     /// Encodes the mutable fault-process state for a checkpoint: the pending
     /// event queue (in its live order — `tick` scans it front to back, so
@@ -677,10 +664,10 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Mesh2d;
+    use crate::topology::Topology;
 
-    fn mesh() -> Mesh2d {
-        Mesh2d::new(4, 4)
+    fn mesh() -> Topology {
+        Topology::mesh(4, 4)
     }
 
     #[test]

@@ -11,15 +11,12 @@
 //! [`Flit`] is the unit the hot path copies billions of times per experiment,
 //! so it is deliberately small (40 bytes) and `Copy`: node indices and the
 //! per-packet flit index are narrowed to `u32`, the virtual channel to `u8`
-//! and the hop counter to `u16`. Serde derives are gated behind the
-//! `flit-serde` feature so the default build carries no serialization code on
-//! the hot type; stats/result types keep serialization unconditionally.
+//! and the hop counter to `u16`.
 
 use std::fmt;
 
 /// Globally unique identifier of a packet within one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "flit-serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketId(u64);
 
 impl PacketId {
@@ -42,7 +39,6 @@ impl fmt::Display for PacketId {
 
 /// Position of a flit within its packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "flit-serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum FlitKind {
     /// First flit of a multi-flit packet; carries routing information.
@@ -71,7 +67,6 @@ impl FlitKind {
 ///
 /// `Copy` and 40 bytes wide — see the module docs for the layout rationale.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "flit-serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Flit {
     /// Identifier of the packet this flit belongs to.
     pub packet_id: PacketId,
@@ -152,6 +147,7 @@ impl Flit {
     }
 
     /// Builds every flit of a packet in order.
+    #[cfg(test)]
     pub fn packet(
         packet_id: PacketId,
         src: usize,
@@ -168,7 +164,6 @@ impl Flit {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl Flit {
     /// Encodes the flit for a simulation checkpoint.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {

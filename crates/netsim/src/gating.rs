@@ -7,9 +7,10 @@
 //! into a power-gating subsystem:
 //!
 //! * [`GatingConfig`] — per-network gating parameters (enabled, idle
-//!   threshold, wakeup latency) with optional per-island overrides, stored
-//!   inside [`NetworkConfig`](crate::NetworkConfig) and validated by its
-//!   builder;
+//!   threshold, wakeup latency), stored inside
+//!   [`NetworkConfig`](crate::NetworkConfig); per-island thresholds are set
+//!   at run time through
+//!   [`set_island_idle_threshold`](crate::NocSimulation::set_island_idle_threshold);
 //! * [`GateState`] — the per-router sleep state machine
 //!   `Active → DrainWait → Gated → WakeUp → Active`;
 //! * `GatingController` (crate-internal) — the event-driven mechanics the
@@ -43,9 +44,7 @@
 //! under both the sparse and the dense engine.
 
 use crate::config::MAX_CHANNEL_LATENCY;
-use crate::error::ConfigError;
 use crate::region::RegionMap;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -58,7 +57,7 @@ use std::collections::{BinaryHeap, VecDeque};
 pub const GATE_NEVER: u64 = u64::MAX;
 
 /// Power-gating state of one router.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum GateState {
     /// Powered on and participating normally in the pipeline.
     #[default]
@@ -85,20 +84,6 @@ impl GateState {
     }
 }
 
-/// A per-island override of the gating parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PerIslandGating {
-    /// Island id the override applies to (validated against the region
-    /// partition by [`NetworkConfigBuilder::build`](crate::NetworkConfigBuilder::build)).
-    pub island: usize,
-    /// Idle threshold for the island, domain cycles ([`GATE_NEVER`] disables
-    /// gating on the island).
-    pub idle_threshold: u64,
-    /// Wakeup latency for the island, domain cycles (clamped to
-    /// `1..=`[`MAX_CHANNEL_LATENCY`]).
-    pub wakeup_latency: u64,
-}
-
 /// Power-gating parameters of a network, stored inside
 /// [`NetworkConfig`](crate::NetworkConfig).
 ///
@@ -116,24 +101,33 @@ pub struct PerIslandGating {
 /// assert!(cfg.gating().is_enabled());
 /// assert_eq!(cfg.gating().idle_threshold(), 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct GatingConfig {
     enabled: bool,
     idle_threshold: u64,
     wakeup_latency: u64,
-    per_island: Vec<PerIslandGating>,
+}
+
+/// The snapshot header's configuration fingerprint hashes the `Debug`
+/// rendering of the whole [`NetworkConfig`](crate::NetworkConfig), so this one
+/// is part of the snapshot format: it keeps the (always empty) `per_island`
+/// list the struct carried when the current format version was cut.
+impl std::fmt::Debug for GatingConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GatingConfig")
+            .field("enabled", &self.enabled)
+            .field("idle_threshold", &self.idle_threshold)
+            .field("wakeup_latency", &self.wakeup_latency)
+            .field("per_island", &[(); 0])
+            .finish()
+    }
 }
 
 impl GatingConfig {
     /// Gating switched off — the default, and a structural no-op in the
     /// simulator (golden windows are bit-identical to the pre-gating core).
     pub fn disabled() -> Self {
-        GatingConfig {
-            enabled: false,
-            idle_threshold: GATE_NEVER,
-            wakeup_latency: 1,
-            per_island: Vec::new(),
-        }
+        GatingConfig { enabled: false, idle_threshold: GATE_NEVER, wakeup_latency: 1 }
     }
 
     /// Gating enabled with an `idle_threshold` (domain cycles of continuous
@@ -141,33 +135,14 @@ impl GatingConfig {
     /// `wakeup_latency` (domain cycles from the first wakeup request until
     /// the router is usable again).
     ///
-    /// The wakeup latency is clamped to
-    /// `1..=`[`MAX_CHANNEL_LATENCY`],
+    /// The wakeup latency is clamped to `1..=MAX_CHANNEL_LATENCY` (4096),
     /// mirroring the channel-latency convention.
     pub fn enabled(idle_threshold: u64, wakeup_latency: u64) -> Self {
         GatingConfig {
             enabled: true,
             idle_threshold,
             wakeup_latency: wakeup_latency.clamp(1, MAX_CHANNEL_LATENCY),
-            per_island: Vec::new(),
         }
-    }
-
-    /// Adds a per-island override (later overrides for the same island win).
-    /// The island id is validated against the region partition when the
-    /// [`NetworkConfig`](crate::NetworkConfig) is built.
-    pub fn with_island_override(
-        mut self,
-        island: usize,
-        idle_threshold: u64,
-        wakeup_latency: u64,
-    ) -> Self {
-        self.per_island.push(PerIslandGating {
-            island,
-            idle_threshold,
-            wakeup_latency: wakeup_latency.clamp(1, MAX_CHANNEL_LATENCY),
-        });
-        self
     }
 
     /// Whether gating is enabled at all.
@@ -183,35 +158,6 @@ impl GatingConfig {
     /// The network-wide wakeup latency in domain cycles.
     pub fn wakeup_latency(&self) -> u64 {
         self.wakeup_latency
-    }
-
-    /// The per-island overrides, in insertion order.
-    pub fn overrides(&self) -> &[PerIslandGating] {
-        &self.per_island
-    }
-
-    /// Validates the overrides against an island count.
-    pub(crate) fn validate(&self, island_count: usize) -> Result<(), ConfigError> {
-        for o in &self.per_island {
-            if o.island >= island_count {
-                return Err(ConfigError::GatingIslandOutOfRange {
-                    island: o.island,
-                    island_count,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Resolves `(idle_threshold, wakeup_latency)` per island.
-    pub(crate) fn resolve(&self, island_count: usize) -> (Vec<u64>, Vec<u64>) {
-        let mut thresholds = vec![self.idle_threshold; island_count];
-        let mut latencies = vec![self.wakeup_latency; island_count];
-        for o in &self.per_island {
-            thresholds[o.island] = o.idle_threshold;
-            latencies[o.island] = o.wakeup_latency;
-        }
-        (thresholds, latencies)
     }
 }
 
@@ -232,7 +178,7 @@ impl Default for GatingConfig {
 /// as the plain idle sparse core ("gated routers are literally free").
 #[derive(Debug)]
 pub(crate) struct GatingController {
-    /// Master switch (config value; runtime-togglable through the driver).
+    /// Master switch (configuration).
     pub(crate) enabled: bool,
     /// Per-router gate state.
     pub(crate) states: Vec<GateState>,
@@ -245,7 +191,7 @@ pub(crate) struct GatingController {
     island_of: Vec<u32>,
     /// Per-island idle threshold in domain cycles ([`GATE_NEVER`] = off).
     thresholds: Vec<u64>,
-    /// Per-island wakeup latency in domain cycles (≥ 1).
+    /// Per-island wakeup latency in domain cycles (≥ 1; configuration).
     wake_latency: Vec<u64>,
     /// Per-island sleep-timer due-heap: `(due domain cycle, node)`, popped
     /// when the island's clock reaches `due`. Entries are hints — validity
@@ -284,15 +230,14 @@ impl GatingController {
     pub(crate) fn new(cfg: &GatingConfig, regions: &RegionMap) -> Self {
         let n = regions.node_count();
         let islands = regions.island_count();
-        let (thresholds, wake_latency) = cfg.resolve(islands);
         let mut controller = GatingController {
             enabled: cfg.is_enabled(),
             states: vec![GateState::Active; n],
             idle: vec![false; n],
             idle_since: vec![0; n],
             island_of: regions.assignments().to_vec(),
-            thresholds,
-            wake_latency,
+            thresholds: vec![cfg.idle_threshold; islands],
+            wake_latency: vec![cfg.wakeup_latency; islands],
             sleep_due: (0..islands).map(|_| BinaryHeap::new()).collect(),
             wake_due: (0..islands).map(|_| VecDeque::new()).collect(),
             drain_wait: Vec::new(),
@@ -315,11 +260,6 @@ impl GatingController {
     /// Current idle threshold of an island.
     pub(crate) fn threshold(&self, island: usize) -> u64 {
         self.thresholds[island]
-    }
-
-    /// Current wakeup latency of an island.
-    pub(crate) fn wakeup_latency(&self, island: usize) -> u64 {
-        self.wake_latency[island]
     }
 
     /// Number of routers currently in the [`Gated`](GateState::Gated) state.
@@ -530,77 +470,6 @@ impl GatingController {
         }
     }
 
-    /// Runtime-enables gating: every quiescent router starts its idle span
-    /// at its island's current domain cycle. `island_cycle(island)` supplies
-    /// the clocks, `quiescent(node)` the router state.
-    pub(crate) fn enable(
-        &mut self,
-        island_cycle: impl Fn(usize) -> u64,
-        quiescent: impl Fn(usize) -> bool,
-    ) {
-        if self.enabled {
-            return;
-        }
-        self.enabled = true;
-        for node in 0..self.states.len() {
-            if quiescent(node) {
-                // Idle spans start from scratch — the time a router sat idle
-                // while gating was off does not count towards the threshold.
-                let now = island_cycle(self.island_of[node] as usize);
-                self.idle[node] = true;
-                self.idle_since[node] = now;
-                self.arm(node, now);
-            } else {
-                self.idle[node] = false;
-            }
-        }
-    }
-
-    /// Runtime-disables gating: every gated/waking/draining router returns
-    /// to Active immediately (un-gating counts as a wake event for the
-    /// energy accounting) and all timers are cleared. Calls `source_unfenced`
-    /// for each router whose local source had been fenced, so the driver can
-    /// restore it to the pending worklist.
-    pub(crate) fn disable(
-        &mut self,
-        island_cycle: impl Fn(usize) -> u64,
-        mut source_unfenced: impl FnMut(usize),
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.enabled = false;
-        for node in 0..self.states.len() {
-            match self.states[node] {
-                GateState::Gated => {
-                    let now = island_cycle(self.island_of[node] as usize);
-                    self.win_wake_events[node] += 1;
-                    self.win_gated_cycles[node] += now - self.gated_since[node];
-                    self.states[node] = GateState::Active;
-                    if let Some(log) = self.transition_log.as_mut() {
-                        log.push((node as u32, false));
-                    }
-                }
-                GateState::WakeUp | GateState::DrainWait => {
-                    self.states[node] = GateState::Active;
-                }
-                GateState::Active => {}
-            }
-            if self.fenced_sources[node] {
-                self.fenced_sources[node] = false;
-                source_unfenced(node);
-            }
-        }
-        self.fenced_count = 0;
-        self.drain_wait.clear();
-        for heap in &mut self.sleep_due {
-            heap.clear();
-        }
-        for fifo in &mut self.wake_due {
-            fifo.clear();
-        }
-    }
-
     /// Switches the telemetry transition log on or off. Turning it on starts
     /// an empty log; turning it off discards any pending entries.
     pub(crate) fn set_transition_log(&mut self, enabled: bool) {
@@ -634,12 +503,13 @@ impl GatingController {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl GatingController {
-    /// Encodes the complete gating state for a checkpoint: the master switch
-    /// and per-island parameters (runtime-mutable, hence state), every
-    /// router's gate machine, and the sleep/wake timers. The node→island map
-    /// is configuration and is not written.
+    /// Encodes the complete gating state for a checkpoint: the per-island
+    /// idle thresholds (runtime-mutable, hence state), every router's gate
+    /// machine, and the sleep/wake timers. The master switch, the wakeup
+    /// latencies and the fenced-router count are written too — configuration
+    /// and derived state, which [`load_state`](Self::load_state) reads only
+    /// to compare. The node→island map is not written.
     ///
     /// The sleep-timer heaps are written as their sorted ascending contents:
     /// a heap's pop sequence is a function of the multiset of `(due, node)`
@@ -704,13 +574,28 @@ impl GatingController {
 
     /// Restores the gating state written by [`save_state`](Self::save_state)
     /// into a controller built from the same configuration.
+    ///
+    /// `island_cycle(island)` is the already restored domain clock of an island.
+    ///
+    /// The stored master switch and wakeup latencies must equal the
+    /// controller's own (they are configuration), and the stored
+    /// fenced-router count the number of fenced states just read — a count
+    /// below the truth would switch the fence off and let flits into
+    /// powered-down routers, one above it would underflow at the next
+    /// wakeup. The waking routers and the wake timers must pair up one to
+    /// one (a timer for a router that is not waking trips the wakeup phase, a
+    /// waking router without one never wakes), a fenced source needs a fenced
+    /// router, and a gated span cannot have begun in its island's future.
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
+        island_cycle: impl Fn(usize) -> u64,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let n = self.states.len() as u32;
-        self.enabled = r.read_bool()?;
+        if r.read_bool()? != self.enabled {
+            return Err(SnapshotError::Corrupt("gating switch"));
+        }
         for state in &mut self.states {
             *state = match r.read_u8()? {
                 0 => GateState::Active,
@@ -729,8 +614,10 @@ impl GatingController {
         for threshold in &mut self.thresholds {
             *threshold = r.read_u64()?;
         }
-        for latency in &mut self.wake_latency {
-            *latency = r.read_u64()?;
+        for latency in &self.wake_latency {
+            if r.read_u64()? != *latency {
+                return Err(SnapshotError::Corrupt("wake-up latency"));
+            }
         }
         for heap in &mut self.sleep_due {
             heap.clear();
@@ -744,17 +631,21 @@ impl GatingController {
                 heap.push(Reverse((due, node)));
             }
         }
+        let mut untimed: Vec<bool> = self.states.iter().map(|s| *s == GateState::WakeUp).collect();
         for fifo in &mut self.wake_due {
             fifo.clear();
             let len = r.read_usize()?;
             for _ in 0..len {
                 let due = r.read_u64()?;
                 let node = r.read_u32()?;
-                if node >= n {
+                if node >= n || !std::mem::take(&mut untimed[node as usize]) {
                     return Err(SnapshotError::Corrupt("wake-timer node"));
                 }
                 fifo.push_back((due, node));
             }
+        }
+        if untimed.contains(&true) {
+            return Err(SnapshotError::Corrupt("waking router without a wake timer"));
         }
         self.drain_wait.clear();
         let drain_len = r.read_usize()?;
@@ -765,16 +656,23 @@ impl GatingController {
             }
             self.drain_wait.push(node);
         }
-        let fenced_count = r.read_usize()?;
-        if fenced_count > self.states.len() {
+        self.fenced_count = self.states.iter().filter(|s| s.is_fenced()).count();
+        if r.read_usize()? != self.fenced_count {
             return Err(SnapshotError::Corrupt("fenced count"));
         }
-        self.fenced_count = fenced_count;
-        for fenced in &mut self.fenced_sources {
+        for (fenced, state) in self.fenced_sources.iter_mut().zip(&self.states) {
             *fenced = r.read_bool()?;
+            if *fenced && !state.is_fenced() {
+                return Err(SnapshotError::Corrupt("fenced source"));
+            }
         }
-        for since in &mut self.gated_since {
+        for (node, since) in self.gated_since.iter_mut().enumerate() {
             *since = r.read_u64()?;
+            if self.states[node] == GateState::Gated
+                && *since > island_cycle(self.island_of[node] as usize)
+            {
+                return Err(SnapshotError::Corrupt("gated-since cycle"));
+            }
         }
         for win in
             [&mut self.win_gated_cycles, &mut self.win_sleep_events, &mut self.win_wake_events]
@@ -796,6 +694,11 @@ mod tests {
     fn disabled_config_is_the_default() {
         assert_eq!(GatingConfig::default(), GatingConfig::disabled());
         assert!(!GatingConfig::default().is_enabled());
+        // The snapshot header fingerprints this text: it is format, not cosmetics.
+        assert_eq!(
+            format!("{:?}", GatingConfig::enabled(8, 4)),
+            "GatingConfig { enabled: true, idle_threshold: 8, wakeup_latency: 4, per_island: [] }"
+        );
     }
 
     #[test]
@@ -804,21 +707,6 @@ mod tests {
         assert_eq!(g.wakeup_latency(), 1);
         let g = GatingConfig::enabled(10, u64::MAX);
         assert_eq!(g.wakeup_latency(), MAX_CHANNEL_LATENCY);
-    }
-
-    #[test]
-    fn overrides_resolve_per_island_with_last_wins() {
-        let g = GatingConfig::enabled(16, 4)
-            .with_island_override(1, 64, 2)
-            .with_island_override(1, 32, 8);
-        let (thresholds, latencies) = g.resolve(3);
-        assert_eq!(thresholds, vec![16, 32, 16]);
-        assert_eq!(latencies, vec![4, 8, 4]);
-        assert!(g.validate(3).is_ok());
-        assert_eq!(
-            g.validate(1),
-            Err(ConfigError::GatingIslandOutOfRange { island: 1, island_count: 1 })
-        );
     }
 
     #[test]

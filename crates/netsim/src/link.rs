@@ -35,11 +35,6 @@ impl<T> DelayChannel<T> {
         DelayChannel { latency, in_flight: VecDeque::new() }
     }
 
-    /// The configured delivery latency in cycles.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
     /// Number of items currently travelling on the channel.
     pub fn occupancy(&self) -> usize {
         self.in_flight.len()
@@ -79,6 +74,7 @@ impl<T> DelayChannel<T> {
 
     /// Collects every due item into a fresh `Vec` — convenience for tests and
     /// diagnostics; the simulation loop uses [`deliver`](Self::deliver).
+    #[cfg(test)]
     pub fn deliver_collect(&mut self, now: u64) -> Vec<T> {
         let mut out = Vec::new();
         self.deliver(now, |item| out.push(item));
@@ -101,7 +97,6 @@ impl<T> DelayChannel<T> {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl<T> DelayChannel<T> {
     /// Encodes the in-flight contents (due cycle + item) for a checkpoint.
     /// The latency is configuration, not state, and is not written.

@@ -29,14 +29,13 @@
 //! ```
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// The named voltage-frequency island partitions of a `width × height` grid.
 ///
 /// These are the layouts worth crossing with the scenario grid (topology ×
 /// pattern × injection); arbitrary partitions go through
 /// [`RegionScheme::Custom`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RegionLayout {
     /// One island spanning the whole network — the pre-VFI global-DVFS
     /// behaviour, and the default.
@@ -109,7 +108,7 @@ impl RegionLayout {
 /// Stored inside [`NetworkConfig`](crate::NetworkConfig) (builder method
 /// [`regions`](crate::NetworkConfigBuilder::regions)) and resolved into a
 /// [`RegionMap`] when the simulation is built.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RegionScheme {
     /// A named layout (whole / rows / columns / quadrants).
     Layout(RegionLayout),
@@ -166,18 +165,13 @@ impl From<RegionLayout> for RegionScheme {
 /// A resolved partition of the network's nodes into voltage-frequency
 /// islands: the dense `node → island` table the simulator indexes on its hot
 /// path, plus per-island membership counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionMap {
     island_of: Vec<u32>,
     node_counts: Vec<usize>,
 }
 
 impl RegionMap {
-    /// The single-island map over `nodes` nodes (the pre-VFI behaviour).
-    pub fn whole(nodes: usize) -> Self {
-        RegionMap::from_assignments(vec![0; nodes], 1)
-    }
-
     /// Builds a map from an explicit assignment, validating it.
     ///
     /// # Errors

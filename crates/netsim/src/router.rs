@@ -143,11 +143,6 @@ impl TraversalOutput {
         self.fenced_ports = 0;
         self.dropped = 0;
     }
-
-    /// Whether the step produced nothing.
-    pub fn is_empty(&self) -> bool {
-        self.outgoing.is_empty() && self.credits.is_empty() && self.ejected.is_empty()
-    }
 }
 
 /// What the router keeps incrementally although it is a pure function of the
@@ -334,25 +329,9 @@ impl Router {
         self.vcs
     }
 
-    /// Immutable view of the activity counters accumulated so far.
-    pub fn activity(&self) -> &RouterActivity {
-        &self.activity
-    }
-
     /// Takes and resets the activity counters (one observation window).
     pub fn take_activity(&mut self) -> RouterActivity {
         std::mem::take(&mut self.activity)
-    }
-
-    /// Adds `cycles` elapsed cycles to the activity window.
-    ///
-    /// Standalone harnesses that drive the pipeline stages directly can use
-    /// this to keep the `cycles` field meaningful.
-    /// [`NocSimulation`](crate::NocSimulation) does **not** call it per cycle any more: the
-    /// sparse core skips quiescent routers entirely, so the driver accounts
-    /// elapsed cycles centrally when an activity window is taken.
-    pub fn add_cycles(&mut self, cycles: u64) {
-        self.activity.cycles += cycles;
     }
 
     /// Whether the router provably has nothing to do this cycle.
@@ -393,6 +372,7 @@ impl Router {
     }
 
     /// Credits currently available on output (`port`, `vc`).
+    #[cfg(test)]
     pub fn output_credits(&self, port: usize, vc: usize) -> usize {
         self.outputs[port * self.vcs + vc].credits
     }
@@ -400,6 +380,7 @@ impl Router {
     /// The `(out_port, out_vc)` the packet on input VC (`port`, `vc`) is
     /// routed to — `None` before RC / VC allocation respectively. Intended
     /// for tests and wait-for-graph diagnostics.
+    #[cfg(test)]
     pub fn input_vc_route(&self, port: usize, vc: usize) -> (Option<usize>, Option<usize>) {
         let input = &self.inputs[port * self.vcs + vc];
         (input.out_port.map(usize::from), input.out_vc.map(usize::from))
@@ -469,6 +450,7 @@ impl Router {
     /// Route-computation stage: resolves the output port (and, on a torus,
     /// the dateline VC class) of every head flit waiting in the `Routing`
     /// state.
+    #[cfg(test)]
     pub fn rc_stage(&mut self, topo: &Topology, routing: &dyn RoutingAlgorithm) {
         self.rc_stage_blocked(topo, routing, 0, routing.route_is_static());
     }
@@ -630,6 +612,7 @@ impl Router {
     /// Results are **appended** to `out`, which the caller owns and reuses
     /// across routers/cycles (see the type-level scratch-buffer contract on
     /// [`Router`]); the caller clears it, typically once per cycle.
+    #[cfg(test)]
     pub fn sa_st_stage(&mut self, out: &mut TraversalOutput) {
         self.sa_st_stage_fenced(out, 0);
     }
@@ -957,7 +940,6 @@ impl Router {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl Router {
     /// Encodes every piece of mutable pipeline state for a checkpoint:
     /// input/output VC state, both allocator arbiter banks, the round-robin
@@ -1099,7 +1081,7 @@ mod tests {
     use super::*;
     use crate::flit::{Flit, PacketId};
     use crate::routing::XyRouting;
-    use crate::topology::{Direction, Mesh2d};
+    use crate::topology::{Direction, Topology};
 
     fn small_config() -> NetworkConfig {
         NetworkConfig::builder()
@@ -1116,7 +1098,7 @@ mod tests {
     }
 
     /// Drives the router's three internal stages once, as the network would.
-    fn step(router: &mut Router, mesh: &Mesh2d, routing: &XyRouting) -> TraversalOutput {
+    fn step(router: &mut Router, mesh: &Topology, routing: &XyRouting) -> TraversalOutput {
         let mut out = TraversalOutput::default();
         router.sa_st_stage(&mut out);
         router.va_stage();
@@ -1132,13 +1114,13 @@ mod tests {
         let flits = packet(1, 4, 5, 3);
         router.accept_flit(LOCAL_PORT, flits[0]);
         assert_eq!(router.input_vc_state(LOCAL_PORT, 0), VcState::Routing);
-        assert_eq!(router.activity().buffer_writes, 1);
+        assert_eq!(router.activity.buffer_writes, 1);
     }
 
     #[test]
     fn packet_traverses_router_towards_east_neighbor() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         // Node 5 is the east neighbour of node 4.
@@ -1156,8 +1138,8 @@ mod tests {
             assert_eq!(s.out_port, Direction::East.index());
         }
         assert_eq!(router.buffered_flits(), 0);
-        assert_eq!(router.activity().link_flits, 3);
-        assert_eq!(router.activity().vc_allocations, 1);
+        assert_eq!(router.activity.link_flits, 3);
+        assert_eq!(router.activity.vc_allocations, 1);
         // The input VC is released after the tail.
         assert_eq!(router.input_vc_state(LOCAL_PORT, 0), VcState::Idle);
     }
@@ -1165,7 +1147,7 @@ mod tests {
     #[test]
     fn packet_destined_here_is_ejected() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         let mut flits = packet(9, 1, 4, 3);
@@ -1178,14 +1160,14 @@ mod tests {
             ejected.extend(step(&mut router, &mesh, &routing).ejected);
         }
         assert_eq!(ejected.len(), 3);
-        assert_eq!(router.activity().ejected_flits, 3);
-        assert_eq!(router.activity().link_flits, 0);
+        assert_eq!(router.activity.ejected_flits, 3);
+        assert_eq!(router.activity.link_flits, 0);
     }
 
     #[test]
     fn credits_are_returned_for_every_forwarded_flit() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         for f in packet(1, 4, 3, 3) {
@@ -1202,7 +1184,7 @@ mod tests {
     #[test]
     fn forwarding_consumes_downstream_credits() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         let east = Direction::East.index();
@@ -1230,7 +1212,7 @@ mod tests {
             .packet_length(2)
             .build()
             .unwrap();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         // Drain all four credits of the east output VC with two 2-flit packets.
@@ -1263,7 +1245,7 @@ mod tests {
     #[test]
     fn two_packets_share_bandwidth_through_different_vcs() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         // Two packets from different input ports, both heading east.
@@ -1291,7 +1273,7 @@ mod tests {
     #[test]
     fn quiescence_tracks_buffer_occupancy() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         assert!(router.is_quiescent(), "a fresh router is quiescent");
@@ -1315,7 +1297,7 @@ mod tests {
     #[test]
     fn activity_window_reset() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         for f in packet(1, 4, 5, 3) {
@@ -1326,13 +1308,13 @@ mod tests {
         }
         let window = router.take_activity();
         assert!(window.total_events() > 0);
-        assert!(router.activity().is_idle(), "taking the window resets the counters");
+        assert!(router.activity.is_idle(), "taking the window resets the counters");
     }
 
     #[test]
     fn fenced_port_holds_flits_and_reports_the_demand() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         for f in packet(1, 4, 5, 3) {
@@ -1364,7 +1346,7 @@ mod tests {
     #[test]
     fn back_to_back_packets_on_same_input_vc() {
         let cfg = small_config();
-        let mesh = Mesh2d::new(3, 3);
+        let mesh = Topology::mesh(3, 3);
         let routing = XyRouting::new();
         let mut router = Router::new(4, &cfg);
         // Two consecutive 2-flit packets on the same input VC; the second head

@@ -20,7 +20,6 @@
 //! restriction applies.
 
 use crate::topology::{Direction, Topology};
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 
 /// A deterministic routing function: which output port should a packet
@@ -91,7 +90,7 @@ pub trait RoutingAlgorithm: Debug + Send + Sync {
     /// class (class 0) and an adaptive class (class 1) on *every* topology.
     ///
     /// Dimension-ordered algorithms return `false`: they only need the
-    /// dateline split the torus already imposes. [`MinimalAdaptive`] returns
+    /// dateline split the torus already imposes. `MinimalAdaptive` returns
     /// `true` so that meshes also reserve a deadlock-free escape class.
     fn wants_escape_classes(&self) -> bool {
         false
@@ -161,14 +160,14 @@ fn ring_class_after_hop(k: usize, s: usize, c: usize, d: usize) -> u8 {
 /// docs) for deadlock freedom.
 ///
 /// ```
-/// use noc_sim::{Topology, XyRouting, RoutingAlgorithm, Direction};
+/// use noc_sim::{Direction, RoutingAlgorithm, Topology, TopologyKind, XyRouting};
 ///
-/// let mesh = Topology::mesh(5, 5);
+/// let mesh = Topology::with_kind(TopologyKind::Mesh, 5, 5);
 /// let routing = XyRouting::new();
 /// // From node 0 (0,0) to node 24 (4,4) the first moves go east.
 /// assert_eq!(routing.route(&mesh, 0, 24), Direction::East);
 /// // On the torus the same pair is one wrap hop west, then one north.
-/// let torus = Topology::torus(5, 5);
+/// let torus = Topology::with_kind(TopologyKind::Torus, 5, 5);
 /// assert_eq!(routing.route(&torus, 0, 24), Direction::West);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -382,6 +381,7 @@ impl MinimalAdaptive {
     /// mixed-class cycle close. Retained **only** so the regression suite
     /// can demonstrate the deadlock the restricted re-entry rule closes;
     /// never use this in a real configuration.
+    #[cfg(test)]
     pub fn with_unrestricted_reentry() -> Self {
         MinimalAdaptive { unrestricted_reentry: true }
     }
@@ -526,15 +526,15 @@ impl RoutingAlgorithm for MinimalAdaptive {
 /// The routing-algorithm axis of a [`NetworkConfig`](crate::NetworkConfig):
 /// a serialisable name that resolves to a [`RoutingAlgorithm`]
 /// implementation at simulation construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RoutingKind {
     /// Dimension-ordered XY (the paper's baseline).
     #[default]
     Xy,
     /// Dimension-ordered YX.
     Yx,
-    /// Minimal-adaptive with dimension-ordered escape VCs
-    /// ([`MinimalAdaptive`]); requires at least two virtual channels.
+    /// Minimal-adaptive with dimension-ordered escape VCs; requires at least
+    /// two virtual channels.
     MinimalAdaptive,
 }
 
@@ -565,11 +565,11 @@ impl RoutingKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Mesh2d;
+    use crate::topology::Topology;
 
     #[test]
     fn xy_reaches_destination_with_minimal_hops() {
-        let mesh = Mesh2d::new(5, 5);
+        let mesh = Topology::mesh(5, 5);
         let routing = XyRouting::new();
         for src in 0..mesh.node_count() {
             for dst in 0..mesh.node_count() {
@@ -580,7 +580,7 @@ mod tests {
 
     #[test]
     fn yx_reaches_destination_with_minimal_hops() {
-        let mesh = Mesh2d::new(4, 6);
+        let mesh = Topology::mesh(4, 6);
         let routing = YxRouting::new();
         for src in 0..mesh.node_count() {
             for dst in 0..mesh.node_count() {
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn xy_corrects_x_before_y() {
-        let mesh = Mesh2d::new(5, 5);
+        let mesh = Topology::mesh(5, 5);
         let routing = XyRouting::new();
         let src = mesh.node_at(0, 0);
         let dst = mesh.node_at(3, 3);
@@ -602,7 +602,7 @@ mod tests {
 
     #[test]
     fn yx_corrects_y_before_x() {
-        let mesh = Mesh2d::new(5, 5);
+        let mesh = Topology::mesh(5, 5);
         let routing = YxRouting::new();
         let src = mesh.node_at(0, 0);
         let dst = mesh.node_at(3, 3);
@@ -621,7 +621,7 @@ mod tests {
 
     #[test]
     fn xy_route_never_leaves_mesh() {
-        let mesh = Mesh2d::new(8, 8);
+        let mesh = Topology::mesh(8, 8);
         let routing = XyRouting::new();
         for src in 0..mesh.node_count() {
             for dst in 0..mesh.node_count() {
@@ -710,7 +710,7 @@ mod tests {
 
     #[test]
     fn mesh_vc_class_is_always_zero() {
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         for routing in [&XyRouting::new() as &dyn RoutingAlgorithm, &YxRouting::new()] {
             for src in 0..mesh.node_count() {
                 for dst in 0..mesh.node_count() {
@@ -761,7 +761,7 @@ mod tests {
 
     #[test]
     fn escape_class_is_sticky_until_faulted() {
-        let mesh = Mesh2d::new(5, 5);
+        let mesh = Topology::mesh(5, 5);
         let adaptive = MinimalAdaptive::new();
         let current = mesh.node_at(2, 2);
         let dst = mesh.node_at(4, 2);
@@ -791,7 +791,7 @@ mod tests {
 
     #[test]
     fn adaptive_deviates_around_a_blocked_escape_port() {
-        let mesh = Mesh2d::new(5, 5);
+        let mesh = Topology::mesh(5, 5);
         let adaptive = MinimalAdaptive::new();
         let src = mesh.node_at(1, 2);
         let dst = mesh.node_at(3, 4);

@@ -47,7 +47,6 @@
 //! surface, `checkpoint` the snapshot glue.
 
 mod accessors;
-#[cfg(feature = "snapshot")]
 mod checkpoint;
 mod islands;
 mod phases;
@@ -77,13 +76,12 @@ use crate::topology::{Direction, Topology, PORT_COUNT};
 use crate::traffic::TrafficSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Measurements accumulated since the last call to
 /// [`NocSimulation::take_window`]; this is what a DVFS controller sees at
 /// every control update.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowMeasurement {
     /// NoC clock cycles elapsed in the window.
     pub noc_cycles: u64,
@@ -104,7 +102,7 @@ pub struct WindowMeasurement {
     /// Sum of delays (picoseconds) of packets ejected in the window.
     pub delay_ps_sum: f64,
     /// Flits dropped by failed components in the window (always zero unless
-    /// the configuration injects faults; see [`crate::fault`]).
+    /// the configuration injects faults; see [`FaultConfig`](crate::FaultConfig)).
     pub flits_dropped: u64,
 }
 
@@ -184,7 +182,7 @@ struct TenantAccounting {
 /// A cycle-accurate simulation of one NoC under one traffic specification.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example and
-/// the [module docs](self) for the sparse stepping engine.
+/// the sparse stepping engine's contract.
 ///
 /// ```
 /// use noc_sim::{Hertz, NetworkConfig, NocSimulation, RegionLayout, SyntheticTraffic,
@@ -509,15 +507,6 @@ impl NocSimulation {
         }
     }
 
-    /// Advances the simulation by one NoC clock cycle on the selected
-    /// engine — sparse (default) or the dense reference
-    /// ([`set_dense_stepping`](Self::set_dense_stepping)); both are
-    /// allocation-free in steady state and produce bit-identical behaviour.
-    #[inline]
-    pub fn step(&mut self) {
-        self.step_with(Self::pipeline_phase);
-    }
-
     /// One full step: phases 1–3, `pipeline` as phase 4, phases 5–6 — the
     /// same sequence for every engine, so the profiler's `pre` / `pipeline`
     /// / `post` buckets mean the same thing under all of them. Wall-clock
@@ -549,7 +538,7 @@ impl NocSimulation {
     /// Jumps the clock over base ticks that provably do nothing, up to
     /// `remaining` of them, and returns how many were absorbed.
     ///
-    /// A base tick is *dead* — a full [`step`](Self::step) would change
+    /// A base tick is *dead* — a full step would change
     /// nothing but the clocks — exactly when all of the following hold, and
     /// this routine only skips ticks for which it can prove them up front:
     ///

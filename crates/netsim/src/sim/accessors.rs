@@ -4,34 +4,20 @@
 
 use super::{NocSimulation, TenantAccounting, WindowMeasurement};
 use crate::activity::NetworkActivity;
-use crate::config::NetworkConfig;
 use crate::gating::GateState;
-use crate::router::Router;
 use crate::stats::SimStats;
 use crate::telemetry::{CongestionHeatmap, SimCounters, TelemetryConfig, TelemetryState};
 use crate::tenant::{TenantMap, TenantMapError};
-use crate::topology::{Direction, Topology};
+use crate::topology::Direction;
 use crate::units::Picoseconds;
 
 impl NocSimulation {
-    /// The network configuration of this simulation.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
     /// Number of nodes in the simulated grid.
     pub fn node_count(&self) -> usize {
         self.topo.node_count()
     }
 
-    /// The simulated topology (mesh or torus).
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Whether power gating is currently enabled (the configuration value,
-    /// unless toggled at run time via
-    /// [`set_gating_enabled`](Self::set_gating_enabled)).
+    /// Whether power gating is enabled (the configuration value).
     pub fn gating_enabled(&self) -> bool {
         self.gating.enabled
     }
@@ -61,15 +47,6 @@ impl NocSimulation {
         self.gating.threshold(island)
     }
 
-    /// Current wakeup latency of one island, in domain cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `island >= island_count()`.
-    pub fn island_wakeup_latency(&self, island: usize) -> u64 {
-        self.gating.wakeup_latency(island)
-    }
-
     /// Changes one island's idle threshold at run time — the actuator a
     /// gating policy drives each control interval. Routers already gated
     /// stay gated until traffic wakes them (even at
@@ -82,28 +59,6 @@ impl NocSimulation {
     pub fn set_island_idle_threshold(&mut self, island: usize, threshold: u64) {
         let now = self.islands[island].local_cycle;
         self.gating.set_island_threshold(island, threshold, now);
-    }
-
-    /// Enables or disables power gating at run time.
-    ///
-    /// Enabling starts every currently quiescent router's idle span at its
-    /// island's current cycle; disabling returns every non-Active router to
-    /// Active immediately (counting the forced un-gatings as wake events)
-    /// and hands fenced sources back to the injection worklist.
-    pub fn set_gating_enabled(&mut self, enabled: bool) {
-        let NocSimulation { gating, routers, islands, sources, pending_sources, .. } = self;
-        if enabled {
-            gating.enable(|i| islands[i].local_cycle, |n| routers[n].is_quiescent());
-        } else {
-            gating.disable(
-                |i| islands[i].local_cycle,
-                |node| {
-                    if sources[node].has_pending_flits() {
-                        pending_sources.insert(node);
-                    }
-                },
-            );
-        }
     }
 
     /// Total flits delivered to sinks since the start of the run — the
@@ -200,12 +155,6 @@ impl NocSimulation {
         self.routers.iter().map(|r| r.buffered_flits()).sum()
     }
 
-    /// Read access to one router — intended for tests and wait-for-graph
-    /// diagnostics (e.g. inspecting per-VC states after a fault).
-    pub fn router(&self, node: usize) -> &Router {
-        &self.routers[node]
-    }
-
     /// Total flits generated by all sources since the start of the run.
     pub fn total_flits_generated(&self) -> u64 {
         self.sources.iter().map(|s| s.flits_generated()).sum()
@@ -214,12 +163,6 @@ impl NocSimulation {
     /// Total packets fully delivered since the start of the run.
     pub fn total_packets_delivered(&self) -> u64 {
         self.sink.packets_completed()
-    }
-
-    /// Whether the dense reference loop is in use (see
-    /// [`set_dense_stepping`](Self::set_dense_stepping)).
-    pub fn dense_stepping(&self) -> bool {
-        self.dense_step
     }
 
     /// Switches between the sparse engine (`false`, the default) and the
@@ -267,12 +210,6 @@ impl NocSimulation {
                 self.pending_sources.set_to(node, pending);
             }
         }
-    }
-
-    /// Whether event-horizon cycle-skipping is enabled (see
-    /// [`set_event_skipping`](Self::set_event_skipping)).
-    pub fn event_skipping(&self) -> bool {
-        self.event_skip
     }
 
     /// Enables or disables event-horizon cycle-skipping (enabled by default).
@@ -329,7 +266,8 @@ impl NocSimulation {
     /// holds, a step does no pipeline, delivery or injection work at all
     /// (only the clock advances and — RNG draw order being sacred — traffic
     /// generation runs). It also implies every packet that entered a sink
-    /// was fully reassembled ([`Sink::has_partial_packets`](crate::sink::Sink::has_partial_packets) is false).
+    /// was fully reassembled (a missing tail would still be buffered or in
+    /// flight).
     pub fn is_quiescent(&self) -> bool {
         self.active_router_count() == 0
             && self.queued_source_flits() == 0
@@ -432,17 +370,6 @@ impl NocSimulation {
             window_start_wall_ps: self.clock.wall_time().as_ps(),
         });
         Ok(())
-    }
-
-    /// Uninstalls the tenant partition, discarding any accumulated
-    /// per-tenant windows.
-    pub fn clear_tenant_map(&mut self) {
-        self.tenants = None;
-    }
-
-    /// The installed tenant partition, if any.
-    pub fn tenant_map(&self) -> Option<&TenantMap> {
-        self.tenants.as_ref().map(|t| &t.map)
     }
 
     /// Drains the per-tenant measurement windows accumulated since the last

@@ -1,6 +1,5 @@
 //! Snapshot glue: [`NocSimulation::snapshot`] / [`NocSimulation::restore`]
-//! over the per-module `save_state` / `load_state` codecs (compiled with the
-//! `snapshot` feature).
+//! over the per-module `save_state` / `load_state` codecs.
 
 use super::worklist::DueWheel;
 use super::{NocSimulation, TenantAccounting, WindowMeasurement};
@@ -280,7 +279,8 @@ impl NocSimulation {
         self.island_window_start_node_cycles = r.read_u64()?;
 
         r.expect_tag(snap_tags::GATING)?;
-        self.gating.load_state(r)?;
+        let islands = &self.islands;
+        self.gating.load_state(r, |island| islands[island].local_cycle)?;
 
         r.expect_tag(snap_tags::FAULTS)?;
         let has_faults = r.read_bool()?;

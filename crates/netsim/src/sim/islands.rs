@@ -63,7 +63,7 @@ pub(super) fn advance_island_clocks(islands: &mut [IslandDomain]) {
 
 impl NocSimulation {
     /// Current **base** NoC clock frequency: the frequency of the fastest
-    /// voltage-frequency island, which drives [`step`](Self::step). With a
+    /// voltage-frequency island, which drives the base tick. With a
     /// single island (the default) this is simply the NoC clock frequency.
     pub fn noc_frequency(&self) -> Hertz {
         self.clock.noc_frequency()

@@ -175,7 +175,7 @@ fn torus_cfg() -> NetworkConfig {
 #[test]
 fn torus_delivers_packets_under_light_load() {
     let mut sim = sim_with(0.05, TrafficPattern::Uniform, torus_cfg(), 1);
-    assert!(sim.topology().is_torus());
+    assert!(sim.topo.is_torus());
     sim.run_cycles(5_000);
     assert!(sim.total_packets_delivered() > 50, "torus light load must deliver packets");
     // Wrap links shorten paths: average latency must not exceed the mesh's.
@@ -565,24 +565,6 @@ fn sparse_and_dense_engines_agree_under_gating() {
 }
 
 #[test]
-fn runtime_disable_wakes_the_whole_network() {
-    let mut sim = sim_with(0.0, TrafficPattern::Uniform, gated_cfg(4, 8), 5);
-    sim.run_cycles(50);
-    assert_eq!(sim.gated_router_count(), sim.node_count());
-    sim.set_gating_enabled(false);
-    assert_eq!(sim.gated_router_count(), 0);
-    assert!(!sim.gating_enabled());
-    let act = sim.take_activity().total();
-    assert_eq!(act.wake_events, sim.node_count() as u64, "forced un-gating counts as wakes");
-    sim.run_cycles(100);
-    assert_eq!(sim.gated_router_count(), 0, "disabled gating must not re-gate");
-    // Re-enabling starts fresh idle spans.
-    sim.set_gating_enabled(true);
-    sim.run_cycles(50);
-    assert_eq!(sim.gated_router_count(), sim.node_count());
-}
-
-#[test]
 fn island_threshold_actuator_controls_per_island_gating() {
     let cfg = NetworkConfig::builder()
         .mesh(4, 4)
@@ -590,10 +572,11 @@ fn island_threshold_actuator_controls_per_island_gating() {
         .buffer_depth(4)
         .packet_length(4)
         .regions(crate::region::RegionLayout::Quadrants)
-        .gating(crate::gating::GatingConfig::enabled(8, 4).with_island_override(2, 40, 4))
+        .gating(crate::gating::GatingConfig::enabled(8, 4))
         .build()
         .unwrap();
     let mut sim = sim_with(0.0, TrafficPattern::Uniform, cfg, 7);
+    sim.set_island_idle_threshold(2, 40);
     assert_eq!(sim.island_idle_threshold(0), 8);
     assert_eq!(sim.island_idle_threshold(2), 40);
     sim.run_cycles(20);
@@ -947,29 +930,54 @@ fn parallel_island_stepping_composes_with_gating_and_faults() {
     conservation_holds(&serial);
 }
 
-// ----- hostile snapshot bytes in the router and source sections ---------------
+// ----- hostile snapshot bytes in the router, source and gating sections -------
+
+/// Flips one bit in every byte of `range` of a serialized snapshot and
+/// restores each mangled copy into a simulation from `fresh`: it is either
+/// refused, or runs on for 200 cycles without a panic (debug builds check
+/// every router's derived state after every tick on the way). Returns
+/// `(refused, survived)`.
+fn flip_sweep(
+    fresh: &dyn Fn() -> NocSimulation,
+    bytes: &[u8],
+    range: std::ops::Range<usize>,
+) -> (usize, usize) {
+    let (mut refused, mut survived) = (0, 0);
+    for i in range {
+        let mut mangled = bytes.to_vec();
+        mangled[i] ^= 1 << (i % 8);
+        let mangled =
+            crate::snapshot::SimSnapshot::from_bytes(&mangled).expect("the header is intact");
+        let mut sim = fresh();
+        if sim.restore(&mangled).is_err() {
+            refused += 1;
+            continue;
+        }
+        sim.run_cycles(200);
+        survived += 1;
+    }
+    (refused, survived)
+}
 
 /// One bit flipped in every byte of the router section, then of the source
-/// section, of a loaded snapshot: each mangled snapshot is either refused by
-/// `restore`, or restores into a simulation that runs on without a panic
-/// (debug builds check every router's derived state after every tick on the
-/// way). Before the router rebuilt its masks from the per-VC state on load,
-/// roughly one flip in eight restored `Ok` and then indexed out of bounds or
-/// met an `expect` inside a pipeline stage; before the source checked its
-/// queue's packet framing, endpoints and credit counts, a flipped flit kind
-/// met the `expect` in `Source::injection_vc` and a flipped credit count
-/// overran the router's local input VC.
-#[cfg(feature = "snapshot")]
+/// section, of a loaded snapshot, then of the gating section of a gated one
+/// (see [`flip_sweep`]). Before the router rebuilt its masks from the per-VC
+/// state on load, roughly one flip in eight restored `Ok` and then indexed
+/// out of bounds or met an `expect` inside a pipeline stage; before the
+/// source checked its queue's packet framing, endpoints and credit counts, a
+/// flipped flit kind met the `expect` in `Source::injection_vc` and a flipped
+/// credit count overran the router's local input VC; before the gating
+/// controller recounted its fenced routers, a flipped count switched the
+/// fence off over gated routers or underflowed at the next wakeup.
 #[test]
 fn bit_flips_in_the_router_section_are_refused_or_harmless() {
-    use crate::snapshot::{SimSnapshot, SnapWriter};
+    use crate::gating::GateState;
+    use crate::snapshot::SnapWriter;
     // Nine routers keep the sweep (one restore per byte of a section, and
     // a 200-cycle run for each one accepted) to a few seconds.
-    let loaded = || {
-        let cfg = NetworkConfig::builder().mesh(3, 3).virtual_channels(2).buffer_depth(4);
-        let cfg = cfg.packet_length(4).build().unwrap();
-        sim_with(0.35, TrafficPattern::Uniform, cfg, 7)
-    };
+    let small =
+        || NetworkConfig::builder().mesh(3, 3).virtual_channels(2).buffer_depth(4).packet_length(4);
+    let loaded = || sim_with(0.35, TrafficPattern::Uniform, small().build().unwrap(), 7);
     let mut sim = loaded();
     sim.run_cycles(400);
     let buffered = sim.routers.iter().map(Router::buffered_flits).sum::<usize>();
@@ -983,16 +991,18 @@ fn bit_flips_in_the_router_section_are_refused_or_harmless() {
     // that wrote them: the file header, then the sections ahead of the
     // routers (tag, clock; tag, four RNG words and the packet counter), the
     // routers' own tag and the routers, the sources' tag and the sources.
-    let encoded_len = |save: &dyn Fn(&mut SnapWriter)| {
+    let encoded = |save: &dyn Fn(&mut SnapWriter)| {
         let mut w = SnapWriter::new();
         save(&mut w);
-        w.into_vec().len()
+        w.into_vec()
     };
     let header = bytes.len() - snap.payload_len();
-    let routers = header + 1 + encoded_len(&|w| sim.clock.save_state(w)) + 1 + 5 * 8 + 1;
-    let routers_end = routers + encoded_len(&|w| sim.routers.iter().for_each(|r| r.save_state(w)));
+    let routers = header + 1 + encoded(&|w| sim.clock.save_state(w)).len() + 1 + 5 * 8 + 1;
+    let routers_end =
+        routers + encoded(&|w| sim.routers.iter().for_each(|r| r.save_state(w))).len();
     let sources = routers_end + 1;
-    let sources_end = sources + encoded_len(&|w| sim.sources.iter().for_each(|s| s.save_state(w)));
+    let sources_end =
+        sources + encoded(&|w| sim.sources.iter().for_each(|s| s.save_state(w))).len();
 
     // Most of the router section is checked state; most of a source is
     // payload a flip turns into another legal value (a queued flit's
@@ -1000,21 +1010,29 @@ fn bit_flips_in_the_router_section_are_refused_or_harmless() {
     for (section, range, mostly_checked) in
         [("router", routers..routers_end, true), ("source", sources..sources_end, false)]
     {
-        let (mut refused, mut survived) = (0, 0);
-        for i in range {
-            let mut mangled = bytes.clone();
-            mangled[i] ^= 1 << (i % 8);
-            let mangled = SimSnapshot::from_bytes(&mangled).expect("the header is intact");
-            let mut fresh = loaded();
-            if fresh.restore(&mangled).is_err() {
-                refused += 1;
-                continue;
-            }
-            fresh.run_cycles(200);
-            survived += 1;
-        }
+        let (refused, survived) = flip_sweep(&loaded, &bytes, range);
         let floor = if mostly_checked { survived } else { 0 };
         assert!(refused > floor, "{section}: {refused} refused, {survived} survived");
         assert!(survived > 0, "{section}: some flips must reach the run");
     }
+
+    // The gating section, caught with routers in all four gate states.
+    let gated = || {
+        let cfg = small().link_latency(3).gating(crate::gating::GatingConfig::enabled(6, 12));
+        sim_with(0.03, TrafficPattern::Uniform, cfg.build().unwrap(), 11)
+    };
+    let mut sim = gated();
+    let all_states = [GateState::Active, GateState::DrainWait, GateState::Gated, GateState::WakeUp];
+    while !all_states.iter().all(|s| sim.gating.states.contains(s)) {
+        assert!(sim.current_cycle() < 50_000, "no cycle shows all four gate states");
+        sim.run_cycles(1);
+    }
+    let bytes = sim.snapshot().to_bytes();
+    // The section is found by its own encoding, which occurs exactly once.
+    let section = encoded(&|w| sim.gating.save_state(w));
+    let mut sections = bytes.windows(section.len()).enumerate().filter(|(_, w)| *w == section);
+    let (start, _) = sections.next().expect("the gating section is in the payload");
+    assert!(sections.next().is_none(), "the gating section must be found exactly once");
+    let (refused, survived) = flip_sweep(&gated, &bytes, start..start + section.len());
+    assert!(refused > 0 && survived > 0, "gating: {refused} refused, {survived} survived");
 }

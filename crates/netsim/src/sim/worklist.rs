@@ -66,7 +66,6 @@ impl DueWheel {
     /// are delivery hints validated by `DelayChannel::deliver`, so insertion
     /// order cannot affect behaviour — but id order also reproduces what a
     /// live run would hold, keeping the structures comparable in tests.
-    #[cfg(feature = "snapshot")]
     pub(super) fn rebuilt<D: IntoIterator<Item = u64>>(
         latency: u64,
         channels: impl Iterator<Item = D>,

@@ -41,19 +41,9 @@ impl Sink {
     }
 
     /// Number of packets that have started arriving but are not complete.
+    #[cfg(test)]
     pub fn incomplete_packets(&self) -> usize {
         (self.packets_started - self.packets_completed) as usize
-    }
-
-    /// Whether any packet is partially received (head seen, tail pending).
-    ///
-    /// Part of the network quiescence contract: a drained network must have
-    /// no partially reassembled packets — every head that entered a sink has
-    /// been followed by its tail. The sparse simulation core's
-    /// [`NocSimulation::is_quiescent`](crate::NocSimulation::is_quiescent)
-    /// implies this (a missing tail would still be buffered or in flight).
-    pub fn has_partial_packets(&self) -> bool {
-        self.packets_started != self.packets_completed
     }
 
     /// Accepts an ejected flit. Returns a completion record when the flit was
@@ -84,7 +74,6 @@ impl Sink {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl Sink {
     /// Encodes the reassembly counters for a checkpoint.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
@@ -147,12 +136,11 @@ mod tests {
         assert!(sink.accept(&a[0], 10, 0.0).is_none());
         assert!(sink.accept(&b[0], 11, 0.0).is_none());
         assert_eq!(sink.incomplete_packets(), 2);
-        assert!(sink.has_partial_packets());
         assert!(sink.accept(&b[1], 12, 0.0).is_some());
         assert!(sink.accept(&a[1], 13, 0.0).is_some());
         assert_eq!(sink.packets_completed(), 2);
         assert_eq!(sink.flits_received(), 4);
-        assert!(!sink.has_partial_packets());
+        assert_eq!(sink.incomplete_packets(), 0);
     }
 
     #[test]

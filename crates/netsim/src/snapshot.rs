@@ -31,10 +31,8 @@
 //!   engine switch rebuilds them mid-run.
 //!
 //! The payload encoding is a hand-rolled little-endian binary codec
-//! ([`SnapWriter`] / [`SnapReader`]); the workspace serde shim is a marker
-//! crate with no wire format, so the snapshot module owns its own. Floats
-//! travel as raw IEEE-754 bits, which is what makes the restored
-//! clock/accumulator arithmetic bit-exact.
+//! ([`SnapWriter`] / [`SnapReader`]). Floats travel as raw IEEE-754 bits,
+//! which is what makes the restored clock/accumulator arithmetic bit-exact.
 
 use std::fmt;
 

@@ -7,9 +7,6 @@
 //! same credit-based flow control as inter-router links.
 
 use crate::flit::{Flit, PacketId};
-use crate::topology::Topology;
-use crate::traffic::TrafficSpec;
-use rand::rngs::StdRng;
 use std::collections::VecDeque;
 
 /// State of one node's packet generator and injection queue.
@@ -26,16 +23,6 @@ pub struct Source {
     flits_generated: u64,
     packets_generated: u64,
     flits_injected: u64,
-}
-
-/// A flit that the source wants to place into the router's local input port
-/// this cycle, on virtual channel `vc`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectionOffer {
-    /// Virtual channel of the local input port to write into.
-    pub vc: usize,
-    /// The flit to inject.
-    pub flit: Flit,
 }
 
 impl Source {
@@ -55,22 +42,13 @@ impl Source {
         }
     }
 
-    /// The node this source injects at.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// Number of flits generated so far (includes flits still queued).
     pub fn flits_generated(&self) -> u64 {
         self.flits_generated
     }
 
-    /// Number of packets generated so far.
-    pub fn packets_generated(&self) -> u64 {
-        self.packets_generated
-    }
-
     /// Number of flits actually handed to the router so far.
+    #[cfg(test)]
     pub fn flits_injected(&self) -> u64 {
         self.flits_injected
     }
@@ -115,40 +93,6 @@ impl Source {
         packet_length as u64
     }
 
-    /// Runs `node_cycles` node-clock cycles of packet generation for this
-    /// node alone, covering the absolute node cycles `start_node_cycle ..
-    /// start_node_cycle + node_cycles` (the clock the event-horizon skip
-    /// contract and trace record/replay speak in). The simulation engine
-    /// generates for the whole fabric at once through
-    /// [`TrafficSpec::generate_tick`]; this is the single-source form for
-    /// driving a `Source` by hand.
-    ///
-    /// `next_packet_id` is a monotonically increasing counter shared across
-    /// sources (owned by the simulation); newly generated packets consume ids
-    /// from it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn generate(
-        &mut self,
-        node_cycles: u64,
-        start_node_cycle: u64,
-        traffic: &mut dyn TrafficSpec,
-        topo: &Topology,
-        rng: &mut StdRng,
-        next_packet_id: &mut u64,
-        current_cycle: u64,
-        wall_time_ps: f64,
-    ) {
-        for offset in 0..node_cycles {
-            if let Some(dst) =
-                traffic.maybe_generate(self.node, start_node_cycle + offset, topo, rng)
-            {
-                let id = PacketId::new(*next_packet_id);
-                *next_packet_id += 1;
-                self.push_packet(id, dst, traffic.packet_length(), current_cycle, wall_time_ps);
-            }
-        }
-    }
-
     /// Picks the virtual channel the front flit would inject on, given the
     /// current credit state, without consuming anything.
     fn injection_vc(&self) -> Option<usize> {
@@ -167,30 +111,9 @@ impl Source {
         }
     }
 
-    /// Proposes at most one flit to inject this NoC cycle, given the credit
-    /// state of the injection channel. Call
-    /// [`commit_injection`](Self::commit_injection) if the offer
-    /// is accepted. `Flit` is `Copy`, so the offer is a cheap stack value —
-    /// the hot path uses [`try_inject`](Self::try_inject), which pops the
-    /// queue directly instead of going through an offer.
-    pub fn injection_offer(&mut self) -> Option<InjectionOffer> {
-        let vc = self.injection_vc()?;
-        let mut flit = *self.pending.front().expect("injection_vc saw a front flit");
-        flit.vc = vc as u8;
-        Some(InjectionOffer { vc, flit })
-    }
-
-    /// Consumes the offered flit after the network accepted it.
-    pub fn commit_injection(&mut self, offer: &InjectionOffer) {
-        let flit = self.pending.pop_front().expect("committed injection without pending flit");
-        debug_assert_eq!(flit.packet_id, offer.flit.packet_id);
-        self.finish_injection(offer.vc, offer.flit.kind);
-    }
-
-    /// Pops and returns the front flit if a virtual channel with credit is
-    /// available, with `vc` already set — the allocation-free equivalent of
-    /// an [`injection_offer`](Self::injection_offer) followed by
-    /// [`commit_injection`](Self::commit_injection).
+    /// Injects at most one flit this NoC cycle: pops and returns the front
+    /// flit, with `vc` already set, if the credit state of the injection
+    /// channel leaves it a virtual channel to go on.
     #[inline]
     pub fn try_inject(&mut self) -> Option<Flit> {
         let vc = self.injection_vc()?;
@@ -200,7 +123,7 @@ impl Source {
         Some(flit)
     }
 
-    /// Shared credit/VC bookkeeping after a flit left the queue.
+    /// Credit/VC bookkeeping after a flit left the queue.
     fn finish_injection(&mut self, vc: usize, kind: crate::flit::FlitKind) {
         self.credits[vc] -= 1;
         self.flits_injected += 1;
@@ -220,13 +143,13 @@ impl Source {
         self.credits[vc] += 1;
     }
 
-    /// Current credit count of a VC (test/diagnostic hook).
+    /// Current credit count of a VC.
+    #[cfg(test)]
     pub fn credits(&self, vc: usize) -> usize {
         self.credits[vc]
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl Source {
     /// Encodes the injection queue, credit state and counters for a
     /// checkpoint. The node index is configuration and is not written.
@@ -308,113 +231,113 @@ impl Source {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Mesh2d;
-    use crate::traffic::{SyntheticTraffic, TrafficPattern};
+    use crate::topology::{Topology, TopologyKind};
+    use crate::traffic::{SyntheticTraffic, TrafficPattern, TrafficSpec};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Traffic that generates a packet on every node cycle (for tests).
-    #[derive(Debug)]
-    struct Saturating {
-        packet_length: usize,
-    }
-
-    impl TrafficSpec for Saturating {
-        fn packet_length(&self) -> usize {
-            self.packet_length
-        }
-        fn offered_load(&self) -> f64 {
-            self.packet_length as f64
-        }
-        fn maybe_generate(
-            &mut self,
-            src: usize,
-            _node_cycle: u64,
-            topo: &Topology,
-            _rng: &mut StdRng,
-        ) -> Option<usize> {
-            Some((src + 1) % topo.node_count())
+    /// Queues `packets` packets of `packet_length` flits, as phase 2 of the
+    /// engine does for every hit of `generate_tick`.
+    fn queue_packets(src: &mut Source, packets: u64, packet_length: usize) {
+        for id in 0..packets {
+            src.push_packet(PacketId::new(id), 1, packet_length, 0, 0.0);
         }
     }
 
     #[test]
     fn generation_queues_whole_packets() {
-        let mesh = Mesh2d::new(4, 4);
         let mut src = Source::new(0, 2, 4);
-        let mut traffic = Saturating { packet_length: 3 };
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut next_id = 0;
-        src.generate(5, 0, &mut traffic, &mesh, &mut rng, &mut next_id, 0, 0.0);
-        assert_eq!(src.packets_generated(), 5);
+        queue_packets(&mut src, 5, 3);
+        assert_eq!(src.packets_generated, 5);
         assert_eq!(src.flits_generated(), 15);
         assert_eq!(src.queued_flits(), 15);
-        assert_eq!(next_id, 5);
+        // Head, body, tail — five times over, in packet order.
+        for id in 0..5 {
+            let flits: Vec<_> = (0..3).map(|_| src.try_inject().unwrap()).collect();
+            assert!(flits.iter().all(|f| f.packet_id == PacketId::new(id)));
+            assert!(flits[0].kind.is_head() && !flits[0].kind.is_tail());
+            assert!(!flits[1].kind.is_head() && !flits[1].kind.is_tail());
+            assert!(flits[2].kind.is_tail() && !flits[2].kind.is_head());
+            flits.iter().for_each(|f| src.return_credit(f.vc as usize));
+        }
     }
 
     #[test]
     fn injection_respects_credits() {
-        let mesh = Mesh2d::new(4, 4);
         let mut src = Source::new(0, 1, 2);
-        let mut traffic = Saturating { packet_length: 4 };
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut next_id = 0;
-        src.generate(1, 0, &mut traffic, &mesh, &mut rng, &mut next_id, 0, 0.0);
+        queue_packets(&mut src, 1, 4);
         // Only two credits available on the single VC.
         for _ in 0..2 {
-            let offer = src.injection_offer().expect("credit available");
-            src.commit_injection(&offer);
+            src.try_inject().expect("credit available");
         }
-        assert!(src.injection_offer().is_none(), "out of credits");
+        assert_eq!(src.credits(0), 0);
+        assert!(src.try_inject().is_none(), "out of credits");
+        assert_eq!(src.queued_flits(), 2, "a refused injection must leave the queue alone");
+        assert_eq!(src.flits_injected(), 2);
         src.return_credit(0);
-        assert!(src.injection_offer().is_some());
+        assert!(src.try_inject().is_some());
+        assert!(src.try_inject().is_none(), "one credit buys one flit");
     }
 
     #[test]
     fn new_packet_waits_for_a_free_vc() {
-        let mesh = Mesh2d::new(4, 4);
         let mut src = Source::new(0, 2, 1);
-        let mut traffic = Saturating { packet_length: 1 };
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut next_id = 0;
-        src.generate(3, 0, &mut traffic, &mesh, &mut rng, &mut next_id, 0, 0.0);
+        queue_packets(&mut src, 3, 1);
         // Two single-flit packets can go out (one per VC), the third stalls.
-        let o1 = src.injection_offer().unwrap();
-        src.commit_injection(&o1);
-        let o2 = src.injection_offer().unwrap();
-        src.commit_injection(&o2);
-        assert_ne!(o1.vc, o2.vc, "round-robin VC selection should spread packets");
-        assert!(src.injection_offer().is_none());
-        src.return_credit(o1.vc);
-        assert!(src.injection_offer().is_some());
+        let first = src.try_inject().unwrap();
+        let second = src.try_inject().unwrap();
+        assert_ne!(first.vc, second.vc, "round-robin VC selection should spread packets");
+        assert!(src.try_inject().is_none());
+        src.return_credit(first.vc as usize);
+        assert_eq!(src.try_inject().map(|f| f.vc), Some(first.vc));
     }
 
     #[test]
     fn body_flits_stay_on_the_packet_vc() {
-        let mesh = Mesh2d::new(4, 4);
-        let mut src = Source::new(0, 4, 8);
-        let mut traffic = Saturating { packet_length: 3 };
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut next_id = 0;
-        src.generate(1, 0, &mut traffic, &mesh, &mut rng, &mut next_id, 0, 0.0);
-        let head = src.injection_offer().unwrap();
-        src.commit_injection(&head);
-        let body = src.injection_offer().unwrap();
-        src.commit_injection(&body);
-        let tail = src.injection_offer().unwrap();
-        src.commit_injection(&tail);
+        let mut src = Source::new(0, 4, 2);
+        queue_packets(&mut src, 1, 3);
+        let head = src.try_inject().unwrap();
+        let body = src.try_inject().unwrap();
+        // The packet's VC is out of credit while three others sit idle: the
+        // tail waits for its own VC instead of hopping to a free one.
+        assert!(src.try_inject().is_none());
+        src.return_credit(head.vc as usize);
+        let tail = src.try_inject().unwrap();
         assert_eq!(head.vc, body.vc);
         assert_eq!(head.vc, tail.vc);
         assert_eq!(src.flits_injected(), 3);
     }
 
     #[test]
+    fn vc_selection_starts_after_the_last_packets_vc() {
+        let mut src = Source::new(0, 3, 2);
+        queue_packets(&mut src, 8, 1);
+        let next_vcs = |src: &mut Source| -> Vec<Option<u8>> {
+            (0..4).map(|_| src.try_inject().map(|f| f.vc)).collect()
+        };
+        // With credit everywhere, successive packets rotate through the VCs.
+        assert_eq!(next_vcs(&mut src), [Some(0), Some(1), Some(2), Some(0)]);
+        // VC 0 has a credit again, but the scan starts after the last head's
+        // VC, not at the lowest free one.
+        src.return_credit(0);
+        assert_eq!(next_vcs(&mut src), [Some(1), Some(2), Some(0), None]);
+        // From VC 1 the scan wraps around to the only VC with credit.
+        src.return_credit(0);
+        assert_eq!(src.try_inject().map(|f| f.vc), Some(0));
+    }
+
+    #[test]
     fn bernoulli_source_generates_nothing_at_zero_rate() {
-        let mesh = Mesh2d::new(4, 4);
+        let topo = Topology::with_kind(TopologyKind::Mesh, 4, 4);
         let mut src = Source::new(3, 2, 4);
         let mut traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.0, 5);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut next_id = 0;
-        src.generate(10_000, 0, &mut traffic, &mesh, &mut rng, &mut next_id, 0, 0.0);
+        traffic.generate_tick(16, 0, 10_000, &topo, &mut rng, &mut |node, _, dst| {
+            if node == 3 {
+                src.push_packet(PacketId::new(0), dst, 5, 0, 0.0);
+            }
+        });
         assert_eq!(src.flits_generated(), 0);
-        assert!(src.injection_offer().is_none());
+        assert!(src.try_inject().is_none());
     }
 }

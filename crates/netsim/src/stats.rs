@@ -1,10 +1,9 @@
 //! Latency, delay and throughput statistics.
 
 use crate::flit::PacketId;
-use serde::{Deserialize, Serialize};
 
 /// Completion record of one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketRecord {
     /// Identifier of the packet.
     pub packet_id: PacketId,
@@ -27,7 +26,7 @@ pub struct PacketRecord {
 /// Two aggregates are kept by the simulation: the *total* since the last
 /// reset (used to report an experiment's result after warm-up) and a
 /// *window* aggregate that DVFS controllers consume periodically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimStats {
     /// Packets completed.
     pub packets: u64,
@@ -75,6 +74,7 @@ impl SimStats {
     }
 
     /// Average hop count, or `None` if no packet completed.
+    #[cfg(test)]
     pub fn avg_hops(&self) -> Option<f64> {
         (self.packets > 0).then(|| self.hops_sum as f64 / self.packets as f64)
     }
@@ -93,7 +93,6 @@ impl SimStats {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl SimStats {
     /// Encodes the aggregate for a simulation checkpoint.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {

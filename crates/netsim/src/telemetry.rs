@@ -41,7 +41,8 @@ use std::collections::VecDeque;
 /// bin exactly, deeper buffers saturate into the last bin.
 pub const OCC_BINS: usize = 17;
 
-/// Configuration of the telemetry layer (see the [module docs](self)).
+/// Configuration of the telemetry layer
+/// ([`NocSimulation::install_telemetry`](crate::NocSimulation::install_telemetry)).
 ///
 /// The default enables the counter fabric with a 1024-cycle sample interval,
 /// a 16-window snapshot ring, a 4096-event trace ring, and no wall-clock
@@ -673,11 +674,6 @@ impl TelemetryState {
         }
     }
 
-    /// The configuration the layer was installed with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
-    }
-
     /// The retained snapshot ring, oldest first.
     pub fn snapshots(&self) -> impl Iterator<Item = &TelemetrySnapshot> {
         self.snapshots.iter()
@@ -696,12 +692,6 @@ impl TelemetryState {
     /// The structured event trace.
     pub fn events(&self) -> &TraceEmitter {
         &self.emitter
-    }
-
-    /// Mutable access to the event trace (e.g. to export and clear it, or
-    /// to splice in application-level events).
-    pub fn events_mut(&mut self) -> &mut TraceEmitter {
-        &mut self.emitter
     }
 
     /// The engine profile (all-zero unless profiling was enabled).

@@ -33,7 +33,6 @@
 //! assert_eq!(map.node_counts(), &[2, 1, 1]);
 //! ```
 
-use serde::{Deserialize, Serialize};
 
 /// Errors building or installing a [`TenantMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +93,7 @@ impl std::error::Error for TenantMapError {}
 /// is the synthetic background slot collecting every node no tenant owns.
 /// The background slot exists even when the map is total — its node count
 /// is then zero and its window stays empty.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantMap {
     /// `node → slot`; mapped nodes carry their tenant id, unmapped nodes the
     /// background slot.
@@ -208,7 +207,6 @@ impl TenantMap {
     }
 }
 
-#[cfg(feature = "snapshot")]
 impl TenantMap {
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
         w.put_usize(self.tenant_count);
@@ -281,7 +279,6 @@ mod tests {
         assert_eq!(map.nodes_of(map.background_slot()), Vec::<usize>::new());
     }
 
-    #[cfg(feature = "snapshot")]
     #[test]
     fn snapshot_round_trips() {
         use crate::snapshot::{SnapReader, SnapWriter};
@@ -295,7 +292,6 @@ mod tests {
         assert_eq!(back, map);
     }
 
-    #[cfg(feature = "snapshot")]
     #[test]
     fn corrupt_snapshots_are_rejected() {
         use crate::snapshot::{SnapReader, SnapWriter};

@@ -6,14 +6,13 @@
 //! standard NoC evaluation (Booksim-style) expects, so that the DVFS policies
 //! can be exercised on ring-closed dimensions as well.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of ports on a grid router (North, East, South, West, Local).
 pub const PORT_COUNT: usize = 5;
 
 /// One of the five router ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Towards decreasing y.
     North,
@@ -84,13 +83,13 @@ impl fmt::Display for Direction {
 
 /// Whether the grid's dimensions are open chains (mesh) or closed rings
 /// (torus with wrap-around links).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Open 2D mesh: boundary routers have no neighbour beyond the edge.
     Mesh,
     /// 2D torus: every row and column closes into a ring via wrap-around
     /// links. Requires dateline-aware routing for deadlock freedom (see
-    /// [`crate::routing`]).
+    /// [`RoutingAlgorithm`](crate::RoutingAlgorithm)).
     Torus,
 }
 
@@ -116,33 +115,20 @@ impl fmt::Display for TopologyKind {
 /// A `width × height` 2D grid, either mesh (open) or torus (wrap-around).
 ///
 /// Nodes are numbered row-major: node `id = y * width + x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     kind: TopologyKind,
     width: usize,
     height: usize,
 }
 
-/// Backwards-compatible name from before the topology abstraction: a
-/// [`Topology`] constructed through [`Topology::new`] is an open mesh.
-pub type Mesh2d = Topology;
-
 impl Topology {
-    /// Creates an open mesh (kept as the historical constructor name).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is below 2 (use
-    /// [`NetworkConfig`](crate::NetworkConfig) for validated construction).
-    pub fn new(width: usize, height: usize) -> Self {
-        Topology::mesh(width, height)
-    }
-
     /// Creates an open `width × height` mesh.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is below 2.
+    #[cfg(test)]
     pub fn mesh(width: usize, height: usize) -> Self {
         Topology::with_kind(TopologyKind::Mesh, width, height)
     }
@@ -153,6 +139,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if either dimension is below 2.
+    #[cfg(test)]
     pub fn torus(width: usize, height: usize) -> Self {
         Topology::with_kind(TopologyKind::Torus, width, height)
     }
@@ -165,11 +152,6 @@ impl Topology {
     pub fn with_kind(kind: TopologyKind, width: usize, height: usize) -> Self {
         assert!(width >= 2 && height >= 2, "topology must be at least 2x2");
         Topology { kind, width, height }
-    }
-
-    /// Whether the dimensions are open chains or closed rings.
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
     }
 
     /// Whether this topology has wrap-around links.
@@ -253,6 +235,7 @@ impl Topology {
     /// Iterates over every directed inter-router link as
     /// `(from_node, direction, to_node)`. Torus wrap-around links are
     /// included.
+    #[cfg(test)]
     pub fn links(&self) -> Vec<(usize, Direction, usize)> {
         let mut out = Vec::new();
         for node in 0..self.node_count() {
@@ -280,7 +263,7 @@ mod tests {
 
     #[test]
     fn coordinates_round_trip() {
-        let m = Mesh2d::new(5, 4);
+        let m = Topology::mesh(5, 4);
         for node in 0..m.node_count() {
             let (x, y) = m.coords(node);
             assert_eq!(m.node_at(x, y), node);
@@ -289,7 +272,7 @@ mod tests {
 
     #[test]
     fn corner_neighbors() {
-        let m = Mesh2d::new(3, 3);
+        let m = Topology::mesh(3, 3);
         // Node 0 is the top-left corner (x=0, y=0).
         assert_eq!(m.neighbor(0, Direction::North), None);
         assert_eq!(m.neighbor(0, Direction::West), None);
@@ -313,7 +296,7 @@ mod tests {
 
     #[test]
     fn hop_distance_is_manhattan() {
-        let m = Mesh2d::new(5, 5);
+        let m = Topology::mesh(5, 5);
         assert_eq!(m.hop_distance(0, 24), 8);
         assert_eq!(m.hop_distance(12, 12), 0);
         assert_eq!(m.hop_distance(0, 4), 4);
@@ -323,9 +306,9 @@ mod tests {
     #[test]
     fn link_count_matches_formula() {
         // A k x k mesh has 2*k*(k-1) bidirectional links = 4*k*(k-1) directed.
-        let m = Mesh2d::new(5, 5);
+        let m = Topology::mesh(5, 5);
         assert_eq!(m.links().len(), 4 * 5 * 4);
-        let m = Mesh2d::new(4, 4);
+        let m = Topology::mesh(4, 4);
         assert_eq!(m.links().len(), 4 * 4 * 3);
     }
 
@@ -362,7 +345,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2x2")]
     fn degenerate_mesh_panics() {
-        let _ = Mesh2d::new(1, 8);
+        let _ = Topology::mesh(1, 8);
     }
 
     #[test]
@@ -403,7 +386,7 @@ mod tests {
     fn kind_accessors_and_display() {
         let m = Topology::mesh(4, 4);
         let t = Topology::torus(4, 4);
-        assert_eq!(m.kind(), TopologyKind::Mesh);
+        assert!(!m.is_torus());
         assert!(!m.is_torus());
         assert!(t.is_torus());
         assert_eq!(m.to_string(), "4x4 mesh");

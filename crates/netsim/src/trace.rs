@@ -41,8 +41,10 @@
 //! re-timed — a nonzero count means the replay is *not* a reproduction.
 //!
 //! ```no_run
-//! use noc_sim::{NetworkConfig, NocSimulation, SyntheticTraffic, TrafficPattern};
-//! use noc_sim::trace::{RecordingTraffic, TraceTraffic, TraceWriter};
+//! use noc_sim::{
+//!     NetworkConfig, NocSimulation, RecordingTraffic, SyntheticTraffic, TraceTraffic, TraceWriter,
+//!     TrafficPattern,
+//! };
 //! use std::sync::{Arc, Mutex};
 //!
 //! let cfg = NetworkConfig::builder()
@@ -82,16 +84,12 @@ pub const TRACE_MAGIC: u64 = 0x4E4F_4354_5241_4345;
 /// versions are rejected rather than misread.
 pub const TRACE_VERSION: u32 = 1;
 
-/// Default number of events buffered per chunk — the writer's (and the
-/// reader's) memory bound, independent of trace length.
-pub const DEFAULT_CHUNK_EVENTS: usize = 64 * 1024;
-
 /// Atomic file replacement: write to a sibling temp file, then rename over
 /// the destination. A crash at any instant leaves either the old complete
 /// file or the new complete file — never a torn mix.
 ///
 /// (This is the primitive the sweep coordinator's journal and checkpoints
-/// are built on; `noc_dvfs::coordinator::write_atomic` re-exports it.)
+/// are built on.)
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
@@ -292,21 +290,6 @@ impl TraceWriter {
         if self.buffer.len() >= self.chunk_events {
             self.flush_chunk();
         }
-    }
-
-    /// Events currently buffered (bounded by the chunk size).
-    pub fn buffered_events(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Chunks flushed to disk so far.
-    pub fn chunks_written(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Total events recorded so far (buffered and flushed).
-    pub fn recorded_events(&self) -> u64 {
-        self.total_events
     }
 
     fn flush_chunk(&mut self) {
@@ -753,7 +736,7 @@ impl TrafficSpec for RecordingTraffic {
 /// exactly its recorded `(node_cycle, src)`, no RNG is drawn, and idle gaps
 /// are declared silent so the event-horizon engine skips them.
 ///
-/// See the [module docs](self) for the determinism contract;
+/// The determinism contract is in the `trace` module docs;
 /// [`missed_events`](Self::missed_events) counts events whose slot passed
 /// without a matching query (schedule divergence).
 #[derive(Debug)]

@@ -14,7 +14,6 @@ use crate::error::ConfigError;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 
 /// Fraction of Hotspot packets that target the hotspot node; the remainder
@@ -23,7 +22,7 @@ pub const HOTSPOT_FRACTION: f64 = 0.25;
 
 /// The synthetic traffic patterns: the five used in Sec. V of the paper plus
 /// the standard hotspot / shuffle / bit-reverse extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficPattern {
     /// Each packet goes to a destination chosen uniformly at random
     /// (excluding the source itself).
@@ -41,7 +40,7 @@ pub enum TrafficPattern {
     /// Node `(x, y)` sends to `((x+1) mod k, y)`: nearest-neighbor traffic.
     /// Deterministic permutation.
     Neighbor,
-    /// With probability [`HOTSPOT_FRACTION`] a packet targets the hotspot
+    /// With probability 0.25 (`HOTSPOT_FRACTION`) a packet targets the hotspot
     /// node at the grid centre `(w/2, h/2)`; otherwise the destination is
     /// uniform random. Models the concentration that a shared memory
     /// controller or accelerator port creates.
@@ -71,6 +70,7 @@ impl TrafficPattern {
     ];
 
     /// The five patterns evaluated in the paper's figures.
+    #[cfg(test)]
     pub const PAPER: [TrafficPattern; 5] = [
         TrafficPattern::Uniform,
         TrafficPattern::Tornado,
@@ -258,9 +258,10 @@ impl Bernoulli {
 /// from the default body:
 ///
 /// ```
-/// # use noc_sim::{Mesh2d, SyntheticTraffic, TrafficPattern, TrafficSpec};
+/// # use noc_sim::{SyntheticTraffic, Topology, TopologyKind, TrafficPattern, TrafficSpec};
 /// # use rand::{rngs::StdRng, SeedableRng};
-/// # let (topo, mut rng) = (Mesh2d::new(4, 4), StdRng::seed_from_u64(1));
+/// # let topo = Topology::with_kind(TopologyKind::Mesh, 4, 4);
+/// # let mut rng = StdRng::seed_from_u64(1);
 /// let mut traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.3, 5);
 /// traffic.generate_tick(16, 0, 1, &topo, &mut rng, &mut |src, _, dst| assert_ne!(src, dst));
 /// ```
@@ -918,7 +919,7 @@ pub(crate) mod batch_contract {
     /// The grids the cases run on: square with a power-of-two node count
     /// (every pattern validates), and odd-sized non-square.
     pub(crate) fn topologies() -> [Topology; 2] {
-        [Topology::new(4, 4), Topology::new(5, 3)]
+        [Topology::mesh(4, 4), Topology::mesh(5, 3)]
     }
 
     /// Every source of this module in every regime its draw logic
@@ -978,7 +979,7 @@ pub(crate) mod batch_contract {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Mesh2d;
+    use crate::topology::Topology;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
@@ -987,7 +988,7 @@ mod tests {
 
     #[test]
     fn uniform_never_sends_to_self_and_covers_all_nodes() {
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let mut r = rng();
         let mut seen = [false; 16];
         for _ in 0..2000 {
@@ -1000,7 +1001,7 @@ mod tests {
 
     #[test]
     fn tornado_is_deterministic_and_wraps() {
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let mut r = rng();
         // k = 4 => shift = k/2 - 1 = 1 in both dimensions.
         let dst = TrafficPattern::Tornado.destination(mesh.node_at(0, 0), &mesh, &mut r).unwrap();
@@ -1011,7 +1012,7 @@ mod tests {
 
     #[test]
     fn bit_complement_mirrors_coordinates() {
-        let mesh = Mesh2d::new(5, 5);
+        let mesh = Topology::mesh(5, 5);
         let mut r = rng();
         let dst = TrafficPattern::BitComplement
             .destination(mesh.node_at(0, 0), &mesh, &mut r)
@@ -1026,7 +1027,7 @@ mod tests {
 
     #[test]
     fn transpose_swaps_coordinates() {
-        let mesh = Mesh2d::new(5, 5);
+        let mesh = Topology::mesh(5, 5);
         let mut r = rng();
         let dst =
             TrafficPattern::Transpose.destination(mesh.node_at(1, 3), &mesh, &mut r).unwrap();
@@ -1036,7 +1037,7 @@ mod tests {
 
     #[test]
     fn neighbor_sends_one_hop_east_with_wraparound() {
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let mut r = rng();
         let dst = TrafficPattern::Neighbor.destination(mesh.node_at(3, 2), &mesh, &mut r).unwrap();
         assert_eq!(dst, mesh.node_at(0, 2));
@@ -1044,7 +1045,7 @@ mod tests {
 
     #[test]
     fn hotspot_concentrates_on_the_centre_node() {
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let hotspot = mesh.node_at(2, 2);
         let mut r = rng();
         let mut to_hotspot = 0usize;
@@ -1069,7 +1070,7 @@ mod tests {
 
     #[test]
     fn shuffle_rotates_the_node_index_bits() {
-        let mesh = Mesh2d::new(4, 4); // 16 nodes, 4 bits
+        let mesh = Topology::mesh(4, 4); // 16 nodes, 4 bits
         let mut r = rng();
         assert_eq!(TrafficPattern::Shuffle.destination(0b0011, &mesh, &mut r), Some(0b0110));
         assert_eq!(TrafficPattern::Shuffle.destination(0b1000, &mesh, &mut r), Some(0b0001));
@@ -1080,7 +1081,7 @@ mod tests {
 
     #[test]
     fn bit_reverse_mirrors_the_node_index_bits() {
-        let mesh = Mesh2d::new(4, 4); // 16 nodes, 4 bits
+        let mesh = Topology::mesh(4, 4); // 16 nodes, 4 bits
         let mut r = rng();
         assert_eq!(TrafficPattern::BitReverse.destination(0b0001, &mesh, &mut r), Some(0b1000));
         assert_eq!(TrafficPattern::BitReverse.destination(0b0011, &mesh, &mut r), Some(0b1100));
@@ -1089,14 +1090,14 @@ mod tests {
 
     #[test]
     fn pattern_validation_rejects_undefined_combinations() {
-        let square = Mesh2d::new(4, 4);
-        let tall = Mesh2d::new(4, 3);
+        let square = Topology::mesh(4, 4);
+        let tall = Topology::mesh(4, 3);
         assert!(TrafficPattern::Transpose.validate_for(&square).is_ok());
         assert!(matches!(
             TrafficPattern::Transpose.validate_for(&tall),
             Err(ConfigError::PatternNeedsSquare { pattern: "transpose", width: 4, height: 3 })
         ));
-        let five = Mesh2d::new(5, 5);
+        let five = Topology::mesh(5, 5);
         assert!(TrafficPattern::Shuffle.validate_for(&square).is_ok());
         assert!(matches!(
             TrafficPattern::Shuffle.validate_for(&five),
@@ -1115,7 +1116,7 @@ mod tests {
 
     #[test]
     fn synthetic_rate_matches_configuration() {
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let mut traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.3, 5);
         let mut r = rng();
         let trials = 200_000;
@@ -1134,7 +1135,7 @@ mod tests {
 
     #[test]
     fn bursty_long_run_rate_matches_configuration() {
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let mut traffic = BurstyTraffic::new(TrafficPattern::Uniform, 0.2, 5, 50.0, 4.0);
         let mut r = rng();
         let trials = 400_000;
@@ -1157,7 +1158,7 @@ mod tests {
     fn bursty_arrivals_cluster_more_than_bernoulli() {
         // Compare the per-window variance of packet counts at equal average
         // rate: the MMP source must be burstier.
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let mut bursty = BurstyTraffic::new(TrafficPattern::Uniform, 0.2, 5, 100.0, 4.0);
         let mut bernoulli = SyntheticTraffic::new(TrafficPattern::Uniform, 0.2, 5);
         let mut r1 = rng();
@@ -1197,7 +1198,7 @@ mod tests {
         // High duty cycle + short bursts: the naive off->on probability
         // exceeds 1 and must be renormalized, not clamped — the long-run
         // rate is the contract, burst length is best-effort.
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let mut traffic = BurstyTraffic::new(TrafficPattern::Uniform, 0.3, 5, 2.0, 1.1);
         let mut r = rng();
         let trials = 400_000;
@@ -1216,7 +1217,7 @@ mod tests {
 
     #[test]
     fn bursty_zero_rate_generates_nothing() {
-        let mesh = Mesh2d::new(4, 4);
+        let mesh = Topology::mesh(4, 4);
         let mut traffic = BurstyTraffic::new(TrafficPattern::Uniform, 0.0, 5, 10.0, 3.0);
         let mut r = rng();
         for _ in 0..5_000 {
@@ -1245,7 +1246,7 @@ mod tests {
             vec![0.0; 4],
         ];
         let mut traffic = MatrixTraffic::new(rates, 2);
-        let mesh = Mesh2d::new(2, 2);
+        let mesh = Topology::mesh(2, 2);
         let mut r = rng();
         let mut to1 = 0;
         let mut to2 = 0;

@@ -1,11 +1,10 @@
-//! Frequency, time, cycle-count and rate newtypes.
+//! Frequency and time newtypes.
 //!
 //! The DVFS experiments constantly convert between the *cycle* domain (what a
 //! cycle-accurate simulator naturally measures) and the *time* domain (what the
 //! paper plots once the clock has been scaled). Using newtypes keeps the two
 //! domains from being mixed up silently.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -17,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert!((f.as_ghz() - 0.333).abs() < 1e-12);
 /// assert!((f.period().as_ns() - 3.003).abs() < 1e-2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Hertz(f64);
 
 impl Hertz {
@@ -89,7 +88,7 @@ impl fmt::Display for Hertz {
 /// Wall-clock durations in the simulator are tracked in picoseconds so that a
 /// 1 GHz clock period (1000 ps) and a 333 MHz period (3003 ps) are both
 /// representable without losing resolution over long simulations.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Picoseconds(f64);
 
 impl Picoseconds {
@@ -101,11 +100,6 @@ impl Picoseconds {
     pub fn new(ps: f64) -> Self {
         assert!(ps.is_finite() && ps >= 0.0, "duration must be non-negative and finite");
         Picoseconds(ps)
-    }
-
-    /// The zero duration.
-    pub fn zero() -> Self {
-        Picoseconds(0.0)
     }
 
     /// Returns the raw value in picoseconds.
@@ -175,93 +169,6 @@ impl fmt::Display for Picoseconds {
     }
 }
 
-/// A count of clock cycles (in whichever clock domain the context states).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct Cycles(u64);
-
-impl Cycles {
-    /// Creates a cycle count.
-    pub fn new(n: u64) -> Self {
-        Cycles(n)
-    }
-
-    /// Returns the raw cycle count.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the raw cycle count as a floating-point number.
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-}
-
-impl Add for Cycles {
-    type Output = Cycles;
-    fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Cycles {
-    fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for Cycles {
-    type Output = Cycles;
-    fn sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_sub(rhs.0))
-    }
-}
-
-impl fmt::Display for Cycles {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} cycles", self.0)
-    }
-}
-
-/// An injection rate expressed in flits per clock cycle per node.
-///
-/// The paper distinguishes between the rate seen by a *node* clock
-/// (`λ_node`) and the rate seen by the *NoC* clock (`λ_noc`); both are
-/// represented by this type, with the clock domain stated at the use site.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct FlitsPerCycle(f64);
-
-impl FlitsPerCycle {
-    /// Creates a rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative or not finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate.is_finite() && rate >= 0.0, "rate must be non-negative and finite");
-        FlitsPerCycle(rate)
-    }
-
-    /// Returns the raw value in flits per cycle.
-    pub fn as_f64(self) -> f64 {
-        self.0
-    }
-
-    /// Converts a rate measured against the node clock into the rate seen by
-    /// the NoC clock when the NoC runs at `f_noc` and the nodes at `f_node`
-    /// (Eq. (1) of the paper: `λ_noc = λ_node · F_node / F_noc`).
-    pub fn to_noc_domain(self, f_node: Hertz, f_noc: Hertz) -> FlitsPerCycle {
-        FlitsPerCycle::new(self.0 * f_node.as_hz() / f_noc.as_hz())
-    }
-}
-
-impl fmt::Display for FlitsPerCycle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.4} flits/cycle", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,29 +218,5 @@ mod tests {
         let t = Picoseconds::new(2.5e6);
         assert!((t.as_us() - 2.5).abs() < 1e-12);
         assert!((t.as_secs() - 2.5e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn cycles_arithmetic_saturates() {
-        let a = Cycles::new(10);
-        let b = Cycles::new(4);
-        assert_eq!((a + b).as_u64(), 14);
-        assert_eq!((a - b).as_u64(), 6);
-        assert_eq!((b - a).as_u64(), 0);
-    }
-
-    #[test]
-    fn rate_domain_conversion_matches_eq1() {
-        // λ_noc = λ_node · F_node / F_noc: slowing the NoC to 1/3 of the node
-        // clock triples the per-NoC-cycle rate.
-        let lambda_node = FlitsPerCycle::new(0.14);
-        let lambda_noc =
-            lambda_node.to_noc_domain(Hertz::from_ghz(1.0), Hertz::from_mhz(333.333_333));
-        assert!((lambda_noc.as_f64() - 0.42).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rate_display() {
-        assert_eq!(format!("{}", FlitsPerCycle::new(0.25)), "0.2500 flits/cycle");
     }
 }

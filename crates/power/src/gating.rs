@@ -12,10 +12,9 @@
 use crate::model::RouterPowerModel;
 use crate::tech::Volts;
 use noc_sim::{Hertz, NetworkActivity};
-use serde::{Deserialize, Serialize};
 
 /// Gating residency of one router over the recorded intervals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RouterGatingStats {
     /// Domain cycles covered by the recorded windows.
     pub cycles: u64,
@@ -53,7 +52,7 @@ impl RouterGatingStats {
 
 /// Gating residency of one voltage-frequency island: the sum of its
 /// routers' records.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IslandGatingStats {
     /// Island id.
     pub island: usize,
@@ -70,7 +69,7 @@ pub struct IslandGatingStats {
 /// [`record`](Self::record) each interval with the interval's activity and
 /// the per-island operating points; see
 /// `noc_dvfs::run_operating_point_gated` for the end-to-end use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatingResidency {
     /// Per-router records, indexed by node id.
     pub routers: Vec<RouterGatingStats>,

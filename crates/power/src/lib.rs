@@ -55,7 +55,6 @@ pub mod tech;
 pub use gating::{GatingResidency, IslandGatingStats, RouterGatingStats};
 pub use model::{PowerParams, RouterPowerModel};
 pub use report::{
-    activity_heatmap, power_heatmap, DegradedModeReport, FrequencyResidency, PowerReport,
-    ResidencyLevel, RESIDENCY_BIN_HZ,
+    DegradedModeReport, FrequencyResidency, PowerReport, ResidencyLevel, RESIDENCY_BIN_HZ,
 };
 pub use tech::{FdsoiTech, OperatingPoint, Volts};

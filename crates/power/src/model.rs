@@ -19,11 +19,10 @@
 use crate::report::PowerReport;
 use crate::tech::Volts;
 use noc_sim::{Hertz, NetworkActivity, RouterActivity};
-use serde::{Deserialize, Serialize};
 
 /// Energy-per-event and static-power constants at the nominal corner
 /// (1 GHz, 0.90 V).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerParams {
     /// Energy of one flit write into an input buffer, picojoules.
     pub buffer_write_pj: f64,
@@ -93,7 +92,7 @@ impl Default for PowerParams {
 
 /// Energy consumed over one observation interval, split into dynamic and
 /// static components (picojoules).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Switching + clock-tree energy, picojoules.
     pub dynamic_pj: f64,
@@ -126,7 +125,7 @@ impl std::ops::AddAssign for EnergyBreakdown {
 
 /// Converts simulated switching activity into energy and power at a given
 /// `(frequency, Vdd)` operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterPowerModel {
     params: PowerParams,
 }

@@ -2,12 +2,11 @@
 
 use crate::model::EnergyBreakdown;
 use crate::tech::Volts;
-use noc_sim::{CongestionHeatmap, Hertz};
-use serde::{Deserialize, Serialize};
+use noc_sim::Hertz;
 
 /// Power consumed by the NoC over one observation interval, broken down per
 /// router and into dynamic vs. static components.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PowerReport {
     /// Average power of each router (plus its outgoing links), in milliwatts.
     pub per_router_mw: Vec<f64>,
@@ -24,6 +23,7 @@ impl PowerReport {
     }
 
     /// Total NoC power in milliwatts.
+    #[cfg(test)]
     pub fn total_mw(&self) -> f64 {
         self.dynamic_mw + self.static_mw
     }
@@ -53,7 +53,7 @@ pub const RESIDENCY_BIN_HZ: f64 = 1.0e7;
 
 /// Wall-clock time spent at one `(frequency, Vdd)` operating level — a
 /// [`RESIDENCY_BIN_HZ`]-wide frequency bin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResidencyLevel {
     /// Representative clock frequency of the level (the first frequency
     /// recorded into the bin), hertz.
@@ -84,7 +84,7 @@ pub struct ResidencyLevel {
 /// assert_eq!(r.levels().len(), 2);
 /// assert!((r.share_at(Hertz::from_ghz(1.0)) - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrequencyResidency {
     /// Total recorded wall-clock time, picoseconds.
     pub wall_ps: f64,
@@ -182,7 +182,7 @@ fn residency_bin(frequency_hz: f64) -> i64 {
 /// crate only defines the report shape and its derived scalars so that
 /// figure/report code can consume it next to [`PowerReport`] and
 /// [`FrequencyResidency`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DegradedModeReport {
     /// Fraction of source–destination pairs still connected at the end of
     /// the faulted run (1.0 = the network is whole).
@@ -227,41 +227,6 @@ impl DegradedModeReport {
     pub fn is_degraded(&self) -> bool {
         self.reachability < 1.0 || self.flits_dropped > 0
     }
-}
-
-/// Renders a switching-activity window as a [`CongestionHeatmap`]: each
-/// router's forwarded link flits per router cycle, laid out row-major over
-/// the `width × height` mesh. The figures pipeline consumes it through the
-/// same JSON/CSV exporters as the live telemetry heatmap
-/// ([`noc_sim::NocSimulation::telemetry_heatmap`]), so post-hoc power
-/// analysis and in-run observability plot identically.
-///
-/// # Panics
-///
-/// Panics if `width × height` differs from the record's router count.
-pub fn activity_heatmap(
-    activity: &noc_sim::NetworkActivity,
-    width: usize,
-    height: usize,
-) -> CongestionHeatmap {
-    assert_eq!(width * height, activity.routers.len(), "grid shape must match the record");
-    let utilization = activity
-        .routers
-        .iter()
-        .map(|r| if r.cycles == 0 { 0.0 } else { r.link_flits as f64 / r.cycles as f64 })
-        .collect();
-    CongestionHeatmap { width, height, utilization }
-}
-
-/// Renders a power report as a heatmap of per-router milliwatts — the
-/// thermal-floorplan companion to [`activity_heatmap`].
-///
-/// # Panics
-///
-/// Panics if `width × height` differs from the report's router count.
-pub fn power_heatmap(report: &PowerReport, width: usize, height: usize) -> CongestionHeatmap {
-    assert_eq!(width * height, report.per_router_mw.len(), "grid shape must match the report");
-    CongestionHeatmap { width, height, utilization: report.per_router_mw.clone() }
 }
 
 #[cfg(test)]

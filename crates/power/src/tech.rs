@@ -9,11 +9,10 @@
 //! usual range for a 28-nm low-power process.
 
 use noc_sim::Hertz;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A supply voltage in volts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Volts(f64);
 
 impl Volts {
@@ -40,7 +39,7 @@ impl fmt::Display for Volts {
 }
 
 /// A (frequency, voltage) pair the DVFS controller can select.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Clock frequency.
     pub frequency: Hertz,
@@ -49,7 +48,7 @@ pub struct OperatingPoint {
 }
 
 /// The frequency/voltage law of the 28-nm FDSOI router (Fig. 5 substitute).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FdsoiTech {
     /// Threshold voltage of the alpha-power model.
     threshold_v: f64,
@@ -127,11 +126,6 @@ impl FdsoiTech {
             }
         }
         Volts::new(hi)
-    }
-
-    /// The operating point (frequency + minimum voltage) for frequency `f`.
-    pub fn operating_point(&self, f: Hertz) -> OperatingPoint {
-        OperatingPoint { frequency: f, vdd: self.vdd_for_frequency(f) }
     }
 
     /// Samples the Fmax-vs-Vdd curve (Fig. 5) at `points` evenly spaced

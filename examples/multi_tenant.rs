@@ -24,8 +24,9 @@
 
 use noc_dvfs_repro::apps::{h264_encoder, random_task_graph, video_conference_encoder, DagConfig};
 use noc_dvfs_repro::dvfs::{compose_tenants, run_tenants, MappingPolicy, TenantWorkload};
-use noc_dvfs_repro::sim::trace::{RecordingTraffic, TraceTraffic, TraceWriter};
-use noc_dvfs_repro::sim::{NetworkConfig, NocSimulation};
+use noc_dvfs_repro::sim::{
+    NetworkConfig, NocSimulation, RecordingTraffic, TraceTraffic, TraceWriter,
+};
 use std::sync::{Arc, Mutex};
 
 fn main() {

@@ -21,10 +21,9 @@
 //!
 //! [`TelemetrySnapshot`]: noc_dvfs_repro::sim::TelemetrySnapshot
 
-use noc_dvfs_repro::sim::telemetry::OCC_BINS;
 use noc_dvfs_repro::sim::{
     BurstyTraffic, FaultConfig, GatingConfig, HazardConfig, Hertz, NetworkConfig, NocSimulation,
-    RegionLayout, RoutingKind, TelemetryConfig, TrafficPattern,
+    RegionLayout, RoutingKind, TelemetryConfig, TrafficPattern, OCC_BINS,
 };
 
 fn build_sim() -> NocSimulation {

@@ -1,21 +1,13 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build (with and without the simulator's
-# default features), the figure CLI's serial/parallel parity, the complete
-# test suite (once — it covers every engine mode in-process), the benchmark
-# package's tests, docs, and clippy with warnings promoted to errors. Run
-# before every push.
+# The full local CI gate: release build, the figure CLI's serial/parallel
+# parity, the complete test suite (once — it covers every engine mode
+# in-process), the benchmark package's tests, docs, and clippy with warnings
+# promoted to errors. Run before every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
-
-# The simulator without its default `snapshot` feature: the router's
-# rebuild-from-per-VC-state code is shared by the checkpoint restore (feature
-# on) and the debug invariant check (always), so the minimal build is where
-# a line on the wrong side of that boundary stops compiling.
-echo "==> cargo build --release --offline --no-default-features -p noc-sim"
-cargo build --release --offline --no-default-features -p noc-sim
 
 # The figure CLI end to end (saturation search, sweep grid, closed loop, power
 # model, tables; ~2 s per run): Fig. 2 on the parallel grid and again with the
@@ -23,7 +15,7 @@ cargo build --release --offline --no-default-features -p noc-sim
 echo "==> figures --quality quick --fig 2: parallel vs NOC_SWEEP_THREADS=1"
 fig_out="$(mktemp -d)"
 trap 'rm -rf "$fig_out"' EXIT
-figures=(cargo run --release --quiet -p noc-bench --bin figures -- --quality quick --fig 2)
+figures=(cargo run --release --quiet --bin figures -- --quality quick --fig 2)
 "${figures[@]}" >"$fig_out/parallel.txt"
 NOC_SWEEP_THREADS=1 "${figures[@]}" >"$fig_out/serial.txt"
 diff "$fig_out/parallel.txt" "$fig_out/serial.txt"
@@ -57,8 +49,5 @@ cargo test -q --doc
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy --offline --no-default-features -p noc-sim -- -D warnings"
-cargo clippy --offline --no-default-features -p noc-sim -- -D warnings
 
 echo "CI gate passed."

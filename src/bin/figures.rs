@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! cargo run --release -p noc-bench --bin figures -- [--quality quick|standard|full] [--fig all|2|4|5|6|7|8|10|summary]
+//! cargo run --release --bin figures -- [--quality quick|standard|full] [--fig all|2|4|5|6|7|8|10|summary]
 //! ```
 //!
 //! The output is a set of plain-text tables, one per figure, with the same
@@ -9,7 +9,7 @@
 //! frequency in GHz against injection rate or application speed). Paste the
 //! relevant numbers into `EXPERIMENTS.md` to record a reproduction run.
 
-use noc_bench::{render_comparison, render_fig5, render_summary};
+use noc_dvfs_repro::figures::{render_comparison, render_fig5, render_summary};
 use noc_dvfs::experiments::{
     fig10_multimedia, fig2_rmsd_vs_nodvfs, fig4_fig6_baseline_comparison, fig5_frequency_vs_vdd,
     fig7_synthetic_patterns, fig8_sensitivity, ExperimentQuality,

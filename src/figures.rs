@@ -1,20 +1,17 @@
-//! # noc-bench — figure regeneration harness
+//! Printable tables for the paper's figures.
 //!
-//! This crate turns the experiment drivers of [`noc_dvfs::experiments`] into
-//! printable tables: one table (or set of tables) per figure of the paper.
-//! The `figures` binary is the entry point used to populate `EXPERIMENTS.md`.
-//! Timing lives elsewhere: `benchmark/run.sh` is the repository's benchmark.
+//! Turns the experiment drivers of [`noc_dvfs::experiments`] into aligned
+//! text: one table (or set of tables) per figure of the paper. The `figures`
+//! binary (`src/bin/figures.rs`) is the command-line entry point. Timing
+//! lives elsewhere: `benchmark/run.sh` is the repository's benchmark.
 //!
 //! ```no_run
-//! use noc_bench::render_comparison;
+//! use noc_dvfs_repro::figures::render_comparison;
 //! use noc_dvfs::experiments::{fig4_fig6_baseline_comparison, ExperimentQuality};
 //!
 //! let comparison = fig4_fig6_baseline_comparison(&ExperimentQuality::quick());
 //! println!("{}", render_comparison(&comparison));
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use noc_dvfs::experiments::PolicyComparison;
 use noc_dvfs::sweep::PolicyCurve;
@@ -172,36 +169,5 @@ mod tests {
         assert_eq!(delays, cmp.curve("RMSD").unwrap().delays_ns());
         assert!(series(&cmp, "RMSD", "nope").is_none());
         assert!(series(&cmp, "nope", "delay").is_none());
-    }
-}
-
-/// Shared helpers for the Criterion benches: a reduced network and control
-/// loop so that one benchmark iteration stays in the hundreds of milliseconds
-/// while still exercising the full closed-loop stack. Figure fidelity comes
-/// from the `figures` binary, not from the benches.
-pub mod bench_support {
-    use noc_dvfs::ClosedLoopConfig;
-    use noc_sim::NetworkConfig;
-
-    /// A 4×4 mesh with modest buffering used by the timing benches.
-    pub fn bench_network() -> NetworkConfig {
-        NetworkConfig::builder()
-            .mesh(4, 4)
-            .virtual_channels(2)
-            .buffer_depth(4)
-            .packet_length(5)
-            .build()
-            .expect("bench network configuration is valid")
-    }
-
-    /// A short control loop (same structure as the paper's, smaller budget).
-    pub fn bench_loop() -> ClosedLoopConfig {
-        ClosedLoopConfig {
-            control_period_cycles: 800,
-            warmup_intervals: 2,
-            measure_intervals: 4,
-            max_settle_intervals: 15,
-            settle_tolerance: 0.01,
-        }
     }
 }

@@ -42,11 +42,13 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
-//! the harness that regenerates every figure of the paper.
+//! See `examples/` for runnable end-to-end scenarios; [`figures`] and the
+//! `figures` binary regenerate every figure of the paper as text tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod figures;
 
 pub use noc_apps as apps;
 pub use noc_dvfs as dvfs;

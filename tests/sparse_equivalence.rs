@@ -13,7 +13,7 @@
 //! 2. **Quiescence invariant** — the active-router worklist is empty exactly
 //!    when no flit is buffered; a drained network is quiescent (no buffered,
 //!    queued, or in-flight payloads) and stays so at zero cost.
-//! 3. **RNG-stream identity** — the `step()` short-circuit for NoC cycles in
+//! 3. **RNG-stream identity** — the generation short-circuit for NoC cycles in
 //!    which zero node cycles complete performs zero RNG draws, so runs where
 //!    the NoC outpaces the node clock stay bit-identical too.
 //! 4. **Event-horizon skipping** — jumping the clock over quiescent spans
@@ -27,9 +27,9 @@
 //!    pinned bit-identical to the serial step on the golden scenarios.
 
 use noc_sim::{
-    BurstyTraffic, FaultConfig, GatingConfig, HazardConfig, Hertz, NetworkConfig, NocSimulation,
-    RegionLayout, RoutingKind, SyntheticTraffic, Topology, TopologyKind, TrafficPattern,
-    TrafficSpec,
+    BurstyTraffic, FaultConfig, GatingConfig, HazardConfig, Hertz, MatrixTraffic, NetworkConfig,
+    NocSimulation, RegionLayout, RoutingKind, SyntheticTraffic, Topology, TopologyKind,
+    TrafficPattern, TrafficSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -269,23 +269,35 @@ fn golden_scenarios_are_engine_independent() {
     }
 }
 
-/// Regression for the `step()` short-circuit: when a NoC cycle completes
+/// Regression for the generation short-circuit: when a NoC cycle completes
 /// zero node-clock cycles, the generation phase is skipped entirely — which
-/// is only sound because `Source::generate` with zero cycles performs zero
-/// RNG draws. Pinned directly on the source, then end-to-end on a
-/// configuration whose NoC clock outpaces the node clock.
+/// is only sound because `generate_tick` with zero node cycles performs zero
+/// RNG draws and leaves the generator as it was. Pinned directly on every
+/// built-in source, then end-to-end on a configuration whose NoC clock
+/// outpaces the node clock.
 #[test]
 fn zero_node_cycle_short_circuit_preserves_the_rng_stream() {
-    // Direct: generate(0, ..) must leave the shared RNG untouched.
+    // Direct: generate_tick(.., node_cycles = 0, ..) must emit nothing and
+    // leave the shared RNG and the generator's own state untouched.
     let topo = Topology::with_kind(TopologyKind::Mesh, 4, 4);
-    let mut traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.9, 4);
-    let mut source = noc_sim::source::Source::new(0, 2, 4);
-    let mut rng = StdRng::seed_from_u64(99);
-    let untouched = rng.clone();
-    let mut next_id = 0;
-    source.generate(0, 0, &mut traffic, &topo, &mut rng, &mut next_id, 0, 0.0);
-    assert_eq!(rng, untouched, "zero node cycles must draw nothing from the RNG");
-    assert_eq!(source.flits_generated(), 0);
+    let nodes = topo.node_count();
+    let sources: Vec<Box<dyn TrafficSpec>> = vec![
+        Box::new(SyntheticTraffic::new(TrafficPattern::Uniform, 0.9, 4)),
+        Box::new(BurstyTraffic::new(TrafficPattern::Uniform, 0.4, 4, 6.0, 3.0)),
+        Box::new(MatrixTraffic::new(vec![vec![0.02; nodes]; nodes], 4)),
+    ];
+    for mut traffic in sources {
+        let mut rng = StdRng::seed_from_u64(99);
+        // Bursty sources build their per-node state lazily: warm it up so the
+        // zero-cycle tick is compared against a live generator.
+        traffic.generate_tick(nodes, 0, 3, &topo, &mut rng, &mut |_, _, _| {});
+        let (rng_before, state_before) = (rng.clone(), format!("{traffic:?}"));
+        let mut emitted = 0;
+        traffic.generate_tick(nodes, 3, 0, &topo, &mut rng, &mut |_, _, _| emitted += 1);
+        assert_eq!(emitted, 0, "zero node cycles must generate nothing: {state_before}");
+        assert_eq!(rng, rng_before, "zero node cycles must draw nothing from the RNG");
+        assert_eq!(format!("{traffic:?}"), state_before, "generator state must not move");
+    }
 
     // End to end: node clock at 400 MHz under a 1 GHz NoC clock means ~60 %
     // of NoC cycles complete zero node cycles, so the short-circuit fires

@@ -348,7 +348,7 @@ mod coordinator {
         WorkUnit,
     };
     use noc_dvfs::PolicyKind;
-    use noc_sim::telemetry::TelemetryEvent;
+    use noc_sim::TelemetryEvent;
     use std::path::PathBuf;
     use std::sync::Arc;
 
