@@ -4,7 +4,7 @@
 //! abstract and throughout Secs. IV–VI: how much power RMSD saves relative to
 //! No-DVFS and DMSD, and how much delay it costs relative to DMSD.
 //! [`TradeOffSummary`] extracts those numbers from a set of policy curves so
-//! that tests, benches and EXPERIMENTS.md all report the same quantities.
+//! that tests, the benchmark and the figure tables all report the same quantities.
 
 use crate::sweep::PolicyCurve;
 

@@ -5,10 +5,14 @@
 /// The arbiter grants the requesting input closest (in circular order) to the
 /// position after the last granted input, which provides strong fairness — the
 /// same scheme used by the separable allocators of the reference router.
+///
+/// A router holds dozens of these (one per input port, output port and
+/// output VC), so the two numbers — both at most 64, the width of a request
+/// mask — are kept in a byte each.
 #[derive(Debug, Clone)]
 pub struct RoundRobinArbiter {
-    size: usize,
-    next_priority: usize,
+    size: u8,
+    next_priority: u8,
 }
 
 impl RoundRobinArbiter {
@@ -16,23 +20,19 @@ impl RoundRobinArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero.
+    /// Panics if `size` is zero or above 64 (requests are `u64` masks).
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "arbiter must have at least one requester");
-        RoundRobinArbiter { size, next_priority: 0 }
+        assert!(size <= 64, "mask-based arbitration supports at most 64 requesters");
+        RoundRobinArbiter { size: size as u8, next_priority: 0 }
     }
 
     /// Grants among requesters without rotating the priority pointer; call
     /// [`commit`](Self::commit) with the accepted winner to rotate
     /// afterwards. Bit `i` of `requests` set means requester `i` wants a
     /// grant; bits at or above the arbiter's size are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arbiter has more than 64 requesters.
     pub fn peek_mask(&self, requests: u64) -> Option<usize> {
-        assert!(self.size <= 64, "mask-based arbitration supports at most 64 requesters");
-        let valid = if self.size == 64 { u64::MAX } else { (1u64 << self.size) - 1 };
+        let valid = u64::MAX >> (64 - u32::from(self.size));
         let requests = requests & valid;
         if requests == 0 {
             return None;
@@ -47,11 +47,12 @@ impl RoundRobinArbiter {
 
     /// Rotates the priority pointer past `winner`.
     pub fn commit(&mut self, winner: usize) {
-        assert!(winner < self.size, "winner index out of range");
+        let size = usize::from(self.size);
+        assert!(winner < size, "winner index out of range");
         // Wrap with a compare: this runs twice per grant, and `% size` is a
         // division by a value the compiler cannot see.
         let next = winner + 1;
-        self.next_priority = if next == self.size { 0 } else { next };
+        self.next_priority = if next == size { 0 } else { next as u8 };
     }
 
     /// The textbook scan over a request slice (`requests[i] == true` means
@@ -59,10 +60,9 @@ impl RoundRobinArbiter {
     /// agree with.
     #[cfg(test)]
     fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.size, "request vector size mismatch");
-        (0..self.size)
-            .map(|offset| (self.next_priority + offset) % self.size)
-            .find(|&candidate| requests[candidate])
+        let (size, first) = (usize::from(self.size), usize::from(self.next_priority));
+        assert_eq!(requests.len(), size, "request vector size mismatch");
+        (0..size).map(|offset| (first + offset) % size).find(|&candidate| requests[candidate])
     }
 }
 
@@ -70,7 +70,7 @@ impl RoundRobinArbiter {
     /// Encodes the priority pointer (the arbiter's only mutable state) for a
     /// checkpoint.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.next_priority);
+        w.put_usize(usize::from(self.next_priority));
     }
 
     /// Restores the priority pointer from a checkpoint.
@@ -79,10 +79,10 @@ impl RoundRobinArbiter {
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         let next = r.read_usize()?;
-        if next >= self.size {
+        if next >= usize::from(self.size) {
             return Err(crate::snapshot::SnapshotError::Corrupt("arbiter priority"));
         }
-        self.next_priority = next;
+        self.next_priority = next as u8;
         Ok(())
     }
 }
@@ -102,6 +102,12 @@ mod tests {
         let winner = arb.peek_mask(requests)?;
         arb.commit(winner);
         Some(winner)
+    }
+
+    #[test]
+    fn arbiter_is_two_bytes() {
+        // 55 of them per 8-VC router: the footprint budget counts on this.
+        assert_eq!(std::mem::size_of::<RoundRobinArbiter>(), 2);
     }
 
     #[test]

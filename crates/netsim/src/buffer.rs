@@ -8,22 +8,22 @@ use std::collections::VecDeque;
 /// The router never overflows a `VcBuffer` because credit-based flow control
 /// upstream only releases flits when space is known to exist; pushing into a
 /// full buffer therefore indicates a protocol bug and panics.
-#[derive(Debug, Clone)]
+///
+/// A buffer owns no storage until its first flit arrives; it then allocates
+/// exactly its capacity, once. Most VCs of a large fabric never see a flit,
+/// so an idle router costs its control state only. The capacity is the
+/// router's one buffer depth, which the router passes in rather than every
+/// buffer keeping a copy.
+#[derive(Debug, Clone, Default)]
 pub struct VcBuffer {
     slots: VecDeque<Flit>,
-    capacity: usize,
     peak_occupancy: usize,
 }
 
 impl VcBuffer {
-    /// Creates a buffer with room for `capacity` flits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        VcBuffer { slots: VecDeque::with_capacity(capacity), capacity, peak_occupancy: 0 }
+    /// Creates an empty buffer. Allocates nothing.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of flits currently stored.
@@ -38,26 +38,27 @@ impl VcBuffer {
         self.slots.is_empty()
     }
 
-    /// Whether the buffer is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.slots.len() >= self.capacity
-    }
-
-    /// Total capacity in flits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Appends a flit at the back.
+    /// Appends a flit at the back of a buffer with room for `capacity` flits.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is already full (credit protocol violation).
+    /// Panics if the buffer already holds `capacity` flits (credit protocol
+    /// violation), or if `capacity` is zero.
     #[inline]
-    pub fn push(&mut self, flit: Flit) {
-        assert!(!self.is_full(), "buffer overflow: credit protocol violated");
+    pub fn push(&mut self, flit: Flit, capacity: usize) {
+        if self.slots.capacity() == 0 {
+            self.allocate(capacity);
+        }
+        assert!(self.slots.len() < capacity, "buffer overflow: credit protocol violated");
         self.slots.push_back(flit);
         self.peak_occupancy = self.peak_occupancy.max(self.slots.len());
+    }
+
+    /// The one allocation of the buffer's life, on its first flit.
+    #[cold]
+    fn allocate(&mut self, capacity: usize) {
+        assert!(capacity > 0, "buffer capacity must be positive");
+        self.slots.reserve_exact(capacity);
     }
 
     /// Removes and returns the flit at the front, if any.
@@ -84,17 +85,18 @@ impl VcBuffer {
         w.put_usize(self.peak_occupancy);
     }
 
-    /// Replaces the buffer contents with the checkpointed ones. `nodes` is
-    /// the network's node count: a flit from or for a node beyond it would
-    /// take route computation off the topology.
+    /// Replaces the buffer contents with the checkpointed ones, for a buffer
+    /// of `capacity` flits. `nodes` is the network's node count: a flit from
+    /// or for a node beyond it would take route computation off the topology.
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
         nodes: usize,
+        capacity: usize,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let n = r.read_usize()?;
-        if n > self.capacity {
+        if n > capacity {
             return Err(SnapshotError::Corrupt("VC buffer over capacity"));
         }
         self.slots.clear();
@@ -103,10 +105,10 @@ impl VcBuffer {
             if flit.src() >= nodes || flit.dst() >= nodes {
                 return Err(SnapshotError::Corrupt("buffered flit endpoint"));
             }
-            self.slots.push_back(flit);
+            self.push(flit, capacity);
         }
         let peak = r.read_usize()?;
-        if peak > self.capacity {
+        if peak > capacity {
             return Err(SnapshotError::Corrupt("VC buffer peak occupancy"));
         }
         self.peak_occupancy = peak;
@@ -124,10 +126,23 @@ mod tests {
     }
 
     #[test]
+    fn storage_appears_with_the_first_flit_and_never_grows() {
+        let mut buf = VcBuffer::new();
+        assert_eq!(buf.slots.capacity(), 0, "an idle VC owns no flit storage");
+        for round in 0..3 {
+            for i in 0..4 {
+                buf.push(flit(i), 4);
+                assert_eq!(buf.slots.capacity(), 4, "round {round}: `capacity` slots, once");
+            }
+            while buf.pop().is_some() {}
+        }
+    }
+
+    #[test]
     fn fifo_order_is_preserved() {
-        let mut buf = VcBuffer::new(4);
+        let mut buf = VcBuffer::new();
         for i in 0..4 {
-            buf.push(flit(i));
+            buf.push(flit(i), 4);
         }
         for i in 0..4 {
             assert_eq!(buf.pop().unwrap().packet_id, PacketId::new(i as u64));
@@ -137,14 +152,13 @@ mod tests {
 
     #[test]
     fn occupancy_accounting() {
-        let mut buf = VcBuffer::new(3);
-        assert_eq!((buf.len(), buf.capacity()), (0, 3));
-        buf.push(flit(0));
-        buf.push(flit(1));
+        let mut buf = VcBuffer::new();
+        assert_eq!((buf.len(), buf.peak_occupancy), (0, 0));
+        buf.push(flit(0), 3);
+        buf.push(flit(1), 3);
         assert_eq!(buf.len(), 2);
-        assert!(!buf.is_full());
-        buf.push(flit(2));
-        assert!(buf.is_full());
+        buf.push(flit(2), 3);
+        assert_eq!(buf.len(), 3);
         assert_eq!(buf.peak_occupancy, 3);
         buf.pop();
         assert_eq!(buf.peak_occupancy, 3, "peak is sticky");
@@ -153,15 +167,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "buffer overflow")]
     fn overflow_panics() {
-        let mut buf = VcBuffer::new(1);
-        buf.push(flit(0));
-        buf.push(flit(1));
+        let mut buf = VcBuffer::new();
+        buf.push(flit(0), 1);
+        buf.push(flit(1), 1);
     }
 
     #[test]
     fn front_does_not_consume() {
-        let mut buf = VcBuffer::new(2);
-        buf.push(flit(7));
+        let mut buf = VcBuffer::new();
+        buf.push(flit(7), 2);
         assert_eq!(buf.front().unwrap().packet_id, PacketId::new(7));
         assert_eq!(buf.len(), 1);
     }
@@ -169,6 +183,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = VcBuffer::new(0);
+        VcBuffer::new().push(flit(0), 0);
     }
 }

@@ -1,10 +1,12 @@
 //! Flits, packets and their identifiers.
 //!
-//! Packets are segmented into flits before injection, exactly as in the
-//! reference simulator: a head flit carries the routing information
-//! (source, destination), body flits follow it through the same virtual
-//! channels, and a tail flit releases the resources. A single-flit packet uses
-//! the combined [`FlitKind::HeadTail`] kind.
+//! Packets are segmented into flits, exactly as in the reference simulator:
+//! a head flit carries the routing information (source, destination), body
+//! flits follow it through the same virtual channels, and a tail flit
+//! releases the resources. A single-flit packet uses the combined
+//! [`FlitKind::HeadTail`] kind. A flit exists from the injection port to the
+//! sink: a packet waiting at its source is one record, and the source builds
+//! each flit as it hands it to the router.
 //!
 //! # Performance
 //!
@@ -93,7 +95,9 @@ impl Flit {
     ///
     /// # Panics
     ///
-    /// Panics if `packet_length` is zero or `index >= packet_length`.
+    /// Panics if `packet_length` is zero or does not fit the 32-bit flit
+    /// index, or if `index >= packet_length`.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         packet_id: PacketId,
@@ -105,22 +109,45 @@ impl Flit {
         creation_time_ps: f64,
     ) -> Self {
         assert!(packet_length > 0, "packet length must be positive");
+        assert!(u32::try_from(packet_length).is_ok(), "packet length must fit the flit index");
         assert!(index < packet_length, "flit index out of range");
-        let kind = if packet_length == 1 {
-            FlitKind::HeadTail
-        } else if index == 0 {
-            FlitKind::Head
-        } else if index == packet_length - 1 {
-            FlitKind::Tail
-        } else {
-            FlitKind::Body
+        Flit::of_packet(
+            packet_id,
+            src as u32,
+            dst as u32,
+            index as u32,
+            packet_length as u32,
+            creation_cycle,
+            creation_time_ps,
+        )
+    }
+
+    /// The `index`-th flit of a `length`-flit packet, without range checks:
+    /// the injection port makes them once per packet (`0 < length`,
+    /// `index < length`) rather than once per flit.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn of_packet(
+        packet_id: PacketId,
+        src: u32,
+        dst: u32,
+        index: u32,
+        length: u32,
+        creation_cycle: u64,
+        creation_time_ps: f64,
+    ) -> Self {
+        let kind = match (index == 0, index + 1 == length) {
+            (true, true) => FlitKind::HeadTail,
+            (true, false) => FlitKind::Head,
+            (false, true) => FlitKind::Tail,
+            (false, false) => FlitKind::Body,
         };
         Flit {
             packet_id,
             kind,
-            src: src as u32,
-            dst: dst as u32,
-            index_in_packet: index as u32,
+            src,
+            dst,
+            index_in_packet: index,
             vc: 0,
             creation_cycle,
             creation_time_ps,

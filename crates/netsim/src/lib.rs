@@ -78,10 +78,14 @@
 //! [`NocSimulation::set_dense_stepping`] (see the `sim` module docs and the
 //! README's *Activity-tracked stepping* section for the quiescence contract).
 //!
-//! The steady-state cycle loop ([`NocSimulation::run_cycles`]) also performs
-//! **zero heap allocations**. That property rests on a simple ownership
-//! contract:
+//! State is sized by what is in flight: the cycle loop
+//! ([`NocSimulation::run_cycles`]) makes **no heap allocation after a VC's
+//! first flit**, except to let a source queue or a scratch list outgrow its
+//! own high-water mark. That property rests on a simple ownership contract:
 //!
+//! * **Storage appears on first arrival.** An input VC's buffer allocates
+//!   its `buffer_depth` slots when its first flit arrives, once; a VC that
+//!   never sees a flit owns none.
 //! * **Routers keep their request sets, not rebuild them.** The VA and SA
 //!   stages hand the two `SeparableAllocator`s per-port bitmasks the
 //!   `Router` updates as flits and credits arrive and leave; the only
@@ -94,8 +98,10 @@
 //!   cycles.
 //! * **Channels deliver through callbacks.** A `DelayChannel` hands due
 //!   items straight out of its ring buffer to a caller closure.
-//! * **Flits are 40-byte `Copy` values.** Injection pops them from the source
-//!   queue (`Source::try_inject`); nothing on the flit path clones.
+//! * **Flits are 40-byte `Copy` values, from the injection port to the
+//!   sink.** A packet waiting at its source is one record; the source builds
+//!   each flit as it hands it over (`Source::try_inject`), and nothing on
+//!   the flit path clones.
 //!
 //! Benchmarks: `benchmark/run.sh` is the repository's benchmark (end-to-end
 //! metrics, `--traced` for per-layer numbers).

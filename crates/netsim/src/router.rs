@@ -24,6 +24,10 @@ use crate::topology::{Topology, TopologyKind, PORT_COUNT};
 /// Port index of the local (injection/ejection) port.
 pub const LOCAL_PORT: usize = 4;
 
+/// The most virtual channels a port can have: per-port VC sets are `u64`
+/// masks, matching the allocator's arbiter limit.
+const MAX_VCS: usize = 64;
+
 /// Per-virtual-channel control state on the input side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VcState {
@@ -56,10 +60,10 @@ struct InputVc {
 }
 
 impl InputVc {
-    fn new(depth: usize) -> Self {
+    fn new() -> Self {
         InputVc {
             state: VcState::Idle,
-            buffer: VcBuffer::new(depth),
+            buffer: VcBuffer::new(),
             out_port: None,
             out_vc: None,
             next_class: 0,
@@ -73,7 +77,9 @@ const NO_OWNER: u16 = u16::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
-    credits: usize,
+    /// Free slots of the downstream buffer: at most the buffer depth, which
+    /// [`Router::new`] checks fits.
+    credits: u32,
     allocated: bool,
     /// Derived: the `Active` input VC this output VC is allocated to, as
     /// `(port << 8) | vc`, so that a returning credit finds the
@@ -262,6 +268,9 @@ fn held_by_fence(inputs: &[InputVc], base: usize, waiting: u64, fence: u8) -> (u
 pub struct Router {
     node: usize,
     vcs: usize,
+    /// Flits every input VC buffer holds, here and downstream — kept once
+    /// rather than in each of the `PORT_COUNT × vcs` buffers.
+    depth: u32,
     /// Input VC state, flat-indexed by `port * vcs + vc`.
     inputs: Vec<InputVc>,
     /// Output VC state, flat-indexed by `port * vcs + vc`.
@@ -286,12 +295,13 @@ impl Router {
     /// # Panics
     ///
     /// Panics if the configuration asks for more than 64 virtual channels
-    /// (the per-port state bitmasks are 64 bits wide).
+    /// (the per-port state bitmasks are 64 bits wide) or for buffers deeper
+    /// than a 32-bit credit counter can count.
     pub fn new(node: usize, cfg: &NetworkConfig) -> Self {
         let vcs = cfg.virtual_channels();
-        assert!(vcs <= 64, "router supports at most 64 virtual channels per port");
-        let depth = cfg.buffer_depth();
-        let inputs = (0..PORT_COUNT * vcs).map(|_| InputVc::new(depth)).collect();
+        assert!(vcs <= MAX_VCS, "router supports at most 64 virtual channels per port");
+        let depth = u32::try_from(cfg.buffer_depth()).expect("buffer depth fits a 32-bit credit");
+        let inputs = (0..PORT_COUNT * vcs).map(|_| InputVc::new()).collect();
         let free_output = OutputVc { credits: depth, allocated: false, owner: NO_OWNER };
         let derived = DerivedState::idle(vcs);
         let all_vcs_free = derived.free_out_mask[0];
@@ -308,6 +318,7 @@ impl Router {
         Router {
             node,
             vcs,
+            depth,
             inputs,
             outputs: vec![free_output; PORT_COUNT * vcs],
             vc_allocator: SeparableAllocator::new(PORT_COUNT, vcs, PORT_COUNT * vcs),
@@ -374,7 +385,7 @@ impl Router {
     /// Credits currently available on output (`port`, `vc`).
     #[cfg(test)]
     pub fn output_credits(&self, port: usize, vc: usize) -> usize {
-        self.outputs[port * self.vcs + vc].credits
+        self.outputs[port * self.vcs + vc].credits as usize
     }
 
     /// The `(out_port, out_vc)` the packet on input VC (`port`, `vc`) is
@@ -405,7 +416,7 @@ impl Router {
         assert!(vc < self.vcs, "flit arrived on unknown VC {vc}");
         let input = &mut self.inputs[in_port * self.vcs + vc];
         let d = &mut self.derived;
-        input.buffer.push(flit);
+        input.buffer.push(flit, self.depth as usize);
         d.buffered += 1;
         d.nonempty[in_port] |= 1u64 << vc;
         self.activity.buffer_writes += 1;
@@ -755,11 +766,10 @@ impl Router {
     /// counted as dropped and produces a [`CreditReturn`] that the driver
     /// routes to the upstream neighbour or local source, keeping their credit
     /// accounting exact. All pipeline state, derived state included, is then
-    /// factory-reset (`depth` is the configured buffer depth, restoring full
-    /// output credits).
+    /// factory-reset (every output back to a full buffer's credits).
     ///
     /// Returns the number of flits dropped.
-    pub(crate) fn purge_all(&mut self, depth: usize, credits: &mut Vec<CreditReturn>) -> u64 {
+    pub(crate) fn purge_all(&mut self, credits: &mut Vec<CreditReturn>) -> u64 {
         let mut dropped = 0u64;
         for port in 0..PORT_COUNT {
             for vc in 0..self.vcs {
@@ -774,7 +784,7 @@ impl Router {
                 input.next_class = 0;
             }
         }
-        self.outputs.fill(OutputVc { credits: depth, allocated: false, owner: NO_OWNER });
+        self.outputs.fill(OutputVc { credits: self.depth, allocated: false, owner: NO_OWNER });
         self.derived = DerivedState::idle(self.vcs);
         self.out_vc_rr.fill(0);
         dropped
@@ -789,7 +799,8 @@ impl Router {
     ///
     /// The router was purged when it failed and has carried no packet since,
     /// so no input VC owns the output and no `credit_ok` bit depends on it.
-    pub(crate) fn resync_output(&mut self, port: usize, vc: usize, credits: usize, retired: bool) {
+    pub(crate) fn resync_output(&mut self, port: usize, vc: usize, retired: bool) {
+        let credits = if retired { 0 } else { self.depth };
         let output = &mut self.outputs[port * self.vcs + vc];
         debug_assert_eq!(output.owner, NO_OWNER, "resync of an output VC a packet holds");
         *output = OutputVc { credits, allocated: retired, owner: NO_OWNER };
@@ -861,10 +872,12 @@ impl Router {
     /// holds its head flit, a VC waiting for VA has a route, an `Active` VC
     /// has a route and an allocated output VC of its own, an idle VC is empty.
     /// The error names the first condition that does not hold. Returned with
-    /// the masks: the [`OutputVc::owner`] each output VC must carry.
-    fn derive(&self) -> Result<(DerivedState, Vec<u16>), &'static str> {
+    /// the masks: the [`OutputVc::owner`] each output VC must carry, indexed
+    /// like `outputs` (on the stack, so that the debug-build check after
+    /// every tick stays off the heap like the tick itself).
+    fn derive(&self) -> Result<(DerivedState, [u16; PORT_COUNT * MAX_VCS]), &'static str> {
         let mut d = DerivedState::default();
-        let mut owners = vec![NO_OWNER; self.outputs.len()];
+        let mut owners = [NO_OWNER; PORT_COUNT * MAX_VCS];
         for port in 0..PORT_COUNT {
             for vc in 0..self.vcs {
                 let bit = 1u64 << vc;
@@ -934,7 +947,7 @@ impl Router {
         let (fresh, owners) = self.derive().unwrap_or_else(|what| panic!("router {node}: {what}"));
         assert_eq!(self.derived, fresh, "router {node}: derived state drifted");
         assert!(
-            self.outputs.iter().map(|output| output.owner).eq(owners),
+            self.outputs.iter().map(|output| &output.owner).eq(&owners[..self.outputs.len()]),
             "router {node}: output VC owners drifted"
         );
     }
@@ -963,7 +976,7 @@ impl Router {
             w.put_u8(input.next_class);
         }
         for output in &self.outputs {
-            w.put_usize(output.credits);
+            w.put_usize(output.credits as usize);
             w.put_bool(output.allocated);
         }
         self.vc_allocator.save_state(w);
@@ -1001,7 +1014,7 @@ impl Router {
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let vcs = self.vcs;
-        let depth = self.inputs[0].buffer.capacity();
+        let depth = self.depth as usize;
         for input in &mut self.inputs {
             input.state = match r.read_u8()? {
                 0 => VcState::Idle,
@@ -1011,7 +1024,7 @@ impl Router {
                 4 => VcState::Draining,
                 _ => return Err(SnapshotError::Corrupt("VC state")),
             };
-            input.buffer.load_state(r, nodes)?;
+            input.buffer.load_state(r, nodes, depth)?;
             let out_port = r.read_opt_u64()?;
             if out_port.is_some_and(|p| p >= PORT_COUNT as u64) {
                 return Err(SnapshotError::Corrupt("VC out port"));
@@ -1025,10 +1038,11 @@ impl Router {
             input.next_class = r.read_u8()?;
         }
         for output in &mut self.outputs {
-            output.credits = r.read_usize()?;
-            if output.credits > depth {
+            let credits = r.read_usize()?;
+            if credits > depth {
                 return Err(SnapshotError::Corrupt("output VC credits"));
             }
+            output.credits = credits as u32;
             output.allocated = r.read_bool()?;
         }
         self.vc_allocator.load_state(r)?;
@@ -1105,6 +1119,13 @@ mod tests {
         router.rc_stage(mesh, routing);
         router.debug_check_derived();
         out
+    }
+
+    #[test]
+    fn per_vc_state_stays_narrow() {
+        // 40 of each per 8-VC router: the footprint budget counts on these.
+        assert!(std::mem::size_of::<OutputVc>() <= 8);
+        assert!(std::mem::size_of::<InputVc>() <= 48);
     }
 
     #[test]

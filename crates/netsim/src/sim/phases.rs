@@ -114,7 +114,6 @@ impl NocSimulation {
         if fault_transitions.is_empty() {
             return;
         }
-        let depth = cfg.buffer_depth();
         let vcs = cfg.virtual_channels();
         let island_of = regions.assignments();
         let mut purge_credits: Vec<CreditReturn> = Vec::new();
@@ -134,7 +133,7 @@ impl NocSimulation {
                     // The victim's buffers: drop everything; each purged flit
                     // returns a credit to whoever sent it.
                     purge_credits.clear();
-                    let mut dropped = routers[node].purge_all(depth, &mut purge_credits);
+                    let mut dropped = routers[node].purge_all(&mut purge_credits);
                     for cr in purge_credits.drain(..) {
                         let idx = node * PORT_COUNT + cr.in_port;
                         credit_channels[idx].send(now, cr.vc);
@@ -206,11 +205,7 @@ impl NocSimulation {
                         for vc in 0..vcs {
                             let idle =
                                 routers[nbr].input_vc_state(nbr_in_port, vc) == VcState::Idle;
-                            if idle {
-                                routers[node].resync_output(port, vc, depth, false);
-                            } else {
-                                routers[node].resync_output(port, vc, 0, true);
-                            }
+                            routers[node].resync_output(port, vc, !idle);
                         }
                     }
                     // Un-park the source. If the router slept through the

@@ -930,6 +930,44 @@ fn parallel_island_stepping_composes_with_gating_and_faults() {
     conservation_holds(&serial);
 }
 
+// ----- the source queue on disk: packet records written as their flits --------
+
+/// The queue is the old queue, on disk too: the snapshot of a saturated 3×3
+/// with sources caught mid-packet equals, byte for byte, what the
+/// flit-by-flit reference encoder writes for the source section (built with
+/// the checked `Flit::new`, encoded as the `VecDeque<Flit>` queue was), and a
+/// simulation restored from it is the one that never paused.
+#[test]
+fn saturated_mid_packet_snapshot_is_the_flit_queue_encoding() {
+    let fresh = || {
+        let cfg = NetworkConfig::builder().mesh(3, 3).virtual_channels(2).buffer_depth(4);
+        sim_with(0.9, TrafficPattern::Uniform, cfg.packet_length(5).build().unwrap(), 21)
+    };
+    let mut sim = fresh();
+    sim.run_cycles(600);
+    while sim.sources.iter().filter(|s| backlogged_mid_packet(s, 5)).count() < 3 {
+        assert!(sim.current_cycle() < 5_000, "no cycle shows three backlogged, mid-packet sources");
+        sim.run_cycles(1);
+    }
+    let snap = sim.snapshot();
+    let bytes = snap.to_bytes();
+    let (_, sources) = router_and_source_sections(&sim, &snap, &bytes);
+    let reference = encoded(&|w| sim.sources.iter().for_each(|s| s.save_state_reference(w)));
+    assert!(bytes[sources] == reference[..], "the source section is not the flit-by-flit encoding");
+
+    let stored = crate::snapshot::SimSnapshot::from_bytes(&bytes).expect("intact bytes");
+    let mut restored = fresh();
+    restored.restore(&stored).expect("an untouched snapshot restores");
+    for _ in 0..4 {
+        sim.run_cycles(500);
+        restored.run_cycles(500);
+        assert_eq!(restored.take_window(), sim.take_window());
+    }
+    assert_eq!(restored.stats(), sim.stats());
+    assert!(restored.snapshot().to_bytes() == sim.snapshot().to_bytes());
+    conservation_holds(&restored);
+}
+
 // ----- hostile snapshot bytes in the router, source and gating sections -------
 
 /// Flips one bit in every byte of `range` of a serialized snapshot and
@@ -959,20 +997,57 @@ fn flip_sweep(
     (refused, survived)
 }
 
+/// The snapshot encoding of `save`, on its own.
+fn encoded(save: &dyn Fn(&mut crate::snapshot::SnapWriter)) -> Vec<u8> {
+    let mut w = crate::snapshot::SnapWriter::new();
+    save(&mut w);
+    w.into_vec()
+}
+
+/// Where the router section and the source section of `sim`'s snapshot sit
+/// in its serialized `bytes`, measured with the same codecs that wrote them:
+/// the file header, then the sections ahead of the routers (tag, clock; tag,
+/// four RNG words and the packet counter), the routers' own tag and the
+/// routers, the sources' tag and the sources.
+fn router_and_source_sections(
+    sim: &NocSimulation,
+    snap: &crate::snapshot::SimSnapshot,
+    bytes: &[u8],
+) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    let header = bytes.len() - snap.payload_len();
+    let routers = header + 1 + encoded(&|w| sim.clock.save_state(w)).len() + 1 + 5 * 8 + 1;
+    let routers_end =
+        routers + encoded(&|w| sim.routers.iter().for_each(|r| r.save_state(w))).len();
+    let sources = routers_end + 1;
+    let sources_end =
+        sources + encoded(&|w| sim.sources.iter().for_each(|s| s.save_state(w))).len();
+    (routers..routers_end, sources..sources_end)
+}
+
+/// Whether a source of `packet_length`-flit packets holds a partly injected
+/// packet with at least one whole packet queued behind it.
+fn backlogged_mid_packet(source: &Source, packet_length: usize) -> bool {
+    let queued = source.queued_flits();
+    queued > packet_length && !queued.is_multiple_of(packet_length)
+}
+
 /// One bit flipped in every byte of the router section, then of the source
-/// section, of a loaded snapshot, then of the gating section of a gated one
+/// section, of a loaded snapshot — caught with a source backlogged behind a
+/// partly injected packet — then of the gating section of a gated one
 /// (see [`flip_sweep`]). Before the router rebuilt its masks from the per-VC
 /// state on load, roughly one flip in eight restored `Ok` and then indexed
 /// out of bounds or met an `expect` inside a pipeline stage; before the
 /// source checked its queue's packet framing, endpoints and credit counts, a
 /// flipped flit kind met the `expect` in `Source::injection_vc` and a flipped
-/// credit count overran the router's local input VC; before the gating
+/// credit count overran the router's local input VC (the queue is regrouped
+/// into packet records on load, so every field the records do not keep per
+/// flit — index, kind, VC, hops, and the packet's identity from flit to flit
+/// — is checked state now); before the gating
 /// controller recounted its fenced routers, a flipped count switched the
 /// fence off over gated routers or underflowed at the next wakeup.
 #[test]
 fn bit_flips_in_the_router_section_are_refused_or_harmless() {
     use crate::gating::GateState;
-    use crate::snapshot::SnapWriter;
     // Nine routers keep the sweep (one restore per byte of a section, and
     // a 200-cycle run for each one accepted) to a few seconds.
     let small =
@@ -982,37 +1057,21 @@ fn bit_flips_in_the_router_section_are_refused_or_harmless() {
     sim.run_cycles(400);
     let buffered = sim.routers.iter().map(Router::buffered_flits).sum::<usize>();
     assert!(buffered > 20, "the snapshot must catch packets in every stage, got {buffered} flits");
-    let queued = sim.sources.iter().map(Source::queued_flits).sum::<usize>();
-    assert!(queued > 8, "the snapshot must catch flits queued at the sources, got {queued}");
+    while !sim.sources.iter().any(|s| backlogged_mid_packet(s, 4)) {
+        assert!(sim.current_cycle() < 5_000, "no cycle shows a backlogged, mid-packet source");
+        sim.run_cycles(1);
+    }
     let snap = sim.snapshot();
     let bytes = snap.to_bytes();
+    let (routers, sources) = router_and_source_sections(&sim, &snap, &bytes);
 
-    // The sections' places in the byte stream, measured with the same codecs
-    // that wrote them: the file header, then the sections ahead of the
-    // routers (tag, clock; tag, four RNG words and the packet counter), the
-    // routers' own tag and the routers, the sources' tag and the sources.
-    let encoded = |save: &dyn Fn(&mut SnapWriter)| {
-        let mut w = SnapWriter::new();
-        save(&mut w);
-        w.into_vec()
-    };
-    let header = bytes.len() - snap.payload_len();
-    let routers = header + 1 + encoded(&|w| sim.clock.save_state(w)).len() + 1 + 5 * 8 + 1;
-    let routers_end =
-        routers + encoded(&|w| sim.routers.iter().for_each(|r| r.save_state(w))).len();
-    let sources = routers_end + 1;
-    let sources_end =
-        sources + encoded(&|w| sim.sources.iter().for_each(|s| s.save_state(w))).len();
-
-    // Most of the router section is checked state; most of a source is
-    // payload a flip turns into another legal value (a queued flit's
-    // timestamps and packet id, the generation counters).
-    for (section, range, mostly_checked) in
-        [("router", routers..routers_end, true), ("source", sources..sources_end, false)]
-    {
+    // Both sections are mostly checked state: a flip either breaks an
+    // invariant the loader recomputes or lands in payload it cannot judge
+    // (the front flit of a run's timestamps and packet id, a buffered flit's
+    // hop count, the generation counters).
+    for (section, range) in [("router", routers), ("source", sources)] {
         let (refused, survived) = flip_sweep(&loaded, &bytes, range);
-        let floor = if mostly_checked { survived } else { 0 };
-        assert!(refused > floor, "{section}: {refused} refused, {survived} survived");
+        assert!(refused > survived, "{section}: {refused} refused, {survived} survived");
         assert!(survived > 0, "{section}: some flips must reach the run");
     }
 

@@ -34,9 +34,11 @@ PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q
 # The benchmark package drives the simulator through its public functions
 # (run_cycles, run_cycles_with_workers, install_telemetry, counters, the
 # EngineProfile fields); its own tests catch a break in that surface before
-# the benchmark gate runs.
-echo "==> cargo test -q --offline --manifest-path benchmark/Cargo.toml"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# the benchmark gate runs. In release, like the benchmark itself: the
+# hundredth-scale smoke run has a 30 s wall-clock ceiling that a debug build
+# of the simulator does not meet on a two-core host.
+echo "==> cargo test -q --release --offline --manifest-path benchmark/Cargo.toml"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 # Documentation is part of the contract: every public item is documented
 # (#![warn(missing_docs)] + clippy -D warnings below), rustdoc links must

@@ -6,8 +6,10 @@
 //!
 //! The output is a set of plain-text tables, one per figure, with the same
 //! series the paper plots (latency in cycles, delay in ns, power in mW,
-//! frequency in GHz against injection rate or application speed). Paste the
-//! relevant numbers into `EXPERIMENTS.md` to record a reproduction run.
+//! frequency in GHz against injection rate or application speed). A
+//! reproduction run is recorded in `CHANGES.md`, next to the paired
+//! parent/change benchmark table `scripts/bench_pairs.sh` prints (whose
+//! traced run carries the three `paper.*` headline quantities).
 
 use noc_dvfs_repro::figures::{render_comparison, render_fig5, render_summary};
 use noc_dvfs::experiments::{
