@@ -21,7 +21,7 @@ pub const DEFAULT_MIN_FREQUENCY_HZ: f64 = 333.0e6;
 /// Default maximum NoC frequency (1 GHz), the high end of the DVFS range.
 pub const DEFAULT_MAX_FREQUENCY_HZ: f64 = 1.0e9;
 /// Largest accepted link/credit latency in NoC cycles. The sparse simulation
-/// core keeps a due-list slot per latency cycle, so latencies must be
+/// core keeps a timing-wheel slot per latency cycle, so latencies must be
 /// bounded; the builder clamps to this value.
 pub const MAX_CHANNEL_LATENCY: u64 = 4096;
 
@@ -324,7 +324,7 @@ impl NetworkConfigBuilder {
     /// Sets the link traversal latency in NoC cycles (default 1).
     ///
     /// Clamped to `1..=MAX_CHANNEL_LATENCY`, mirroring the existing
-    /// clamp-to-one convention: the simulator's channel due-lists allocate
+    /// clamp-to-one convention: the simulator's timing wheels allocate
     /// one slot per latency cycle, so the latency must be bounded (4096
     /// cycles is orders of magnitude beyond any physical link).
     pub fn link_latency(mut self, cycles: u64) -> Self {

@@ -55,7 +55,6 @@
 //! | `routing` | dimension-ordered (XY/YX) + minimal-adaptive escape-VC routing, torus datelines |
 //! | `buffer`, `arbiter`, `allocator` | per-VC FIFOs, round-robin arbiters, the mask-native separable allocator |
 //! | `router` | the VC router pipeline (RC → VA → SA → ST) |
-//! | `link` | inter-router flit and credit channels (callback delivery, due cursor) |
 //! | `traffic` | synthetic patterns, bursty sources and traffic matrices ([`TrafficSpec`]) |
 //! | `source`, `sink` | node-clock-driven injection queues; ejection and per-packet recording |
 //! | `snapshot` | versioned checkpoints ([`SimSnapshot`]): bit-identical pause/resume |
@@ -63,15 +62,17 @@
 //! | `activity`, `stats` | switching-activity counters for power estimation; latency / delay / throughput statistics |
 //! | `telemetry` | zero-perturbation observability: counter fabric, event trace + Perfetto export, heatmaps, profiling |
 //! | `clock` | dual-clock (node vs NoC) bookkeeping |
-//! | `sim` | the [`NocSimulation`] driver: one router-pipeline kernel under three drivers (sparse worklists + channel due-lists, dense reference, island workers) |
+//! | `sim` | the [`NocSimulation`] driver: one router-pipeline kernel under three drivers (sparse worklists, dense reference, island workers); flits and credits in flight live on two timing wheels |
 //!
 //! ## Performance: sparse stepping and the scratch-buffer contract
 //!
 //! The cycle loop is **activity-tracked**: an active-router worklist (one
-//! `u64` bitset word per 64 nodes), per-channel due-lists (timing wheels
-//! keyed by delivery cycle) and a pending-source worklist make the per-cycle
-//! cost proportional to the flits actually moving, not to `nodes × ports`.
-//! Quiescent routers, empty channels and idle sources cost nothing. Packet
+//! `u64` bitset word per 64 nodes), two timing wheels holding every flit
+//! and credit in flight in the slot of its arrival cycle, and a
+//! pending-source worklist make the per-cycle cost proportional to the
+//! flits actually moving, not to `nodes × ports`. Quiescent routers, idle
+//! links and idle sources cost nothing — a link with nothing on it does not
+//! exist as a data structure. Packet
 //! generation keeps its exact per-node-per-cycle RNG draw order (the
 //! contract of [`TrafficSpec::generate_tick`]), so the sparse engine is
 //! bit-identical to the dense reference loop retained behind
@@ -96,8 +97,9 @@
 //!   SA/ST stage; the router only appends. Capacity is retained across
 //!   cycles, so the lists stop allocating after the first few congested
 //!   cycles.
-//! * **Channels deliver through callbacks.** A `DelayChannel` hands due
-//!   items straight out of its ring buffer to a caller closure.
+//! * **The wheel is the wire.** A send pushes the flit or credit, addressed
+//!   to its receiver, onto the wheel slot of its arrival cycle; delivery is
+//!   one pass over the slot due this cycle. Slots keep their capacity.
 //! * **Flits are 40-byte `Copy` values, from the injection port to the
 //!   sink.** A packet waiting at its source is one record; the source builds
 //!   each flit as it hands it over (`Source::try_inject`), and nothing on
@@ -128,7 +130,6 @@ mod error;
 mod fault;
 mod flit;
 mod gating;
-mod link;
 mod region;
 mod router;
 mod routing;

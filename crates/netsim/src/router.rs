@@ -330,11 +330,6 @@ impl Router {
         }
     }
 
-    /// The mesh node this router serves.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// Number of virtual channels per port.
     pub fn virtual_channels(&self) -> usize {
         self.vcs

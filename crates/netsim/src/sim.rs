@@ -15,11 +15,12 @@
 //!   golden window sequence, bit-identical to the dense reference loop)
 //!   instead of looping `0..node_count`; routers are re-inserted by flit
 //!   arrival and dropped the cycle they drain.
-//! * **Channel due-lists** — every [`DelayChannel`] send schedules the
-//!   channel on a small timing wheel keyed by the delivery cycle
-//!   ([`DelayChannel::next_due`]), so the credit/flit/injection delivery
-//!   phases poll only channels with a delivery due *this* cycle rather than
-//!   scanning the full `node × port` matrix.
+//! * **The wheel is the wire** — a flit or credit in flight lives in the
+//!   slot of its arrival cycle on one of two timing wheels (`EventWheel`),
+//!   addressed to its receiver at send; there are no per-channel queues. The
+//!   delivery phases are one linear pass over the slot due *this* cycle, and
+//!   the entries are the items themselves, so nothing in flight can be
+//!   missing from the schedule.
 //! * **Pending-source worklist** — injection polls only sources with queued
 //!   flits; an idle source costs nothing, a credit-blocked source stays in
 //!   the worklist (backed-up traffic *is* activity).
@@ -31,8 +32,9 @@
 //! scheduling optimization and every
 //! `WindowMeasurement` it produces is bit-identical to the dense reference
 //! ([`NocSimulation::set_dense_stepping`]), which finds the same work by
-//! scanning every node and every `node × port` channel instead of consulting
-//! worklists and wheels. That contract is enforced by
+//! scanning every router and every source instead of consulting the
+//! worklists (deliveries come off the same wheels: there is no second place
+//! a flit in flight could be). That contract is enforced by
 //! `tests/sparse_equivalence.rs` and by the determinism goldens, which run
 //! under every engine mode.
 //!
@@ -42,7 +44,7 @@
 //! pipeline exists once (`pipeline::tick_router`) and so does the
 //! application of its side effects (`pipeline::Effects::apply`); the dense
 //! reference, the sparse engine and the per-island workers of `threaded` are
-//! drivers of that pair. `worklist` holds the bitsets and timing wheels,
+//! drivers of that pair. `worklist` holds the bitsets and the timing wheel,
 //! `islands` the clock dividers, `accessors` the query and actuation
 //! surface, `checkpoint` the snapshot glue.
 
@@ -57,13 +59,12 @@ mod threaded;
 mod worklist;
 
 use self::islands::{advance_island_clocks, IslandDomain};
-use self::worklist::{DueWheel, NodeSet};
+use self::worklist::{EventWheel, NodeSet};
 use crate::clock::DualClock;
 use crate::config::NetworkConfig;
 use crate::fault::{FaultState, FaultTransition};
 use crate::flit::Flit;
 use crate::gating::GatingController;
-use crate::link::DelayChannel;
 use crate::region::RegionMap;
 use crate::router::{Router, TraversalOutput, LOCAL_PORT};
 use crate::routing::RoutingAlgorithm;
@@ -164,6 +165,31 @@ struct Tick {
     gate_fencing: bool,
 }
 
+/// A flit on a link or an injection channel, addressed to its receiver when
+/// it was sent: input `in_port` of router `dest` ([`LOCAL_PORT`] for a flit
+/// coming from the node's own source).
+#[derive(Debug, Clone, Copy)]
+struct FlitInFlight {
+    dest: u32,
+    in_port: u8,
+    flit: Flit,
+}
+
+/// A credit on its way back upstream: one slot of VC `vc` freed behind output
+/// `out_port` of router `target` — or, with `out_port == LOCAL_PORT`, behind
+/// the injection channel of `target`'s source.
+#[derive(Debug, Clone, Copy)]
+struct CreditInFlight {
+    target: u32,
+    out_port: u8,
+    vc: u8,
+}
+
+// What a send copies onto a wheel stays small: a flit and its address in 48
+// bytes, a credit in 8.
+const _: () = assert!(std::mem::size_of::<FlitInFlight>() == 48);
+const _: () = assert!(std::mem::size_of::<CreditInFlight>() == 8);
+
 /// Per-tenant accounting state: the installed partition plus one
 /// measurement window per slot (tenants, then the background slot), drained
 /// by [`NocSimulation::take_tenant_windows`]. The span marks are absolute
@@ -221,17 +247,15 @@ pub struct NocSimulation {
     clock: DualClock,
     rng: StdRng,
     next_packet_id: u64,
-    /// `flit_channels[node * PORT_COUNT + port]`: link from `node`'s output
-    /// `port` to the neighbouring router in that direction (flat-indexed, so
-    /// the per-delivery lookup is one bounds check, and the index doubles as
-    /// the due-list channel id).
-    flit_channels: Vec<Option<DelayChannel<Flit>>>,
-    /// `credit_channels[node * PORT_COUNT + in_port]`: credits flowing from
-    /// `node`'s input `in_port` back to whoever feeds it (a neighbour
-    /// router, or the local source when `in_port == LOCAL_PORT`).
-    credit_channels: Vec<DelayChannel<usize>>,
-    /// Injection channels from each source into its router's local input port.
-    injection_channels: Vec<DelayChannel<Flit>>,
+    /// Every flit on a link or an injection channel, in the slot of its
+    /// arrival cycle (injection shares the link latency).
+    flits_in_flight: EventWheel<FlitInFlight>,
+    /// Every credit on its way upstream, in the slot of its arrival cycle.
+    credits_in_flight: EventWheel<CreditInFlight>,
+    /// Flits in flight towards each router (links and injection): a router
+    /// may only gate once this is zero, so no flit can arrive at a
+    /// powered-down router.
+    inbound_flits: Vec<u32>,
     /// Precomputed `(neighbour, neighbour_input_port)` per `(node, port)` —
     /// spares the per-cycle loops the mesh coordinate arithmetic.
     neighbor_table: Vec<[Option<(usize, usize)>; PORT_COUNT]>,
@@ -248,15 +272,6 @@ pub struct NocSimulation {
     /// Sources with queued flits: the sparse engine's injection worklist.
     /// Invariant after every sparse step: bit `n` ⇔ `sources[n]` non-empty.
     pending_sources: NodeSet,
-    /// Due-list of inter-router flit channels, keyed `node × PORT_COUNT + port`.
-    flit_wheel: DueWheel,
-    /// Due-list of credit channels, keyed `node × PORT_COUNT + in_port`.
-    credit_wheel: DueWheel,
-    /// Due-list of injection channels, keyed by node.
-    inject_wheel: DueWheel,
-    /// Cached configuration latencies (hot path).
-    link_latency: u64,
-    credit_latency: u64,
     /// `true` → dense reference loop
     /// ([`set_dense_stepping`](Self::set_dense_stepping)).
     dense_step: bool,
@@ -284,12 +299,6 @@ pub struct NocSimulation {
     /// The power-gating state machine (a structural no-op when the
     /// configuration leaves gating disabled).
     gating: GatingController,
-    /// Per-node list of flit-channel indices that deliver *into* the node
-    /// (its neighbours' outgoing channels plus nothing for the local port;
-    /// the injection channel is tracked separately). Used by the gating
-    /// drain check: a router may only gate once every inbound channel is
-    /// empty, so no flit can arrive at a powered-down router.
-    incoming_flit_channels: Vec<Vec<u32>>,
     /// Shared-clock marks at the start of the current island-window span
     /// (see [`take_island_windows`](Self::take_island_windows)).
     island_window_start_wall_ps: f64,
@@ -351,20 +360,6 @@ impl NocSimulation {
         }
         let sources =
             (0..n).map(|node| Source::new(node, cfg.virtual_channels(), cfg.buffer_depth())).collect();
-        let flit_channels: Vec<Option<DelayChannel<Flit>>> = (0..n * PORT_COUNT)
-            .map(|idx| {
-                let (node, port) = (idx / PORT_COUNT, idx % PORT_COUNT);
-                if port == LOCAL_PORT {
-                    None
-                } else {
-                    topo.neighbor(node, Direction::from_index(port))
-                        .map(|_| DelayChannel::new(cfg.link_latency()))
-                }
-            })
-            .collect();
-        let credit_channels =
-            (0..n * PORT_COUNT).map(|_| DelayChannel::new(cfg.credit_latency())).collect();
-        let injection_channels = (0..n).map(|_| DelayChannel::new(cfg.link_latency())).collect();
         let neighbor_table: Vec<[Option<(usize, usize)>; PORT_COUNT]> = (0..n)
             .map(|node| {
                 let mut row = [None; PORT_COUNT];
@@ -379,8 +374,8 @@ impl NocSimulation {
             })
             .collect();
         let clock = DualClock::new(cfg.node_frequency(), cfg.max_frequency());
-        let link_latency = cfg.link_latency();
-        let credit_latency = cfg.credit_latency();
+        let flits_in_flight = EventWheel::new(cfg.link_latency());
+        let credits_in_flight = EventWheel::new(cfg.credit_latency());
         let regions = cfg.region_map();
         let islands = vec![
             IslandDomain {
@@ -396,14 +391,6 @@ impl NocSimulation {
         let island_masks = regions.word_masks();
         let words = n.div_ceil(64);
         let gating = GatingController::new(cfg.gating(), &regions);
-        let mut incoming_flit_channels: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (idx, channel) in flit_channels.iter().enumerate() {
-            if channel.is_some() {
-                let (receiver, _) = neighbor_table[idx / PORT_COUNT][idx % PORT_COUNT]
-                    .expect("a flit channel implies a neighbour");
-                incoming_flit_channels[receiver].push(idx as u32);
-            }
-        }
         let faults =
             cfg.faults().is_enabled().then(|| FaultState::new(cfg.faults(), &topo, seed));
         NocSimulation {
@@ -417,9 +404,9 @@ impl NocSimulation {
             clock,
             rng: StdRng::seed_from_u64(seed),
             next_packet_id: 0,
-            flit_channels,
-            credit_channels,
-            injection_channels,
+            flits_in_flight,
+            credits_in_flight,
+            inbound_flits: vec![0; n],
             neighbor_table,
             totals: SimStats::new(),
             window: WindowMeasurement::default(),
@@ -428,11 +415,6 @@ impl NocSimulation {
             scratch: TraversalOutput::default(),
             active: NodeSet::new(n),
             pending_sources: NodeSet::new(n),
-            flit_wheel: DueWheel::new(link_latency),
-            credit_wheel: DueWheel::new(credit_latency),
-            inject_wheel: DueWheel::new(link_latency),
-            link_latency,
-            credit_latency,
             dense_step: false,
             event_skip: true,
             skipped_cycles: 0,
@@ -444,7 +426,6 @@ impl NocSimulation {
             island_window_start_wall_ps: 0.0,
             island_window_start_node_cycles: 0,
             gating,
-            incoming_flit_channels,
             faults,
             fault_transitions: Vec::new(),
             total_dropped: 0,
@@ -467,7 +448,7 @@ impl NocSimulation {
     /// different voltage-frequency islands stepped on `workers` scoped
     /// threads (the `threaded` driver). The per-tick phases before and
     /// after the pipeline run on the calling thread and islands exchange
-    /// data only through the delay channels those phases drain, so the
+    /// data only through the wheels those phases drain, so the
     /// result is bit-identical to `run_cycles` (pinned by the parity
     /// differential tests). The count is clamped to the island count; `1`
     /// (or the dense reference loop) runs the ordinary serial step.
@@ -548,10 +529,9 @@ impl NocSimulation {
     ///   fence hold flits but do nothing per tick either way; the events
     ///   that un-park them (fault recovery, wakeup completion) are horizon
     ///   events below.
-    /// * **No channel delivery due.** The flit/credit/injection timing
-    ///   wheels bound the earliest in-flight delivery; all genuine dues lie
-    ///   within `latency` ticks of `now`, and stale hints only pull the
-    ///   bound earlier ([`DueWheel::earliest_due`]).
+    /// * **No channel delivery due.** The two wheels hold everything in
+    ///   flight, so their earliest occupied slot *is* the earliest arrival
+    ///   (`EventWheel::earliest_due`).
     /// * **No gating transition due.** DrainWait is empty (its completion
     ///   depends on per-tick channel state, so it pins base-tick stepping),
     ///   and each island's earliest sleep/wake due is converted to base
@@ -594,9 +574,8 @@ impl NocSimulation {
         // The event horizon: the earliest future cycle on which anything can
         // possibly happen. Every bound below is conservative (an event can
         // land later than its bound, never earlier).
-        let mut horizon = self.flit_wheel.earliest_due(now, self.link_latency);
-        horizon = horizon.min(self.credit_wheel.earliest_due(now, self.credit_latency));
-        horizon = horizon.min(self.inject_wheel.earliest_due(now, self.link_latency));
+        let mut horizon =
+            self.flits_in_flight.earliest_due(now).min(self.credits_in_flight.earliest_due(now));
         if let Some(faults) = self.faults.as_ref() {
             horizon = horizon.min(faults.next_scheduled_due());
         }

@@ -173,8 +173,8 @@ impl NocSimulation {
     /// engine-mode loops of the golden suites) and as a debugging fallback.
     /// Switching is
     /// legal at any cycle boundary: the worklists are rebuilt from the
-    /// current network state when the sparse engine is (re-)entered, and the
-    /// channel due-lists are maintained by both engines.
+    /// current network state when the sparse engine is (re-)entered, and
+    /// both engines deliver from the same wheels.
     pub fn set_dense_stepping(&mut self, dense: bool) {
         if self.dense_step && !dense {
             // The dense loop does not maintain the worklists while it runs.
@@ -250,13 +250,12 @@ impl NocSimulation {
     /// Flits currently in flight on inter-router links and injection
     /// channels.
     pub fn in_flight_flits(&self) -> usize {
-        let links: usize = self.flit_channels.iter().flatten().map(|ch| ch.occupancy()).sum();
-        links + self.injection_channels.iter().map(|ch| ch.occupancy()).sum::<usize>()
+        self.flits_in_flight.len()
     }
 
     /// Credits currently in flight on credit-return channels.
     pub fn in_flight_credits(&self) -> usize {
-        self.credit_channels.iter().map(|ch| ch.occupancy()).sum()
+        self.credits_in_flight.len()
     }
 
     /// Whether the network is fully drained: no router buffers a flit, no

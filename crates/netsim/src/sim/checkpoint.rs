@@ -1,10 +1,13 @@
 //! Snapshot glue: [`NocSimulation::snapshot`] / [`NocSimulation::restore`]
 //! over the per-module `save_state` / `load_state` codecs.
 
-use super::worklist::DueWheel;
-use super::{NocSimulation, TenantAccounting, WindowMeasurement};
+use super::pipeline::credit_receiver;
+use super::{FlitInFlight, NocSimulation, TenantAccounting, WindowMeasurement};
 use crate::flit::Flit;
+use crate::router::LOCAL_PORT;
+use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use crate::tenant::TenantMap;
+use crate::topology::PORT_COUNT;
 use rand::rngs::StdRng;
 
 /// Section tags of the snapshot payload — one byte ahead of every section so
@@ -26,7 +29,7 @@ mod snap_tags {
     pub const TENANTS: u8 = 13;
 }
 
-fn save_window(wm: &WindowMeasurement, w: &mut crate::snapshot::SnapWriter) {
+fn save_window(wm: &WindowMeasurement, w: &mut SnapWriter) {
     w.put_u64(wm.noc_cycles);
     w.put_u64(wm.node_cycles);
     w.put_f64(wm.wall_time_ps);
@@ -39,9 +42,7 @@ fn save_window(wm: &WindowMeasurement, w: &mut crate::snapshot::SnapWriter) {
     w.put_u64(wm.flits_dropped);
 }
 
-fn load_window(
-    r: &mut crate::snapshot::SnapReader<'_>,
-) -> Result<WindowMeasurement, crate::snapshot::SnapshotError> {
+fn load_window(r: &mut SnapReader<'_>) -> Result<WindowMeasurement, SnapshotError> {
     Ok(WindowMeasurement {
         noc_cycles: r.read_u64()?,
         node_cycles: r.read_u64()?,
@@ -56,7 +57,162 @@ fn load_window(
     })
 }
 
+/// Writes the channels `ids` (ascending) out of `items`, which are sorted by
+/// channel and in queue order within one: per channel its item count, then
+/// `(due, item)` for each. `at` is the cursor into `items`.
+fn put_channels<T>(
+    w: &mut SnapWriter,
+    items: &[(u32, u64, T)],
+    at: &mut usize,
+    ids: impl Iterator<Item = usize>,
+    encode: impl Fn(&T, &mut SnapWriter),
+) {
+    for id in ids {
+        let queued =
+            items[*at..].iter().take_while(|(channel, ..)| *channel as usize == id).count();
+        w.put_usize(queued);
+        for (_, due, item) in &items[*at..*at + queued] {
+            w.put_u64(*due);
+            encode(item, w);
+        }
+        *at += queued;
+    }
+}
+
+/// Reads one channel — a count, then `(due, item)` for each — handing every
+/// due cycle to `item`, which reads the item behind it. A due cycle must lie
+/// within `latency` cycles after `now` and never before its predecessor on
+/// the channel. Nothing is sized by the stored count: a hostile one runs
+/// into the end of the payload.
+fn read_channel(
+    r: &mut SnapReader<'_>,
+    now: u64,
+    latency: u64,
+    mut item: impl FnMut(&mut SnapReader<'_>, u64) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let queued = r.read_usize()?;
+    let mut earliest = 1;
+    for _ in 0..queued {
+        let due = r.read_u64()?;
+        match due.checked_sub(now) {
+            Some(ahead) if (earliest..=latency).contains(&ahead) => earliest = ahead,
+            _ => return Err(SnapshotError::Corrupt("channel due cycle")),
+        }
+        item(r, due)?;
+    }
+    Ok(())
+}
+
 impl NocSimulation {
+    /// The flat index of the far end of the link at `port` of `node`: the
+    /// sender's `node × PORT_COUNT + out_port` for a flit arriving on input
+    /// `port`, the credit sender's `node × PORT_COUNT + in_port` for a credit
+    /// arriving behind output `port`.
+    fn far_end(&self, node: u32, port: u8) -> usize {
+        let (far_node, far_port) = self.neighbor_table[node as usize][usize::from(port)]
+            .expect("items in flight travel between neighbours");
+        far_node * PORT_COUNT + far_port
+    }
+
+    /// The channel section. The format predates the wheels and does not
+    /// follow the memory layout: it lists, per link (`node × PORT_COUNT +
+    /// out_port`, existing links only), per credit channel (`node ×
+    /// PORT_COUNT + in_port`) and per injection channel (by node), what the
+    /// channel has in flight in queue order. The wheels are regrouped into
+    /// that order with one gather in due-then-send order and a stable sort
+    /// by channel.
+    pub(super) fn save_channels(&self, w: &mut SnapWriter) {
+        let now = self.clock.noc_cycle();
+        let links = self.topo.node_count() * PORT_COUNT;
+        let mut flits: Vec<(u32, u64, &Flit)> = self
+            .flits_in_flight
+            .iter(now)
+            .map(|(due, f)| {
+                let channel = if usize::from(f.in_port) == LOCAL_PORT {
+                    links + f.dest as usize
+                } else {
+                    self.far_end(f.dest, f.in_port)
+                };
+                (channel as u32, due, &f.flit)
+            })
+            .collect();
+        flits.sort_by_key(|&(channel, ..)| channel);
+        let mut credits: Vec<(u32, u64, u8)> = self
+            .credits_in_flight
+            .iter(now)
+            .map(|(due, c)| {
+                let channel = if usize::from(c.out_port) == LOCAL_PORT {
+                    c.target as usize * PORT_COUNT + LOCAL_PORT
+                } else {
+                    self.far_end(c.target, c.out_port)
+                };
+                (channel as u32, due, c.vc)
+            })
+            .collect();
+        credits.sort_by_key(|&(channel, ..)| channel);
+
+        let put_flit = |flit: &&Flit, w: &mut SnapWriter| flit.save_state(w);
+        let is_link =
+            |idx: &usize| self.neighbor_table[idx / PORT_COUNT][idx % PORT_COUNT].is_some();
+        let mut at = 0;
+        put_channels(w, &flits, &mut at, (0..links).filter(is_link), put_flit);
+        put_channels(w, &credits, &mut 0, 0..links, |vc, w| w.put_usize(usize::from(*vc)));
+        put_channels(w, &flits, &mut at, links..links + self.topo.node_count(), put_flit);
+    }
+
+    /// Refills the wheels from the channel section, channel by channel in
+    /// the section's order, refusing whatever a live run could not have put
+    /// in flight: a due cycle the wheel has no slot for, a flit whose
+    /// endpoints or VC the fabric does not have, a credit for a VC or on a
+    /// port that does not exist.
+    fn load_channels(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        let now = self.clock.noc_cycle();
+        let nodes = self.topo.node_count();
+        let vcs = self.cfg.virtual_channels();
+        let NocSimulation {
+            flits_in_flight, credits_in_flight, inbound_flits, neighbor_table, ..
+        } = self;
+        flits_in_flight.clear();
+        credits_in_flight.clear();
+        inbound_flits.fill(0);
+        let link_latency = flits_in_flight.latency();
+        let mut load_flit = |r: &mut SnapReader<'_>, due: u64, dest: usize, in_port: usize| {
+            let flit = Flit::load_state(r)?;
+            if flit.src as usize >= nodes || flit.dst as usize >= nodes || flit.vc() >= vcs {
+                return Err(SnapshotError::Corrupt("flit in flight"));
+            }
+            inbound_flits[dest] += 1;
+            flits_in_flight
+                .push_due(due, FlitInFlight { dest: dest as u32, in_port: in_port as u8, flit });
+            Ok(())
+        };
+        for link in neighbor_table.iter().flatten() {
+            if let Some((dest, in_port)) = *link {
+                read_channel(r, now, link_latency, |r, due| load_flit(r, due, dest, in_port))?;
+            }
+        }
+        for (node, ports) in neighbor_table.iter().enumerate() {
+            for (in_port, link) in ports.iter().enumerate() {
+                read_channel(r, now, credits_in_flight.latency(), |r, due| {
+                    let vc = r.read_usize()?;
+                    if in_port != LOCAL_PORT && link.is_none() {
+                        return Err(SnapshotError::Corrupt("credit on a port with no neighbour"));
+                    }
+                    if vc >= vcs {
+                        return Err(SnapshotError::Corrupt("credit vc"));
+                    }
+                    credits_in_flight
+                        .push_due(due, credit_receiver(neighbor_table, node, in_port, vc));
+                    Ok(())
+                })?;
+            }
+        }
+        for node in 0..nodes {
+            read_channel(r, now, link_latency, |r, due| load_flit(r, due, node, LOCAL_PORT))?;
+        }
+        Ok(())
+    }
+
     /// Captures the complete mutable state of the simulation at the current
     /// cycle boundary as a versioned [`SimSnapshot`](crate::snapshot::SimSnapshot).
     ///
@@ -79,7 +235,7 @@ impl NocSimulation {
     /// boundary the public API exposes, so this is not a practical
     /// restriction.
     pub fn snapshot(&self) -> crate::snapshot::SimSnapshot {
-        use crate::snapshot::{config_fingerprint, SimSnapshot, SnapWriter};
+        use crate::snapshot::{config_fingerprint, SimSnapshot};
         let mut w = SnapWriter::new();
 
         w.put_tag(snap_tags::CLOCK);
@@ -113,15 +269,7 @@ impl NocSimulation {
         }
 
         w.put_tag(snap_tags::CHANNELS);
-        for channel in self.flit_channels.iter().flatten() {
-            channel.save_state(&mut w, |flit, w| flit.save_state(w));
-        }
-        for channel in &self.credit_channels {
-            channel.save_state(&mut w, |credits, w| w.put_usize(*credits));
-        }
-        for channel in &self.injection_channels {
-            channel.save_state(&mut w, |flit, w| flit.save_state(w));
-        }
+        self.save_channels(&mut w);
 
         w.put_tag(snap_tags::ISLANDS);
         for island in &self.islands {
@@ -190,9 +338,9 @@ impl NocSimulation {
     /// or with island workers, and stays bit-identical to the uninterrupted
     /// one.
     ///
-    /// Derived acceleration state — the channel timing wheels and the sparse
-    /// engine's worklists — is rebuilt from the restored network state, not
-    /// deserialized.
+    /// The two in-flight wheels are refilled from the channel section; the
+    /// sparse engine's worklists are rebuilt from the restored network
+    /// state, not deserialized.
     ///
     /// # Errors
     ///
@@ -203,11 +351,8 @@ impl NocSimulation {
     /// [`SnapshotError::TrailingBytes`](crate::snapshot::SnapshotError::TrailingBytes) for a mangled payload. The
     /// simulation may be left partially restored on error and should be
     /// discarded.
-    pub fn restore(
-        &mut self,
-        snap: &crate::snapshot::SimSnapshot,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{config_fingerprint, SnapReader, SnapshotError, SNAP_VERSION};
+    pub fn restore(&mut self, snap: &crate::snapshot::SimSnapshot) -> Result<(), SnapshotError> {
+        use crate::snapshot::{config_fingerprint, SNAP_VERSION};
         if snap.version() != SNAP_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snap.version()));
         }
@@ -253,15 +398,7 @@ impl NocSimulation {
         }
 
         r.expect_tag(snap_tags::CHANNELS)?;
-        for channel in self.flit_channels.iter_mut().flatten() {
-            channel.load_state(r, Flit::load_state)?;
-        }
-        for channel in &mut self.credit_channels {
-            channel.load_state(r, |r| r.read_usize())?;
-        }
-        for channel in &mut self.injection_channels {
-            channel.load_state(r, Flit::load_state)?;
-        }
+        self.load_channels(r)?;
 
         r.expect_tag(snap_tags::ISLANDS)?;
         for island in &mut self.islands {
@@ -323,21 +460,7 @@ impl NocSimulation {
 
         r.finish()?;
 
-        // Rebuild the derived acceleration state: the timing wheels from
-        // every channel's in-flight due times, in flat-index order, and the
-        // worklists from the restored routers and sources.
-        self.flit_wheel = DueWheel::rebuilt(
-            self.link_latency,
-            self.flit_channels.iter().map(|ch| ch.iter().flat_map(|ch| ch.due_times())),
-        );
-        self.credit_wheel = DueWheel::rebuilt(
-            self.credit_latency,
-            self.credit_channels.iter().map(|ch| ch.due_times()),
-        );
-        self.inject_wheel = DueWheel::rebuilt(
-            self.link_latency,
-            self.injection_channels.iter().map(|ch| ch.due_times()),
-        );
+        // Rebuild the worklists from the restored routers and sources.
         self.rebuild_sparse_worklists();
         Ok(())
     }

@@ -2,20 +2,20 @@
 //! dividers, the gating and fault state machines; 2 — packet generation
 //! (one [`TrafficSpec::generate_tick`](crate::TrafficSpec::generate_tick)
 //! call, which owns the RNG draw order; a source is touched only when a
-//! packet is emitted for it); 3 — credit delivery; 5 — link flit delivery;
-//! 6 — injection. Phases 1–2 are one piece of code for every engine. In
-//! phases 3, 5 and 6 the engines part ways on purpose: the sparse engine
-//! drains timing wheels and the pending-source worklist, the dense reference
-//! scans every `node × port` channel and every source — an independent way
-//! of finding the same work, which is what the differential suites compare.
+//! packet is emitted for it); 3 — credit delivery; 5 — flit delivery;
+//! 6 — injection. Phases 1–3 and 5 are one piece of code for every engine:
+//! a delivery phase is one linear pass over the wheel slot due this cycle,
+//! and there is no second place a flit or credit in flight could be found.
+//! In phase 6 the engines part ways on purpose: the sparse engine drains the
+//! pending-source worklist, the dense reference scans every source — an
+//! independent way of finding the same work, which is what the differential
+//! suites compare.
 
-use super::{advance_island_clocks, NocSimulation, Tick};
+use super::pipeline::credit_receiver;
+use super::{advance_island_clocks, FlitInFlight, NocSimulation, Tick};
 use crate::fault::{FaultState, FaultTransition};
-use crate::flit::{Flit, PacketId};
-use crate::gating::GatingController;
-use crate::link::DelayChannel;
-use crate::router::{CreditReturn, Router, VcState, LOCAL_PORT};
-use crate::topology::PORT_COUNT;
+use crate::flit::PacketId;
+use crate::router::{CreditReturn, VcState, LOCAL_PORT};
 
 impl NocSimulation {
     /// The power-gating state machine's per-cycle work, shared verbatim by
@@ -25,16 +25,7 @@ impl NocSimulation {
     /// move still-idle routers into DrainWait, and DrainWait routers whose
     /// inbound channels have fully drained close their power gate.
     fn gating_phase(&mut self) {
-        let NocSimulation {
-            sources,
-            flit_channels,
-            injection_channels,
-            incoming_flit_channels,
-            pending_sources,
-            islands,
-            gating,
-            ..
-        } = self;
+        let NocSimulation { sources, inbound_flits, pending_sources, islands, gating, .. } = self;
         for (island, domain) in islands.iter().enumerate() {
             if !domain.fires {
                 continue;
@@ -53,17 +44,12 @@ impl NocSimulation {
                 sources[node].has_pending_flits()
             });
         }
-        // A router gates only when no flit can still reach it: all inbound
-        // link channels and its injection channel are empty. Fenced sends
-        // can never refill them, so gating is race-free within the cycle.
+        // A router gates only when no flit can still reach it: nothing is in
+        // flight towards it on a link or its injection channel. Fenced sends
+        // can never change that, so gating is race-free within the cycle.
         gating.complete_drains(
             |island| islands[island].fires,
-            |node| {
-                incoming_flit_channels[node]
-                    .iter()
-                    .all(|&idx| flit_channels[idx as usize].as_ref().is_none_or(|c| c.is_empty()))
-                    && injection_channels[node].is_empty()
-            },
+            |node| inbound_flits[node] == 0,
             |node| sources[node].has_pending_flits(),
             |island| islands[island].local_cycle,
         );
@@ -76,9 +62,9 @@ impl NocSimulation {
     /// on. Link transitions need no action here — the blocked-port masks
     /// fence both directed channels and flits already on the wire still
     /// deliver. A router death purges the victim (every lost flit counted as
-    /// dropped, one credit returned upstream per purged flit through the
-    /// normal credit channels, so neighbour and source credit accounting
-    /// stays exact) and drains the channels around it; a recovery discards
+    /// dropped, one credit returned upstream per purged flit over the credit
+    /// wheel, so neighbour and source credit accounting stays exact) and
+    /// takes the flits to and from it off the wheel; a recovery discards
     /// stale inbound credits and resynchronises the victim's output credits
     /// against its neighbours' input VCs (retiring any output VC whose
     /// downstream input still holds pre-fault flits).
@@ -88,18 +74,15 @@ impl NocSimulation {
             topo,
             routers,
             sources,
-            flit_channels,
-            credit_channels,
-            injection_channels,
+            flits_in_flight,
+            credits_in_flight,
+            inbound_flits,
             neighbor_table,
-            incoming_flit_channels,
             window,
             islands,
             regions,
             active,
             pending_sources,
-            credit_wheel,
-            credit_latency,
             gating,
             faults,
             fault_transitions,
@@ -135,43 +118,37 @@ impl NocSimulation {
                     purge_credits.clear();
                     let mut dropped = routers[node].purge_all(&mut purge_credits);
                     for cr in purge_credits.drain(..) {
-                        let idx = node * PORT_COUNT + cr.in_port;
-                        credit_channels[idx].send(now, cr.vc);
-                        credit_wheel.schedule(now + *credit_latency, idx as u32);
+                        let to = credit_receiver(neighbor_table, node, cr.in_port, cr.vc);
+                        credits_in_flight.send(now, to);
                     }
                     // Flits in flight towards the dead router can no longer
-                    // be delivered: drop them, crediting the sender through
-                    // the victim's own credit channel for that port.
-                    for &ch in &incoming_flit_channels[node] {
-                        let ch = ch as usize;
-                        let Some(channel) = flit_channels[ch].as_mut() else { continue };
-                        let (_, in_port) = neighbor_table[ch / PORT_COUNT][ch % PORT_COUNT]
-                            .expect("a flit channel implies a neighbour");
-                        let idx = node * PORT_COUNT + in_port;
-                        channel.drain_all(|flit| {
-                            dropped += 1;
-                            credit_channels[idx].send(now, flit.vc as usize);
-                            credit_wheel.schedule(now + *credit_latency, idx as u32);
-                        });
-                    }
-                    let local_idx = node * PORT_COUNT + LOCAL_PORT;
-                    injection_channels[node].drain_all(|flit| {
-                        dropped += 1;
-                        credit_channels[local_idx].send(now, flit.vc as usize);
-                        credit_wheel.schedule(now + *credit_latency, local_idx as u32);
-                    });
-                    // Flits the victim put on the wire before dying go down
-                    // with it (their credits would flow back into the reset
+                    // be delivered: drop them, crediting the sender. Flits
+                    // the victim put on the wire before dying go down with
+                    // it (their credits would flow back into the reset
                     // victim, so none are returned — the downstream side
                     // only credits flits it actually receives).
-                    for port in 0..PORT_COUNT {
-                        if port == LOCAL_PORT {
-                            continue;
-                        }
-                        if let Some(channel) = flit_channels[node * PORT_COUNT + port].as_mut() {
-                            channel.drain_all(|_| dropped += 1);
-                        }
-                    }
+                    let sent_by_victim = |f: &FlitInFlight| {
+                        usize::from(f.in_port) != LOCAL_PORT
+                            && neighbor_table[f.dest as usize][usize::from(f.in_port)]
+                                .is_some_and(|(sender, _)| sender == node)
+                    };
+                    flits_in_flight.extract(
+                        now,
+                        |f| f.dest as usize == node || sent_by_victim(f),
+                        |f| {
+                            dropped += 1;
+                            inbound_flits[f.dest as usize] -= 1;
+                            if f.dest as usize == node {
+                                let to = credit_receiver(
+                                    neighbor_table,
+                                    node,
+                                    usize::from(f.in_port),
+                                    f.flit.vc(),
+                                );
+                                credits_in_flight.send(now, to);
+                            }
+                        },
+                    );
                     *total_dropped += dropped;
                     window.flits_dropped += dropped;
                     islands[island_of[node] as usize].window.flits_dropped += dropped;
@@ -187,16 +164,17 @@ impl NocSimulation {
                     pending_sources.set_to(node, false);
                 }
                 FaultTransition::RouterUp { node } => {
+                    // Credits still heading for the reset router would
+                    // overflow its fresh full-credit outputs: discard.
+                    credits_in_flight.extract(
+                        now,
+                        |c| c.target as usize == node && usize::from(c.out_port) != LOCAL_PORT,
+                        |_| {},
+                    );
                     for (port, link) in neighbor_table[node].iter().enumerate() {
-                        if port == LOCAL_PORT {
-                            continue;
-                        }
                         let Some((nbr, nbr_in_port)) = *link else {
                             continue;
                         };
-                        // Credits still heading for the reset router would
-                        // overflow its fresh full-credit outputs: discard.
-                        credit_channels[nbr * PORT_COUNT + nbr_in_port].drain_all(|_| {});
                         // Resynchronise this output against the neighbour's
                         // input VCs: an idle VC gets the full refill the
                         // factory reset already assumed; a VC still holding
@@ -333,69 +311,71 @@ impl NocSimulation {
 
     /// Phases 5–6.
     pub(super) fn post_pipeline_phases(&mut self, tick: Tick) {
+        self.deliver_flits(tick);
         if self.dense_step {
-            self.post_pipeline_dense(tick);
+            self.inject_dense(tick);
         } else {
-            self.post_pipeline_sparse(tick);
+            self.inject_sparse(tick);
         }
     }
 
-    /// Phase 3: credit delivery (credits sent in earlier cycles arrive now)
-    /// — the sparse engine visits only the channels its wheel has due this
-    /// cycle, the dense reference every credit channel. A credit bound for a
-    /// dead router is discarded: the death reset its outputs to full
+    /// Phase 3: credit delivery — the credits sent `credit_latency` cycles
+    /// ago arrive now, in one pass over their wheel slot. A credit bound for
+    /// a dead router is discarded: the death reset its outputs to full
     /// credits, so a late return would overflow.
     fn deliver_credits(&mut self, Tick { now, fault_block, .. }: Tick) {
-        let dense = self.dense_step;
-        let NocSimulation {
-            routers, sources, credit_channels, neighbor_table, credit_wheel, faults, ..
-        } = self;
+        let NocSimulation { routers, sources, credits_in_flight, faults, .. } = self;
         let faults: Option<&FaultState> = faults.as_ref();
-        let channels = credit_channels.len();
-        let mut deliver = |idx: usize| {
-            let (node, in_port) = (idx / PORT_COUNT, idx % PORT_COUNT);
-            let channel = &mut credit_channels[idx];
-            if in_port == LOCAL_PORT {
-                let source = &mut sources[node];
-                channel.deliver(now, |vc| source.return_credit(vc));
-            } else if let Some((upstream, upstream_out_port)) = neighbor_table[node][in_port] {
-                if fault_block && faults.is_some_and(|f| f.router_dead(upstream)) {
-                    channel.deliver(now, |_| {});
-                } else {
-                    let router = &mut routers[upstream];
-                    channel.deliver(now, |vc| router.accept_credit(upstream_out_port, vc));
-                }
-            } else {
-                debug_assert!(channel.is_empty(), "credits only flow towards real neighbours");
+        for credit in credits_in_flight.deliver(now) {
+            let (target, out_port, vc) =
+                (credit.target as usize, usize::from(credit.out_port), usize::from(credit.vc));
+            if out_port == LOCAL_PORT {
+                sources[target].return_credit(vc);
+            } else if !(fault_block && faults.is_some_and(|f| f.router_dead(target))) {
+                routers[target].accept_credit(out_port, vc);
             }
-        };
-        if dense {
-            // The dense loop scans channels itself; discard this cycle's
-            // due-list entries so the wheels never accumulate and a later
-            // switch to the sparse engine sees a consistent due-list.
-            credit_wheel.clear_slot(now);
-            (0..channels).for_each(deliver);
-        } else {
-            credit_wheel.drain(now, |id| deliver(id as usize));
         }
     }
 
-    /// Sparse phases 5–6: link flit delivery, injection delivery, and source
-    /// injection.
-    fn post_pipeline_sparse(&mut self, tick: Tick) {
+    /// Phase 5: flit delivery — the link flits sent `link_latency` cycles
+    /// ago, then the flits injected then (phase 6 pushes behind the same
+    /// tick's link sends), arrive now, in one pass over their wheel slot.
+    /// An arrival re-activates the receiving router and, under gating, ends
+    /// its idle span. No flit is ever due at a dead router: its death took
+    /// them off the wheel and the fault fences let none be sent since.
+    fn deliver_flits(&mut self, Tick { now, .. }: Tick) {
+        let NocSimulation { routers, flits_in_flight, inbound_flits, active, gating, faults, .. } =
+            self;
+        for FlitInFlight { dest, in_port, flit } in flits_in_flight.deliver(now) {
+            let node = dest as usize;
+            debug_assert!(
+                !faults.as_ref().is_some_and(|f| f.router_dead(node)),
+                "a flit reached dead router {node}"
+            );
+            inbound_flits[node] -= 1;
+            routers[node].accept_flit(usize::from(in_port), flit);
+            if gating.enabled {
+                gating.on_flit_arrival(node);
+            }
+            active.insert(node);
+        }
+    }
+
+    /// Sparse phase 6: each source with queued flits hands over at most one
+    /// flit for the next cycle. Sources without queued flits are skipped —
+    /// they would refuse (`try_inject` → `None`) without side effects. The
+    /// local injection port is island-clocked, so sources of non-firing
+    /// islands are masked out and stay pending. A source whose router is
+    /// fenced (gated or waking) raises one wakeup request and leaves the
+    /// worklist until the router powers on.
+    fn inject_sparse(&mut self, tick: Tick) {
         let Tick { now, all_fire, fault_block, gate_fencing, .. } = tick;
-        let link_latency = self.link_latency;
         let NocSimulation {
-            routers,
             sources,
-            flit_channels,
-            injection_channels,
-            neighbor_table,
+            flits_in_flight,
+            inbound_flits,
             window,
-            active,
             pending_sources,
-            flit_wheel,
-            inject_wheel,
             regions,
             islands,
             fire_words,
@@ -406,38 +386,6 @@ impl NocSimulation {
         } = self;
         let island_of = regions.assignments();
         let faults: Option<&FaultState> = faults.as_ref();
-
-        // 5. Flit delivery on inter-router links — only links with a flit
-        //    due this cycle; arrival re-activates the downstream router.
-        flit_wheel.drain(now, |id| {
-            let idx = id as usize;
-            let channel = flit_channels[idx].as_mut().expect("wheel entries imply a channel");
-            let (neighbor, in_port) = neighbor_table[idx / PORT_COUNT][idx % PORT_COUNT]
-                .expect("channel implies neighbour");
-            deliver_flits(channel, now, &mut routers[neighbor], in_port, gating);
-            debug_assert!(channel.next_due().is_none_or(|d| d > now));
-            // A wheel entry for a channel drained by a router death must not
-            // re-activate the dead (purged, quiescent) router.
-            if !(fault_block && faults.is_some_and(|f| f.router_dead(neighbor))) {
-                active.insert(neighbor);
-            }
-        });
-
-        // 6. Injection: deliver flits due on injection channels, then let
-        //    each source with queued flits hand over at most one flit for the
-        //    next cycle. Sources without queued flits are skipped — they
-        //    would refuse (`try_inject` → `None`) without side effects.
-        //    The local injection port is island-clocked, so sources of
-        //    non-firing islands are masked out and stay pending. A source
-        //    whose router is fenced (gated or waking) raises one wakeup
-        //    request and leaves the worklist until the router powers on.
-        inject_wheel.drain(now, |id| {
-            let node = id as usize;
-            deliver_flits(&mut injection_channels[node], now, &mut routers[node], LOCAL_PORT, gating);
-            if !(fault_block && faults.is_some_and(|f| f.router_dead(node))) {
-                active.insert(node);
-            }
-        });
         for (widx, word) in pending_sources.words.iter_mut().enumerate() {
             let gate = if all_fire { u64::MAX } else { fire_words[widx] };
             let mut w = *word & gate;
@@ -459,8 +407,11 @@ impl NocSimulation {
                     continue;
                 }
                 if let Some(flit) = sources[node].try_inject() {
-                    injection_channels[node].send(now, flit);
-                    inject_wheel.schedule(now + link_latency, node as u32);
+                    inbound_flits[node] += 1;
+                    flits_in_flight.send(
+                        now,
+                        FlitInFlight { dest: node as u32, in_port: LOCAL_PORT as u8, flit },
+                    );
                     window.flits_injected += 1;
                     islands[island_of[node] as usize].window.flits_injected += 1;
                     if let Some(t) = tenants.as_mut() {
@@ -474,19 +425,16 @@ impl NocSimulation {
         }
     }
 
-    /// Dense phases 5–6: every link channel, every injection channel and
-    /// every source.
-    fn post_pipeline_dense(&mut self, Tick { now, fault_block, gate_fencing, .. }: Tick) {
-        let link_latency = self.link_latency;
+    /// Dense phase 6: every source hands over at most one new flit for the
+    /// next cycle (the local port is island-clocked, so only when the
+    /// source's island fires; a fenced router's source holds its flits and
+    /// raises a wakeup request instead).
+    fn inject_dense(&mut self, Tick { now, fault_block, gate_fencing, .. }: Tick) {
         let NocSimulation {
-            routers,
             sources,
-            flit_channels,
-            injection_channels,
-            neighbor_table,
+            flits_in_flight,
+            inbound_flits,
             window,
-            flit_wheel,
-            inject_wheel,
             regions,
             islands,
             gating,
@@ -496,25 +444,8 @@ impl NocSimulation {
         } = self;
         let island_of = regions.assignments();
         let faults: Option<&FaultState> = faults.as_ref();
-        flit_wheel.clear_slot(now);
-        inject_wheel.clear_slot(now);
-
-        // 5. Flit delivery on inter-router links.
-        for (idx, channel) in flit_channels.iter_mut().enumerate() {
-            let Some(channel) = channel else { continue };
-            let (neighbor, in_port) = neighbor_table[idx / PORT_COUNT][idx % PORT_COUNT]
-                .expect("channel implies neighbour");
-            deliver_flits(channel, now, &mut routers[neighbor], in_port, gating);
-        }
-
-        // 6. Injection: deliver flits already on the injection channel, then
-        //    let each source hand over at most one new flit for the next
-        //    cycle (the local port is island-clocked, so only when the
-        //    source's island fires; a fenced router's source holds its flits
-        //    and raises a wakeup request instead).
         for (node, source) in sources.iter_mut().enumerate() {
             let island = &mut islands[island_of[node] as usize];
-            deliver_flits(&mut injection_channels[node], now, &mut routers[node], LOCAL_PORT, gating);
             if !island.fires {
                 continue;
             }
@@ -527,8 +458,11 @@ impl NocSimulation {
                     gating.fenced_sources[node] = true;
                 }
             } else if let Some(flit) = source.try_inject() {
-                injection_channels[node].send(now, flit);
-                inject_wheel.schedule(now + link_latency, node as u32);
+                inbound_flits[node] += 1;
+                flits_in_flight.send(
+                    now,
+                    FlitInFlight { dest: node as u32, in_port: LOCAL_PORT as u8, flit },
+                );
                 window.flits_injected += 1;
                 island.window.flits_injected += 1;
                 if let Some(t) = tenants.as_mut() {
@@ -536,25 +470,5 @@ impl NocSimulation {
                 }
             }
         }
-    }
-}
-
-/// Delivers the flits due on `channel` into input `in_port` of `router`, the
-/// channel's receiver; under gating an arrival ends the receiver's idle span.
-#[inline]
-fn deliver_flits(
-    channel: &mut DelayChannel<Flit>,
-    now: u64,
-    router: &mut Router,
-    in_port: usize,
-    gating: &mut GatingController,
-) {
-    let mut delivered = false;
-    channel.deliver(now, |flit| {
-        router.accept_flit(in_port, flit);
-        delivered = true;
-    });
-    if delivered && gating.enabled {
-        gating.on_flit_arrival(router.node());
     }
 }

@@ -1,13 +1,13 @@
 //! Phase 4, the router pipelines: **one kernel, one effects path**.
 //!
 //! [`tick_router`] is the only place a router's cycle is spelled out — the
-//! dead-router check, the fence mask, SA/ST, the sends on the router's own
-//! outbound channels, VA, RC, the telemetry probe and the quiescence test. It
-//! reads a [`PipelineView`] (state nobody writes during the phase), writes a
-//! [`NodeLanes`] (state only this router's tick writes) and leaves everything
-//! that touches shared state in the [`TraversalOutput`] it filled.
-//! [`Effects::apply`] is the only place those leftovers — wheel schedules,
-//! wakeup requests, drop and ejection tallies, sink acceptance, worklist and
+//! dead-router check, the fence mask, SA/ST, VA, RC, the telemetry probe and
+//! the quiescence test. It reads a [`PipelineView`] (state nobody writes
+//! during the phase), writes a [`NodeLanes`] (state only this router's tick
+//! writes), sends nothing, and leaves everything that touches shared state in
+//! the [`TraversalOutput`] it filled. [`Effects::apply`] is the only place
+//! those leftovers — the flits and credits that go onto the wheels, wakeup
+//! requests, drop and ejection tallies, sink acceptance, worklist and
 //! idle-span updates — are applied.
 //!
 //! The steppers are drivers of that pair and differ only in *which nodes they
@@ -19,13 +19,13 @@
 //! apply in ascending node order (see [`threaded`](super::threaded)).
 
 use super::islands::IslandDomain;
-use super::worklist::{DueWheel, NodeSet};
-use super::{NocSimulation, TenantAccounting, Tick, WindowMeasurement};
+use super::worklist::{EventWheel, NodeSet};
+use super::{
+    CreditInFlight, FlitInFlight, NocSimulation, TenantAccounting, Tick, WindowMeasurement,
+};
 use crate::fault::FaultState;
-use crate::flit::Flit;
 use crate::gating::GatingController;
-use crate::link::DelayChannel;
-use crate::router::{Router, TraversalOutput};
+use crate::router::{Router, TraversalOutput, LOCAL_PORT};
 use crate::routing::RoutingAlgorithm;
 use crate::sink::Sink;
 use crate::stats::SimStats;
@@ -38,7 +38,6 @@ pub(super) type NeighborTable = [[Option<(usize, usize)>; PORT_COUNT]];
 /// What the pipeline phase of one tick reads and nothing writes until the
 /// phase is over — safe to share between island workers.
 pub(super) struct PipelineView<'a> {
-    now: u64,
     fault_block: bool,
     /// Whether any fence (gating or fault) is up this tick.
     fencing: bool,
@@ -59,7 +58,6 @@ impl<'a> PipelineView<'a> {
         faults: Option<&'a FaultState>,
     ) -> Self {
         PipelineView {
-            now: tick.now,
             fault_block: tick.fault_block,
             fencing: tick.gate_fencing || tick.fault_block,
             topo,
@@ -72,12 +70,9 @@ impl<'a> PipelineView<'a> {
 }
 
 /// The state one router's tick writes and no other router's tick touches:
-/// the router, its `PORT_COUNT` outbound flit and credit channels, and its
-/// telemetry probe slot.
+/// the router and its telemetry probe slot.
 pub(super) struct NodeLanes<'a> {
     pub(super) router: &'a mut Router,
-    pub(super) flit_out: &'a mut [Option<DelayChannel<Flit>>],
-    pub(super) credit_out: &'a mut [DelayChannel<usize>],
     pub(super) probe: Option<&'a mut RouterProbe>,
 }
 
@@ -90,16 +85,16 @@ pub(super) enum Visit {
     /// The router buffers nothing (any more): it leaves the worklist and,
     /// under gating, starts its idle span.
     Drained,
-    /// A dead router was purged at its death; a stale worklist bit (from a
-    /// wheel entry of a drained channel) is simply cleared again, and a dead
-    /// router never starts a gating idle span.
+    /// A dead router was purged at its death and nothing reaches it until it
+    /// recovers; only the dense scan still visits it. It never starts a
+    /// gating idle span.
     Dead,
 }
 
 /// One router's cycle: SA/ST, then VA, then RC (reverse order, so a flit
-/// advances at most one stage per cycle). Flits and credits leave on the
-/// router's own channels here; every effect on shared state is left in
-/// `out` for [`Effects::apply`].
+/// advances at most one stage per cycle). Nothing is sent here: the flits
+/// and credits the router emits stay in `out`, with every other effect on
+/// shared state, for [`Effects::apply`].
 ///
 /// `inline(always)`, here and on [`Effects::apply`]: with three drivers
 /// calling them the plain hint is not taken, and an out-of-line call per
@@ -122,15 +117,6 @@ pub(super) fn tick_router(
         if view.fencing { fault_ports | fence_mask(view.neighbor_table, gating, node) } else { 0 };
     let router = lanes.router;
     router.sa_st_stage_fenced(out, fence);
-    for outgoing in &out.outgoing {
-        lanes.flit_out[outgoing.out_port]
-            .as_mut()
-            .expect("router only routes towards existing links")
-            .send(view.now, outgoing.flit);
-    }
-    for credit in &out.credits {
-        lanes.credit_out[credit.in_port].send(view.now, credit.vc);
-    }
     router.va_stage();
     router.rc_stage_blocked(view.topo, view.routing, fault_ports, view.static_route);
     if let Some(probe) = lanes.probe {
@@ -152,15 +138,14 @@ pub(super) fn tick_router(
 /// changes outside its own [`NodeLanes`]. Held by exactly one thread.
 pub(super) struct Effects<'a> {
     tick: Tick,
-    link_latency: u64,
-    credit_latency: u64,
     neighbor_table: &'a NeighborTable,
     island_of: &'a [u32],
     islands: &'a mut [IslandDomain],
     gating: &'a mut GatingController,
     active: &'a mut NodeSet,
-    flit_wheel: &'a mut DueWheel,
-    credit_wheel: &'a mut DueWheel,
+    flits_in_flight: &'a mut EventWheel<FlitInFlight>,
+    credits_in_flight: &'a mut EventWheel<CreditInFlight>,
+    inbound_flits: &'a mut [u32],
     sink: &'a mut Sink,
     totals: &'a mut SimStats,
     window: &'a mut WindowMeasurement,
@@ -193,13 +178,20 @@ impl Effects<'_> {
         if out.dropped > 0 || !out.ejected.is_empty() {
             self.tally(node, island, out);
         }
+        // The sends: each flit and credit goes onto its wheel addressed to
+        // its receiver, looked up once, here.
         for outgoing in &out.outgoing {
-            let idx = node * PORT_COUNT + outgoing.out_port;
-            self.flit_wheel.schedule(self.tick.now + self.link_latency, idx as u32);
+            let (dest, in_port) = self.neighbor_table[node][outgoing.out_port]
+                .expect("router only routes towards existing links");
+            self.inbound_flits[dest] += 1;
+            self.flits_in_flight.send(
+                self.tick.now,
+                FlitInFlight { dest: dest as u32, in_port: in_port as u8, flit: outgoing.flit },
+            );
         }
         for credit in &out.credits {
-            let idx = node * PORT_COUNT + credit.in_port;
-            self.credit_wheel.schedule(self.tick.now + self.credit_latency, idx as u32);
+            let to = credit_receiver(self.neighbor_table, node, credit.in_port, credit.vc);
+            self.credits_in_flight.send(self.tick.now, to);
         }
         if visit != Visit::Busy {
             self.active.set_to(node, false);
@@ -246,6 +238,23 @@ impl Effects<'_> {
     }
 }
 
+/// Where a credit for input `in_port` of `node` goes: the output of the
+/// upstream router that feeds the port, or the node's own source.
+#[inline]
+pub(super) fn credit_receiver(
+    neighbor_table: &NeighborTable,
+    node: usize,
+    in_port: usize,
+    vc: usize,
+) -> CreditInFlight {
+    let (target, out_port) = if in_port == LOCAL_PORT {
+        (node, LOCAL_PORT)
+    } else {
+        neighbor_table[node][in_port].expect("credits only flow towards real neighbours")
+    };
+    CreditInFlight { target: target as u32, out_port: out_port as u8, vc: vc as u8 }
+}
+
 /// The per-router fence mask: bits of output ports whose downstream router
 /// is power-gated or still waking. Computed only on cycles where at least
 /// one router is fenced; fault fences (failed links / dead neighbours) are
@@ -275,8 +284,6 @@ fn fence_mask(neighbor_table: &NeighborTable, gating: &GatingController, node: u
 pub(super) struct SerialPipeline<'a> {
     view: PipelineView<'a>,
     routers: &'a mut [Router],
-    flit_channels: &'a mut [Option<DelayChannel<Flit>>],
-    credit_channels: &'a mut [DelayChannel<usize>],
     probes: Option<&'a mut [RouterProbe]>,
     pub(super) fx: Effects<'a>,
     scratch: &'a mut TraversalOutput,
@@ -287,11 +294,8 @@ impl SerialPipeline<'_> {
     /// The kernel on `node`, its effects applied at once.
     #[inline(always)]
     fn visit(&mut self, node: usize) {
-        let ports = node * PORT_COUNT..(node + 1) * PORT_COUNT;
         let lanes = NodeLanes {
             router: &mut self.routers[node],
-            flit_out: &mut self.flit_channels[ports.clone()],
-            credit_out: &mut self.credit_channels[ports],
             probe: self.probes.as_deref_mut().map(|p| &mut p[node]),
         };
         let visit = tick_router(&self.view, self.fx.gating, node, lanes, self.scratch);
@@ -307,17 +311,14 @@ impl NocSimulation {
             routing,
             routers,
             sink,
-            flit_channels,
-            credit_channels,
+            flits_in_flight,
+            credits_in_flight,
+            inbound_flits,
             neighbor_table,
             totals,
             window,
             scratch,
             active,
-            flit_wheel,
-            credit_wheel,
-            link_latency,
-            credit_latency,
             regions,
             islands,
             fire_words,
@@ -331,20 +332,17 @@ impl NocSimulation {
         SerialPipeline {
             view: PipelineView::new(tick, topo, &**routing, neighbor_table, faults.as_ref()),
             routers,
-            flit_channels,
-            credit_channels,
             probes: telemetry.as_deref_mut().map(|t| t.routers.as_mut_slice()),
             fx: Effects {
                 tick,
-                link_latency: *link_latency,
-                credit_latency: *credit_latency,
                 neighbor_table,
                 island_of: regions.assignments(),
                 islands,
                 gating,
                 active,
-                flit_wheel,
-                credit_wheel,
+                flits_in_flight,
+                credits_in_flight,
+                inbound_flits,
                 sink,
                 totals,
                 window,

@@ -1024,6 +1024,22 @@ fn router_and_source_sections(
     (routers..routers_end, sources..sources_end)
 }
 
+/// Where the channel section of `sim`'s snapshot sits in its serialized
+/// `bytes`: past the sources come the sink (tag, section), the traffic blob
+/// (tag, length, bytes) and the channels' own tag.
+fn channel_section(
+    sim: &NocSimulation,
+    snap: &crate::snapshot::SimSnapshot,
+    bytes: &[u8],
+) -> std::ops::Range<usize> {
+    let (_, sources) = router_and_source_sections(sim, snap, bytes);
+    let mut blob = Vec::new();
+    sim.traffic.save_extra_state(&mut blob);
+    let sink = encoded(&|w| sim.sink.save_state(w)).len();
+    let start = sources.end + 1 + sink + 1 + 8 + blob.len() + 1;
+    start..start + encoded(&|w| sim.save_channels(w)).len()
+}
+
 /// Whether a source of `packet_length`-flit packets holds a partly injected
 /// packet with at least one whole packet queued behind it.
 fn backlogged_mid_packet(source: &Source, packet_length: usize) -> bool {
@@ -1094,4 +1110,293 @@ fn bit_flips_in_the_router_section_are_refused_or_harmless() {
     assert!(sections.next().is_none(), "the gating section must be found exactly once");
     let (refused, survived) = flip_sweep(&gated, &bytes, start..start + section.len());
     assert!(refused > 0 && survived > 0, "gating: {refused} refused, {survived} survived");
+}
+
+// ----- the wheel is the old channels: transport on disk and under faults -------
+
+use std::collections::VecDeque;
+
+/// The transport the wheels replaced, as a model: one FIFO of `(due, item)`
+/// per link (`node × PORT_COUNT + out_port`, existing links only), per credit
+/// channel (`node × PORT_COUNT + in_port`) and per injection channel, fed by
+/// what the simulation sends tick by tick, and encoded as the channel
+/// section has always been. Channels are found through the topology, not the
+/// neighbour table the engine addresses its sends with.
+struct ChannelModel {
+    links: Vec<Option<VecDeque<(u64, Flit)>>>,
+    credits: Vec<VecDeque<(u64, usize)>>,
+    injection: Vec<VecDeque<(u64, Flit)>>,
+}
+
+impl ChannelModel {
+    fn new(topo: &Topology) -> Self {
+        let n = topo.node_count();
+        let links = (0..n * PORT_COUNT).map(|idx| {
+            let (node, port) = (idx / PORT_COUNT, idx % PORT_COUNT);
+            let linked =
+                port != LOCAL_PORT && topo.neighbor(node, Direction::from_index(port)).is_some();
+            linked.then(VecDeque::new)
+        });
+        ChannelModel {
+            links: links.collect(),
+            credits: vec![VecDeque::new(); n * PORT_COUNT],
+            injection: vec![VecDeque::new(); n],
+        }
+    }
+
+    /// The flat index of the other end of the link at `port` of `node`.
+    fn other_end(topo: &Topology, node: u32, port: u8) -> usize {
+        let dir = Direction::from_index(usize::from(port));
+        let far = topo.neighbor(node as usize, dir).expect("a link");
+        far * PORT_COUNT + dir.opposite().index()
+    }
+
+    /// Takes over the tick `sim` has just run: what arrived this cycle
+    /// leaves the channels, what was sent during it — the items now due a
+    /// full latency ahead, in send order — joins them at the back.
+    fn observe_tick(&mut self, sim: &NocSimulation) {
+        let now = sim.current_cycle();
+        let flit_queues = self.links.iter_mut().flatten().chain(&mut self.injection);
+        flit_queues.for_each(|q| q.retain(|&(due, _)| due > now));
+        self.credits.iter_mut().for_each(|q| q.retain(|&(due, _)| due > now));
+        for (due, f) in sim.flits_in_flight.iter(now) {
+            if due != now + sim.cfg.link_latency() {
+                continue;
+            }
+            if usize::from(f.in_port) == LOCAL_PORT {
+                self.injection[f.dest as usize].push_back((due, f.flit));
+            } else {
+                let idx = Self::other_end(&sim.topo, f.dest, f.in_port);
+                self.links[idx].as_mut().expect("a link").push_back((due, f.flit));
+            }
+        }
+        for (due, c) in sim.credits_in_flight.iter(now) {
+            if due != now + sim.cfg.credit_latency() {
+                continue;
+            }
+            let idx = if usize::from(c.out_port) == LOCAL_PORT {
+                c.target as usize * PORT_COUNT + LOCAL_PORT
+            } else {
+                Self::other_end(&sim.topo, c.target, c.out_port)
+            };
+            self.credits[idx].push_back((due, usize::from(c.vc)));
+        }
+    }
+
+    /// The channel section as per-channel queues wrote it.
+    fn encode(&self) -> Vec<u8> {
+        let put_flits = |q: &VecDeque<(u64, Flit)>, w: &mut crate::snapshot::SnapWriter| {
+            w.put_usize(q.len());
+            for (due, flit) in q {
+                w.put_u64(*due);
+                flit.save_state(w);
+            }
+        };
+        encoded(&|w| {
+            self.links.iter().flatten().for_each(|q| put_flits(q, w));
+            for q in &self.credits {
+                w.put_usize(q.len());
+                for (due, vc) in q {
+                    w.put_u64(*due);
+                    w.put_usize(*vc);
+                }
+            }
+            self.injection.iter().for_each(|q| put_flits(q, w));
+        })
+    }
+}
+
+/// The wheel is the old channels, on disk too: with one and with three
+/// cycles of link latency, the channel section of a saturated 3×3's snapshot
+/// equals, byte for byte, what per-channel FIFOs fed by the same sends
+/// encode, and a simulation restored from it is the one that never paused.
+#[test]
+fn channel_section_is_the_per_channel_queue_encoding() {
+    for link_latency in [1, 3] {
+        let fresh = || {
+            let cfg = NetworkConfig::builder().mesh(3, 3).virtual_channels(2).buffer_depth(4);
+            let cfg = cfg.packet_length(5).link_latency(link_latency).build().unwrap();
+            sim_with(0.9, TrafficPattern::Uniform, cfg, 21)
+        };
+        let mut sim = fresh();
+        let mut model = ChannelModel::new(&sim.topo);
+        for _ in 0..600 {
+            sim.run_cycles(1);
+            model.observe_tick(&sim);
+        }
+        assert!(sim.in_flight_flits() > 10 && sim.in_flight_credits() > 10, "a saturated fabric");
+        let snap = sim.snapshot();
+        let bytes = snap.to_bytes();
+        let reference = model.encode();
+        let section = channel_section(&sim, &snap, &bytes);
+        assert_eq!(section.len(), reference.len(), "latency {link_latency}");
+        assert!(bytes[section] == reference[..], "latency {link_latency}: not the queue encoding");
+
+        let stored = crate::snapshot::SimSnapshot::from_bytes(&bytes).expect("intact bytes");
+        // Restoring over a used simulation is exact: what it had in flight goes.
+        let mut restored = fresh();
+        restored.run_cycles(123);
+        restored.restore(&stored).expect("an untouched snapshot restores");
+        assert_eq!(restored.inbound_flits, sim.inbound_flits);
+        for _ in 0..4 {
+            sim.run_cycles(500);
+            restored.run_cycles(500);
+            assert_eq!(restored.take_window(), sim.take_window());
+        }
+        assert_eq!(restored.stats(), sim.stats());
+        assert!(restored.snapshot().to_bytes() == sim.snapshot().to_bytes());
+        conservation_holds(&restored);
+    }
+}
+
+/// A router that dies on the very tick a flit towards it is due (link
+/// latency 1: every flit in flight is) drops that flit, credits its sender
+/// and has nothing inbound afterwards. The fault phase runs before the
+/// tick's deliveries, so the flit is still on the wheel — in the slot of
+/// `now` itself, which an extraction starting one cycle ahead would miss.
+#[test]
+fn a_flit_due_on_the_tick_its_receiver_dies_is_dropped_and_credited() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    const VICTIM: usize = 5;
+    let dying_at = |at: u64| {
+        let death = FaultEvent::permanent(FaultTarget::Router { node: VICTIM }, at);
+        sim_with(0.3, TrafficPattern::Uniform, faulted_cfg(FaultConfig::scheduled(vec![death])), 17)
+    };
+    // The first death tick on which a link flit (not an injected one) is due
+    // at the victim.
+    let (mut sim, doomed) = (200..400)
+        .find_map(|at| {
+            let mut sim = dying_at(at);
+            sim.run_cycles(at - 1);
+            let doomed: Vec<FlitInFlight> = sim
+                .flits_in_flight
+                .iter(at - 1)
+                .filter(|(due, f)| *due == at && f.dest as usize == VICTIM)
+                .map(|(_, f)| *f)
+                .collect();
+            doomed.iter().any(|f| usize::from(f.in_port) != LOCAL_PORT).then_some((sim, doomed))
+        })
+        .expect("some tick has a link flit due at the victim");
+    let now = sim.current_cycle() + 1;
+    let sent_by_victim = sim
+        .flits_in_flight
+        .iter(now - 1)
+        .filter(|(_, f)| {
+            usize::from(f.in_port) != LOCAL_PORT
+                && sim.topo.neighbor(f.dest as usize, Direction::from_index(usize::from(f.in_port)))
+                    == Some(VICTIM)
+        })
+        .count();
+    let lost = sim.routers[VICTIM].buffered_flits() + doomed.len() + sent_by_victim;
+
+    sim.run_cycles(1);
+    assert!(sim.faults.as_ref().is_some_and(|f| f.router_dead(VICTIM)));
+    assert_eq!(sim.total_flits_dropped(), lost as u64, "buffered + inbound + outbound");
+    assert_eq!(sim.inbound_flits[VICTIM], 0);
+    assert!(sim.flits_in_flight.iter(now).all(|(_, f)| f.dest as usize != VICTIM));
+    assert_eq!(sim.routers[VICTIM].buffered_flits(), 0, "nothing was delivered into the purge");
+    for f in &doomed {
+        // The credit is on its way to whoever sent the flit.
+        let (target, out_port) = if usize::from(f.in_port) == LOCAL_PORT {
+            (VICTIM, LOCAL_PORT)
+        } else {
+            let dir = Direction::from_index(usize::from(f.in_port));
+            (sim.topo.neighbor(VICTIM, dir).expect("a link"), dir.opposite().index())
+        };
+        let credited = sim.credits_in_flight.iter(now).any(|(due, c)| {
+            due == now + sim.cfg.credit_latency()
+                && (c.target as usize, usize::from(c.out_port), usize::from(c.vc))
+                    == (target, out_port, f.flit.vc())
+        });
+        assert!(credited, "no credit for {} towards router {target}", f.flit);
+    }
+    conservation_holds(&sim);
+    sim.run_cycles(2_000);
+    conservation_holds(&sim);
+}
+
+/// The O(1) transport counters are the wheels' contents: after every tick of
+/// a gated, faulted quadrant 4×4 — sleeps, wakeups, a router death with its
+/// extraction and the recovery — `inbound_flits` and both in-flight counts
+/// equal a recount over the wheels.
+#[test]
+fn transport_counters_match_a_recount_after_every_tick() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    let cfg = NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .link_latency(2)
+        .regions(crate::region::RegionLayout::Quadrants)
+        .gating(crate::gating::GatingConfig::enabled(8, 4))
+        .faults(FaultConfig::scheduled(vec![FaultEvent::transient(
+            FaultTarget::Router { node: 6 },
+            300,
+            500,
+        )]))
+        .build()
+        .unwrap();
+    let mut sim = sim_with(0.06, TrafficPattern::Uniform, cfg, 13);
+    sim.set_island_frequency(2, Hertz::from_mhz(500.0));
+    let (mut saw_gated, mut saw_inbound) = (false, false);
+    for _ in 0..1_500 {
+        sim.run_cycles(1);
+        let now = sim.current_cycle();
+        let mut inbound = vec![0u32; sim.node_count()];
+        sim.flits_in_flight.iter(now).for_each(|(_, f)| inbound[f.dest as usize] += 1);
+        assert_eq!(sim.inbound_flits, inbound, "cycle {now}");
+        assert_eq!(sim.in_flight_flits(), inbound.iter().sum::<u32>() as usize, "cycle {now}");
+        assert_eq!(sim.in_flight_credits(), sim.credits_in_flight.iter(now).count(), "cycle {now}");
+        saw_gated |= sim.gated_router_count() > 0;
+        saw_inbound |= inbound.iter().any(|&n| n > 1);
+    }
+    assert!(saw_gated && saw_inbound && sim.total_flits_dropped() > 0, "the run must exercise it");
+    conservation_holds(&sim);
+}
+
+/// One bit flipped in every byte of the channel section of a loaded 3×3
+/// snapshot taken with three cycles of link latency, so flits and credits
+/// are in flight for several due cycles (see [`flip_sweep`]). Before the
+/// section checked its bytes, a flit's VC and endpoints and a credit's VC
+/// were read as they came and met an `assert!` in `accept_flit` /
+/// `accept_credit` ticks later, and a due cycle was only checked for order —
+/// on a wheel, one outside `now + 1 ..= now + latency` would alias a slot.
+#[test]
+fn bit_flips_in_the_channel_section_are_refused_or_harmless() {
+    let loaded = || {
+        let cfg = NetworkConfig::builder().mesh(3, 3).virtual_channels(2).buffer_depth(4);
+        let cfg = cfg.packet_length(4).link_latency(3).build().unwrap();
+        sim_with(0.35, TrafficPattern::Uniform, cfg, 7)
+    };
+    let mut sim = loaded();
+    sim.run_cycles(400);
+    let now = sim.current_cycle();
+    let mut dues: Vec<u64> = sim.flits_in_flight.iter(now).map(|(due, _)| due).collect();
+    dues.dedup();
+    assert_eq!(dues.len(), 3, "flits must be in flight for every due cycle, got {dues:?}");
+    assert!(sim.in_flight_credits() > 0);
+    let snap = sim.snapshot();
+    let bytes = snap.to_bytes();
+    let section = channel_section(&sim, &snap, &bytes);
+    let (refused, survived) = flip_sweep(&loaded, &bytes, section);
+    println!("channel section: {refused} refused, {survived} survived");
+    assert!(refused > 0 && survived > 0, "channel: {refused} refused, {survived} survived");
+
+    // A stored count no payload could hold: items are pushed as their bytes
+    // are read, so even with every item behind it valid the restore ends at
+    // the end of the payload — nothing is sized by the count.
+    let section = channel_section(&sim, &snap, &bytes);
+    let header = bytes.len() - snap.payload_len();
+    let (_, flit) = sim.flits_in_flight.iter(now).next().expect("a flit in flight");
+    let mut payload = bytes[header..section.start].to_vec();
+    payload.extend(encoded(&|w| {
+        w.put_usize(usize::MAX);
+        for _ in 0..100 {
+            w.put_u64(now + 1);
+            flit.flit.save_state(w);
+        }
+    }));
+    let hostile = crate::snapshot::SimSnapshot::new(snap.config_fingerprint(), payload);
+    assert_eq!(loaded().restore(&hostile), Err(crate::snapshot::SnapshotError::UnexpectedEof));
 }

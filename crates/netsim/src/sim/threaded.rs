@@ -2,11 +2,12 @@
 //!
 //! Islands are round-robin-partitioned over scoped worker threads, which run
 //! [`tick_router`] over their islands' slice of the active worklist each
-//! base tick; everything else (clocks, gating, faults, generation, channel
+//! base tick; everything else (clocks, gating, faults, generation, wheel
 //! deliveries, injection) runs on the calling thread between two barrier
-//! waits. A worker never applies an effect on shared state: it parks each
-//! visited node's traversal output, and after the closing barrier the main
-//! thread hands the parked outputs, in ascending node order, to the same
+//! waits. A worker never applies an effect on shared state — it does not even
+//! send: it parks each visited node's traversal output, emitted flits and
+//! credits included, and after the closing barrier the main thread hands the
+//! parked outputs, in ascending node order, to the same
 //! [`Effects::apply`](super::pipeline::Effects::apply) the serial drivers
 //! call — which is the order the serial sparse driver visits and applies in,
 //! so threaded ≡ serial bit for bit. Event-horizon jumps bypass the barriers
@@ -18,13 +19,11 @@ use super::worklist::NodeSet;
 use super::{NocSimulation, Tick};
 use crate::clock::DualClock;
 use crate::fault::FaultState;
-use crate::flit::Flit;
 use crate::gating::GatingController;
-use crate::link::DelayChannel;
 use crate::router::{Router, TraversalOutput};
 use crate::routing::RoutingAlgorithm;
 use crate::telemetry::RouterProbe;
-use crate::topology::{Topology, PORT_COUNT};
+use crate::topology::Topology;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
@@ -58,7 +57,7 @@ impl ParkingLot {
 
 /// The simulation as the pipeline workers see it, republished by the main
 /// thread before every opening barrier: the simulation itself, to be read,
-/// and the bases of the four per-node arrays workers write into.
+/// and the bases of the two per-node arrays workers write into.
 ///
 /// # Disjointness argument
 ///
@@ -71,14 +70,13 @@ impl ParkingLot {
 /// * holds a plain `&NocSimulation` and reads through it only state nobody
 ///   writes until the closing barrier: topology, routing, neighbour table,
 ///   gating controller, fault state, island clocks and masks, worklist
-///   words, the clock. It never reaches the routers, channels or telemetry
+///   words, the clock. It never reaches the routers, wheels or telemetry
 ///   through that reference.
 /// * forms `&mut` only to the [`NodeLanes`] of the node it is visiting —
-///   `routers[node]`, the node's `PORT_COUNT` outbound flit and credit
-///   channels, and `telemetry.routers[node]` — from the array bases, which
-///   the main thread took from `&mut` borrows of the arrays. A node belongs
-///   to one island and an island to one worker, so no two threads ever hold
-///   lanes of the same node, and lanes of different nodes do not overlap.
+///   `routers[node]` and `telemetry.routers[node]` — from the array bases,
+///   which the main thread took from `&mut` borrows of the arrays. A node
+///   belongs to one island and an island to one worker, so no two threads
+///   ever hold lanes of the same node.
 ///
 /// Every other write of the pipeline phase is parked and applied by the main
 /// thread after the closing barrier. Worker wall-time profiling does not go
@@ -88,8 +86,6 @@ impl ParkingLot {
 struct SimPtr {
     sim: AtomicPtr<NocSimulation>,
     routers: AtomicPtr<Router>,
-    flit_channels: AtomicPtr<Option<DelayChannel<Flit>>>,
-    credit_channels: AtomicPtr<DelayChannel<usize>>,
     /// Null while no telemetry is installed.
     probes: AtomicPtr<RouterProbe>,
 }
@@ -107,8 +103,6 @@ impl SimPtr {
         let probes = sim.telemetry.as_deref_mut().map(|t| t.routers.as_mut_ptr());
         self.probes.store(probes.unwrap_or(std::ptr::null_mut()), Ordering::Relaxed);
         self.routers.store(sim.routers.as_mut_ptr(), Ordering::Relaxed);
-        self.flit_channels.store(sim.flit_channels.as_mut_ptr(), Ordering::Relaxed);
-        self.credit_channels.store(sim.credit_channels.as_mut_ptr(), Ordering::Relaxed);
         self.sim.store(sim, Ordering::Relaxed);
     }
 }
@@ -174,19 +168,9 @@ impl NocSimulation {
                     // disjoint across workers — see [`SimPtr`].
                     unsafe {
                         let routers = shared.routers.load(Ordering::Relaxed);
-                        let flit_channels = shared.flit_channels.load(Ordering::Relaxed);
-                        let credit_channels = shared.credit_channels.load(Ordering::Relaxed);
                         let probes = shared.probes.load(Ordering::Relaxed);
                         let lanes = |node: usize| NodeLanes {
                             router: &mut *routers.add(node),
-                            flit_out: std::slice::from_raw_parts_mut(
-                                flit_channels.add(node * PORT_COUNT),
-                                PORT_COUNT,
-                            ),
-                            credit_out: std::slice::from_raw_parts_mut(
-                                credit_channels.add(node * PORT_COUNT),
-                                PORT_COUNT,
-                            ),
                             probe: (!probes.is_null()).then(|| &mut *probes.add(node)),
                         };
                         let sim = &*shared.sim.load(Ordering::Relaxed);

@@ -1,5 +1,7 @@
-//! The sparse engine's acceleration structures: node-id bitsets (the
-//! active-router and pending-source worklists) and the channel timing wheels.
+//! The engine's scheduling structures: node-id bitsets (the active-router
+//! and pending-source worklists) and the timing wheel that *is* the wire —
+//! flits and credits in flight live in the wheel slot of their arrival cycle
+//! and nowhere else.
 
 /// A dense bitset over node ids: one `u64` word per 64 nodes.
 ///
@@ -36,45 +38,52 @@ impl NodeSet {
     }
 }
 
-/// A due-list over channels that all share one fixed delivery latency: a
-/// timing wheel with at least `latency + 1` slots (rounded up to a power of
-/// two), indexed by `cycle & (slots - 1)`.
+/// Everything of one kind in flight, stored by arrival cycle: a timing wheel
+/// with at least `latency + 1` slots (rounded up to a power of two), slot
+/// `cycle & (slots - 1)` holding the items due that cycle in send order.
 ///
-/// Every send schedules the channel's id in the slot of its delivery cycle;
-/// the delivery phase drains only the current slot. Because a channel
-/// receives at most one send per cycle and every slot is visited (drained or
-/// cleared) every cycle, slots stay small and entries are unique. Entries
-/// are *hints*, not obligations: delivery goes through
-/// [`DelayChannel::deliver`], which checks due times itself, so a stale
-/// entry (possible across dense/sparse engine switches) delivers nothing.
+/// All channels of a kind share one fixed latency, so an item sent at `now`
+/// is due at `now + latency` and every item on the wheel is due within
+/// `latency` cycles of the last delivered cycle: the slots of cycles
+/// `now ..= now + latency` never alias. The entries are the items themselves,
+/// not hints — there is no second place an item in flight could be, so an
+/// item cannot be missing from the schedule or scheduled without existing.
 #[derive(Debug)]
-pub(super) struct DueWheel {
-    slots: Vec<Vec<u32>>,
-    /// `slots.len() - 1`; the slot count is rounded up to a power of two so
-    /// the per-send/per-cycle slot lookup is a mask, not a division.
+pub(super) struct EventWheel<T> {
+    slots: Vec<Vec<T>>,
+    /// `slots.len() - 1`; the slot count is a power of two so the slot
+    /// lookup is a mask, not a division.
     slot_mask: u64,
+    latency: u64,
+    len: usize,
 }
 
-impl DueWheel {
+impl<T: Copy> EventWheel<T> {
+    /// A wheel for items that arrive `latency` cycles after they are sent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latency` is zero — a combinational (zero-cycle) link would
+    /// break the simulator's phase ordering.
     pub(super) fn new(latency: u64) -> Self {
+        assert!(latency > 0, "channel latency must be at least one cycle");
         let slots = (latency as usize + 1).next_power_of_two();
-        DueWheel { slots: vec![Vec::new(); slots], slot_mask: slots as u64 - 1 }
+        EventWheel {
+            slots: (0..slots).map(|_| Vec::new()).collect(),
+            slot_mask: slots as u64 - 1,
+            latency,
+            len: 0,
+        }
     }
 
-    /// A wheel holding what `channels` have in flight: the channel at
-    /// position `id` yields the due cycles of its in-flight items. Entries
-    /// are delivery hints validated by `DelayChannel::deliver`, so insertion
-    /// order cannot affect behaviour — but id order also reproduces what a
-    /// live run would hold, keeping the structures comparable in tests.
-    pub(super) fn rebuilt<D: IntoIterator<Item = u64>>(
-        latency: u64,
-        channels: impl Iterator<Item = D>,
-    ) -> Self {
-        let mut wheel = DueWheel::new(latency);
-        for (id, dues) in channels.enumerate() {
-            dues.into_iter().for_each(|due| wheel.schedule(due, id as u32));
-        }
-        wheel
+    /// The shared latency of everything on this wheel.
+    pub(super) fn latency(&self) -> u64 {
+        self.latency
+    }
+
+    /// Number of items in flight.
+    pub(super) fn len(&self) -> usize {
+        self.len
     }
 
     #[inline]
@@ -82,54 +91,179 @@ impl DueWheel {
         (cycle & self.slot_mask) as usize
     }
 
+    /// Puts `item` in flight at cycle `now`; it arrives at `now + latency`.
     #[inline]
-    pub(super) fn schedule(&mut self, due: u64, id: u32) {
+    pub(super) fn send(&mut self, now: u64, item: T) {
+        self.push_due(now + self.latency, item);
+    }
+
+    /// Puts `item` in the slot of cycle `due`, behind what is already there.
+    /// The caller keeps `due` within `latency` cycles of the last delivered
+    /// cycle ([`send`](Self::send) does; a restore checks its bytes).
+    #[inline]
+    pub(super) fn push_due(&mut self, due: u64, item: T) {
         let idx = self.slot_index(due);
-        self.slots[idx].push(id);
+        self.slots[idx].push(item);
+        self.len += 1;
     }
 
-    /// Hands every id scheduled for `now` to `f`, retaining slot capacity.
-    ///
-    /// A send issued *during* the drain lands `latency ≥ 1` cycles ahead,
-    /// which is a different slot (the wheel has at least `latency + 1` of
-    /// them), so the temporary take-out below never loses entries.
+    /// Takes everything due at `now` off the wheel, in send order. The slot
+    /// keeps its capacity, so steady-state delivery allocates nothing.
     #[inline]
-    pub(super) fn drain(&mut self, now: u64, mut f: impl FnMut(u32)) {
+    pub(super) fn deliver(&mut self, now: u64) -> std::vec::Drain<'_, T> {
         let idx = self.slot_index(now);
-        if self.slots[idx].is_empty() {
-            return;
-        }
-        let mut slot = std::mem::take(&mut self.slots[idx]);
-        for id in slot.drain(..) {
-            f(id);
-        }
-        debug_assert!(self.slots[idx].is_empty(), "a drain must not reschedule its own slot");
-        self.slots[idx] = slot;
+        let slot = &mut self.slots[idx];
+        self.len -= slot.len();
+        slot.drain(..)
     }
 
-    /// Discards the entries due at `now` (the dense reference loop scans all
-    /// channels itself but must keep the wheel from accumulating).
-    #[inline]
-    pub(super) fn clear_slot(&mut self, now: u64) {
-        let idx = self.slot_index(now);
-        self.slots[idx].clear();
+    /// Cycle of the earliest arrival strictly after `now`, or `u64::MAX`
+    /// when nothing is in flight (the slot of `now` was emptied by the last
+    /// step, so offsets `1 ..= latency` are exhaustive).
+    pub(super) fn earliest_due(&self, now: u64) -> u64 {
+        if self.len == 0 {
+            return u64::MAX;
+        }
+        (1..=self.latency)
+            .map(|offset| now + offset)
+            .find(|&due| !self.slots[self.slot_index(due)].is_empty())
+            .unwrap_or(u64::MAX)
     }
 
-    /// Cycle of the earliest scheduled entry strictly after `now`, or
-    /// `u64::MAX` when every future slot is empty.
-    ///
-    /// Every genuine due lies in `[now + 1, now + latency]` (sends schedule
-    /// `latency` cycles ahead and the current slot was drained by the last
-    /// step), so probing those offsets is exhaustive. Entries are hints: a
-    /// stale one (e.g. for a channel drained by a router death) makes this
-    /// bound *earlier* than the true next event, which only shortens an
-    /// event-horizon jump — never lets one overshoot.
-    pub(super) fn earliest_due(&self, now: u64, latency: u64) -> u64 {
-        for offset in 1..=latency {
-            if !self.slots[self.slot_index(now + offset)].is_empty() {
-                return now + offset;
-            }
+    /// Everything in flight as `(due, item)`, in due-then-send order, items
+    /// due at `now` itself included.
+    pub(super) fn iter(&self, now: u64) -> impl Iterator<Item = (u64, &T)> + '_ {
+        (0..=self.latency).flat_map(move |offset| {
+            let due = now + offset;
+            self.slots[self.slot_index(due)].iter().map(move |item| (due, item))
+        })
+    }
+
+    /// Removes every item `pred` selects and hands it to `f`, in
+    /// due-then-send order — the cold path of a router death or recovery.
+    /// Walks offsets `0 ..= latency`: the fault phase runs before the
+    /// delivery phases, so items due at `now` are still on the wheel.
+    pub(super) fn extract(
+        &mut self,
+        now: u64,
+        mut pred: impl FnMut(&T) -> bool,
+        mut f: impl FnMut(T),
+    ) {
+        for offset in 0..=self.latency {
+            let idx = self.slot_index(now + offset);
+            let slot = &mut self.slots[idx];
+            let before = slot.len();
+            slot.retain(|item| {
+                let taken = pred(item);
+                if taken {
+                    f(*item);
+                }
+                !taken
+            });
+            self.len -= before - slot.len();
         }
-        u64::MAX
+    }
+
+    /// Empties the wheel (a restore refills it from the snapshot).
+    pub(super) fn clear(&mut self) {
+        self.slots.iter_mut().for_each(Vec::clear);
+        self.len = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn delivered(wheel: &mut EventWheel<char>, now: u64) -> Vec<char> {
+        wheel.deliver(now).collect()
+    }
+
+    #[test]
+    fn send_order_is_kept_within_a_due_cycle() {
+        let mut wheel = EventWheel::new(2);
+        wheel.send(10, 'a');
+        wheel.send(10, 'b');
+        wheel.send(11, 'c');
+        wheel.send(10, 'd');
+        assert_eq!(delivered(&mut wheel, 12), vec!['a', 'b', 'd']);
+        assert_eq!(delivered(&mut wheel, 13), vec!['c']);
+    }
+
+    #[test]
+    fn nothing_arrives_early() {
+        let mut wheel = EventWheel::new(3);
+        wheel.send(10, 'a');
+        for now in 10..13 {
+            assert!(delivered(&mut wheel, now).is_empty(), "cycle {now}");
+            assert_eq!(wheel.len(), 1);
+        }
+        assert_eq!(delivered(&mut wheel, 13), vec!['a']);
+        assert!(delivered(&mut wheel, 14).is_empty());
+    }
+
+    #[test]
+    fn earliest_due_over_empty_single_and_wrapped_slots() {
+        // Latency 3 → four slots: cycles 6 and 7 wrap around to slots 2, 3.
+        let mut wheel = EventWheel::new(3);
+        assert_eq!(wheel.earliest_due(5), u64::MAX);
+        wheel.send(5, 'a'); // due 8, slot 0
+        assert_eq!(wheel.earliest_due(5), 8);
+        assert_eq!(wheel.earliest_due(7), 8);
+        wheel.send(3, 'b'); // due 6, slot 2 — behind slot 0 in memory, ahead in time
+        assert_eq!(wheel.earliest_due(5), 6);
+        assert_eq!(delivered(&mut wheel, 6), vec!['b']);
+        assert_eq!(wheel.earliest_due(6), 8);
+        assert_eq!(delivered(&mut wheel, 8), vec!['a']);
+        assert_eq!(wheel.earliest_due(8), u64::MAX);
+    }
+
+    #[test]
+    fn len_counts_what_is_in_flight() {
+        let mut wheel = EventWheel::new(2);
+        assert_eq!(wheel.len(), 0);
+        wheel.send(0, 'a');
+        wheel.send(0, 'b');
+        wheel.send(1, 'c');
+        assert_eq!(wheel.len(), 3);
+        assert_eq!(wheel.deliver(2).count(), 2);
+        assert_eq!(wheel.len(), 1);
+        wheel.extract(2, |_| true, |_| {});
+        assert_eq!(wheel.len(), 0);
+        wheel.send(3, 'd');
+        wheel.clear();
+        assert_eq!((wheel.len(), wheel.earliest_due(3)), (0, u64::MAX));
+    }
+
+    #[test]
+    fn extract_walks_due_then_send_order_from_the_current_cycle() {
+        let mut wheel = EventWheel::new(3);
+        wheel.send(9, 'A'); // due 12
+        wheel.send(7, 'b'); // due 10 — the cycle the extraction runs on
+        wheel.send(8, 'C'); // due 11
+        wheel.send(7, 'D'); // due 10
+        wheel.send(9, 'e'); // due 12
+        let mut taken = Vec::new();
+        wheel.extract(10, |c| c.is_ascii_uppercase(), |c| taken.push(c));
+        assert_eq!(taken, vec!['D', 'C', 'A'], "items due at `now` come first");
+        assert_eq!(wheel.len(), 2);
+        assert_eq!(wheel.iter(10).collect::<Vec<_>>(), vec![(10, &'b'), (12, &'e')]);
+        assert_eq!(delivered(&mut wheel, 10), vec!['b']);
+    }
+
+    #[test]
+    fn iter_lists_every_item_with_its_due_cycle() {
+        let mut wheel = EventWheel::new(2);
+        wheel.send(5, 'x'); // due 7
+        wheel.send(4, 'y'); // due 6
+        wheel.send(5, 'z'); // due 7
+        assert_eq!(wheel.iter(5).collect::<Vec<_>>(), vec![(6, &'y'), (7, &'x'), (7, &'z')]);
+        assert_eq!(wheel.iter(5).count(), wheel.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cycle")]
+    fn zero_latency_rejected() {
+        let _ = EventWheel::<u32>::new(0);
     }
 }

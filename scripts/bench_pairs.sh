@@ -2,7 +2,7 @@
 # Parent-vs-change benchmark pairs: the procedure a performance PR reports
 # from, in one command.
 #
-#   scripts/bench_pairs.sh <parent-ref> [--pairs N] [--seed S]
+#   scripts/bench_pairs.sh <parent-ref> [--pairs N] [--seed S] [--record LABEL]
 #                          [--parent-dir DIR] [--change-dir DIR] [workload…]
 #
 # Exports <parent-ref> and the change (the working tree's tracked and staged
@@ -19,6 +19,14 @@
 # every run, and compares the `result_digest` of every run on both sides.
 # Exits 1 when a digest differs between the sides or between runs of a side.
 #
+# --record LABEL appends the table as one object (one line) to the tracked
+# BENCH_pairs.json at the repository root: label, parent and change commits,
+# seed, pairs and, per workload, the `result_digest` and per end-to-end metric
+# the parent / change [median, q1, q3], the Δ of the medians in percent and
+# the pairs the change won. The change commit reads `worktree@<HEAD>` when the
+# run measured uncommitted files. Without a clean digest comparison nothing
+# is written (and the exit status is 1, as above).
+#
 # Light-load timings move a few percent with where the linker places the hot
 # loops, which follows the checkout path: --parent-dir / --change-dir name the
 # two exports (default: bench_pairs/{parent,change} under ${TMPDIR:-/tmp}), so
@@ -27,7 +35,7 @@
 set -euo pipefail
 
 REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { sed -n '2,26p' "${BASH_SOURCE[0]}" >&2; exit 2; }
+usage() { sed -n '2,34p' "${BASH_SOURCE[0]}" >&2; exit 2; }
 
 PAIRS=10
 SEED=2015
@@ -35,11 +43,13 @@ WORK="${TMPDIR:-/tmp}/bench_pairs"
 PARENT_DIR="$WORK/parent"
 CHANGE_DIR="$WORK/change"
 PARENT_REF=""
+RECORD=""
 WORKLOADS=()
 while (( $# )); do
     case "$1" in
         --pairs) PAIRS="${2:?--pairs needs a value}"; shift 2 ;;
         --seed) SEED="${2:?--seed needs a value}"; shift 2 ;;
+        --record) RECORD="${2:?--record needs a label}"; shift 2 ;;
         --parent-dir) PARENT_DIR="${2:?--parent-dir needs a value}"; shift 2 ;;
         --change-dir) CHANGE_DIR="${2:?--change-dir needs a value}"; shift 2 ;;
         -h|--help) usage ;;
@@ -70,6 +80,7 @@ export_ref "$CHANGE_REF" "$CHANGE_DIR"
 
 RUNS="$(mktemp -d)"
 trap 'rm -rf "$RUNS"' EXIT
+join_lines() { awk 'NR > 1 { printf ", " } { printf "%s", $0 }' "$1"; }
 
 # One run: appends "<metric> <value>" lines to $RUNS/<workload>.<side>.<pair>
 # and the digest to $RUNS/<workload>.<side>.digests. Each side builds into
@@ -111,7 +122,8 @@ for workload in "${WORKLOADS[@]}"; do
             done >"$RUNS/values.$side"
         done
         paste "$RUNS/values.parent" "$RUNS/values.change" | awk \
-            -v w="$workload" -v m="$metric" -v better="$better" -v bound="$bound" '
+            -v w="$workload" -v m="$metric" -v better="$better" -v bound="$bound" \
+            -v record="$RUNS/record.$workload" '
             # Quantile by linear interpolation between order statistics.
             function quantile(v, n, q,    pos, lo) {
                 pos = 1 + (n - 1) * q; lo = int(pos)
@@ -138,14 +150,41 @@ for workload in "${WORKLOADS[@]}"; do
                 printf "    parent:"; for (i = 1; i <= n; i++) printf " %.6g", p[i]
                 printf "\n    change:"; for (i = 1; i <= n; i++) printf " %.6g", c[i]
                 printf "\n"
+                printf "\"%s\": {\"parent\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"delta_pct\": %s, \"change_better_in\": %d}\n",
+                    m, pm, pq1, pq3, cm, quantile(sc, n, 0.25), quantile(sc, n, 0.75),
+                    pm != 0 ? sprintf("%.1f", 100 * (cm - pm) / pm) : "null", won >>record
             }'
     done <<<"$METRICS"
     digests="$(sort -u "$RUNS/$workload.parent.digests" "$RUNS/$workload.change.digests")"
     if [[ "$(wc -l <<<"$digests")" -eq 1 && -n "$digests" ]]; then
         echo "$workload | result_digest | $digests on both sides, all runs"
+        printf '"%s": {"result_digest": "%s", "metrics": {%s}}\n' "$workload" "$digests" \
+            "$(join_lines "$RUNS/record.$workload")" >>"$RUNS/record"
     else
         echo "$workload | result_digest | DIFFERS: parent $(sort -u "$RUNS/$workload.parent.digests" | tr '\n' ' ')vs change $(sort -u "$RUNS/$workload.change.digests" | tr '\n' ' ')"
         status=1
     fi
 done
+
+# One object per recorded run, one per line inside a JSON array: the closing
+# bracket moves down and the previous last row gains its comma.
+if [[ -n "$RECORD" ]]; then
+    if (( status )); then
+        echo "--record $RECORD: digests differ, nothing written" >&2
+        exit 1
+    fi
+    HEAD_SHORT="$(git -C "$REPO" rev-parse --short HEAD)"
+    [[ "$CHANGE_REF" == HEAD ]] && CHANGE_NAME="$HEAD_SHORT" || CHANGE_NAME="worktree@$HEAD_SHORT"
+    FILE="$REPO/BENCH_pairs.json"
+    if [[ -s "$FILE" ]]; then
+        sed -i -e '$d' "$FILE"
+        sed -i -e '$s/$/,/' "$FILE"
+    else
+        echo '[' >"$FILE"
+    fi
+    printf '{"label": "%s", "parent": "%s", "change": "%s", "seed": %s, "pairs": %s, "workloads": {%s}}\n]\n' \
+        "$RECORD" "$(git -C "$REPO" rev-parse --short "$PARENT_REF")" "$CHANGE_NAME" "$SEED" "$PAIRS" \
+        "$(join_lines "$RUNS/record")" >>"$FILE"
+    echo "recorded $RECORD in $FILE" >&2
+fi
 exit "$status"
