@@ -97,9 +97,9 @@ impl DualClock {
 }
 
 impl DualClock {
-    /// Encodes the complete clock state — including the cached period and
-    /// rate terms, whose exact bit patterns the wall-time accumulation
-    /// depends on — for a checkpoint.
+    /// Encodes the complete clock state for a checkpoint; the configured node
+    /// frequency and the cached period and rate terms are stored to be
+    /// compared on load.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
         w.put_f64(self.node_frequency_hz);
         w.put_f64(self.noc_frequency_hz);
@@ -110,20 +110,54 @@ impl DualClock {
         w.put_u64(self.node_cycles_emitted);
     }
 
-    /// Replaces the clock state with the checkpointed one. The cached terms
-    /// are restored verbatim rather than recomputed so that subsequent
-    /// `advance_noc_cycle` arithmetic is bit-identical to the saved run.
+    /// Replaces the clock state with the checkpointed one, refusing what no
+    /// run of this configuration could have written: node-clock terms other
+    /// than the constructor's, a NoC frequency outside `min_hz ..= max_hz` or
+    /// a period that is not its own, a wall time the cycle count could not
+    /// have accumulated at frequencies within the range (latency sums
+    /// overflow on a cycle count from nowhere), an emitted-cycle count that
+    /// is not the wall time's. The next tick emits the difference of those
+    /// two: unchecked, one flipped word asks the traffic sources for billions
+    /// of node cycles; checked, a tick emits at most `ceil(node_f / min_f) + 1`.
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
+        min_hz: f64,
+        max_hz: f64,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.node_frequency_hz = r.read_f64()?;
-        self.noc_frequency_hz = r.read_f64()?;
-        self.noc_period_ps = r.read_f64()?;
-        self.node_cycles_per_ps = r.read_f64()?;
-        self.noc_cycle = r.read_u64()?;
-        self.wall_time_ps = r.read_f64()?;
-        self.node_cycles_emitted = r.read_u64()?;
+        use crate::snapshot::SnapshotError;
+        let node_frequency_hz = r.read_f64()?;
+        let noc_frequency_hz = r.read_f64()?;
+        let noc_period_ps = r.read_f64()?;
+        let node_cycles_per_ps = r.read_f64()?;
+        let noc_cycle = r.read_u64()?;
+        let wall_time_ps = r.read_f64()?;
+        let node_cycles_emitted = r.read_u64()?;
+        if node_frequency_hz.to_bits() != self.node_frequency_hz.to_bits()
+            || node_cycles_per_ps.to_bits() != self.node_cycles_per_ps.to_bits()
+        {
+            return Err(SnapshotError::Corrupt("clock node frequency"));
+        }
+        if !(noc_frequency_hz > 0.0 && (min_hz..=max_hz).contains(&noc_frequency_hz))
+            || noc_period_ps.to_bits() != (1.0e12 / noc_frequency_hz).to_bits()
+        {
+            return Err(SnapshotError::Corrupt("clock NoC frequency"));
+        }
+        // Every cycle added one period of a frequency within the range; the
+        // slack covers the rounding of that running sum for 10¹² cycles.
+        let periods = |hz: f64| noc_cycle as f64 * (1.0e12 / hz);
+        if !(wall_time_ps >= periods(max_hz) * (1.0 - 1.0e-3)
+            && wall_time_ps <= periods(min_hz) * (1.0 + 1.0e-3)
+            && wall_time_ps.is_finite())
+            || node_cycles_emitted != (wall_time_ps * node_cycles_per_ps) as u64
+        {
+            return Err(SnapshotError::Corrupt("clock wall time"));
+        }
+        self.noc_frequency_hz = noc_frequency_hz;
+        self.noc_period_ps = noc_period_ps;
+        self.noc_cycle = noc_cycle;
+        self.wall_time_ps = wall_time_ps;
+        self.node_cycles_emitted = node_cycles_emitted;
         Ok(())
     }
 }

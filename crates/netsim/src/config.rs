@@ -10,6 +10,7 @@ use crate::fault::FaultConfig;
 use crate::gating::GatingConfig;
 use crate::region::{RegionMap, RegionScheme};
 use crate::routing::RoutingKind;
+use crate::snapshot::SnapWriter;
 use crate::topology::{Topology, TopologyKind};
 use crate::traffic::{SyntheticTraffic, TrafficPattern};
 use crate::units::Hertz;
@@ -215,6 +216,49 @@ impl NetworkConfig {
             routing: self.routing,
             faults: self.faults.clone(),
         }
+    }
+
+    /// Writes every field in declaration order: the bytes the snapshot
+    /// header's configuration fingerprint hashes. The destructuring is
+    /// exhaustive, so a new field does not compile until it is written here.
+    pub(crate) fn encode_fields(&self, w: &mut SnapWriter) {
+        let NetworkConfig {
+            topology,
+            width,
+            height,
+            virtual_channels,
+            buffer_depth,
+            packet_length,
+            link_latency,
+            credit_latency,
+            node_frequency_hz,
+            min_frequency_hz,
+            max_frequency_hz,
+            regions,
+            gating,
+            routing,
+            faults,
+        } = self;
+        w.put_u8(match topology {
+            TopologyKind::Mesh => 0,
+            TopologyKind::Torus => 1,
+        });
+        for size in [width, height, virtual_channels, buffer_depth, packet_length] {
+            w.put_usize(*size);
+        }
+        w.put_u64(*link_latency);
+        w.put_u64(*credit_latency);
+        for hz in [node_frequency_hz, min_frequency_hz, max_frequency_hz] {
+            w.put_f64(*hz);
+        }
+        regions.encode_fields(w);
+        gating.encode_fields(w);
+        w.put_u8(match routing {
+            RoutingKind::Xy => 0,
+            RoutingKind::Yx => 1,
+            RoutingKind::MinimalAdaptive => 2,
+        });
+        faults.encode_fields(w);
     }
 
     /// Fixed frequency of the injecting nodes.
@@ -740,6 +784,75 @@ mod tests {
         assert_eq!(err, ConfigError::FaultLinkMissing { node: 3, dir: Direction::East });
         // The same link exists once the grid wraps around.
         assert!(NetworkConfig::builder().torus(4, 4).faults(faults).build().is_ok());
+    }
+
+    /// The snapshot header's fingerprint is a function of every field and of
+    /// nothing else: each of the fifteen, changed alone, changes it — down to
+    /// one entry of a custom region map, one field of a scheduled fault and
+    /// one hazard rate — and a configuration rebuilt through its builder
+    /// keeps it. The baseline's value is pinned: re-ordering or re-typing
+    /// the encoding would silently refuse every snapshot on disk.
+    #[test]
+    fn every_field_reaches_the_fingerprint() {
+        use crate::fault::{FaultConfig, FaultEvent, FaultTarget, HazardConfig};
+        use crate::gating::GatingConfig;
+        use crate::region::{RegionLayout, RegionScheme};
+        use crate::routing::RoutingKind;
+        use crate::snapshot::config_fingerprint;
+        use crate::topology::Direction;
+        let quadrants = |last: u32| {
+            RegionScheme::Custom(vec![0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 3, last])
+        };
+        let faults = |at_cycle: u64, link_rate: f64| {
+            let link = FaultTarget::Link { node: 5, dir: Direction::East };
+            FaultConfig::scheduled(vec![FaultEvent::transient(link, at_cycle, 50)]).with_hazard(
+                HazardConfig { link_rate, ..HazardConfig::transient(1e-4, 1e-5, 120) },
+            )
+        };
+        let base = NetworkConfig::builder()
+            .mesh(4, 4)
+            .virtual_channels(2)
+            .regions(quadrants(3))
+            .gating(GatingConfig::enabled(24, 8))
+            .faults(faults(100, 1e-4))
+            .build()
+            .unwrap();
+        type Change<'a> = &'a dyn Fn(&mut NetworkConfig);
+        let changes: [(&str, Change); 21] = [
+            ("topology", &|c| c.topology = TopologyKind::Torus),
+            ("width", &|c| c.width = 5),
+            ("height", &|c| c.height = 5),
+            ("virtual_channels", &|c| c.virtual_channels = 3),
+            ("buffer_depth", &|c| c.buffer_depth = 5),
+            ("packet_length", &|c| c.packet_length = 21),
+            ("link_latency", &|c| c.link_latency = 2),
+            ("credit_latency", &|c| c.credit_latency = 2),
+            ("node_frequency_hz", &|c| c.node_frequency_hz = 2.0e9),
+            ("min_frequency_hz", &|c| c.min_frequency_hz = 250.0e6),
+            ("max_frequency_hz", &|c| c.max_frequency_hz = 2.0e9),
+            ("regions: one entry of a custom map", &|c| c.regions = quadrants(2)),
+            ("regions: a layout for a custom map", &|c| c.regions = RegionLayout::Quadrants.into()),
+            ("gating: the switch", &|c| c.gating = GatingConfig::disabled()),
+            ("gating: the idle threshold", &|c| c.gating = GatingConfig::enabled(25, 8)),
+            ("gating: the wakeup latency", &|c| c.gating = GatingConfig::enabled(24, 9)),
+            ("routing", &|c| c.routing = RoutingKind::Yx),
+            ("faults: one field of a scheduled event", &|c| c.faults = faults(101, 1e-4)),
+            ("faults: one hazard rate", &|c| c.faults = faults(100, 2e-4)),
+            ("faults: no hazard", &|c| {
+                c.faults = FaultConfig::scheduled(c.faults.schedule().to_vec());
+            }),
+            ("faults: none", &|c| c.faults = FaultConfig::none()),
+        ];
+        let mut seen = vec![config_fingerprint(&base)];
+        for (field, change) in changes {
+            let mut changed = base.clone();
+            change(&mut changed);
+            let fingerprint = config_fingerprint(&changed);
+            assert!(!seen.contains(&fingerprint), "{field} does not reach the fingerprint");
+            seen.push(fingerprint);
+        }
+        assert_eq!(config_fingerprint(&base.to_builder().build().unwrap()), seen[0]);
+        assert_eq!(config_fingerprint(&NetworkConfig::paper_baseline()), 0x29C1_BF2D_043B_7982);
     }
 
     #[test]

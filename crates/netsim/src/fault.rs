@@ -58,6 +58,18 @@ impl FaultTarget {
             FaultTarget::Router { node } => node,
         }
     }
+
+    /// Kind, node and direction (0 for a router), as the fault state's
+    /// pending queue and the configuration fingerprint write a target.
+    fn encode(&self, w: &mut crate::snapshot::SnapWriter) {
+        let (kind, node, dir) = match *self {
+            FaultTarget::Link { node, dir } => (0, node, dir.index() as u8),
+            FaultTarget::Router { node } => (1, node, 0),
+        };
+        w.put_u8(kind);
+        w.put_usize(node);
+        w.put_u8(dir);
+    }
 }
 
 /// One scheduled fault.
@@ -150,6 +162,26 @@ impl FaultConfig {
     /// The explicit schedule.
     pub fn schedule(&self) -> &[FaultEvent] {
         &self.schedule
+    }
+
+    /// This type's part of `NetworkConfig::encode_fields`.
+    pub(crate) fn encode_fields(&self, w: &mut crate::snapshot::SnapWriter) {
+        let FaultConfig { schedule, hazard } = self;
+        w.put_usize(schedule.len());
+        for FaultEvent { target, at_cycle, duration } in schedule {
+            target.encode(w);
+            w.put_u64(*at_cycle);
+            w.put_opt_u64(*duration);
+        }
+        w.put_bool(hazard.is_some());
+        if let Some(hazard) = hazard {
+            let HazardConfig { link_rate, router_rate, transient_fraction, transient_duration } =
+                hazard;
+            w.put_f64(*link_rate);
+            w.put_f64(*router_rate);
+            w.put_f64(*transient_fraction);
+            w.put_u64(*transient_duration);
+        }
     }
 
     /// Checks every scheduled target against the topology and the hazard
@@ -565,18 +597,7 @@ impl FaultState {
         w.put_usize(self.pending.len());
         for p in &self.pending {
             w.put_u64(p.cycle);
-            match p.target {
-                FaultTarget::Link { node, dir } => {
-                    w.put_u8(0);
-                    w.put_usize(node);
-                    w.put_u8(dir.index() as u8);
-                }
-                FaultTarget::Router { node } => {
-                    w.put_u8(1);
-                    w.put_usize(node);
-                    w.put_u8(0);
-                }
-            }
+            p.target.encode(w);
             w.put_opt_u64(p.duration);
             w.put_bool(p.recover);
         }

@@ -150,6 +150,28 @@ impl RegionScheme {
     }
 }
 
+impl RegionScheme {
+    /// This type's part of `NetworkConfig::encode_fields`.
+    pub(crate) fn encode_fields(&self, w: &mut crate::snapshot::SnapWriter) {
+        match self {
+            RegionScheme::Layout(layout) => {
+                w.put_u8(0);
+                w.put_u8(match layout {
+                    RegionLayout::Whole => 0,
+                    RegionLayout::PerRow => 1,
+                    RegionLayout::PerColumn => 2,
+                    RegionLayout::Quadrants => 3,
+                });
+            }
+            RegionScheme::Custom(island_of) => {
+                w.put_u8(1);
+                w.put_usize(island_of.len());
+                island_of.iter().for_each(|island| w.put_u32(*island));
+            }
+        }
+    }
+}
+
 impl Default for RegionScheme {
     fn default() -> Self {
         RegionScheme::Layout(RegionLayout::Whole)

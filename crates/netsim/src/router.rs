@@ -378,7 +378,6 @@ impl Router {
     }
 
     /// Credits currently available on output (`port`, `vc`).
-    #[cfg(test)]
     pub fn output_credits(&self, port: usize, vc: usize) -> usize {
         self.outputs[port * self.vcs + vc].credits as usize
     }

@@ -168,7 +168,7 @@ struct Tick {
 /// A flit on a link or an injection channel, addressed to its receiver when
 /// it was sent: input `in_port` of router `dest` ([`LOCAL_PORT`] for a flit
 /// coming from the node's own source).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct FlitInFlight {
     dest: u32,
     in_port: u8,
@@ -178,7 +178,7 @@ struct FlitInFlight {
 /// A credit on its way back upstream: one slot of VC `vc` freed behind output
 /// `out_port` of router `target` — or, with `out_port == LOCAL_PORT`, behind
 /// the injection channel of `target`'s source.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct CreditInFlight {
     target: u32,
     out_port: u8,
@@ -331,22 +331,12 @@ impl NocSimulation {
     /// using the routing algorithm the configuration selects
     /// ([`NetworkConfig::routing`] — dimension-ordered XY unless overridden).
     ///
-    /// `seed` makes the run reproducible.
-    pub fn new(cfg: NetworkConfig, traffic: Box<dyn TrafficSpec>, seed: u64) -> Self {
-        let routing = cfg.routing().algorithm();
-        NocSimulation::with_routing(cfg, traffic, routing, seed)
-    }
-
-    /// Builds a simulation with a caller-provided routing algorithm. It
-    /// starts on the sparse engine with event-horizon skipping enabled (see
+    /// `seed` makes the run reproducible. The simulation starts on the sparse
+    /// engine with event-horizon skipping enabled (see
     /// [`set_dense_stepping`](Self::set_dense_stepping) and
     /// [`set_event_skipping`](Self::set_event_skipping)).
-    pub fn with_routing(
-        cfg: NetworkConfig,
-        traffic: Box<dyn TrafficSpec>,
-        routing: Box<dyn RoutingAlgorithm>,
-        seed: u64,
-    ) -> Self {
+    pub fn new(cfg: NetworkConfig, traffic: Box<dyn TrafficSpec>, seed: u64) -> Self {
+        let routing = cfg.routing().algorithm();
         let topo = cfg.topology();
         let n = topo.node_count();
         let mut routers: Vec<Router> = (0..n).map(|node| Router::new(node, &cfg)).collect();

@@ -1,8 +1,7 @@
 //! Snapshot glue: [`NocSimulation::snapshot`] / [`NocSimulation::restore`]
 //! over the per-module `save_state` / `load_state` codecs.
 
-use super::pipeline::credit_receiver;
-use super::{FlitInFlight, NocSimulation, TenantAccounting, WindowMeasurement};
+use super::{CreditInFlight, FlitInFlight, NocSimulation, TenantAccounting, WindowMeasurement};
 use crate::flit::Flit;
 use crate::router::LOCAL_PORT;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
@@ -57,114 +56,57 @@ fn load_window(r: &mut SnapReader<'_>) -> Result<WindowMeasurement, SnapshotErro
     })
 }
 
-/// Writes the channels `ids` (ascending) out of `items`, which are sorted by
-/// channel and in queue order within one: per channel its item count, then
-/// `(due, item)` for each. `at` is the cursor into `items`.
-fn put_channels<T>(
-    w: &mut SnapWriter,
-    items: &[(u32, u64, T)],
-    at: &mut usize,
-    ids: impl Iterator<Item = usize>,
-    encode: impl Fn(&T, &mut SnapWriter),
-) {
-    for id in ids {
-        let queued =
-            items[*at..].iter().take_while(|(channel, ..)| *channel as usize == id).count();
-        w.put_usize(queued);
-        for (_, due, item) in &items[*at..*at + queued] {
-            w.put_u64(*due);
-            encode(item, w);
-        }
-        *at += queued;
-    }
-}
-
-/// Reads one channel — a count, then `(due, item)` for each — handing every
-/// due cycle to `item`, which reads the item behind it. A due cycle must lie
-/// within `latency` cycles after `now` and never before its predecessor on
-/// the channel. Nothing is sized by the stored count: a hostile one runs
-/// into the end of the payload.
-fn read_channel(
+/// Reads one wheel — a count, then `(due − now, item)` for each in
+/// due-then-send order — handing every due cycle to `item`, which reads the
+/// item behind it and pushes it. An item must be due within `latency` cycles
+/// after `now` and never before its predecessor. Nothing is sized by the
+/// stored count: a hostile one runs into the end of the payload.
+fn read_wheel(
     r: &mut SnapReader<'_>,
     now: u64,
     latency: u64,
     mut item: impl FnMut(&mut SnapReader<'_>, u64) -> Result<(), SnapshotError>,
 ) -> Result<(), SnapshotError> {
-    let queued = r.read_usize()?;
+    let in_flight = r.read_usize()?;
     let mut earliest = 1;
-    for _ in 0..queued {
-        let due = r.read_u64()?;
-        match due.checked_sub(now) {
-            Some(ahead) if (earliest..=latency).contains(&ahead) => earliest = ahead,
-            _ => return Err(SnapshotError::Corrupt("channel due cycle")),
+    for _ in 0..in_flight {
+        let ahead = r.read_u64()?;
+        if !(earliest..=latency).contains(&ahead) {
+            return Err(SnapshotError::Corrupt("in-flight due cycle"));
         }
-        item(r, due)?;
+        earliest = ahead;
+        item(r, now + ahead)?;
     }
     Ok(())
 }
 
 impl NocSimulation {
-    /// The flat index of the far end of the link at `port` of `node`: the
-    /// sender's `node × PORT_COUNT + out_port` for a flit arriving on input
-    /// `port`, the credit sender's `node × PORT_COUNT + in_port` for a credit
-    /// arriving behind output `port`.
-    fn far_end(&self, node: u32, port: u8) -> usize {
-        let (far_node, far_port) = self.neighbor_table[node as usize][usize::from(port)]
-            .expect("items in flight travel between neighbours");
-        far_node * PORT_COUNT + far_port
-    }
-
-    /// The channel section. The format predates the wheels and does not
-    /// follow the memory layout: it lists, per link (`node × PORT_COUNT +
-    /// out_port`, existing links only), per credit channel (`node ×
-    /// PORT_COUNT + in_port`) and per injection channel (by node), what the
-    /// channel has in flight in queue order. The wheels are regrouped into
-    /// that order with one gather in due-then-send order and a stable sort
-    /// by channel.
+    /// The channel section: each wheel once, in `EventWheel::iter` order
+    /// (due-then-send), as `(due − now, address, item)`.
     pub(super) fn save_channels(&self, w: &mut SnapWriter) {
         let now = self.clock.noc_cycle();
-        let links = self.topo.node_count() * PORT_COUNT;
-        let mut flits: Vec<(u32, u64, &Flit)> = self
-            .flits_in_flight
-            .iter(now)
-            .map(|(due, f)| {
-                let channel = if usize::from(f.in_port) == LOCAL_PORT {
-                    links + f.dest as usize
-                } else {
-                    self.far_end(f.dest, f.in_port)
-                };
-                (channel as u32, due, &f.flit)
-            })
-            .collect();
-        flits.sort_by_key(|&(channel, ..)| channel);
-        let mut credits: Vec<(u32, u64, u8)> = self
-            .credits_in_flight
-            .iter(now)
-            .map(|(due, c)| {
-                let channel = if usize::from(c.out_port) == LOCAL_PORT {
-                    c.target as usize * PORT_COUNT + LOCAL_PORT
-                } else {
-                    self.far_end(c.target, c.out_port)
-                };
-                (channel as u32, due, c.vc)
-            })
-            .collect();
-        credits.sort_by_key(|&(channel, ..)| channel);
-
-        let put_flit = |flit: &&Flit, w: &mut SnapWriter| flit.save_state(w);
-        let is_link =
-            |idx: &usize| self.neighbor_table[idx / PORT_COUNT][idx % PORT_COUNT].is_some();
-        let mut at = 0;
-        put_channels(w, &flits, &mut at, (0..links).filter(is_link), put_flit);
-        put_channels(w, &credits, &mut 0, 0..links, |vc, w| w.put_usize(usize::from(*vc)));
-        put_channels(w, &flits, &mut at, links..links + self.topo.node_count(), put_flit);
+        w.put_usize(self.flits_in_flight.len());
+        for (due, f) in self.flits_in_flight.iter(now) {
+            w.put_u64(due - now);
+            w.put_u32(f.dest);
+            w.put_u8(f.in_port);
+            f.flit.save_state(w);
+        }
+        w.put_usize(self.credits_in_flight.len());
+        for (due, c) in self.credits_in_flight.iter(now) {
+            w.put_u64(due - now);
+            w.put_u32(c.target);
+            w.put_u8(c.out_port);
+            w.put_u8(c.vc);
+        }
     }
 
-    /// Refills the wheels from the channel section, channel by channel in
-    /// the section's order, refusing whatever a live run could not have put
-    /// in flight: a due cycle the wheel has no slot for, a flit whose
-    /// endpoints or VC the fabric does not have, a credit for a VC or on a
-    /// port that does not exist.
+    /// Refills the wheels from the channel section in the section's order —
+    /// which is the order a live run delivers in — refusing whatever a live
+    /// run could not have put in flight: a due cycle the wheel has no slot
+    /// for, a flit or credit addressed to a router or through a port the
+    /// fabric does not have, a flit whose endpoints or VC it does not have, a
+    /// credit for a VC that does not exist.
     fn load_channels(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         let now = self.clock.noc_cycle();
         let nodes = self.topo.node_count();
@@ -175,40 +117,87 @@ impl NocSimulation {
         flits_in_flight.clear();
         credits_in_flight.clear();
         inbound_flits.fill(0);
-        let link_latency = flits_in_flight.latency();
-        let mut load_flit = |r: &mut SnapReader<'_>, due: u64, dest: usize, in_port: usize| {
+        // Whether `port` of `node` is the far end of something: a link to a
+        // neighbour, or the channel between the router and its own source.
+        let connected = |node: u32, port: u8| {
+            let port = usize::from(port);
+            neighbor_table.get(node as usize).is_some_and(|ports| {
+                port == LOCAL_PORT || ports.get(port).is_some_and(Option::is_some)
+            })
+        };
+        read_wheel(r, now, flits_in_flight.latency(), |r, due| {
+            let (dest, in_port) = (r.read_u32()?, r.read_u8()?);
             let flit = Flit::load_state(r)?;
-            if flit.src as usize >= nodes || flit.dst as usize >= nodes || flit.vc() >= vcs {
+            if !connected(dest, in_port)
+                || flit.src as usize >= nodes
+                || flit.dst as usize >= nodes
+                || flit.vc() >= vcs
+            {
                 return Err(SnapshotError::Corrupt("flit in flight"));
             }
-            inbound_flits[dest] += 1;
-            flits_in_flight
-                .push_due(due, FlitInFlight { dest: dest as u32, in_port: in_port as u8, flit });
+            inbound_flits[dest as usize] += 1;
+            flits_in_flight.push_due(due, FlitInFlight { dest, in_port, flit });
             Ok(())
-        };
-        for link in neighbor_table.iter().flatten() {
-            if let Some((dest, in_port)) = *link {
-                read_channel(r, now, link_latency, |r, due| load_flit(r, due, dest, in_port))?;
+        })?;
+        read_wheel(r, now, credits_in_flight.latency(), |r, due| {
+            let (target, out_port, vc) = (r.read_u32()?, r.read_u8()?, r.read_u8()?);
+            if !connected(target, out_port) || usize::from(vc) >= vcs {
+                return Err(SnapshotError::Corrupt("credit in flight"));
             }
+            credits_in_flight.push_due(due, CreditInFlight { target, out_port, vc });
+            Ok(())
+        })
+    }
+
+    /// The credit ledger of every link and injection channel, as the upper
+    /// bound a run keeps: the slots of an input VC that are full, about to be
+    /// filled (flits in flight towards it), free and known to its sender (the
+    /// credits the sender holds) or about to be known (credits in flight to
+    /// the sender) never outnumber the buffer. With it no restored state can
+    /// push into a full buffer, and an item whose stored address or VC is not
+    /// the one it was sent to tips the ledger of the link it lands on. A dead
+    /// router's outputs read full while its neighbours still hold its flits,
+    /// and it sends nothing until its recovery resynchronises them: links out
+    /// of a dead router are not judged.
+    pub(super) fn check_link_ledgers(&self) -> Result<(), SnapshotError> {
+        let now = self.clock.noc_cycle();
+        let vcs = self.cfg.virtual_channels();
+        let at = |node: usize, port: usize, vc: usize| (node * PORT_COUNT + port) * vcs + vc;
+        // In flight by receiver: flits per input VC, credits per output VC
+        // (`LOCAL_PORT`: the node's source).
+        let mut flits_to = vec![0usize; self.routers.len() * PORT_COUNT * vcs];
+        let mut credits_to = flits_to.clone();
+        for (_, f) in self.flits_in_flight.iter(now) {
+            flits_to[at(f.dest as usize, usize::from(f.in_port), f.flit.vc())] += 1;
         }
-        for (node, ports) in neighbor_table.iter().enumerate() {
+        for (_, c) in self.credits_in_flight.iter(now) {
+            credits_to[at(c.target as usize, usize::from(c.out_port), usize::from(c.vc))] += 1;
+        }
+        let dead = |node: usize| self.faults.as_ref().is_some_and(|f| f.router_dead(node));
+        for (node, ports) in self.neighbor_table.iter().enumerate() {
             for (in_port, link) in ports.iter().enumerate() {
-                read_channel(r, now, credits_in_flight.latency(), |r, due| {
-                    let vc = r.read_usize()?;
-                    if in_port != LOCAL_PORT && link.is_none() {
-                        return Err(SnapshotError::Corrupt("credit on a port with no neighbour"));
+                let local = in_port == LOCAL_PORT;
+                let (sender, out_port) = match *link {
+                    Some((sender, _)) if dead(sender) => continue,
+                    Some(far_output) => far_output,
+                    None if local => (node, LOCAL_PORT),
+                    None => continue,
+                };
+                for vc in 0..vcs {
+                    let held = if local {
+                        self.sources[node].credits(vc)
+                    } else {
+                        self.routers[sender].output_credits(out_port, vc)
+                    };
+                    let claimed = self.routers[node].input_vc_occupancy(in_port, vc)
+                        + flits_to[at(node, in_port, vc)]
+                        + held
+                        + credits_to[at(sender, out_port, vc)];
+                    if claimed > self.cfg.buffer_depth() {
+                        return Err(SnapshotError::Corrupt("link credit ledger"));
                     }
-                    if vc >= vcs {
-                        return Err(SnapshotError::Corrupt("credit vc"));
-                    }
-                    credits_in_flight
-                        .push_due(due, credit_receiver(neighbor_table, node, in_port, vc));
-                    Ok(())
-                })?;
+                }
             }
-        }
-        for node in 0..nodes {
-            read_channel(r, now, link_latency, |r, due| load_flit(r, due, node, LOCAL_PORT))?;
         }
         Ok(())
     }
@@ -338,9 +327,9 @@ impl NocSimulation {
     /// or with island workers, and stays bit-identical to the uninterrupted
     /// one.
     ///
-    /// The two in-flight wheels are refilled from the channel section; the
-    /// sparse engine's worklists are rebuilt from the restored network
-    /// state, not deserialized.
+    /// The two in-flight wheels are refilled from the channel section in the
+    /// order they were written; the sparse engine's worklists are rebuilt
+    /// from the restored network state, not deserialized.
     ///
     /// # Errors
     ///
@@ -362,7 +351,8 @@ impl NocSimulation {
         let r = &mut SnapReader::new(snap.payload());
 
         r.expect_tag(snap_tags::CLOCK)?;
-        self.clock.load_state(r)?;
+        let (min, max) = (self.cfg.min_frequency(), self.cfg.max_frequency());
+        self.clock.load_state(r, min.as_hz(), max.as_hz())?;
 
         r.expect_tag(snap_tags::RNG)?;
         let mut rng_state = [0u64; 4];
@@ -389,11 +379,7 @@ impl NocSimulation {
 
         r.expect_tag(snap_tags::TRAFFIC)?;
         let blob_len = r.read_usize()?;
-        let mut blob = Vec::with_capacity(blob_len);
-        for _ in 0..blob_len {
-            blob.push(r.read_u8()?);
-        }
-        if !self.traffic.load_extra_state(&blob) {
+        if !self.traffic.load_extra_state(r.read_bytes(blob_len)?) {
             return Err(SnapshotError::Corrupt("traffic state"));
         }
 
@@ -459,6 +445,7 @@ impl NocSimulation {
         };
 
         r.finish()?;
+        self.check_link_ledgers()?;
 
         // Rebuild the worklists from the restored routers and sources.
         self.rebuild_sparse_worklists();

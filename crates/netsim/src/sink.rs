@@ -82,7 +82,9 @@ impl Sink {
         w.put_u64(self.flits_received);
     }
 
-    /// Replaces the counters with the checkpointed ones.
+    /// Replaces the counters with the checkpointed ones, refusing counts no
+    /// run could reach: more packets completed than started, or fewer flits
+    /// received than packets started (each started with a head flit).
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
@@ -90,12 +92,13 @@ impl Sink {
         use crate::snapshot::SnapshotError;
         let started = r.read_u64()?;
         let completed = r.read_u64()?;
-        if completed > started {
+        let flits = r.read_u64()?;
+        if completed > started || flits < started {
             return Err(SnapshotError::Corrupt("sink packet counters"));
         }
         self.packets_started = started;
         self.packets_completed = completed;
-        self.flits_received = r.read_u64()?;
+        self.flits_received = flits;
         Ok(())
     }
 }

@@ -1,10 +1,10 @@
 //! Versioned full-fidelity simulation checkpoints.
 //!
 //! A [`SimSnapshot`] captures **every piece of mutable simulation state** —
-//! router pipelines and VC buffers, delay-channel contents, source/sink
-//! queues and counters, all RNG streams (traffic and hazard), the dual clock
-//! and per-island accumulators, gating state machines and due-heaps, the
-//! fault-process position, and the in-progress stats windows — as a
+//! router pipelines and VC buffers, the flits and credits in flight,
+//! source/sink queues and counters, all RNG streams (traffic and hazard), the
+//! dual clock and per-island accumulators, gating state machines and timers,
+//! the fault-process position, and the in-progress stats windows — as a
 //! self-describing binary blob with a magic/version/config-fingerprint
 //! header.
 //!
@@ -26,9 +26,9 @@
 //!   islands) and the `skipped_cycles` diagnostic: engine choice is a
 //!   property of the *host* process, not of the simulated state — the
 //!   bit-identity contract makes them interchangeable.
-//! * Derived acceleration state (sparse worklists, channel timing wheels):
-//!   rebuilt from the restored ground truth, exactly like the dense→sparse
-//!   engine switch rebuilds them mid-run.
+//! * Derived acceleration state (the sparse worklists): rebuilt from the
+//!   restored ground truth, exactly like the dense→sparse engine switch
+//!   rebuilds it mid-run.
 //!
 //! The payload encoding is a hand-rolled little-endian binary codec
 //! ([`SnapWriter`] / [`SnapReader`]). Floats travel as raw IEEE-754 bits,
@@ -43,8 +43,12 @@ pub const SNAP_MAGIC: u64 = 0x4E4F_4353_4E41_5031;
 
 /// Current snapshot format version. Bumped on any layout change; old
 /// versions are rejected rather than misread. Version 2 added the tenant
-/// accounting section (partition map + per-tenant windows).
-pub const SNAP_VERSION: u32 = 2;
+/// accounting section (partition map + per-tenant windows). Version 3 writes
+/// what the engine holds: one record per queued packet in the source
+/// section, each in-flight wheel once in due-then-send order in the channel
+/// section, and a header fingerprint over an ordered field encoding of the
+/// configuration.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Errors raised while decoding or applying a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,16 +165,16 @@ impl SimSnapshot {
 /// FNV-1a fingerprint of a [`NetworkConfig`], used to reject restores into
 /// a differently configured simulation.
 ///
-/// The hash runs over the config's complete `Debug` rendering, which covers
-/// every builder knob (topology, VCs, depths, latencies, frequency range,
-/// regions, gating, routing, faults) without the snapshot module having to
-/// enumerate fields — a new config knob automatically extends the
-/// fingerprint.
+/// The hash runs over the ordered field encoding the configuration writes of
+/// itself (`NetworkConfig::encode_fields`), which destructures every
+/// configuration type exhaustively: a new knob does not compile until it is
+/// hashed, and no `Debug` rendering is part of the file format.
 pub fn config_fingerprint(cfg: &NetworkConfig) -> u64 {
-    let rendered = format!("{cfg:?}");
+    let mut fields = SnapWriter::new();
+    cfg.encode_fields(&mut fields);
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in rendered.as_bytes() {
-        hash ^= u64::from(*byte);
+    for byte in fields.into_vec() {
+        hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
@@ -259,7 +263,9 @@ impl<'a> SnapReader<'a> {
         SnapReader { buf, pos: 0 }
     }
 
-    fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    /// Reads `n` raw bytes; an `n` past the end of the data is a truncation,
+    /// not an allocation.
+    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or(SnapshotError::UnexpectedEof)?;
         if end > self.buf.len() {
             return Err(SnapshotError::UnexpectedEof);

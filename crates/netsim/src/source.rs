@@ -196,25 +196,25 @@ impl Source {
     }
 
     /// Current credit count of a VC.
-    #[cfg(test)]
     pub fn credits(&self, vc: usize) -> usize {
         self.credits[vc]
     }
 }
 
 impl Source {
-    /// Encodes the injection queue, credit state and counters for a
-    /// checkpoint. The node index is configuration and is not written.
-    ///
-    /// The queue is written as the flits it stands for — each record expanded
-    /// to the flits it has yet to inject — which is the encoding the format
-    /// has always had.
+    /// Encodes the injection queue — one record per waiting packet — the
+    /// credit state and the counters for a checkpoint. The node index is
+    /// configuration and is not written; `queued_flits` follows from the
+    /// records.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.queued_flits);
+        w.put_usize(self.pending.len());
         for packet in &self.pending {
-            for index in packet.injected..packet.length {
-                packet.flit(self.node as u32, index).save_state(w);
-            }
+            w.put_u64(packet.id.as_u64());
+            w.put_u64(packet.creation_cycle);
+            w.put_f64(packet.creation_time_ps);
+            w.put_u32(packet.dst);
+            w.put_u32(packet.length);
+            w.put_u32(packet.injected);
         }
         w.put_usize(self.credits.len());
         for credit in &self.credits {
@@ -230,19 +230,14 @@ impl Source {
     /// Replaces the mutable source state with the checkpointed one.
     ///
     /// `depth` is the buffer depth of the injection channel's VCs and `nodes`
-    /// the fabric's node count: a snapshot is refused when a credit count
-    /// exceeds the buffer it stands for, when a queued flit does not come
-    /// from this node or goes to no node, or when the stored flits are not
-    /// exactly what a queue of packet records expands to — states the
-    /// injection path would otherwise index or `expect` its way into.
-    ///
-    /// The flits are regrouped into records as they are read. Each run must
-    /// be the remainder of one packet: one id, creation cycle, creation time
-    /// and destination throughout, consecutive indices ending on the tail, a
-    /// head kind exactly at index 0, no VC and no hops yet. Only the first
-    /// run may open past its head, and it must when (and only when) the
-    /// active VC says a packet is partly injected. The queue grows with the
-    /// bytes actually read, never from the stored count.
+    /// the fabric's node count. A snapshot is refused when a credit count
+    /// exceeds the buffer it stands for or when a record is one `push_packet`
+    /// and `try_inject` could not have left behind — a destination that is no
+    /// node, no flits, nothing left to inject, a partly injected packet
+    /// anywhere but at the front, or a front packet that disagrees with the
+    /// active VC about being partly injected — states the injection path
+    /// would otherwise index or `expect` its way into. The queue grows with
+    /// the bytes actually read, never from the stored count.
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
@@ -250,61 +245,29 @@ impl Source {
         nodes: usize,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
-        let framing = || SnapshotError::Corrupt("source queue packet framing");
+        let record = || SnapshotError::Corrupt("source queue packet record");
         let queued = r.read_usize()?;
         self.pending.clear();
-        // The packet whose run is being read; its `length` is the number of
-        // its flits accounted for so far, i.e. the index the next one carries.
-        let mut open: Option<QueuedPacket> = None;
-        let mut opens_mid_packet = false;
+        self.queued_flits = 0;
         for position in 0..queued {
-            let flit = Flit::load_state(r)?;
-            if flit.src() != self.node || flit.dst() >= nodes {
-                return Err(SnapshotError::Corrupt("queued flit endpoint"));
-            }
-            let index = flit.index_in_packet;
-            if flit.vc != 0 || flit.hops != 0 || flit.kind.is_head() != (index == 0) {
-                return Err(framing());
-            }
-            let mut packet = match open.take() {
-                Some(packet) => {
-                    let same_packet = flit.packet_id == packet.id
-                        && flit.creation_cycle == packet.creation_cycle
-                        && flit.creation_time_ps.to_bits() == packet.creation_time_ps.to_bits()
-                        && flit.dst == packet.dst;
-                    if !same_packet || index != packet.length {
-                        return Err(framing());
-                    }
-                    packet
-                }
-                None => {
-                    if index != 0 {
-                        if position != 0 {
-                            return Err(framing());
-                        }
-                        opens_mid_packet = true;
-                    }
-                    QueuedPacket {
-                        id: flit.packet_id,
-                        creation_cycle: flit.creation_cycle,
-                        creation_time_ps: flit.creation_time_ps,
-                        dst: flit.dst,
-                        length: index,
-                        injected: index,
-                    }
-                }
+            let packet = QueuedPacket {
+                id: PacketId::new(r.read_u64()?),
+                creation_cycle: r.read_u64()?,
+                creation_time_ps: r.read_f64()?,
+                dst: r.read_u32()?,
+                length: r.read_u32()?,
+                injected: r.read_u32()?,
             };
-            packet.length = index.checked_add(1).ok_or_else(framing)?;
-            if flit.kind.is_tail() {
-                self.pending.push_back(packet);
-            } else {
-                open = Some(packet);
+            if packet.dst as usize >= nodes
+                || packet.injected >= packet.length
+                || (packet.injected > 0 && position > 0)
+            {
+                return Err(record());
             }
+            let left = (packet.length - packet.injected) as usize;
+            self.queued_flits = self.queued_flits.checked_add(left).ok_or_else(record)?;
+            self.pending.push_back(packet);
         }
-        if open.is_some() {
-            return Err(framing());
-        }
-        self.queued_flits = queued;
         let vcs = r.read_usize()?;
         if vcs != self.credits.len() {
             return Err(SnapshotError::Corrupt("source VC count"));
@@ -319,8 +282,8 @@ impl Source {
         if active_vc.is_some_and(|vc| vc >= self.credits.len()) {
             return Err(SnapshotError::Corrupt("source active VC"));
         }
-        if active_vc.is_some() != opens_mid_packet {
-            return Err(framing());
+        if active_vc.is_some() != self.pending.front().is_some_and(|p| p.injected > 0) {
+            return Err(record());
         }
         self.active_vc = active_vc;
         let next_vc = r.read_usize()?;
@@ -500,40 +463,6 @@ mod tests {
         }
     }
 
-    impl Source {
-        /// The queue as the flits it stands for, built one by one with the
-        /// checked constructor.
-        fn queue_as_flits(&self) -> Vec<Flit> {
-            let flits = self.pending.iter().flat_map(|p| {
-                (p.injected..p.length).map(|i| {
-                    let (dst, i, len) = (p.dst as usize, i as usize, p.length as usize);
-                    Flit::new(p.id, self.node, dst, i, len, p.creation_cycle, p.creation_time_ps)
-                })
-            });
-            flits.collect()
-        }
-
-        /// The source section as `save_state` wrote it while the queue was a
-        /// `VecDeque<Flit>`, for a queue of `flits` and a given active VC.
-        fn save_flit_queue(&self, flits: &[Flit], active_vc: Option<usize>, w: &mut SnapWriter) {
-            w.put_usize(flits.len());
-            flits.iter().for_each(|flit| flit.save_state(w));
-            w.put_usize(self.credits.len());
-            self.credits.iter().for_each(|credit| w.put_usize(*credit));
-            w.put_opt_u64(active_vc.map(|vc| vc as u64));
-            w.put_usize(self.next_vc);
-            w.put_u64(self.flits_generated);
-            w.put_u64(self.packets_generated);
-            w.put_u64(self.flits_injected);
-        }
-
-        /// The flit-by-flit reference encoder `save_state` must agree with
-        /// byte for byte.
-        pub(crate) fn save_state_reference(&self, w: &mut SnapWriter) {
-            self.save_flit_queue(&self.queue_as_flits(), self.active_vc, w);
-        }
-    }
-
     /// A source of node 3 (of 16; 2 VCs of 4) that has injected `injected`
     /// flits of the first of three 5-flit packets.
     fn backlogged(injected: usize) -> Source {
@@ -547,17 +476,15 @@ mod tests {
         src
     }
 
-    /// Loads the source section a flit-queue source would have written for
-    /// `src` with its queue and active VC passed through `mangle`.
-    fn reload(
-        src: &Source,
-        mangle: impl FnOnce(&mut Vec<Flit>, &mut Option<usize>),
-    ) -> Result<Source, SnapshotError> {
-        let (mut flits, mut active_vc) = (src.queue_as_flits(), src.active_vc);
-        mangle(&mut flits, &mut active_vc);
+    fn saved(src: &Source) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        src.save_flit_queue(&flits, active_vc, &mut w);
-        let bytes = w.into_vec();
+        src.save_state(&mut w);
+        w.into_vec()
+    }
+
+    /// Loads the section `src` writes into a fresh source of the same node.
+    fn reload(src: &Source) -> Result<Source, SnapshotError> {
+        let bytes = saved(src);
         let mut fresh = Source::new(3, 2, 4);
         let mut r = SnapReader::new(&bytes);
         fresh.load_state(&mut r, 4, 16)?;
@@ -566,20 +493,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_the_flit_queue_encoding_and_loads_back() {
+    fn snapshot_is_one_record_per_packet_and_loads_back() {
         for injected in [0, 1, 3, 4] {
             let src = backlogged(injected);
-            let (mut records, mut flit_by_flit) = (SnapWriter::new(), SnapWriter::new());
-            src.save_state(&mut records);
-            src.save_state_reference(&mut flit_by_flit);
-            let bytes = records.into_vec();
-            assert_eq!(bytes, flit_by_flit.into_vec(), "{injected} flits injected");
-            // Loading regroups the flits into the records they came from.
-            let mut loaded = reload(&src, |_, _| {}).expect("an untouched section loads");
-            let mut again = SnapWriter::new();
-            loaded.save_state(&mut again);
-            assert_eq!(again.into_vec(), bytes);
-            assert_eq!(loaded.queued_flits(), 15 - injected);
+            let bytes = saved(&src);
+            // A count and three 36-byte records, whatever the packets' length;
+            // two credit counts behind theirs; the active VC; the scan start
+            // and three counters.
+            let active_vc = if injected == 0 { 1 } else { 9 };
+            assert_eq!(bytes.len(), 8 + 3 * 36 + 8 + 2 * 8 + active_vc + 8 + 3 * 8);
+            let mut loaded = reload(&src).expect("an untouched section loads");
+            assert_eq!(saved(&loaded), bytes);
+            assert_eq!(loaded.queued_flits(), 15 - injected, "recomputed from the records");
             if loaded.credits(0) == 0 {
                 loaded.return_credit(0);
             }
@@ -591,37 +516,29 @@ mod tests {
 
     #[test]
     fn a_queue_that_is_not_a_run_of_packet_remainders_is_refused() {
-        type Mangle = fn(&mut Vec<Flit>, &mut Option<usize>);
-        let framing = Err(SnapshotError::Corrupt("source queue packet framing"));
-        // Mid-packet source: flits 3 and 4 of the first packet lead the queue.
-        let cases: [(&str, usize, Mangle); 17] = [
-            ("a flit missing inside a packet", 0, |q, _| {
-                q.remove(7);
+        let refused = Err(SnapshotError::Corrupt("source queue packet record"));
+        // Mid-packet source: three of the front packet's five flits are gone.
+        type Mangle = fn(&mut Source);
+        let cases: [(&str, usize, Mangle); 9] = [
+            ("a destination that is no node", 0, |s| s.pending[1].dst = 16),
+            ("a packet of no flits", 0, |s| s.pending[1].length = 0),
+            ("a front packet with nothing left to inject", 3, |s| s.pending[0].injected = 5),
+            ("more flits injected than the packet has", 3, |s| s.pending[0].injected = 6),
+            ("a later packet partly injected", 0, |s| s.pending[1].injected = 1),
+            ("a later packet partly injected behind a partly injected one", 3, |s| {
+                s.pending[2].injected = 4;
             }),
-            ("flits out of order inside a packet", 0, |q, _| q.swap(7, 8)),
-            ("a flit twice", 0, |q, _| q.insert(7, q[7])),
-            ("the queue ends before the tail", 0, |q, _| q.truncate(14)),
-            ("a later packet opens past its head", 3, |q, _| {
-                q.remove(2);
+            ("a partly injected front packet no VC holds", 3, |s| s.active_vc = None),
+            ("a VC held although the front packet has not started", 0, |s| s.active_vc = Some(1)),
+            ("a VC held by an empty queue", 0, |s| {
+                s.pending.clear();
+                s.active_vc = Some(0);
             }),
-            ("the queue opens past a head no VC holds", 3, |_, vc| *vc = None),
-            ("a VC held although the queue opens on a head", 0, |_, vc| *vc = Some(1)),
-            ("a VC held by an empty queue", 0, |q, vc| {
-                q.clear();
-                *vc = Some(0);
-            }),
-            ("a body flit at index 0", 0, |q, _| q[5].kind = crate::flit::FlitKind::Body),
-            ("a head flit past index 0", 0, |q, _| q[6].kind = crate::flit::FlitKind::Head),
-            ("a tail ahead of the packet's end", 0, |q, _| q[6].kind = crate::flit::FlitKind::Tail),
-            ("a flit already on a VC", 0, |q, _| q[6].vc = 1),
-            ("a flit that has travelled", 0, |q, _| q[6].hops = 1),
-            ("two packet ids in one run", 0, |q, _| q[6].packet_id = PacketId::new(7)),
-            ("two creation cycles in one run", 0, |q, _| q[6].creation_cycle += 1),
-            ("two creation times in one run", 0, |q, _| q[6].creation_time_ps = -2.5),
-            ("two destinations in one run", 0, |q, _| q[6].dst = 10),
         ];
         for (what, injected, mangle) in cases {
-            assert_eq!(reload(&backlogged(injected), mangle).map(drop), framing, "{what}");
+            let mut src = backlogged(injected);
+            mangle(&mut src);
+            assert_eq!(reload(&src).map(drop), refused, "{what}");
         }
         // The stored count is only a loop bound: a huge one runs into the
         // end of the bytes, not into an allocation.

@@ -34,7 +34,7 @@ use noc_dvfs_repro::dvfs::{
 };
 use noc_dvfs_repro::sim::{
     FaultConfig, GatingConfig, HazardConfig, NetworkConfig, NocSimulation, SimSnapshot,
-    SyntheticTraffic, TrafficPattern,
+    SnapshotError, SyntheticTraffic, TrafficPattern,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -154,9 +154,16 @@ fn main() {
         let traffic = SyntheticTraffic::new(TrafficPattern::Uniform, unit.load, net.packet_length());
         let mut sim = NocSimulation::new(net, Box::new(traffic), unit.seed);
         if let Some(bytes) = ctx.load_checkpoint() {
-            let snap = SimSnapshot::from_bytes(&bytes).expect("checkpoints are never torn");
-            sim.restore(&snap).expect("checkpoint matches the configuration");
-            println!("    warm-start from cycle {}", sim.current_cycle());
+            match SimSnapshot::from_bytes(&bytes).and_then(|snap| sim.restore(&snap)) {
+                Ok(()) => println!("    warm-start from cycle {}", sim.current_cycle()),
+                // A checkpoint left behind by another format version or
+                // another configuration is stale, not torn. Both are refused
+                // before any state is touched: the point starts at cycle 0.
+                Err(e @ (SnapshotError::UnsupportedVersion(_) | SnapshotError::ConfigMismatch)) => {
+                    println!("    stale checkpoint ({e}): cold start")
+                }
+                Err(e) => return Err(format!("checkpoint of {}: {e}", unit.key)),
+            }
         }
         while sim.current_cycle() < 2_000 {
             sim.run_cycles(400);

@@ -20,6 +20,14 @@ figures=(cargo run --release --quiet --bin figures -- --quality quick --fig 2)
 NOC_SWEEP_THREADS=1 "${figures[@]}" >"$fig_out/serial.txt"
 diff "$fig_out/parallel.txt" "$fig_out/serial.txt"
 
+# The one target that writes snapshots to disk and resumes from them (journal
+# resume, chaos kills, a warm start from a mid-run checkpoint; ~1 s). Examples
+# are otherwise only compiled, by clippy below. The chaos kills it absorbs
+# print panic messages, so its output is shown only if it fails.
+echo "==> cargo run --release --quiet --example checkpoint_resume"
+cargo run --release --quiet --example checkpoint_resume >"$fig_out/checkpoint_resume.txt" 2>&1 ||
+    { cat "$fig_out/checkpoint_resume.txt"; exit 1; }
+
 # The property suites (tests/{routing,traffic,simulator,policy}_properties.rs
 # and tests/sparse_equivalence.rs) run as part of the workspace test pass
 # below. Their inputs are sampled from per-case fixed seeds (see the proptest
