@@ -321,10 +321,14 @@ pub(crate) fn run_loop(
         let windows = sim.take_island_windows();
         // Warm-up windows are discarded: reset the activity counters in
         // place instead of materialising a per-router vector only to drop
-        // it. Together with the simulator's sparse stepping (quiescent
-        // routers and idle channels cost nothing per cycle) and the power
-        // model's idle-router fast path, this keeps the controller's
-        // between-window overhead proportional to traffic, not network size.
+        // it. The reset visits only the routers that held flits or changed
+        // gating state in the window (the simulator's touched set, one bit
+        // per node) and closes no gated span, so a warm-up window's overhead
+        // follows its traffic plus a word per 64 nodes. A gated loop's
+        // retune still walks the nodes of each island whose idle threshold
+        // moved (to re-arm its idle routers' sleep timers), and the
+        // measurement windows below build and fold one activity record per
+        // router.
         sim.reset_activity();
         if retune(&mut sim, &mut controller, &windows) <= loop_cfg.settle_tolerance {
             stable_checks += 1;

@@ -169,6 +169,12 @@ impl Default for GatingConfig {
 /// pushed in order), and the DrainWait population is a small transient list.
 /// A fully gated idle network therefore costs O(islands) per cycle, the same
 /// as the plain idle sparse core ("gated routers are literally free").
+///
+/// The same holds per activity window: a router's open Gated span is never
+/// closed at a window edge. It starts at `max(gated_since, window_start)` of
+/// its island, read lazily where a span ends (`request_wakeup`), where a
+/// window is reported (`open_gated_span`) and where it is saved, so draining
+/// a window touches no router that stayed gated through it.
 #[derive(Debug)]
 pub(crate) struct GatingController {
     /// Master switch (configuration).
@@ -200,10 +206,17 @@ pub(crate) struct GatingController {
     /// Sources removed from the sparse pending worklist because their router
     /// is fenced; re-inserted when the router wakes.
     pub(crate) fenced_sources: Vec<bool>,
-    /// Domain cycle at which the router's current Gated span began.
+    /// Domain cycle at which the router's current Gated span began — or an
+    /// earlier cycle: the span counts in the current activity window from
+    /// `max(gated_since, window_start[island])`, and that maximum is
+    /// written back when the span ends.
     gated_since: Vec<u64>,
+    /// Per-island domain cycle at which the current activity window began
+    /// (the simulation restarts it at every activity drain; it also bounds
+    /// the `cycles` every router reports for the window).
+    pub(crate) window_start: Vec<u64>,
     /// Per-router gated domain cycles accumulated since the last activity
-    /// drain (completed spans only; the open span is closed at drain time).
+    /// drain (completed spans only; the open span is read lazily).
     win_gated_cycles: Vec<u64>,
     /// Sleep (Active→Gated) transitions since the last activity drain.
     win_sleep_events: Vec<u64>,
@@ -237,6 +250,7 @@ impl GatingController {
             fenced_count: 0,
             fenced_sources: vec![false; n],
             gated_since: vec![0; n],
+            window_start: vec![0; islands],
             win_gated_cycles: vec![0; n],
             win_sleep_events: vec![0; n],
             win_wake_events: vec![0; n],
@@ -255,9 +269,12 @@ impl GatingController {
         self.thresholds[island]
     }
 
-    /// Number of routers currently in the [`Gated`](GateState::Gated) state.
+    /// Number of routers currently in the [`Gated`](GateState::Gated) state:
+    /// the fenced routers less the waking ones, which pair one to one with
+    /// the wake timers (`load_state` refuses a snapshot where they do not).
+    /// O(islands).
     pub(crate) fn gated_count(&self) -> usize {
-        self.states.iter().filter(|s| **s == GateState::Gated).count()
+        self.fenced_count - self.wake_due.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Whether no router is currently in DrainWait. A non-empty DrainWait
@@ -322,17 +339,23 @@ impl GatingController {
 
     /// Raises a wakeup request towards `node` (neighbour flit demand or
     /// local source demand) at its island's domain cycle `now`. Idempotent:
-    /// only the first request of a Gated span starts the wakeup.
+    /// only the first request of a Gated span starts the wakeup, and only
+    /// that one returns `true` — the router's window counters changed.
     #[inline]
-    pub(crate) fn request_wakeup(&mut self, node: usize, now: u64) {
+    pub(crate) fn request_wakeup(&mut self, node: usize, now: u64) -> bool {
         if self.states[node] != GateState::Gated {
-            return;
+            return false;
         }
         let island = self.island_of[node] as usize;
         self.states[node] = GateState::WakeUp;
         self.win_wake_events[node] += 1;
-        self.win_gated_cycles[node] += now - self.gated_since[node];
+        // The span ends: its share of this window is closed into the window
+        // counter, and its window-relative start is what stays behind.
+        let since = self.span_start(node);
+        self.win_gated_cycles[node] += now - since;
+        self.gated_since[node] = since;
         self.wake_due[island].push_back((now + self.wake_latency[island], node as u32));
+        true
     }
 
     /// Completes due wakeups of one island (`now` = the island's domain
@@ -404,13 +427,15 @@ impl GatingController {
     /// Walks the DrainWait population and gates every router whose inbound
     /// traffic has fully drained. The driver supplies `fires(island)`,
     /// `inbound_clear(node)` (incoming link + injection channels empty) and
-    /// `source_pending(node)`.
+    /// `source_pending(node)`, and hears of every router that gated through
+    /// `gated(node)` (its window counters changed).
     pub(crate) fn complete_drains(
         &mut self,
         fires: impl Fn(usize) -> bool,
         inbound_clear: impl Fn(usize) -> bool,
         source_pending: impl Fn(usize) -> bool,
         island_cycle: impl Fn(usize) -> u64,
+        mut gated: impl FnMut(usize),
     ) {
         if self.drain_wait.is_empty() {
             return;
@@ -436,6 +461,7 @@ impl GatingController {
             if let Some(log) = self.transition_log.as_mut() {
                 log.push((node, true));
             }
+            gated(n);
             false
         });
         self.drain_wait = drain_wait;
@@ -443,8 +469,16 @@ impl GatingController {
 
     /// Changes one island's idle threshold and re-arms the sleep timers of
     /// its currently idle Active routers against the new value (stale heap
-    /// entries are invalidated at pop time).
-    pub(crate) fn set_island_threshold(&mut self, island: usize, threshold: u64, now: u64) {
+    /// entries are invalidated at pop time). `members` is the island's
+    /// node bitmask (one `u64` per 64 nodes), walked in ascending node
+    /// order — the order the timers were always pushed in.
+    pub(crate) fn set_island_threshold(
+        &mut self,
+        island: usize,
+        threshold: u64,
+        now: u64,
+        members: &[u64],
+    ) {
         if self.thresholds[island] == threshold {
             return;
         }
@@ -452,13 +486,15 @@ impl GatingController {
         if !self.enabled || threshold == GATE_NEVER {
             return;
         }
-        for node in 0..self.states.len() {
-            if self.island_of[node] as usize == island
-                && self.states[node] == GateState::Active
-                && self.idle[node]
-            {
-                let due = self.idle_since[node].saturating_add(threshold).max(now);
-                self.sleep_due[island].push(Reverse((due, node as u32)));
+        for (widx, &word) in members.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                let node = (widx << 6) | w.trailing_zeros() as usize;
+                w &= w - 1;
+                if self.states[node] == GateState::Active && self.idle[node] {
+                    let due = self.idle_since[node].saturating_add(threshold).max(now);
+                    self.sleep_due[island].push(Reverse((due, node as u32)));
+                }
             }
         }
     }
@@ -479,20 +515,43 @@ impl GatingController {
         }
     }
 
-    /// Drains one router's gating window counters (gated domain cycles,
-    /// sleep events, wake events) for an activity report; `now` is the
-    /// router's island domain cycle, used to close an open Gated span.
-    pub(crate) fn drain_router_window(&mut self, node: usize, now: u64) -> (u64, u64, u64) {
-        let mut gated = std::mem::take(&mut self.win_gated_cycles[node]);
+    /// Where `node`'s open Gated span starts counting in the current
+    /// activity window: its gating cycle, or the window's start if it was
+    /// already gated then.
+    #[inline]
+    fn span_start(&self, node: usize) -> u64 {
+        self.gated_since[node].max(self.window_start[self.island_of[node] as usize])
+    }
+
+    /// The domain cycles of the current activity window `node` has spent in
+    /// its still open Gated span (0 unless it is Gated); `now` is its
+    /// island's domain cycle.
+    #[inline]
+    pub(crate) fn open_gated_span(&self, node: usize, now: u64) -> u64 {
         if self.states[node] == GateState::Gated {
-            gated += now - self.gated_since[node];
-            self.gated_since[node] = now;
+            now - self.span_start(node)
+        } else {
+            0
         }
+    }
+
+    /// Drains one router's gating window counters — gated domain cycles of
+    /// the spans that ended in the window, sleep events, wake events. The
+    /// open span is not among them: [`open_gated_span`](Self::open_gated_span)
+    /// reads it, and restarting the window ends its share.
+    pub(crate) fn drain_router_window(&mut self, node: usize) -> (u64, u64, u64) {
         (
-            gated,
+            std::mem::take(&mut self.win_gated_cycles[node]),
             std::mem::take(&mut self.win_sleep_events[node]),
             std::mem::take(&mut self.win_wake_events[node]),
         )
+    }
+
+    /// Starts a new activity window at each island's current domain cycle.
+    pub(crate) fn restart_window(&mut self, island_cycles: impl Iterator<Item = u64>) {
+        for (start, cycle) in self.window_start.iter_mut().zip(island_cycles) {
+            *start = cycle;
+        }
     }
 }
 
@@ -502,7 +561,8 @@ impl GatingController {
     /// machine, and the sleep/wake timers. The master switch, the wakeup
     /// latencies and the fenced-router count are written too — configuration
     /// and derived state, which [`load_state`](Self::load_state) reads only
-    /// to compare. The node→island map is not written.
+    /// to compare. The node→island map is not written, and the activity
+    /// window starts travel in the simulation's island section.
     ///
     /// The sleep-timer heaps are written as their sorted ascending contents:
     /// a heap's pop sequence is a function of the multiset of `(due, node)`
@@ -555,8 +615,11 @@ impl GatingController {
         for fenced in &self.fenced_sources {
             w.put_bool(*fenced);
         }
-        for since in &self.gated_since {
-            w.put_u64(*since);
+        // A Gated router's span start as the window sees it: the value an
+        // eager drain would have left in `gated_since`.
+        for (node, since) in self.gated_since.iter().enumerate() {
+            let gated = self.states[node] == GateState::Gated;
+            w.put_u64(if gated { self.span_start(node) } else { *since });
         }
         for win in [&self.win_gated_cycles, &self.win_sleep_events, &self.win_wake_events] {
             for v in win {
@@ -717,13 +780,16 @@ mod tests {
         assert_eq!(c.drain_wait.len(), 4);
         assert_eq!(c.states[0], GateState::DrainWait);
         // Inbound clear on every node: all gate.
-        c.complete_drains(|_| true, |_| true, |_| false, |_| 3);
+        let mut gated_nodes = Vec::new();
+        c.complete_drains(|_| true, |_| true, |_| false, |_| 3, |n| gated_nodes.push(n));
+        assert_eq!(gated_nodes, vec![0, 1, 2, 3]);
         assert_eq!(c.gated_count(), 4);
         assert_eq!(c.fenced_count, 4);
         // Wake node 2 at cycle 10; due at 12.
-        c.request_wakeup(2, 10);
+        assert!(c.request_wakeup(2, 10));
         assert_eq!(c.states[2], GateState::WakeUp);
-        c.request_wakeup(2, 10); // idempotent
+        assert_eq!(c.gated_count(), 3, "a waking router is fenced but not gated");
+        assert!(!c.request_wakeup(2, 10), "idempotent");
         c.fenced_sources[2] = true;
         let mut unfenced = Vec::new();
         c.complete_wakeups(0, 11, |n| unfenced.push(n));
@@ -733,10 +799,27 @@ mod tests {
         assert!(!c.fenced_sources[2]);
         assert_eq!(c.states[2], GateState::Active);
         assert!(c.idle[2], "a woken router is empty, hence idle again");
-        let (gated, sleeps, wakes) = c.drain_router_window(2, 12);
+        assert_eq!(c.open_gated_span(2, 12), 0);
+        let (gated, sleeps, wakes) = c.drain_router_window(2);
         assert_eq!(gated, 10 - 3);
         assert_eq!(sleeps, 1);
         assert_eq!(wakes, 1);
+    }
+
+    #[test]
+    fn an_open_gated_span_starts_at_the_later_of_its_gating_and_the_window() {
+        let map = RegionLayout::Whole.build(2, 2);
+        let mut c = GatingController::new(&GatingConfig::enabled(3, 2), &map);
+        c.start_drains(0, 3, |_| false);
+        c.complete_drains(|_| true, |_| true, |_| false, |_| 3, |_| {});
+        assert_eq!(c.open_gated_span(1, 8), 8 - 3);
+        // A window edge at 6 touches no gated router, yet restarts its span.
+        c.restart_window(std::iter::once(6));
+        assert_eq!(c.open_gated_span(1, 8), 8 - 6);
+        assert!(c.request_wakeup(1, 10));
+        assert_eq!(c.drain_router_window(1), (10 - 6, 1, 1));
+        assert_eq!(c.gated_since[1], 6, "the span's window-relative start stays behind");
+        assert_eq!(c.gated_since[0], 3, "a span still open keeps its gating cycle");
     }
 
     #[test]
@@ -748,10 +831,10 @@ mod tests {
         c.on_flit_arrival(0);
         assert_eq!(c.states[0], GateState::Active);
         assert!(!c.idle[0]);
-        c.complete_drains(|_| true, |_| true, |_| false, |_| 1);
+        c.complete_drains(|_| true, |_| true, |_| false, |_| 1, |_| {});
         assert_eq!(c.states[0], GateState::Active, "the arrival aborted node 0's power-down");
         assert_eq!(c.gated_count(), 3, "the untouched routers gate normally");
-        let (gated, sleeps, wakes) = c.drain_router_window(0, 5);
-        assert_eq!((gated, sleeps, wakes), (0, 0, 0));
+        assert_eq!(c.open_gated_span(0, 5), 0);
+        assert_eq!(c.drain_router_window(0), (0, 0, 0));
     }
 }

@@ -24,6 +24,11 @@
 //! * **Pending-source worklist** — injection polls only sources with queued
 //!   flits; an idle source costs nothing, a credit-blocked source stays in
 //!   the worklist (backed-up traffic *is* activity).
+//! * **Touched set** — the routers that left the active worklist or changed
+//!   gating state since the last activity drain. The drains
+//!   ([`NocSimulation::reset_activity`], [`NocSimulation::take_activity`])
+//!   visit `active ∪ touched` only, so a control window costs what moved in
+//!   it, not the fabric size.
 //!
 //! Packet **generation order is sacred**: every engine makes the same one
 //! [`TrafficSpec::generate_tick`] call per tick, and that method's contract
@@ -292,12 +297,15 @@ pub struct NocSimulation {
     /// Scratch: the union of the firing islands' masks, rebuilt on base
     /// ticks where at least one island does not fire.
     fire_words: Vec<u64>,
-    /// Island-local cycle counts at the start of the current activity
-    /// window (elapsed cycles are accounted centrally when the window is
-    /// taken, so skipped quiescent routers still report correct `cycles`).
-    activity_start_island: Vec<u64>,
+    /// Routers that left the active worklist, or whose gating window
+    /// counters changed, since the last activity drain. Invariant: a router
+    /// whose `RouterActivity` or gating window counters may be non-zero is
+    /// in `active ∪ touched` — the activity drains visit only those.
+    touched: NodeSet,
     /// The power-gating state machine (a structural no-op when the
-    /// configuration leaves gating disabled).
+    /// configuration leaves gating disabled). It also holds the per-island
+    /// start of the current activity window, from which every router's
+    /// `cycles` and open gated span are counted.
     gating: GatingController,
     /// Shared-clock marks at the start of the current island-window span
     /// (see [`take_island_windows`](Self::take_island_windows)).
@@ -408,7 +416,7 @@ impl NocSimulation {
             dense_step: false,
             event_skip: true,
             skipped_cycles: 0,
-            activity_start_island: vec![0; regions.island_count()],
+            touched: NodeSet::new(n),
             regions,
             islands,
             island_masks,

@@ -3,7 +3,7 @@
 //! the measurement-window and activity drains.
 
 use super::{NocSimulation, TenantAccounting, WindowMeasurement};
-use crate::activity::NetworkActivity;
+use crate::activity::{NetworkActivity, RouterActivity};
 use crate::gating::GateState;
 use crate::stats::SimStats;
 use crate::telemetry::{CongestionHeatmap, SimCounters, TelemetryConfig, TelemetryState};
@@ -51,14 +51,14 @@ impl NocSimulation {
     /// gating policy drives each control interval. Routers already gated
     /// stay gated until traffic wakes them (even at
     /// [`GATE_NEVER`](crate::gating::GATE_NEVER)); only future power-down
-    /// decisions use the new threshold.
+    /// decisions use the new threshold. Walks only the island's own nodes.
     ///
     /// # Panics
     ///
     /// Panics if `island >= island_count()`.
     pub fn set_island_idle_threshold(&mut self, island: usize, threshold: u64) {
         let now = self.islands[island].local_cycle;
-        self.gating.set_island_threshold(island, threshold, now);
+        self.gating.set_island_threshold(island, threshold, now, &self.island_masks[island]);
     }
 
     /// Total flits delivered to sinks since the start of the run — the
@@ -187,10 +187,13 @@ impl NocSimulation {
     /// state — used when the sparse engine is (re-)entered after the dense
     /// reference loop ran, and after a checkpoint restore. A pending source
     /// whose router is fenced belongs in the fenced-source set, not the
-    /// worklist — it rejoins when the router wakes.
+    /// worklist — it rejoins when the router wakes. Every router is marked
+    /// touched: whatever its window counters hold, the next activity drain
+    /// reads them.
     pub(super) fn rebuild_sparse_worklists(&mut self) {
         for (node, router) in self.routers.iter().enumerate() {
             self.active.set_to(node, !router.is_quiescent());
+            self.touched.insert(node);
         }
         for (node, source) in self.sources.iter().enumerate() {
             let pending = source.has_pending_flits();
@@ -281,52 +284,68 @@ impl NocSimulation {
     /// quiescent routers, which therefore never see a per-cycle tick), so
     /// every router reports the full window length in `cycles` — measured in
     /// its **own island's** domain cycles, which is what an activity-driven
-    /// power model must integrate against.
+    /// power model must integrate against. Gating residency rides along:
+    /// `gated_cycles` and the sleep/wake events let the power model split
+    /// leakage into active and gated time and charge the transitions.
+    ///
+    /// Cost: one record per router is built from its island's window span
+    /// and its open gated span; only the routers that were busy, drained or
+    /// changed gating state in the window (`active ∪ touched`) are read
+    /// beyond that. A router that stayed gated or idle through the window
+    /// is never visited.
     pub fn take_activity(&mut self) -> NetworkActivity {
-        let islands = &self.islands;
-        let starts = &self.activity_start_island;
         let island_of = self.regions.assignments();
-        let gating = &mut self.gating;
-        let routers = self
-            .routers
-            .iter_mut()
+        let mut routers: Vec<RouterActivity> = island_of
+            .iter()
             .enumerate()
-            .map(|(node, r)| {
-                let island = island_of[node] as usize;
-                let mut a = r.take_activity();
-                a.cycles += islands[island].local_cycle - starts[island];
-                // Gating residency rides along with the activity window (an
-                // open Gated span is closed here and restarted): this is
-                // what lets the power model split leakage into active/gated
-                // time and charge the sleep/wake transition energies.
-                let (gated, sleeps, wakes) =
-                    gating.drain_router_window(node, islands[island].local_cycle);
-                a.gated_cycles += gated;
-                a.sleep_events += sleeps;
-                a.wake_events += wakes;
-                a
+            .map(|(node, &island)| {
+                let island = island as usize;
+                let now = self.islands[island].local_cycle;
+                RouterActivity {
+                    cycles: now - self.gating.window_start[island],
+                    gated_cycles: self.gating.open_gated_span(node, now),
+                    ..RouterActivity::default()
+                }
             })
             .collect();
-        for (start, island) in self.activity_start_island.iter_mut().zip(&self.islands) {
-            *start = island.local_cycle;
-        }
+        self.drain_touched(|node, a| routers[node] += a);
         NetworkActivity { routers }
     }
 
     /// Discards the activity accumulated since the last
     /// [`take_activity`](Self::take_activity) (or reset) without building the
     /// per-router vector — the cheap path for control loops that throw
-    /// warm-up windows away.
+    /// warm-up windows away. Costs O(routers touched in the window +
+    /// nodes / 64 + islands): it visits the active routers and those marked
+    /// touched — every router that drained, died, slept or was woken since
+    /// the last drain, hence every router whose counters may be non-zero —
+    /// and no router that stayed gated or idle.
     pub fn reset_activity(&mut self) {
-        let island_of = self.regions.assignments();
-        for (node, r) in self.routers.iter_mut().enumerate() {
-            let _ = r.take_activity();
-            let island = island_of[node] as usize;
-            let _ = self.gating.drain_router_window(node, self.islands[island].local_cycle);
+        self.drain_touched(|_, _| {});
+    }
+
+    /// Ends the activity window: hands `f` the drained router and gating
+    /// window counters of every router in `active ∪ touched` (in ascending
+    /// node order), empties `touched` and restarts every island's window.
+    /// The routers outside the set have nothing to drain — their counters
+    /// are zero by the `touched` invariant — and an open gated span needs no
+    /// closing: it counts from the later of its gating and the new start.
+    fn drain_touched(&mut self, mut f: impl FnMut(usize, RouterActivity)) {
+        let NocSimulation { routers, active, touched, gating, islands, .. } = self;
+        for (widx, (t, &a)) in touched.words.iter_mut().zip(&active.words).enumerate() {
+            let mut w = std::mem::take(t) | a;
+            while w != 0 {
+                let node = (widx << 6) | w.trailing_zeros() as usize;
+                w &= w - 1;
+                let mut activity = routers[node].take_activity();
+                let (gated, sleeps, wakes) = gating.drain_router_window(node);
+                activity.gated_cycles += gated;
+                activity.sleep_events += sleeps;
+                activity.wake_events += wakes;
+                f(node, activity);
+            }
         }
-        for (start, island) in self.activity_start_island.iter_mut().zip(&self.islands) {
-            *start = island.local_cycle;
-        }
+        gating.restart_window(islands.iter().map(|d| d.local_cycle));
     }
 
     /// Drains the measurement window accumulated since the last call.
@@ -492,9 +511,8 @@ impl NocSimulation {
     /// sampler reads the router vector.
     pub(super) fn sample_telemetry(&mut self, now: u64) {
         let Some(mut t) = self.telemetry.take() else { return };
-        let gated = if self.gating.enabled { self.gating.gated_count() } else { 0 };
         let island_cycles: Vec<u64> = self.islands.iter().map(|d| d.local_cycle).collect();
-        t.sample(&self.routers, gated, &island_cycles, now);
+        t.sample(&self.routers, self.gating.gated_count(), &island_cycles, now);
         self.telemetry = Some(t);
     }
 

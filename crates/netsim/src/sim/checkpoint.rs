@@ -269,7 +269,7 @@ impl NocSimulation {
             w.put_u64(island.local_cycle);
             save_window(&island.window, &mut w);
         }
-        for start in &self.activity_start_island {
+        for start in &self.gating.window_start {
             w.put_u64(*start);
         }
         w.put_f64(self.island_window_start_wall_ps);
@@ -395,8 +395,11 @@ impl NocSimulation {
             island.local_cycle = r.read_u64()?;
             island.window = load_window(r)?;
         }
-        for start in &mut self.activity_start_island {
+        for (start, island) in self.gating.window_start.iter_mut().zip(&self.islands) {
             *start = r.read_u64()?;
+            if *start > island.local_cycle {
+                return Err(SnapshotError::Corrupt("activity window start"));
+            }
         }
         self.island_window_start_wall_ps = r.read_f64()?;
         self.island_window_start_node_cycles = r.read_u64()?;

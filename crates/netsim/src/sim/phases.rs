@@ -25,7 +25,9 @@ impl NocSimulation {
     /// move still-idle routers into DrainWait, and DrainWait routers whose
     /// inbound channels have fully drained close their power gate.
     fn gating_phase(&mut self) {
-        let NocSimulation { sources, inbound_flits, pending_sources, islands, gating, .. } = self;
+        let NocSimulation {
+            sources, inbound_flits, pending_sources, touched, islands, gating, ..
+        } = self;
         for (island, domain) in islands.iter().enumerate() {
             if !domain.fires {
                 continue;
@@ -52,6 +54,7 @@ impl NocSimulation {
             |node| inbound_flits[node] == 0,
             |node| sources[node].has_pending_flits(),
             |island| islands[island].local_cycle,
+            |node| touched.insert(node),
         );
     }
 
@@ -82,6 +85,7 @@ impl NocSimulation {
             islands,
             regions,
             active,
+            touched,
             pending_sources,
             gating,
             faults,
@@ -161,6 +165,7 @@ impl NocSimulation {
                     // Sparse worklists: the purged router is quiescent and
                     // its source is parked (no-ops for the dense loop).
                     active.set_to(node, false);
+                    touched.insert(node);
                     pending_sources.set_to(node, false);
                 }
                 FaultTransition::RouterUp { node } => {
@@ -376,6 +381,7 @@ impl NocSimulation {
             inbound_flits,
             window,
             pending_sources,
+            touched,
             regions,
             islands,
             fire_words,
@@ -401,7 +407,9 @@ impl NocSimulation {
                     continue;
                 }
                 if gate_fencing && gating.states[node].is_fenced() {
-                    gating.request_wakeup(node, islands[island_of[node] as usize].local_cycle);
+                    if gating.request_wakeup(node, islands[island_of[node] as usize].local_cycle) {
+                        touched.insert(node);
+                    }
                     gating.fenced_sources[node] = true;
                     *word &= !(1u64 << bit);
                     continue;
@@ -435,6 +443,7 @@ impl NocSimulation {
             flits_in_flight,
             inbound_flits,
             window,
+            touched,
             regions,
             islands,
             gating,
@@ -454,7 +463,9 @@ impl NocSimulation {
                 // holds its flits until the router recovers.
             } else if gate_fencing && gating.states[node].is_fenced() {
                 if source.has_pending_flits() {
-                    gating.request_wakeup(node, island.local_cycle);
+                    if gating.request_wakeup(node, island.local_cycle) {
+                        touched.insert(node);
+                    }
                     gating.fenced_sources[node] = true;
                 }
             } else if let Some(flit) = source.try_inject() {

@@ -143,6 +143,7 @@ pub(super) struct Effects<'a> {
     islands: &'a mut [IslandDomain],
     gating: &'a mut GatingController,
     active: &'a mut NodeSet,
+    touched: &'a mut NodeSet,
     flits_in_flight: &'a mut EventWheel<FlitInFlight>,
     credits_in_flight: &'a mut EventWheel<CreditInFlight>,
     inbound_flits: &'a mut [u32],
@@ -172,7 +173,9 @@ impl Effects<'_> {
                 let (nbr, _) = self.neighbor_table[node][port]
                     .expect("a fenced port implies a neighbouring router");
                 let cycle = self.islands[self.island_of[nbr] as usize].local_cycle;
-                self.gating.request_wakeup(nbr, cycle);
+                if self.gating.request_wakeup(nbr, cycle) {
+                    self.touched.insert(nbr);
+                }
             }
         }
         if out.dropped > 0 || !out.ejected.is_empty() {
@@ -195,6 +198,7 @@ impl Effects<'_> {
         }
         if visit != Visit::Busy {
             self.active.set_to(node, false);
+            self.touched.insert(node);
         }
         if visit == Visit::Drained && self.gating.enabled && !self.gating.idle[node] {
             // The router just drained: start its idle span (a stale worklist
@@ -319,6 +323,7 @@ impl NocSimulation {
             window,
             scratch,
             active,
+            touched,
             regions,
             islands,
             fire_words,
@@ -340,6 +345,7 @@ impl NocSimulation {
                 islands,
                 gating,
                 active,
+                touched,
                 flits_in_flight,
                 credits_in_flight,
                 inbound_flits,

@@ -930,6 +930,54 @@ fn parallel_island_stepping_composes_with_gating_and_faults() {
     conservation_holds(&serial);
 }
 
+/// `gated_router_count` is derived (fenced less waking), not counted: after
+/// every tick of a gated, faulted quadrant run it equals a recount of the
+/// gate states.
+#[test]
+fn gated_count_matches_a_recount_after_every_tick() {
+    use crate::fault::{FaultEvent, FaultTarget};
+    use crate::gating::GateState;
+    let cfg = quadrant_cfg()
+        .to_builder()
+        .gating(crate::gating::GatingConfig::enabled(6, 3))
+        .faults(FaultConfig::scheduled(vec![FaultEvent::transient(
+            FaultTarget::Router { node: 6 },
+            300,
+            500,
+        )]))
+        .build()
+        .unwrap();
+    let mut sim = sim_with(0.04, TrafficPattern::Uniform, cfg, 19);
+    sim.set_island_frequency(2, Hertz::from_mhz(500.0));
+    let (mut saw_gated, mut saw_waking) = (false, false);
+    for _ in 0..2_000 {
+        sim.run_cycles(1);
+        let gated = sim.gating.states.iter().filter(|s| **s == GateState::Gated).count();
+        assert_eq!(sim.gated_router_count(), gated, "cycle {}", sim.current_cycle());
+        saw_gated |= gated > 0;
+        saw_waking |= sim.gating.states.contains(&GateState::WakeUp);
+    }
+    assert!(saw_gated && saw_waking, "the run must gate and wake routers");
+}
+
+/// An activity window cannot start in its island's future: the window's
+/// `cycles` and every open gated span are counted from its start, and a
+/// restored start past the island clock would underflow the next drain.
+#[test]
+fn an_activity_window_starting_after_its_island_clock_is_refused() {
+    let fresh = || sim_with(0.05, TrafficPattern::Uniform, gated_cfg(6, 3), 5);
+    let mut sim = fresh();
+    sim.run_cycles(300);
+    sim.reset_activity();
+    sim.run_cycles(40);
+    assert!(fresh().restore(&sim.snapshot()).is_ok());
+    sim.gating.window_start[0] = sim.islands[0].local_cycle + 1;
+    assert_eq!(
+        fresh().restore(&sim.snapshot()),
+        Err(crate::snapshot::SnapshotError::Corrupt("activity window start"))
+    );
+}
+
 // ----- the source queue on disk: one record per waiting packet ----------------
 
 /// A saturated 3×3 caught with sources backlogged behind partly injected

@@ -24,8 +24,12 @@
 # seed, pairs and, per workload, the `result_digest` and per end-to-end metric
 # the parent / change [median, q1, q3], the Δ of the medians in percent and
 # the pairs the change won. The change commit reads `worktree@<HEAD>` when the
-# run measured uncommitted files. Without a clean digest comparison nothing
-# is written (and the exit status is 1, as above).
+# run measured uncommitted files. Reproduction rides beside speed: --record
+# also runs one `--trace 1` fig_sweep per side and stores the three paper.*
+# quantities (`power_ratio_nodvfs_over_rmsd`, `delay_ratio_rmsd_over_dmsd`,
+# `rmsd_delay_peak_load`) as {parent, change} under "reproduction". Without a
+# clean digest comparison and identical paper.* values nothing is written (and
+# the exit status is 1).
 #
 # Light-load timings move a few percent with where the linker places the hot
 # loops, which follows the checkout path: --parent-dir / --change-dir name the
@@ -35,7 +39,7 @@
 set -euo pipefail
 
 REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { sed -n '2,34p' "${BASH_SOURCE[0]}" >&2; exit 2; }
+usage() { sed -n '2,38p' "${BASH_SOURCE[0]}" >&2; exit 2; }
 
 PAIRS=10
 SEED=2015
@@ -166,11 +170,34 @@ for workload in "${WORKLOADS[@]}"; do
     fi
 done
 
+# Reproduction beside speed: the paper.* quantities of one traced fig_sweep
+# per side ("<metric> <value>" lines in $RUNS/paper.<side>), exact values.
+paper_side() { # <side> <dir>
+    (cd "$2" && env -u CARGO_TARGET_DIR bash benchmark/run.sh \
+        --workload fig_sweep --seed "$SEED" --seconds 21 --trace 1 2>/dev/null) | tail -n 1 \
+        | grep -o '"paper\.[a-z_]*": {"value": [^,]*' \
+        | sed 's/"\(paper\.[a-z_]*\)": {"value": /\1 /' >"$RUNS/paper.$1" || true
+}
+if [[ -n "$RECORD" ]]; then
+    paper_side parent "$PARENT_DIR"
+    paper_side change "$CHANGE_DIR"
+    if [[ ! -s "$RUNS/paper.parent" ]] || ! cmp -s "$RUNS/paper.parent" "$RUNS/paper.change"; then
+        echo "fig_sweep | paper.* | DIFFERS: parent $(tr '\n' ' ' <"$RUNS/paper.parent")vs change $(tr '\n' ' ' <"$RUNS/paper.change")"
+        status=1
+    else
+        while read -r metric value; do
+            echo "fig_sweep | $metric | $value on both sides (traced run)"
+        done <"$RUNS/paper.parent"
+    fi
+    paste -d ' ' "$RUNS/paper.parent" "$RUNS/paper.change" \
+        | awk '{ printf "\"%s\": {\"parent\": %s, \"change\": %s}\n", $1, $2, $4 }' >"$RUNS/paper"
+fi
+
 # One object per recorded run, one per line inside a JSON array: the closing
 # bracket moves down and the previous last row gains its comma.
 if [[ -n "$RECORD" ]]; then
     if (( status )); then
-        echo "--record $RECORD: digests differ, nothing written" >&2
+        echo "--record $RECORD: digests or paper.* differ, nothing written" >&2
         exit 1
     fi
     HEAD_SHORT="$(git -C "$REPO" rev-parse --short HEAD)"
@@ -182,9 +209,9 @@ if [[ -n "$RECORD" ]]; then
     else
         echo '[' >"$FILE"
     fi
-    printf '{"label": "%s", "parent": "%s", "change": "%s", "seed": %s, "pairs": %s, "workloads": {%s}}\n]\n' \
+    printf '{"label": "%s", "parent": "%s", "change": "%s", "seed": %s, "pairs": %s, "reproduction": {%s}, "workloads": {%s}}\n]\n' \
         "$RECORD" "$(git -C "$REPO" rev-parse --short "$PARENT_REF")" "$CHANGE_NAME" "$SEED" "$PAIRS" \
-        "$(join_lines "$RUNS/record")" >>"$FILE"
+        "$(join_lines "$RUNS/paper")" "$(join_lines "$RUNS/record")" >>"$FILE"
     echo "recorded $RECORD in $FILE" >&2
 fi
 exit "$status"

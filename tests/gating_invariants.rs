@@ -21,14 +21,22 @@
 //!    configured wakeup latency, and the break-even-aware acceptance setting
 //!    (light-load 8×8 mesh) burns strictly less energy than the ungated
 //!    baseline at unchanged accepted throughput.
+//!
+//! A fifth pins the activity drains: a window drained after skipped drains
+//! or after a restore reports what an every-window drain reports, and the
+//! gated residency they report is a per-tick recount of the gate states.
+
+mod common;
+use common::ENGINE_MODES;
 
 use noc_dvfs::{
     run_operating_point, run_operating_point_gated, BreakEvenConfig, ClosedLoopConfig,
     GatingPolicyKind, PolicyKind,
 };
 use noc_sim::{
-    BurstyTraffic, GateState, GatingConfig, NetworkConfig, NocSimulation, RegionLayout,
-    SyntheticTraffic, TopologyKind, TrafficPattern, TrafficSpec,
+    BurstyTraffic, Direction, FaultConfig, FaultEvent, FaultTarget, GateState, GatingConfig, Hertz,
+    NetworkConfig, NocSimulation, RegionLayout, SimSnapshot, SyntheticTraffic, TopologyKind,
+    TrafficPattern, TrafficSpec, GATE_NEVER,
 };
 use proptest::prelude::*;
 
@@ -266,6 +274,119 @@ fn fenced_routers_never_hold_flits() {
     }
     assert!(saw_gated, "the scenario must exercise the state machine");
     assert_flit_conservation(&sim, "after the probe run");
+}
+
+/// A gated, faulted, four-island fabric under bursty light load, one island
+/// slowed: routers sleep through whole windows, wake mid-window, die and
+/// recover.
+fn drain_fixture() -> NocSimulation {
+    let cfg = NetworkConfig::builder()
+        .mesh(4, 4)
+        .virtual_channels(2)
+        .buffer_depth(4)
+        .packet_length(4)
+        .regions(RegionLayout::Quadrants)
+        .gating(GatingConfig::enabled(6, 5))
+        .faults(FaultConfig::scheduled(vec![
+            FaultEvent::transient(FaultTarget::Router { node: 5 }, 700, 900),
+            FaultEvent::transient(FaultTarget::Link { node: 9, dir: Direction::East }, 400, 1_500),
+        ]))
+        .build()
+        .expect("valid configuration");
+    let traffic = scenario_traffic(TrafficPattern::Uniform, 0.03, cfg.packet_length(), true);
+    let mut sim = NocSimulation::new(cfg, traffic, 2026);
+    sim.set_island_frequency(3, Hertz::from_mhz(500.0));
+    sim
+}
+
+/// Two copies of one run, under every engine mode: A drains its activity
+/// every window and steps tick by tick, recounting from the gate states what
+/// each router's window should report — domain cycles spent Gated, sleeps,
+/// wakes; B steps whole windows and alternates `reset_activity` with
+/// `take_activity`, and is paused, snapshotted and restored into a fresh
+/// simulation in the middle of a window. B's taken windows equal A's field
+/// for field, A's gating fields equal the recount window by window (so their
+/// sums over the run do too), and no record is gated for longer than it
+/// lasted.
+#[test]
+fn activity_drains_match_every_window_drains_and_a_per_tick_recount() {
+    const WINDOW: u64 = 250;
+    const WINDOWS: usize = 12;
+    const PAUSED: usize = 7;
+    for mode in &ENGINE_MODES {
+        let fresh = || {
+            let mut sim = drain_fixture();
+            mode.select(&mut sim);
+            sim
+        };
+        let (mut a, mut b) = (fresh(), fresh());
+        let island_of = a.region_map().assignments().to_vec();
+        let nodes = a.node_count();
+        let states = |sim: &NocSimulation| -> Vec<GateState> {
+            (0..nodes).map(|node| sim.router_gate_state(node)).collect()
+        };
+        let mut island_cycles: Vec<u64> =
+            (0..a.island_count()).map(|i| a.island_cycle(i)).collect();
+        let mut slept_through_a_window = false;
+        for window in 0..WINDOWS {
+            if window == 5 {
+                for sim in [&mut a, &mut b] {
+                    sim.set_island_idle_threshold(1, 30);
+                    sim.set_island_idle_threshold(2, GATE_NEVER);
+                }
+            }
+            // (gated domain cycles, sleeps, wakes) per router. With every
+            // idle threshold ≥ 1 a router enters the fence at most once per
+            // tick; it may gate and be woken in the same tick.
+            let mut recount = vec![(0u64, 0u64, 0u64); nodes];
+            for _ in 0..WINDOW {
+                let before = states(&a);
+                mode.run(&mut a, 1);
+                for (node, (was, is)) in before.iter().zip(states(&a)).enumerate() {
+                    let island = island_of[node] as usize;
+                    let r = &mut recount[node];
+                    if *was == GateState::Gated {
+                        r.0 += a.island_cycle(island) - island_cycles[island];
+                    }
+                    r.1 += u64::from(!was.is_fenced() && is.is_fenced());
+                    r.2 += u64::from(
+                        (*was == GateState::Gated && is != GateState::Gated)
+                            || (!was.is_fenced() && is == GateState::WakeUp),
+                    );
+                }
+                for (island, cycle) in island_cycles.iter_mut().enumerate() {
+                    *cycle = a.island_cycle(island);
+                }
+            }
+            if window == PAUSED {
+                mode.run(&mut b, WINDOW / 2);
+                let bytes = b.snapshot().to_bytes();
+                let mut restored = fresh();
+                let snap = SimSnapshot::from_bytes(&bytes).expect("decodes");
+                restored.restore(&snap).expect("restores");
+                assert_eq!(restored.snapshot().to_bytes(), bytes, "{}: re-snapshot", mode.name);
+                b = restored;
+                mode.run(&mut b, WINDOW - WINDOW / 2);
+            } else {
+                mode.run(&mut b, WINDOW);
+            }
+            let taken = a.take_activity();
+            for (node, r) in taken.routers.iter().enumerate() {
+                let at = format!("{}: window {window}, router {node}", mode.name);
+                assert!(r.gated_cycles <= r.cycles, "{at}");
+                assert_eq!((r.gated_cycles, r.sleep_events, r.wake_events), recount[node], "{at}");
+                slept_through_a_window |= r.gated_cycles == r.cycles && r.cycles > 0;
+            }
+            if window % 2 == 0 {
+                b.reset_activity();
+            } else {
+                assert_eq!(b.take_activity(), taken, "{}: window {window}", mode.name);
+            }
+        }
+        assert!(slept_through_a_window, "{}: a router must stay gated across a drain", mode.name);
+        assert!(a.total_flits_dropped() > 0, "{}: the router fault must hit traffic", mode.name);
+        assert_eq!(a.snapshot().to_bytes(), b.snapshot().to_bytes(), "{}", mode.name);
+    }
 }
 
 /// The issue's acceptance criterion at full scale: BreakEvenAware gating on
