@@ -41,7 +41,9 @@
 //!
 //! With gating disabled (the default) the controller is a structural no-op:
 //! every golden window sequence is bit-identical to the ungated simulator
-//! under both the sparse and the dense engine.
+//! in every engine mode. The fence's bookkeeping — a recount of the fenced
+//! routers, and every fenced source's router waking — is a clause of
+//! [`NocSimulation::check_invariants`](crate::NocSimulation::check_invariants).
 
 use crate::config::MAX_CHANNEL_LATENCY;
 use crate::region::RegionMap;
@@ -545,6 +547,14 @@ impl GatingController {
             std::mem::take(&mut self.win_sleep_events[node]),
             std::mem::take(&mut self.win_wake_events[node]),
         )
+    }
+
+    /// Whether `node`'s gating window counters are all zero (what
+    /// [`drain_router_window`](Self::drain_router_window) would return).
+    pub(crate) fn window_is_empty(&self, node: usize) -> bool {
+        self.win_gated_cycles[node] == 0
+            && self.win_sleep_events[node] == 0
+            && self.win_wake_events[node] == 0
     }
 
     /// Starts a new activity window at each island's current domain cycle.

@@ -62,7 +62,7 @@
 //! | `activity`, `stats` | switching-activity counters for power estimation; latency / delay / throughput statistics |
 //! | `telemetry` | zero-perturbation observability: counter fabric, event trace + Perfetto export, heatmaps, profiling |
 //! | `clock` | dual-clock (node vs NoC) bookkeeping |
-//! | `sim` | the [`NocSimulation`] driver: one router-pipeline kernel under three drivers (sparse worklists, dense reference, island workers); flits and credits in flight live on two timing wheels |
+//! | `sim` | the [`NocSimulation`] driver: one router-pipeline kernel under two drivers (sparse worklists, island workers); flits and credits in flight live on two timing wheels; the engine's self-check ([`InvariantViolation`]) |
 //!
 //! ## Performance: sparse stepping and the scratch-buffer contract
 //!
@@ -74,10 +74,11 @@
 //! links and idle sources cost nothing — a link with nothing on it does not
 //! exist as a data structure. Packet
 //! generation keeps its exact per-node-per-cycle RNG draw order (the
-//! contract of [`TrafficSpec::generate_tick`]), so the sparse engine is
-//! bit-identical to the dense reference loop retained behind
-//! [`NocSimulation::set_dense_stepping`] (see the `sim` module docs and the
-//! README's *Activity-tracked stepping* section for the quiescence contract).
+//! contract of [`TrafficSpec::generate_tick`]). The worklists are checked,
+//! not trusted: [`NocSimulation::check_invariants`] recounts them, the
+//! transport and gating counters and the flit and credit ledgers from the
+//! network state (see the `sim` module docs and the README's
+//! *Activity-tracked stepping* section for the quiescence contract).
 //!
 //! State is sized by what is in flight: the cycle loop
 //! ([`NocSimulation::run_cycles`]) makes **no heap allocation after a VC's
@@ -153,7 +154,7 @@ pub use flit::PacketId;
 pub use gating::{GateState, GatingConfig, GATE_NEVER};
 pub use region::{RegionLayout, RegionMap, RegionScheme};
 pub use routing::{RoutingAlgorithm, RoutingKind, XyRouting, YxRouting};
-pub use sim::{NocSimulation, WindowMeasurement};
+pub use sim::{InvariantViolation, NocSimulation, WindowMeasurement};
 pub use snapshot::{SimSnapshot, SnapshotError};
 pub use stats::{PacketRecord, SimStats};
 pub use telemetry::{

@@ -929,21 +929,43 @@ impl Router {
 
     /// Checks the invariant the mask-native stages rest on: the derived state
     /// the router maintains equals the one recomputed from the per-VC state,
-    /// and every `Active` VC and its output VC point at each other. The
-    /// pipeline kernel calls it after every tick in debug builds, so every
-    /// differential and property suite checks it along the way.
+    /// and every `Active` VC and its output VC point at each other. The error
+    /// names the first condition that does not hold.
+    pub(crate) fn check_derived(&self) -> Result<(), &'static str> {
+        let (fresh, owners) = self.derive()?;
+        if self.derived != fresh {
+            return Err("derived state drifted");
+        }
+        if !self.outputs.iter().map(|output| &output.owner).eq(&owners[..self.outputs.len()]) {
+            return Err("output VC owners drifted");
+        }
+        Ok(())
+    }
+
+    /// [`check_derived`](Self::check_derived) as the pipeline kernel runs it
+    /// after every tick in debug builds, so every debug test run checks it
+    /// on every router visit.
     ///
     /// # Panics
     ///
     /// Panics when the maintained state has drifted.
     pub(crate) fn debug_check_derived(&self) {
-        let node = self.node;
-        let (fresh, owners) = self.derive().unwrap_or_else(|what| panic!("router {node}: {what}"));
-        assert_eq!(self.derived, fresh, "router {node}: derived state drifted");
-        assert!(
-            self.outputs.iter().map(|output| &output.owner).eq(&owners[..self.outputs.len()]),
-            "router {node}: output VC owners drifted"
-        );
+        if let Err(what) = self.check_derived() {
+            panic!("router {}: {what}", self.node);
+        }
+    }
+
+    /// Whether output (`port`, `vc`) was retired by a recovery
+    /// ([`resync_output`](Self::resync_output)): allocated, but to no input
+    /// VC.
+    pub(crate) fn output_retired(&self, port: usize, vc: usize) -> bool {
+        let output = &self.outputs[port * self.vcs + vc];
+        output.allocated && output.owner == NO_OWNER
+    }
+
+    /// Whether the activity window holds no event.
+    pub(crate) fn activity_is_empty(&self) -> bool {
+        self.activity == RouterActivity::default()
     }
 }
 

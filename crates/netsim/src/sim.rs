@@ -11,10 +11,10 @@
 //!   the routers with at least one buffered flit
 //!   ([`Router::is_quiescent`](crate::router::Router::is_quiescent)). The
 //!   pipeline phase drains this worklist in ascending node order (ascending
-//!   order also keeps floating-point accumulation order, and therefore every
-//!   golden window sequence, bit-identical to the dense reference loop)
-//!   instead of looping `0..node_count`; routers are re-inserted by flit
-//!   arrival and dropped the cycle they drain.
+//!   order also fixes the floating-point accumulation order, and therefore
+//!   every golden window sequence) instead of looping `0..node_count`;
+//!   routers are re-inserted by flit arrival and dropped the cycle they
+//!   drain.
 //! * **The wheel is the wire** — a flit or credit in flight lives in the
 //!   slot of its arrival cycle on one of two timing wheels (`EventWheel`),
 //!   addressed to its receiver at send; there are no per-channel queues. The
@@ -30,31 +30,29 @@
 //!   visit `active ∪ touched` only, so a control window costs what moved in
 //!   it, not the fabric size.
 //!
-//! Packet **generation order is sacred**: every engine makes the same one
-//! [`TrafficSpec::generate_tick`] call per tick, and that method's contract
-//! fixes the order in which the shared RNG is consumed (nodes ascending,
-//! node cycles ascending within a node) — the sparse engine is a pure
-//! scheduling optimization and every
-//! `WindowMeasurement` it produces is bit-identical to the dense reference
-//! ([`NocSimulation::set_dense_stepping`]), which finds the same work by
-//! scanning every router and every source instead of consulting the
-//! worklists (deliveries come off the same wheels: there is no second place
-//! a flit in flight could be). That contract is enforced by
-//! `tests/sparse_equivalence.rs` and by the determinism goldens, which run
-//! under every engine mode.
+//! Packet **generation order is sacred**: every step makes the same one
+//! [`TrafficSpec::generate_tick`] call, and that method's contract fixes the
+//! order in which the shared RNG is consumed (nodes ascending, node cycles
+//! ascending within a node). The worklists are inferences — a router or
+//! source missing from one would silently stop moving traffic — so the
+//! engine checks them: [`NocSimulation::check_invariants`] recounts every
+//! worklist, counter and ledger from the network state and names the first
+//! clause that breaks (`invariants`). `restore` runs it on every snapshot,
+//! and the invariant suites after every tick.
 //!
 //! # Layout
 //!
 //! One tick is `phases` 1–3, the `pipeline` phase, `phases` 5–6. The router
 //! pipeline exists once (`pipeline::tick_router`) and so does the
-//! application of its side effects (`pipeline::Effects::apply`); the dense
-//! reference, the sparse engine and the per-island workers of `threaded` are
-//! drivers of that pair. `worklist` holds the bitsets and the timing wheel,
-//! `islands` the clock dividers, `accessors` the query and actuation
-//! surface, `checkpoint` the snapshot glue.
+//! application of its side effects (`pipeline::Effects::apply`); the serial
+//! sparse engine and the per-island workers of `threaded` are drivers of
+//! that pair. `worklist` holds the bitsets and the timing wheel, `islands`
+//! the clock dividers, `accessors` the query and actuation surface,
+//! `invariants` the self-check, `checkpoint` the snapshot glue.
 
 mod accessors;
 mod checkpoint;
+mod invariants;
 mod islands;
 mod phases;
 mod pipeline;
@@ -63,6 +61,7 @@ mod tests;
 mod threaded;
 mod worklist;
 
+pub use self::invariants::InvariantViolation;
 use self::islands::{advance_island_clocks, IslandDomain};
 use self::worklist::{EventWheel, NodeSet};
 use crate::clock::DualClock;
@@ -275,11 +274,9 @@ pub struct NocSimulation {
     /// Invariant after every step: bit `n` set ⇔ `!routers[n].is_quiescent()`.
     active: NodeSet,
     /// Sources with queued flits: the sparse engine's injection worklist.
-    /// Invariant after every sparse step: bit `n` ⇔ `sources[n]` non-empty.
+    /// Invariant after every step: bit `n` ⇒ `sources[n]` non-empty, and a
+    /// non-empty source is pending unless it is fenced or parked.
     pending_sources: NodeSet,
-    /// `true` → dense reference loop
-    /// ([`set_dense_stepping`](Self::set_dense_stepping)).
-    dense_step: bool,
     /// `true` (the default) → [`run_cycles`](Self::run_cycles) may jump the
     /// clock over provably event-free spans
     /// ([`set_event_skipping`](Self::set_event_skipping)).
@@ -339,9 +336,8 @@ impl NocSimulation {
     /// using the routing algorithm the configuration selects
     /// ([`NetworkConfig::routing`] — dimension-ordered XY unless overridden).
     ///
-    /// `seed` makes the run reproducible. The simulation starts on the sparse
-    /// engine with event-horizon skipping enabled (see
-    /// [`set_dense_stepping`](Self::set_dense_stepping) and
+    /// `seed` makes the run reproducible. The simulation starts with
+    /// event-horizon skipping enabled (see
     /// [`set_event_skipping`](Self::set_event_skipping)).
     pub fn new(cfg: NetworkConfig, traffic: Box<dyn TrafficSpec>, seed: u64) -> Self {
         let routing = cfg.routing().algorithm();
@@ -413,7 +409,6 @@ impl NocSimulation {
             scratch: TraversalOutput::default(),
             active: NodeSet::new(n),
             pending_sources: NodeSet::new(n),
-            dense_step: false,
             event_skip: true,
             skipped_cycles: 0,
             touched: NodeSet::new(n),
@@ -449,9 +444,9 @@ impl NocSimulation {
     /// data only through the wheels those phases drain, so the
     /// result is bit-identical to `run_cycles` (pinned by the parity
     /// differential tests). The count is clamped to the island count; `1`
-    /// (or the dense reference loop) runs the ordinary serial step.
+    /// runs the ordinary serial step.
     pub fn run_cycles_with_workers(&mut self, cycles: u64, workers: usize) {
-        let workers = if self.dense_step { 1 } else { workers.min(self.islands.len()) };
+        let workers = workers.min(self.islands.len());
         if workers > 1 {
             self.run_cycles_parallel(cycles, workers);
         } else {
@@ -459,16 +454,15 @@ impl NocSimulation {
         }
     }
 
-    /// The cycle loop of every engine: horizon jumps where allowed, full
+    /// The cycle loop of both drivers: horizon jumps where allowed, full
     /// steps otherwise, with `pipeline` standing in for phase 4.
     fn run_with(&mut self, cycles: u64, mut pipeline: impl FnMut(&mut Self, Tick)) {
         // Resolved once per run call: installing telemetry mid-run is not
         // observable (the public API only exposes cycle boundaries).
         let telemetry_on = self.telemetry.is_some();
-        let skipping = self.event_skip && !self.dense_step;
         let mut remaining = cycles;
         while remaining > 0 {
-            if skipping {
+            if self.event_skip {
                 let t0 = self.profiling().then(Instant::now);
                 remaining -= self.skip_quiescent_ticks(remaining);
                 if let (Some(t0), Some(t)) = (t0, self.telemetry.as_deref_mut()) {
@@ -487,8 +481,8 @@ impl NocSimulation {
     }
 
     /// One full step: phases 1–3, `pipeline` as phase 4, phases 5–6 — the
-    /// same sequence for every engine, so the profiler's `pre` / `pipeline`
-    /// / `post` buckets mean the same thing under all of them. Wall-clock
+    /// same sequence for both drivers, so the profiler's `pre` / `pipeline`
+    /// / `post` buckets mean the same thing under either. Wall-clock
     /// reads between the phases observe the step, they never feed back into
     /// it.
     #[inline]

@@ -1,6 +1,6 @@
 //! The simulation's query and actuation surface: configuration and state
-//! getters, the gating / tenant / telemetry switches, engine selection, and
-//! the measurement-window and activity drains.
+//! getters, the gating / tenant / telemetry switches, the skipping switch,
+//! and the measurement-window and activity drains.
 
 use super::{NocSimulation, TenantAccounting, WindowMeasurement};
 use crate::activity::{NetworkActivity, RouterActivity};
@@ -165,56 +165,6 @@ impl NocSimulation {
         self.sink.packets_completed()
     }
 
-    /// Switches between the sparse engine (`false`, the default) and the
-    /// dense `O(nodes × ports)` reference loop (`true`).
-    ///
-    /// The two engines produce bit-identical behaviour; the dense loop exists
-    /// for differential testing (`tests/sparse_equivalence.rs` and the
-    /// engine-mode loops of the golden suites) and as a debugging fallback.
-    /// Switching is
-    /// legal at any cycle boundary: the worklists are rebuilt from the
-    /// current network state when the sparse engine is (re-)entered, and
-    /// both engines deliver from the same wheels.
-    pub fn set_dense_stepping(&mut self, dense: bool) {
-        if self.dense_step && !dense {
-            // The dense loop does not maintain the worklists while it runs.
-            self.rebuild_sparse_worklists();
-        }
-        self.dense_step = dense;
-    }
-
-    /// Rebuilds the sparse engine's worklists from the current network
-    /// state — used when the sparse engine is (re-)entered after the dense
-    /// reference loop ran, and after a checkpoint restore. A pending source
-    /// whose router is fenced belongs in the fenced-source set, not the
-    /// worklist — it rejoins when the router wakes. Every router is marked
-    /// touched: whatever its window counters hold, the next activity drain
-    /// reads them.
-    pub(super) fn rebuild_sparse_worklists(&mut self) {
-        for (node, router) in self.routers.iter().enumerate() {
-            self.active.set_to(node, !router.is_quiescent());
-            self.touched.insert(node);
-        }
-        for (node, source) in self.sources.iter().enumerate() {
-            let pending = source.has_pending_flits();
-            if self.faults.as_ref().is_some_and(|f| f.router_dead(node)) {
-                // A dead router's source is parked; it rejoins the
-                // worklist when the router recovers (or on the next
-                // generated flit, which phase 6 re-parks).
-                self.pending_sources.set_to(node, false);
-            } else if self.gating.enabled && self.gating.states[node].is_fenced() {
-                // `fenced_sources` implies the wakeup request was already
-                // raised (the dense loop sets both together), so the
-                // source rejoins via `complete_wakeups`. Without it the
-                // request is still owed — keep the source on the
-                // worklist so phase 6 raises it.
-                self.pending_sources.set_to(node, pending && !self.gating.fenced_sources[node]);
-            } else {
-                self.pending_sources.set_to(node, pending);
-            }
-        }
-    }
-
     /// Enables or disables event-horizon cycle-skipping (enabled by default).
     ///
     /// When enabled, [`run_cycles`](Self::run_cycles) jumps the clock over
@@ -224,9 +174,7 @@ impl NocSimulation {
     /// and island-divider bookkeeping for each skipped base tick. The
     /// observable behaviour (every window, counter and RNG stream) is
     /// bit-identical with skipping on or off; the switch exists for
-    /// differential testing, exactly like
-    /// [`set_dense_stepping`](Self::set_dense_stepping). Skipping never
-    /// applies while the dense reference loop is selected.
+    /// differential testing.
     pub fn set_event_skipping(&mut self, enabled: bool) {
         self.event_skip = enabled;
     }
@@ -239,15 +187,10 @@ impl NocSimulation {
         self.skipped_cycles
     }
 
-    /// Number of routers on the sparse engine's active worklist — routers
-    /// holding at least one buffered flit. (Computed from router state when
-    /// the dense reference loop is running, so the value is engine-agnostic.)
+    /// Number of routers on the active worklist — routers holding at least
+    /// one buffered flit.
     pub fn active_router_count(&self) -> usize {
-        if self.dense_step {
-            self.routers.iter().filter(|r| !r.is_quiescent()).count()
-        } else {
-            self.active.len()
-        }
+        self.active.len()
     }
 
     /// Flits currently in flight on inter-router links and injection
@@ -520,12 +463,7 @@ impl NocSimulation {
     /// the sample-cadence check. Called once per stepped base tick (skipped
     /// ticks are accounted by the horizon-jump probe instead).
     pub(super) fn telemetry_step_tick(&mut self) {
-        let active = self.active_router_count();
-        let pending = if self.dense_step {
-            self.sources.iter().filter(|s| s.has_pending_flits()).count()
-        } else {
-            self.pending_sources.len()
-        };
+        let (active, pending) = (self.active.len(), self.pending_sources.len());
         let now = self.clock.noc_cycle();
         let Some(t) = self.telemetry.as_deref_mut() else { return };
         t.tick_worklist(active, pending);

@@ -6,7 +6,6 @@ use crate::flit::Flit;
 use crate::router::LOCAL_PORT;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use crate::tenant::TenantMap;
-use crate::topology::PORT_COUNT;
 use rand::rngs::StdRng;
 
 /// Section tags of the snapshot payload — one byte ahead of every section so
@@ -149,57 +148,34 @@ impl NocSimulation {
         })
     }
 
-    /// The credit ledger of every link and injection channel, as the upper
-    /// bound a run keeps: the slots of an input VC that are full, about to be
-    /// filled (flits in flight towards it), free and known to its sender (the
-    /// credits the sender holds) or about to be known (credits in flight to
-    /// the sender) never outnumber the buffer. With it no restored state can
-    /// push into a full buffer, and an item whose stored address or VC is not
-    /// the one it was sent to tips the ledger of the link it lands on. A dead
-    /// router's outputs read full while its neighbours still hold its flits,
-    /// and it sends nothing until its recovery resynchronises them: links out
-    /// of a dead router are not judged.
-    pub(super) fn check_link_ledgers(&self) -> Result<(), SnapshotError> {
-        let now = self.clock.noc_cycle();
-        let vcs = self.cfg.virtual_channels();
-        let at = |node: usize, port: usize, vc: usize| (node * PORT_COUNT + port) * vcs + vc;
-        // In flight by receiver: flits per input VC, credits per output VC
-        // (`LOCAL_PORT`: the node's source).
-        let mut flits_to = vec![0usize; self.routers.len() * PORT_COUNT * vcs];
-        let mut credits_to = flits_to.clone();
-        for (_, f) in self.flits_in_flight.iter(now) {
-            flits_to[at(f.dest as usize, usize::from(f.in_port), f.flit.vc())] += 1;
+    /// Rebuilds the worklists from the restored network state. A pending
+    /// source whose router is fenced belongs in the fenced-source set, not
+    /// the worklist — it rejoins when the router wakes. Every router is marked
+    /// touched: whatever its window counters hold, the next activity drain
+    /// reads them.
+    fn rebuild_sparse_worklists(&mut self) {
+        for (node, router) in self.routers.iter().enumerate() {
+            self.active.set_to(node, !router.is_quiescent());
+            self.touched.insert(node);
         }
-        for (_, c) in self.credits_in_flight.iter(now) {
-            credits_to[at(c.target as usize, usize::from(c.out_port), usize::from(c.vc))] += 1;
-        }
-        let dead = |node: usize| self.faults.as_ref().is_some_and(|f| f.router_dead(node));
-        for (node, ports) in self.neighbor_table.iter().enumerate() {
-            for (in_port, link) in ports.iter().enumerate() {
-                let local = in_port == LOCAL_PORT;
-                let (sender, out_port) = match *link {
-                    Some((sender, _)) if dead(sender) => continue,
-                    Some(far_output) => far_output,
-                    None if local => (node, LOCAL_PORT),
-                    None => continue,
-                };
-                for vc in 0..vcs {
-                    let held = if local {
-                        self.sources[node].credits(vc)
-                    } else {
-                        self.routers[sender].output_credits(out_port, vc)
-                    };
-                    let claimed = self.routers[node].input_vc_occupancy(in_port, vc)
-                        + flits_to[at(node, in_port, vc)]
-                        + held
-                        + credits_to[at(sender, out_port, vc)];
-                    if claimed > self.cfg.buffer_depth() {
-                        return Err(SnapshotError::Corrupt("link credit ledger"));
-                    }
-                }
+        for (node, source) in self.sources.iter().enumerate() {
+            let pending = source.has_pending_flits();
+            if self.faults.as_ref().is_some_and(|f| f.router_dead(node)) {
+                // A dead router's source is parked; it rejoins the
+                // worklist when the router recovers (or on the next
+                // generated flit, which phase 6 re-parks).
+                self.pending_sources.set_to(node, false);
+            } else if self.gating.enabled && self.gating.states[node].is_fenced() {
+                // `fenced_sources` implies the wakeup request was already
+                // raised (phase 6 sets both together), so the source
+                // rejoins via `complete_wakeups`. Without it the request is
+                // still owed — keep the source on the worklist so phase 6
+                // raises it.
+                self.pending_sources.set_to(node, pending && !self.gating.fenced_sources[node]);
+            } else {
+                self.pending_sources.set_to(node, pending);
             }
         }
-        Ok(())
     }
 
     /// Captures the complete mutable state of the simulation at the current
@@ -209,10 +185,10 @@ impl NocSimulation {
     /// [`restore`](Self::restore)d into a fresh simulation built from the
     /// same configuration, traffic specification and seed produces windows,
     /// counters and RNG streams identical — bit for bit — to a run that
-    /// never paused. This holds under both stepping engines and with
-    /// event-horizon skipping on or off, because engine selection flags and
-    /// the skipped-cycle diagnostic are deliberately *not* part of the
-    /// snapshot: they describe how state is computed, not what the state is.
+    /// never paused. This holds with event-horizon skipping on or off and
+    /// with or without island workers, because the skipping switch and the
+    /// skipped-cycle diagnostic are deliberately *not* part of the snapshot:
+    /// they describe how state is computed, not what the state is.
     ///
     /// Configuration- and topology-derived structure (routing tables,
     /// neighbour tables, island partition, channel latencies) is likewise
@@ -320,16 +296,18 @@ impl NocSimulation {
     /// for a restarted process, though restoring over a used simulation is
     /// equally valid (rewind, branching exploration).
     ///
-    /// Engine selection ([`set_dense_stepping`](Self::set_dense_stepping),
-    /// [`set_event_skipping`](Self::set_event_skipping)) and the
-    /// [`skipped_cycle_count`](Self::skipped_cycle_count) diagnostic are
-    /// left untouched: the restored run may step under any engine, serial
-    /// or with island workers, and stays bit-identical to the uninterrupted
-    /// one.
+    /// The skipping switch ([`set_event_skipping`](Self::set_event_skipping))
+    /// and the [`skipped_cycle_count`](Self::skipped_cycle_count) diagnostic
+    /// are left untouched: the restored run may step in any engine mode,
+    /// serial or with island workers, and stays bit-identical to the
+    /// uninterrupted one.
     ///
     /// The two in-flight wheels are refilled from the channel section in the
-    /// order they were written; the sparse engine's worklists are rebuilt
-    /// from the restored network state, not deserialized.
+    /// order they were written; the worklists are rebuilt from the restored
+    /// network state, not deserialized. Every section refuses the bytes it
+    /// can judge on its own; then the restored state as a whole must pass
+    /// [`check_invariants`](Self::check_invariants) — the credit ledger of
+    /// every link across sections, the flit ledger, the gating fence.
     ///
     /// # Errors
     ///
@@ -337,9 +315,10 @@ impl NocSimulation {
     /// format version, [`SnapshotError::ConfigMismatch`](crate::snapshot::SnapshotError::ConfigMismatch) when the snapshot
     /// was taken under a different configuration, and
     /// [`SnapshotError::Corrupt`](crate::snapshot::SnapshotError::Corrupt)/[`SnapshotError::UnexpectedEof`](crate::snapshot::SnapshotError::UnexpectedEof)/
-    /// [`SnapshotError::TrailingBytes`](crate::snapshot::SnapshotError::TrailingBytes) for a mangled payload. The
-    /// simulation may be left partially restored on error and should be
-    /// discarded.
+    /// [`SnapshotError::TrailingBytes`](crate::snapshot::SnapshotError::TrailingBytes) for a mangled payload — a
+    /// restored state that breaks an invariant is `Corrupt` with the
+    /// clause's name. The simulation may be left partially restored on error
+    /// and should be discarded.
     pub fn restore(&mut self, snap: &crate::snapshot::SimSnapshot) -> Result<(), SnapshotError> {
         use crate::snapshot::{config_fingerprint, SNAP_VERSION};
         if snap.version() != SNAP_VERSION {
@@ -448,10 +427,7 @@ impl NocSimulation {
         };
 
         r.finish()?;
-        self.check_link_ledgers()?;
-
-        // Rebuild the worklists from the restored routers and sources.
         self.rebuild_sparse_worklists();
-        Ok(())
+        self.check_invariants().map_err(|v| SnapshotError::Corrupt(v.clause))
     }
 }

@@ -3,13 +3,11 @@
 //! (one [`TrafficSpec::generate_tick`](crate::TrafficSpec::generate_tick)
 //! call, which owns the RNG draw order; a source is touched only when a
 //! packet is emitted for it); 3 — credit delivery; 5 — flit delivery;
-//! 6 — injection. Phases 1–3 and 5 are one piece of code for every engine:
-//! a delivery phase is one linear pass over the wheel slot due this cycle,
-//! and there is no second place a flit or credit in flight could be found.
-//! In phase 6 the engines part ways on purpose: the sparse engine drains the
-//! pending-source worklist, the dense reference scans every source — an
-//! independent way of finding the same work, which is what the differential
-//! suites compare.
+//! 6 — injection from the pending-source worklist. A delivery phase is one
+//! linear pass over the wheel slot due this cycle: there is no second place
+//! a flit or credit in flight could be found. The worklist updates spread
+//! over these phases — arrivals, deaths, recoveries, wakeups, fences — are
+//! what [`check_invariants`](NocSimulation::check_invariants) recounts.
 
 use super::pipeline::credit_receiver;
 use super::{advance_island_clocks, FlitInFlight, NocSimulation, Tick};
@@ -18,12 +16,11 @@ use crate::flit::PacketId;
 use crate::router::{CreditReturn, VcState, LOCAL_PORT};
 
 impl NocSimulation {
-    /// The power-gating state machine's per-cycle work, shared verbatim by
-    /// both engines (it runs between the clock advance and the traffic
-    /// phases, so sparse and dense take every gating transition on the same
-    /// cycle): wakeups due this tick complete, sleep timers due this tick
-    /// move still-idle routers into DrainWait, and DrainWait routers whose
-    /// inbound channels have fully drained close their power gate.
+    /// The power-gating state machine's per-cycle work, between the clock
+    /// advance and the traffic phases: wakeups due this tick complete, sleep
+    /// timers due this tick move still-idle routers into DrainWait, and
+    /// DrainWait routers whose inbound channels have fully drained close
+    /// their power gate.
     fn gating_phase(&mut self) {
         let NocSimulation {
             sources, inbound_flits, pending_sources, touched, islands, gating, ..
@@ -58,13 +55,11 @@ impl NocSimulation {
         );
     }
 
-    /// The fault-injection machinery's per-cycle work, shared verbatim by
-    /// both engines (it runs right after the gating phase, so sparse and
-    /// dense apply every fault transition on the same cycle): the fault
-    /// state machine ticks on the base clock, then each transition is acted
-    /// on. Link transitions need no action here — the blocked-port masks
-    /// fence both directed channels and flits already on the wire still
-    /// deliver. A router death purges the victim (every lost flit counted as
+    /// The fault-injection machinery's per-cycle work, right after the
+    /// gating phase: the fault state machine ticks on the base clock, then
+    /// each transition is acted on. Link transitions need no action here —
+    /// the blocked-port masks fence both directed channels and flits already
+    /// on the wire still deliver. A router death purges the victim (every lost flit counted as
     /// dropped, one credit returned upstream per purged flit over the credit
     /// wheel, so neighbour and source credit accounting stays exact) and
     /// takes the flits to and from it off the wheel; a recovery discards
@@ -162,8 +157,8 @@ impl NocSimulation {
                     if let Some(t) = telemetry.as_deref_mut() {
                         t.routers[node].dropped += dropped;
                     }
-                    // Sparse worklists: the purged router is quiescent and
-                    // its source is parked (no-ops for the dense loop).
+                    // Worklists: the purged router is quiescent and its
+                    // source is parked.
                     active.set_to(node, false);
                     touched.insert(node);
                     pending_sources.set_to(node, false);
@@ -195,9 +190,9 @@ impl NocSimulation {
                     // outage the source goes back on the worklist rather
                     // than straight into the gating fence: phase 6 re-fences
                     // it at the island's next firing tick *and raises the
-                    // wakeup request* — the same per-cycle check the dense
-                    // loop performs. (Fencing it here without a request
-                    // would leave a gated router asleep forever.)
+                    // wakeup request*. (Fencing it here without a request
+                    // would leave a gated router asleep forever: the
+                    // pending-set clause of `check_invariants`.)
                     gating.fenced_sources[node] = false;
                     if sources[node].has_pending_flits() {
                         pending_sources.insert(node);
@@ -213,8 +208,7 @@ impl NocSimulation {
         //    The base tick then advances each island's clock divider; islands
         //    that complete a domain cycle "fire" and are processed below.
         //    The gating state machine runs right after the clocks, then the
-        //    fault machinery, so every engine takes every transition on the
-        //    same cycle.
+        //    fault machinery.
         let node_cycles = self.clock.advance_noc_cycle();
         // The absolute node cycle the generation batch below starts at: the
         // clock has already emitted this tick's cycles, so the batch covers
@@ -317,11 +311,7 @@ impl NocSimulation {
     /// Phases 5–6.
     pub(super) fn post_pipeline_phases(&mut self, tick: Tick) {
         self.deliver_flits(tick);
-        if self.dense_step {
-            self.inject_dense(tick);
-        } else {
-            self.inject_sparse(tick);
-        }
+        self.inject(tick);
     }
 
     /// Phase 3: credit delivery — the credits sent `credit_latency` cycles
@@ -366,14 +356,14 @@ impl NocSimulation {
         }
     }
 
-    /// Sparse phase 6: each source with queued flits hands over at most one
+    /// Phase 6: each source with queued flits hands over at most one
     /// flit for the next cycle. Sources without queued flits are skipped —
     /// they would refuse (`try_inject` → `None`) without side effects. The
     /// local injection port is island-clocked, so sources of non-firing
     /// islands are masked out and stay pending. A source whose router is
     /// fenced (gated or waking) raises one wakeup request and leaves the
     /// worklist until the router powers on.
-    fn inject_sparse(&mut self, tick: Tick) {
+    fn inject(&mut self, tick: Tick) {
         let Tick { now, all_fire, fault_block, gate_fencing, .. } = tick;
         let NocSimulation {
             sources,
@@ -428,56 +418,6 @@ impl NocSimulation {
                 }
                 if !sources[node].has_pending_flits() {
                     *word &= !(1u64 << bit);
-                }
-            }
-        }
-    }
-
-    /// Dense phase 6: every source hands over at most one new flit for the
-    /// next cycle (the local port is island-clocked, so only when the
-    /// source's island fires; a fenced router's source holds its flits and
-    /// raises a wakeup request instead).
-    fn inject_dense(&mut self, Tick { now, fault_block, gate_fencing, .. }: Tick) {
-        let NocSimulation {
-            sources,
-            flits_in_flight,
-            inbound_flits,
-            window,
-            touched,
-            regions,
-            islands,
-            gating,
-            faults,
-            tenants,
-            ..
-        } = self;
-        let island_of = regions.assignments();
-        let faults: Option<&FaultState> = faults.as_ref();
-        for (node, source) in sources.iter_mut().enumerate() {
-            let island = &mut islands[island_of[node] as usize];
-            if !island.fires {
-                continue;
-            }
-            if fault_block && faults.is_some_and(|f| f.router_dead(node)) {
-                // Parked (as in the sparse phase 6): a dead router's source
-                // holds its flits until the router recovers.
-            } else if gate_fencing && gating.states[node].is_fenced() {
-                if source.has_pending_flits() {
-                    if gating.request_wakeup(node, island.local_cycle) {
-                        touched.insert(node);
-                    }
-                    gating.fenced_sources[node] = true;
-                }
-            } else if let Some(flit) = source.try_inject() {
-                inbound_flits[node] += 1;
-                flits_in_flight.send(
-                    now,
-                    FlitInFlight { dest: node as u32, in_port: LOCAL_PORT as u8, flit },
-                );
-                window.flits_injected += 1;
-                island.window.flits_injected += 1;
-                if let Some(t) = tenants.as_mut() {
-                    t.windows[t.map.slot_of(node) as usize].flits_injected += 1;
                 }
             }
         }

@@ -1,22 +1,24 @@
 //! Phase 4, the router pipelines: **one kernel, one effects path**.
 //!
 //! [`tick_router`] is the only place a router's cycle is spelled out — the
-//! dead-router check, the fence mask, SA/ST, VA, RC, the telemetry probe and
-//! the quiescence test. It reads a [`PipelineView`] (state nobody writes
-//! during the phase), writes a [`NodeLanes`] (state only this router's tick
-//! writes), sends nothing, and leaves everything that touches shared state in
-//! the [`TraversalOutput`] it filled. [`Effects::apply`] is the only place
+//! fence mask, SA/ST, VA, RC, the telemetry probe and the quiescence test.
+//! It reads a [`PipelineView`] (state nobody writes during the phase), writes
+//! a [`NodeLanes`] (state only this router's tick writes), sends nothing, and
+//! leaves everything that touches shared state in the [`TraversalOutput`] it
+//! filled. [`Effects::apply`] is the only place
 //! those leftovers — the flits and credits that go onto the wheels, wakeup
 //! requests, drop and ejection tallies, sink acceptance, worklist and
 //! idle-span updates — are applied.
 //!
-//! The steppers are drivers of that pair and differ only in *which nodes they
-//! visit* and *when the effects are applied*: the dense reference visits
-//! every unfenced node of a firing island and applies at once; the sparse
-//! engine visits the active bitset and applies at once (both in
-//! [`NocSimulation::pipeline_phase`]); island workers visit their islands'
-//! slice of the bitset and park each node's output for the main thread to
-//! apply in ascending node order (see [`threaded`](super::threaded)).
+//! The two steppers are drivers of that pair and visit the same nodes — the
+//! active bitset, masked to the firing islands. They differ only in *when
+//! the effects are applied*: the serial driver
+//! ([`NocSimulation::pipeline_phase`]) applies each node's at once; island
+//! workers park each node's output for the main thread to apply in ascending
+//! node order (see [`threaded`](super::threaded)). Only the active bitset
+//! hands the kernel a router, and a dead router is never on it (its death
+//! clears the bit, and no flit is delivered to it since): the dead-router
+//! clause of [`NocSimulation::check_invariants`] holds the engine to that.
 
 use super::islands::IslandDomain;
 use super::worklist::{EventWheel, NodeSet};
@@ -82,13 +84,9 @@ pub(super) enum Visit {
     /// The router still buffers flits and stays on the worklist.
     #[default]
     Busy,
-    /// The router buffers nothing (any more): it leaves the worklist and,
+    /// The router buffers nothing any more: it leaves the worklist and,
     /// under gating, starts its idle span.
     Drained,
-    /// A dead router was purged at its death and nothing reaches it until it
-    /// recovers; only the dense scan still visits it. It never starts a
-    /// gating idle span.
-    Dead,
 }
 
 /// One router's cycle: SA/ST, then VA, then RC (reverse order, so a flit
@@ -96,9 +94,9 @@ pub(super) enum Visit {
 /// and credits the router emits stay in `out`, with every other effect on
 /// shared state, for [`Effects::apply`].
 ///
-/// `inline(always)`, here and on [`Effects::apply`]: with three drivers
-/// calling them the plain hint is not taken, and an out-of-line call per
-/// router per tick measured 3–4 % on loaded fabrics.
+/// `inline(always)`, here and on [`Effects::apply`]: with more than one
+/// driver calling them the plain hint is not taken, and an out-of-line call
+/// per router per tick measured 3–4 % on loaded fabrics.
 #[inline(always)]
 pub(super) fn tick_router(
     view: &PipelineView<'_>,
@@ -108,9 +106,6 @@ pub(super) fn tick_router(
     out: &mut TraversalOutput,
 ) -> Visit {
     out.clear();
-    if view.fault_block && view.faults.is_some_and(|f| f.router_dead(node)) {
-        return Visit::Dead;
-    }
     let fault_ports =
         if view.fault_block { view.faults.map_or(0, |f| f.blocked_ports(node)) } else { 0 };
     let fence =
@@ -196,14 +191,14 @@ impl Effects<'_> {
             let to = credit_receiver(self.neighbor_table, node, credit.in_port, credit.vc);
             self.credits_in_flight.send(self.tick.now, to);
         }
-        if visit != Visit::Busy {
+        if visit == Visit::Drained {
             self.active.set_to(node, false);
             self.touched.insert(node);
-        }
-        if visit == Visit::Drained && self.gating.enabled && !self.gating.idle[node] {
-            // The router just drained: start its idle span (a stale worklist
-            // entry for an already idle router must not restart the span).
-            self.gating.mark_idle(node, self.islands[island].local_cycle);
+            if self.gating.enabled && !self.gating.idle[node] {
+                // The router just drained: start its idle span (a router
+                // already marked idle must not restart it).
+                self.gating.mark_idle(node, self.islands[island].local_cycle);
+            }
         }
     }
 
@@ -284,7 +279,7 @@ fn fence_mask(neighbor_table: &NeighborTable, gating: &GatingController, node: u
 /// One tick's pipeline phase as the calling thread runs it — the disjoint
 /// borrows of the simulation it needs: what the kernel reads, the per-node
 /// arrays it writes, the shared state the effects path writes, and the
-/// traversal scratch and fire mask of the serial drivers.
+/// traversal scratch and fire mask of the serial driver.
 pub(super) struct SerialPipeline<'a> {
     view: PipelineView<'a>,
     routers: &'a mut [Router],
@@ -360,28 +355,12 @@ impl NocSimulation {
         }
     }
 
-    /// Phase 4 on the calling thread: the dense reference scans the node
-    /// list, the sparse engine drains the active worklist; both run the
-    /// kernel and apply its effects node by node, in ascending node order.
+    /// Phase 4 on the calling thread: the kernel over the active worklist,
+    /// each node's effects applied at once, in ascending node order.
+    /// Flit arrival (phase 5) re-inserts a drained router; routers of
+    /// non-firing islands are masked out and stay active.
     pub(super) fn pipeline_phase(&mut self, tick: Tick) {
-        let dense = self.dense_step;
         let mut p = self.serial_pipeline(tick);
-        if dense {
-            // Every router of a firing island, fenced (gated or waking)
-            // ones excepted — exactly the routers the sparse worklist can
-            // hold, found here without consulting it.
-            for node in 0..p.routers.len() {
-                if p.fx.islands[p.fx.island_of[node] as usize].fires
-                    && !(tick.gate_fencing && p.fx.gating.states[node].is_fenced())
-                {
-                    p.visit(node);
-                }
-            }
-            return;
-        }
-        // Active routers only; flit arrival (phases 5/6) re-inserts a
-        // drained router. Routers of non-firing islands are masked out and
-        // stay active.
         for widx in 0..p.fx.active.words.len() {
             let gate = if tick.all_fire { u64::MAX } else { p.fire_words[widx] };
             let mut w = p.fx.active.words[widx] & gate;

@@ -1,4 +1,4 @@
-//! Per-island parallel stepping: the third driver of the pipeline kernel.
+//! Per-island parallel stepping: the second driver of the pipeline kernel.
 //!
 //! Islands are round-robin-partitioned over scoped worker threads, which run
 //! [`tick_router`] over their islands' slice of the active worklist each
@@ -8,9 +8,9 @@
 //! send: it parks each visited node's traversal output, emitted flits and
 //! credits included, and after the closing barrier the main thread hands the
 //! parked outputs, in ascending node order, to the same
-//! [`Effects::apply`](super::pipeline::Effects::apply) the serial drivers
-//! call — which is the order the serial sparse driver visits and applies in,
-//! so threaded ≡ serial bit for bit. Event-horizon jumps bypass the barriers
+//! [`Effects::apply`](super::pipeline::Effects::apply) the serial driver
+//! calls — which is the order the serial driver visits and applies in, so
+//! threaded ≡ serial bit for bit. Event-horizon jumps bypass the barriers
 //! entirely — workers only wake for full steps.
 
 use super::islands::IslandDomain;
@@ -209,7 +209,7 @@ impl NocSimulation {
     }
 
     /// Applies every worker's parked ticks in ascending node order — the
-    /// order the serial sparse driver visits in — through the serial effects
+    /// order the serial driver visits in — through the serial effects
     /// path.
     fn apply_parked(
         &mut self,

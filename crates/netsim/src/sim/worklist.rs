@@ -24,6 +24,10 @@ impl NodeSet {
         self.words[node >> 6] |= 1u64 << (node & 63);
     }
 
+    pub(super) fn contains(&self, node: usize) -> bool {
+        self.words[node >> 6] & (1u64 << (node & 63)) != 0
+    }
+
     #[inline]
     pub(super) fn set_to(&mut self, node: usize, member: bool) {
         if member {

@@ -12,8 +12,8 @@
 //! [`NocSimulation::snapshot`](crate::NocSimulation::snapshot) and later
 //! resumed with [`NocSimulation::restore`](crate::NocSimulation::restore)
 //! produces exactly the windows, counters and RNG draws of a run that never
-//! paused — under both the sparse and the dense engine, with event-horizon
-//! skipping on or off.
+//! paused — with event-horizon skipping on or off, serial or with island
+//! workers.
 //!
 //! What is deliberately **not** serialized:
 //!
@@ -22,13 +22,13 @@
 //!   built from the same [`NetworkConfig`]**; the header carries a config
 //!   fingerprint and restore fails with [`SnapshotError::ConfigMismatch`]
 //!   when it disagrees.
-//! * Engine-selection flags (dense stepping, event skipping, parallel
-//!   islands) and the `skipped_cycles` diagnostic: engine choice is a
-//!   property of the *host* process, not of the simulated state — the
-//!   bit-identity contract makes them interchangeable.
-//! * Derived acceleration state (the sparse worklists): rebuilt from the
-//!   restored ground truth, exactly like the dense→sparse engine switch
-//!   rebuilds it mid-run.
+//! * Engine-mode settings (event skipping, parallel islands) and the
+//!   `skipped_cycles` diagnostic: they are properties of the *host*
+//!   process, not of the simulated state — the bit-identity contract makes
+//!   them interchangeable.
+//! * Derived acceleration state (the worklists): rebuilt from the restored
+//!   ground truth, then checked with the rest of the restored state by
+//!   [`NocSimulation::check_invariants`](crate::NocSimulation::check_invariants).
 //!
 //! The payload encoding is a hand-rolled little-endian binary codec
 //! ([`SnapWriter`] / [`SnapReader`]). Floats travel as raw IEEE-754 bits,

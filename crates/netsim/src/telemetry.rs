@@ -7,10 +7,9 @@
 //! behaviour. Probes are read-only observers — they draw no RNG, schedule
 //! nothing, and touch no state the cycle loop reads — so every window,
 //! golden and RNG stream is bit-identical with telemetry on or off (pinned
-//! by `tests/telemetry_invariants.rs` across engines, skipping modes and
-//! subsystem combinations, the same differential discipline as
-//! sparse ≡ dense). With telemetry uninstalled each probe site costs one
-//! `is_some` branch.
+//! by `tests/telemetry_invariants.rs` across skipping modes and subsystem
+//! combinations, the same differential discipline as skip ≡ no-skip). With
+//! telemetry uninstalled each probe site costs one `is_some` branch.
 //!
 //! Three sub-surfaces share the layer:
 //!

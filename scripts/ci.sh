@@ -33,9 +33,9 @@ cargo run --release --quiet --example checkpoint_resume >"$fig_out/checkpoint_re
 # below. Their inputs are sampled from per-case fixed seeds (see the proptest
 # shim), so runs are reproducible; PROPTEST_CASES pins the case budget
 # explicitly so local and CI runs cover the same corpus. Every engine mode —
-# sparse with and without skipping, the dense reference, island workers — is
-# selected in-process through the simulation's setters (tests/common/mod.rs),
-# so one pass covers them all.
+# sparse with and without skipping, island workers — is selected in-process
+# through the simulation's setters (tests/common/mod.rs), so one pass covers
+# them all.
 echo "==> cargo test -q (property suites at PROPTEST_CASES=${PROPTEST_CASES:-64}, fixed seeds)"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q
 

@@ -12,9 +12,8 @@
 //!    into a fresh simulation (standing in for a restarted process), and
 //!    stepped alongside an uninterrupted twin; every subsequent window and
 //!    the final ledgers must match exactly. The pausing and the resuming
-//!    run take opposite engine settings (dense or sparse, skipping on or
-//!    off), so every snapshot is taken under one engine and resumed under
-//!    another.
+//!    run take opposite skipping settings, so every snapshot is taken in one
+//!    engine mode and resumed in another.
 //! 2. **Determinism of the format** — snapshotting twice without stepping,
 //!    or snapshotting after a restore, yields byte-identical snapshots.
 //! 3. **Rejection of the wrong world** — restoring into a simulation built
@@ -98,15 +97,14 @@ proptest! {
     /// The headline differential: pause at a random mid-run cycle, restore
     /// into a fresh process-stand-in, and compare every subsequent window
     /// and the final ledgers against an uninterrupted twin — across gating,
-    /// faults, islands and bursty injection, resuming under either engine
-    /// and with skipping on or off.
+    /// faults, islands and bursty injection, resuming with skipping on or
+    /// off.
     #[test]
     fn save_restore_is_bit_identical_to_an_uninterrupted_run(
         gated in prop_oneof![Just(false), Just(true)],
         faulted in prop_oneof![Just(false), Just(true)],
         islands in prop_oneof![Just(false), Just(true)],
         bursty in prop_oneof![Just(false), Just(true)],
-        resume_dense in prop_oneof![Just(false), Just(true)],
         resume_skip in prop_oneof![Just(false), Just(true)],
         rate in 0.0f64..0.3,
         seed in 0u64..1_000_000,
@@ -125,9 +123,8 @@ proptest! {
             paused.set_island_frequency(2, Hertz::from_mhz(400.0));
         }
 
-        // The snapshot is taken under the opposite engine settings of the
+        // The snapshot is taken under the opposite skipping setting of the
         // run that resumes from it.
-        paused.set_dense_stepping(!resume_dense);
         paused.set_event_skipping(!resume_skip);
         reference.run_cycles(pause_at);
         paused.run_cycles(pause_at);
@@ -137,7 +134,6 @@ proptest! {
         // exactly what a restarted process would build before restoring.
         let mut resumed = NocSimulation::new(cfg.clone(), mk(), seed);
         resumed.restore(&snap).expect("restoring into the same configuration succeeds");
-        resumed.set_dense_stepping(resume_dense);
         resumed.set_event_skipping(resume_skip);
 
         let chunks = [chunk, 2 * chunk, chunk / 2 + 1, chunk + 37];
@@ -148,8 +144,8 @@ proptest! {
                 reference.take_window(),
                 resumed.take_window(),
                 "window {} diverged (gated={} faulted={} islands={} bursty={} \
-                 resume_dense={} resume_skip={} seed={} pause_at={})",
-                i, gated, faulted, islands, bursty, resume_dense, resume_skip, seed, pause_at
+                 resume_skip={} seed={} pause_at={})",
+                i, gated, faulted, islands, bursty, resume_skip, seed, pause_at
             );
             prop_assert_eq!(reference.take_island_windows(), resumed.take_island_windows());
         }

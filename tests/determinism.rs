@@ -8,10 +8,10 @@
 //!    just making it faster) trips this test; an intentional behaviour change
 //!    must update the constants below *deliberately*. The goldens are
 //!    checked under every engine mode ([`common::ENGINE_MODES`]) — sparse
-//!    with and without event-horizon skipping, the dense reference, and two
-//!    island workers on a quadrant partition of the same fabric (every
-//!    island at the base rate fires on every tick, so the partition changes
-//!    who steps a router, never what happens).
+//!    with and without event-horizon skipping, and two island workers on a
+//!    quadrant partition of the same fabric (every island at the base rate
+//!    fires on every tick, so the partition changes who steps a router,
+//!    never what happens).
 //! 2. **Serial / parallel parity** — a multi-policy load sweep produces
 //!    bit-identical [`OperatingPointResult`]s whether the `(policy × load)`
 //!    grid runs on one thread or across all cores, because every operating

@@ -8,8 +8,7 @@
 //! 1. **Zero perturbation** — an instrumented run produces bit-identical
 //!    [`WindowMeasurement`] sequences and aggregate statistics to an
 //!    uninstrumented twin across the full subsystem grid (gating × faults ×
-//!    islands × bursty injection), on **both** engines (sparse worklist and
-//!    the dense reference) and with event-horizon skipping on and off.
+//!    islands × bursty injection), with event-horizon skipping on and off.
 //! 2. **Parallel parity** — per-island threaded stepping with per-worker
 //!    profiling enabled still matches the uninstrumented serial golden,
 //!    window for window.
@@ -86,15 +85,14 @@ proptest! {
 
     /// The hard invariant of the telemetry layer: installing it — counters,
     /// event trace, periodic sampling and the wall-clock profiler all on —
-    /// never changes a single measurement, on either engine, with horizon
-    /// skipping on or off, across every subsystem combination.
+    /// never changes a single measurement, with horizon skipping on or off,
+    /// across every subsystem combination.
     #[test]
     fn telemetry_never_perturbs_the_simulation(
         gated in prop_oneof![Just(false), Just(true)],
         faulted in prop_oneof![Just(false), Just(true)],
         islands in prop_oneof![Just(false), Just(true)],
         bursty in prop_oneof![Just(false), Just(true)],
-        dense in prop_oneof![Just(false), Just(true)],
         skipping in prop_oneof![Just(false), Just(true)],
         rate in 0.05f64..0.3,
         seed in 0u64..1_000_000,
@@ -107,7 +105,6 @@ proptest! {
             TelemetryConfig::default().with_sample_interval(64).with_history(64).with_profile(true),
         );
         for sim in [&mut observed, &mut plain] {
-            sim.set_dense_stepping(dense);
             sim.set_event_skipping(skipping);
         }
         if islands {
@@ -118,8 +115,8 @@ proptest! {
         let wo = window_sequence(&mut observed, &chunks);
         let wp = window_sequence(&mut plain, &chunks);
         prop_assert_eq!(wo, wp,
-            "telemetry perturbed the run (gated={} faulted={} islands={} bursty={} dense={} skip={} seed={})",
-            gated, faulted, islands, bursty, dense, skipping, seed);
+            "telemetry perturbed the run (gated={} faulted={} islands={} bursty={} skip={} seed={})",
+            gated, faulted, islands, bursty, skipping, seed);
         prop_assert_eq!(observed.stats(), plain.stats());
         prop_assert_eq!(observed.total_packets_delivered(), plain.total_packets_delivered());
         prop_assert_eq!(observed.queued_source_flits(), plain.queued_source_flits());

@@ -11,9 +11,8 @@
 //!    *different* RNG seed: a recorded trace must drive the network
 //!    without consulting the traffic RNG at all. Every record→replay pair
 //!    runs under every engine mode ([`common::ENGINE_MODES`]): sparse with
-//!    and without event-horizon skipping, the dense reference, and two
-//!    island workers (clamped to the serial step where the configuration
-//!    has a single island).
+//!    and without event-horizon skipping, and two island workers (clamped
+//!    to the serial step where the configuration has a single island).
 //! 2. **Per-tenant ledger replay** — with a [`TenantMap`] installed on
 //!    both runs, the per-tenant window ledgers replay bit-identically too.
 //! 3. **Bounded memory** — replaying a trace much larger than one chunk
