@@ -33,14 +33,17 @@ pub struct AllocGrant {
 ///
 /// The grant buffer is reused across allocation rounds, so steady-state
 /// allocation performs no heap allocation; [`allocate`](Self::allocate)
-/// returns a slice into it that stays valid until the next round.
+/// returns a slice into it that stays valid until the next round. It is
+/// sized on the first round, so an allocator that never grants owns one heap
+/// block: its arbiters.
 #[derive(Debug, Clone)]
 pub struct SeparableAllocator {
     /// Bits of the members a group has (the low `members_per_group` bits).
     member_valid: u64,
+    groups: usize,
     resources: usize,
-    input_arbiters: Vec<RoundRobinArbiter>,
-    output_arbiters: Vec<RoundRobinArbiter>,
+    /// The per-group (input) arbiters, then the per-resource (output) ones.
+    arbiters: Vec<RoundRobinArbiter>,
     /// Grants of the current round (returned by reference).
     grants: Vec<AllocGrant>,
 }
@@ -61,13 +64,21 @@ impl SeparableAllocator {
             "separable allocator supports at most 64 members and 64 groups"
         );
         assert!(u32::try_from(resources).is_ok(), "resource indices are kept in 32 bits");
+        let inputs = (0..groups).map(|_| RoundRobinArbiter::new(members_per_group));
+        let outputs = (0..resources).map(|_| RoundRobinArbiter::new(groups));
         SeparableAllocator {
             member_valid: u64::MAX >> (MAX_FAN_IN - members_per_group),
+            groups,
             resources,
-            input_arbiters: (0..groups).map(|_| RoundRobinArbiter::new(members_per_group)).collect(),
-            output_arbiters: (0..resources).map(|_| RoundRobinArbiter::new(groups)).collect(),
-            grants: Vec::with_capacity(groups),
+            arbiters: inputs.chain(outputs).collect(),
+            grants: Vec::new(),
         }
+    }
+
+    /// The output arbiter of `resource` (the input arbiter of `group` is
+    /// `arbiters[group]`).
+    fn output_arbiter(&mut self, resource: usize) -> &mut RoundRobinArbiter {
+        &mut self.arbiters[self.groups + resource]
     }
 
     /// Performs one allocation round.
@@ -97,7 +108,10 @@ impl SeparableAllocator {
         member_masks: &[u64],
         resource_of: impl Fn(usize, usize) -> usize,
     ) -> &[AllocGrant] {
-        assert_eq!(member_masks.len(), self.input_arbiters.len(), "one member mask per group");
+        assert_eq!(member_masks.len(), self.groups, "one member mask per group");
+        if self.grants.capacity() == 0 {
+            self.grants.reserve_exact(self.groups);
+        }
         self.grants.clear();
         // Round 1: each requesting group puts one member forward.
         let mut member = [0u8; MAX_FAN_IN];
@@ -111,7 +125,7 @@ impl SeparableAllocator {
             let winner = if mask & (mask - 1) == 0 {
                 mask.trailing_zeros() as usize
             } else {
-                self.input_arbiters[group].peek_mask(mask).expect("the mask is not empty")
+                self.arbiters[group].peek_mask(mask).expect("the mask is not empty")
             };
             let wanted = resource_of(group, winner);
             assert!(wanted < self.resources, "request for a resource the allocator does not have");
@@ -140,25 +154,23 @@ impl SeparableAllocator {
             let group = if contenders & (contenders - 1) == 0 {
                 first
             } else {
-                self.output_arbiters[wanted].peek_mask(contenders).expect("the mask is not empty")
+                self.output_arbiter(wanted).peek_mask(contenders).expect("the mask is not empty")
             };
             let member = usize::from(member[group]);
             self.grants.push(AllocGrant { group, member, resource: wanted });
-            self.output_arbiters[wanted].commit(group);
-            self.input_arbiters[group].commit(member);
+            self.output_arbiter(wanted).commit(group);
+            self.arbiters[group].commit(member);
         }
         &self.grants
     }
 }
 
 impl SeparableAllocator {
-    /// Encodes the persistent allocator state (the two arbiter banks) for a
-    /// checkpoint. The grant buffer is per-round scratch and is not written.
+    /// Encodes the persistent allocator state (the input arbiters, then the
+    /// output arbiters) for a checkpoint. The grant buffer is per-round
+    /// scratch and is not written.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
-        for arb in &self.input_arbiters {
-            arb.save_state(w);
-        }
-        for arb in &self.output_arbiters {
+        for arb in &self.arbiters {
             arb.save_state(w);
         }
     }
@@ -168,10 +180,7 @@ impl SeparableAllocator {
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        for arb in &mut self.input_arbiters {
-            arb.load_state(r)?;
-        }
-        for arb in &mut self.output_arbiters {
+        for arb in &mut self.arbiters {
             arb.load_state(r)?;
         }
         Ok(())
@@ -202,7 +211,7 @@ mod tests {
         /// several requests the first one counts; out-of-range requests are
         /// skipped.
         fn allocate_reference(&mut self, requests: &[AllocRequest]) -> Vec<AllocGrant> {
-            let groups = self.input_arbiters.len();
+            let groups = self.groups;
             let members = self.member_valid.count_ones() as usize;
             let mut grants = Vec::new();
             let mut member_masks = vec![0u64; groups];
@@ -218,7 +227,7 @@ mod tests {
             }
             let stage1: Vec<Option<(usize, usize)>> = (0..groups)
                 .map(|group| {
-                    self.input_arbiters[group]
+                    self.arbiters[group]
                         .peek_mask(member_masks[group])
                         .map(|member| (member, resource_of[group * members + member]))
                 })
@@ -234,11 +243,11 @@ mod tests {
                         group_mask |= 1u64 << group;
                     }
                 }
-                if let Some(group) = self.output_arbiters[resource].peek_mask(group_mask) {
+                if let Some(group) = self.output_arbiter(resource).peek_mask(group_mask) {
                     let (member, _r) = stage1[group].expect("stage-1 winner exists");
                     grants.push(AllocGrant { group, member, resource });
-                    self.output_arbiters[resource].commit(group);
-                    self.input_arbiters[group].commit(member);
+                    self.output_arbiter(resource).commit(group);
+                    self.arbiters[group].commit(member);
                 }
             }
             grants
@@ -247,7 +256,7 @@ mod tests {
         /// The mask-native round for a request list (each member at most
         /// once), so a test can state its requests as triples.
         fn allocate_list(&mut self, requests: &[AllocRequest]) -> Vec<AllocGrant> {
-            let mut masks = vec![0u64; self.input_arbiters.len()];
+            let mut masks = vec![0u64; self.groups];
             for r in requests {
                 masks[r.group] |= 1u64 << r.member;
             }

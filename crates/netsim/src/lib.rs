@@ -83,7 +83,9 @@
 //! State is sized by what is in flight: the cycle loop
 //! ([`NocSimulation::run_cycles`]) makes **no heap allocation after a VC's
 //! first flit**, except to let a source queue or a scratch list outgrow its
-//! own high-water mark. That property rests on a simple ownership contract:
+//! own high-water mark. (A call long enough to run generation on a helper
+//! thread pays, once per call, for the thread and its three 64 KiB chunks.)
+//! That property rests on a simple ownership contract:
 //!
 //! * **Storage appears on first arrival.** An input VC's buffer allocates
 //!   its `buffer_depth` slots when its first flit arrives, once; a VC that

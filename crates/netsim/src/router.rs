@@ -277,7 +277,7 @@ pub struct Router {
     outputs: Vec<OutputVc>,
     vc_allocator: SeparableAllocator,
     sw_allocator: SeparableAllocator,
-    out_vc_rr: Vec<usize>,
+    out_vc_rr: [usize; PORT_COUNT],
     derived: DerivedState,
     /// Dateline VC-class masks: `class_masks[c]` is the set of output VCs a
     /// packet in class `c` may be assigned on an inter-router link. On a mesh
@@ -323,7 +323,7 @@ impl Router {
             outputs: vec![free_output; PORT_COUNT * vcs],
             vc_allocator: SeparableAllocator::new(PORT_COUNT, vcs, PORT_COUNT * vcs),
             sw_allocator: SeparableAllocator::new(PORT_COUNT, vcs, PORT_COUNT),
-            out_vc_rr: vec![0; PORT_COUNT],
+            out_vc_rr: [0; PORT_COUNT],
             derived,
             class_masks,
             activity: RouterActivity::new(),

@@ -40,6 +40,13 @@
 //! clause that breaks (`invariants`). `restore` runs it on every snapshot,
 //! and the invariant suites after every tick.
 //!
+//! **Generation runs ahead** on a long call: `generate_tick` reads no
+//! network state, so a [`run_cycles`](NocSimulation::run_cycles) call that
+//! owes at least 2²⁰ draws lends the spec and the generator to a helper
+//! thread, which makes the same calls on the same clock schedule while the
+//! engine steps; phase 2 then only queues the packets of the tick's batch
+//! (`ahead`). The draw order is the helper's, so it is unchanged.
+//!
 //! # Layout
 //!
 //! One tick is `phases` 1–3, the `pipeline` phase, `phases` 5–6. The router
@@ -48,9 +55,11 @@
 //! sparse engine and the per-island workers of `threaded` are drivers of
 //! that pair. `worklist` holds the bitsets and the timing wheel, `islands`
 //! the clock dividers, `accessors` the query and actuation surface,
-//! `invariants` the self-check, `checkpoint` the snapshot glue.
+//! `invariants` the self-check, `checkpoint` the snapshot glue, `ahead` the
+//! generation helper.
 
 mod accessors;
+mod ahead;
 mod checkpoint;
 mod invariants;
 mod islands;
@@ -61,6 +70,7 @@ mod tests;
 mod threaded;
 mod worklist;
 
+use self::ahead::{Ahead, Handoff};
 pub use self::invariants::InvariantViolation;
 use self::islands::{advance_island_clocks, IslandDomain};
 use self::worklist::{EventWheel, NodeSet};
@@ -432,7 +442,11 @@ impl NocSimulation {
     /// With event-horizon skipping enabled (the default, see
     /// [`set_event_skipping`](Self::set_event_skipping)) quiescent spans are
     /// jumped over instead of stepped through; the result is bit-identical
-    /// either way.
+    /// either way. A call that owes at least 2²⁰ packet draws (cycles × node
+    /// cycles per NoC cycle × nodes), starts on a node cycle its traffic
+    /// spec does not declare silent, and runs where a second core exists
+    /// makes those draws on a helper thread while it steps; the result is
+    /// bit-identical to any split of the same cycles into shorter calls.
     pub fn run_cycles(&mut self, cycles: u64) {
         self.run_cycles_with_workers(cycles, 1);
     }
@@ -455,8 +469,29 @@ impl NocSimulation {
     }
 
     /// The cycle loop of both drivers: horizon jumps where allowed, full
-    /// steps otherwise, with `pipeline` standing in for phase 4.
+    /// steps otherwise, with `pipeline` standing in for phase 4. A call long
+    /// enough lends the traffic spec to a helper thread for its duration
+    /// (`ahead`).
     fn run_with(&mut self, cycles: u64, mut pipeline: impl FnMut(&mut Self, Tick)) {
+        if !self.generation_runs_ahead(cycles) {
+            return self.run_loop(cycles, &mut pipeline, &mut None);
+        }
+        let handoff = Handoff::default();
+        std::thread::scope(|scope| {
+            let mut ahead = Some(Ahead::lend(scope, &handoff, self, cycles));
+            self.run_loop(cycles, &mut pipeline, &mut ahead);
+            if let Some(ahead) = ahead {
+                ahead.give_back(self);
+            }
+        });
+    }
+
+    fn run_loop(
+        &mut self,
+        cycles: u64,
+        pipeline: &mut impl FnMut(&mut Self, Tick),
+        ahead: &mut Option<Ahead<'_>>,
+    ) {
         // Resolved once per run call: installing telemetry mid-run is not
         // observable (the public API only exposes cycle boundaries).
         let telemetry_on = self.telemetry.is_some();
@@ -464,7 +499,7 @@ impl NocSimulation {
         while remaining > 0 {
             if self.event_skip {
                 let t0 = self.profiling().then(Instant::now);
-                remaining -= self.skip_quiescent_ticks(remaining);
+                remaining -= self.skip_quiescent_ticks(remaining, ahead);
                 if let (Some(t0), Some(t)) = (t0, self.telemetry.as_deref_mut()) {
                     t.profile_mut().skip_ns += t0.elapsed().as_nanos() as u64;
                 }
@@ -472,7 +507,7 @@ impl NocSimulation {
                     break;
                 }
             }
-            self.step_with(&mut pipeline);
+            self.step_with(&mut *pipeline, ahead);
             remaining -= 1;
             if telemetry_on {
                 self.telemetry_step_tick();
@@ -486,9 +521,9 @@ impl NocSimulation {
     /// reads between the phases observe the step, they never feed back into
     /// it.
     #[inline]
-    fn step_with(&mut self, pipeline: impl FnOnce(&mut Self, Tick)) {
+    fn step_with(&mut self, pipeline: impl FnOnce(&mut Self, Tick), ahead: &mut Option<Ahead<'_>>) {
         let t0 = self.profiling().then(Instant::now);
-        let tick = self.pre_pipeline_phases();
+        let tick = self.pre_pipeline_phases(ahead);
         let t1 = t0.map(|_| Instant::now());
         pipeline(self, tick);
         let t2 = t0.map(|_| Instant::now());
@@ -540,14 +575,17 @@ impl NocSimulation {
     ///   specification declares those node cycles draw-free
     ///   ([`TrafficSpec::silent_node_cycles`]); skipped node cycles are
     ///   reported back via [`TrafficSpec::skip_node_cycles`] so stateful
-    ///   specifications stay in sync.
+    ///   specifications stay in sync. While a helper holds the spec
+    ///   (`ahead`), it has proven every tick it generates non-silent, so no
+    ///   silent node cycle is granted; once it has stopped, the spec comes
+    ///   back here first.
     ///
     /// Each skipped tick performs exactly the state updates a fully dead
     /// step would: the shared clock advances (same float operations, same
     /// order), the measurement window counts the tick, and every island
     /// divider accrues — so windows, RNG streams and island phases stay
     /// bit-identical to base-tick stepping.
-    fn skip_quiescent_ticks(&mut self, remaining: u64) -> u64 {
+    fn skip_quiescent_ticks(&mut self, remaining: u64, ahead: &mut Option<Ahead<'_>>) -> u64 {
         if remaining < 2 {
             return 0;
         }
@@ -587,7 +625,11 @@ impl NocSimulation {
         // Dead ticks cover cycles `now+1 ..= now+max_dead`; the next full
         // step (if any remains) lands exactly on the horizon.
         let max_dead = remaining.min(horizon - now - 1);
-        let mut silent_budget = self.traffic.silent_node_cycles(self.clock.node_cycles_emitted());
+        let mut silent_budget = if self.helper_holds_spec(ahead) {
+            0
+        } else {
+            self.traffic.silent_node_cycles(self.clock.node_cycles_emitted())
+        };
         let mut skipped = 0u64;
         let mut node_cycles_skipped = 0u64;
         while skipped < max_dead {

@@ -1,8 +1,10 @@
 //! The phases of one tick around the router pipelines: 1 — clocks, island
 //! dividers, the gating and fault state machines; 2 — packet generation
 //! (one [`TrafficSpec::generate_tick`](crate::TrafficSpec::generate_tick)
-//! call, which owns the RNG draw order; a source is touched only when a
-//! packet is emitted for it); 3 — credit delivery; 5 — flit delivery;
+//! call, which owns the RNG draw order — made here, or ahead of time on the
+//! generation helper of a long call, whose batch for the tick is drained
+//! instead; a source is touched only when a packet is emitted for it);
+//! 3 — credit delivery; 5 — flit delivery;
 //! 6 — injection from the pending-source worklist. A delivery phase is one
 //! linear pass over the wheel slot due this cycle: there is no second place
 //! a flit or credit in flight could be found. The worklist updates spread
@@ -10,7 +12,7 @@
 //! what [`check_invariants`](NocSimulation::check_invariants) recounts.
 
 use super::pipeline::credit_receiver;
-use super::{advance_island_clocks, FlitInFlight, NocSimulation, Tick};
+use super::{advance_island_clocks, Ahead, FlitInFlight, NocSimulation, Tick};
 use crate::fault::{FaultState, FaultTransition};
 use crate::flit::PacketId;
 use crate::router::{CreditReturn, VcState, LOCAL_PORT};
@@ -203,7 +205,7 @@ impl NocSimulation {
     }
 
     /// Phases 1–3. Returns the per-tick context the later phases need.
-    pub(super) fn pre_pipeline_phases(&mut self) -> Tick {
+    pub(super) fn pre_pipeline_phases(&mut self, ahead: &mut Option<Ahead<'_>>) -> Tick {
         // 1. Clock: how many node-clock cycles complete during this NoC cycle?
         //    The base tick then advances each island's clock divider; islands
         //    that complete a domain cycle "fire" and are processed below.
@@ -252,8 +254,12 @@ impl NocSimulation {
         //    windows, and puts the source on the injection worklist. When
         //    the NoC outpaces the node clock, zero node cycles complete and
         //    the whole phase is provably dead (no draw), so it is
-        //    short-circuited.
+        //    short-circuited. While a helper holds the spec (`ahead`), the
+        //    call was made on its thread and this tick's batch of emits is
+        //    drained instead; either way `queue_packet` sees the same
+        //    sequence.
         if node_cycles > 0 {
+            let helper = if self.helper_holds_spec(ahead) { ahead.as_mut() } else { None };
             let NocSimulation {
                 topo,
                 sources,
@@ -269,8 +275,9 @@ impl NocSimulation {
             } = self;
             let island_of = regions.assignments();
             let nodes = sources.len();
-            let packet_length = traffic.packet_length();
-            let mut queue_packet = |src: usize, _node_cycle: u64, dst: usize| {
+            let packet_length =
+                helper.as_ref().map_or_else(|| traffic.packet_length(), |h| h.packet_length);
+            let mut queue_packet = |src: usize, dst: usize| {
                 let id = PacketId::new(*next_packet_id);
                 *next_packet_id += 1;
                 let flits =
@@ -282,14 +289,17 @@ impl NocSimulation {
                 }
                 pending_sources.insert(src);
             };
-            traffic.generate_tick(
-                nodes,
-                start_node_cycle,
-                node_cycles,
-                topo,
-                rng,
-                &mut queue_packet,
-            );
+            match helper {
+                Some(helper) => helper.drain_tick(start_node_cycle, &mut queue_packet),
+                None => traffic.generate_tick(
+                    nodes,
+                    start_node_cycle,
+                    node_cycles,
+                    topo,
+                    rng,
+                    &mut |src, _, dst| queue_packet(src, dst),
+                ),
+            }
         }
 
         self.deliver_credits(tick);

@@ -578,7 +578,9 @@ pub struct EngineProfile {
     /// Full steps executed.
     pub steps: u64,
     /// Nanoseconds in the pre-pipeline phases (clocks, gating, faults,
-    /// generation, credit delivery).
+    /// generation, credit delivery). Draws that ran ahead on the generation
+    /// helper are not in it: for those ticks generation is the queueing of
+    /// the helper's emits, plus any wait for it ([`ahead_wait_ns`](Self::ahead_wait_ns)).
     pub pre_ns: u64,
     /// Nanoseconds in the router-pipeline phase. Under island workers this
     /// is the main thread's span from opening the barrier to having applied
@@ -588,6 +590,13 @@ pub struct EngineProfile {
     pub post_ns: u64,
     /// Nanoseconds spent inside the event-horizon skip routine.
     pub skip_ns: u64,
+    /// Ticks whose packet draws ran ahead on the generation helper thread
+    /// (zero unless a run call was long enough to lend it the spec).
+    pub ahead_ticks: u64,
+    /// Nanoseconds the engine waited for the generation helper — counted
+    /// inside `pre_ns`, or `skip_ns` when the skip routine waited. Large
+    /// when generation, not the engine, bounds the run.
+    pub ahead_wait_ns: u64,
     /// Per-worker nanoseconds spent in the parallel island-pipeline phase —
     /// the island-thread balance (empty unless parallel stepping ran).
     pub worker_busy_ns: Vec<u64>,

@@ -734,7 +734,9 @@ impl TrafficSpec for RecordingTraffic {
 
 /// Replays a recorded trace as a [`TrafficSpec`]: each event re-injects at
 /// exactly its recorded `(node_cycle, src)`, no RNG is drawn, and idle gaps
-/// are declared silent so the event-horizon engine skips them.
+/// are declared silent so the event-horizon engine skips them. Its
+/// [`generate_tick`](TrafficSpec::generate_tick) walks the recorded events
+/// inside the batch, not every node and node cycle of it.
 ///
 /// The determinism contract is in the `trace` module docs;
 /// [`missed_events`](Self::missed_events) counts events whose slot passed
@@ -828,6 +830,14 @@ impl TraceTraffic {
             }
         };
     }
+
+    /// Counts the events whose slot has passed as missed and moves past them.
+    fn drop_missed(&mut self) {
+        while self.head.is_some_and(|head| head.node_cycle < self.completed_through) {
+            self.missed += 1;
+            self.advance_head();
+        }
+    }
 }
 
 impl TrafficSpec for TraceTraffic {
@@ -853,14 +863,7 @@ impl TrafficSpec for TraceTraffic {
             self.completed_through = node_cycle;
         }
         self.last_src = src;
-        while let Some(head) = self.head {
-            if head.node_cycle < self.completed_through {
-                self.missed += 1;
-                self.advance_head();
-            } else {
-                break;
-            }
-        }
+        self.drop_missed();
         match self.head {
             Some(head) if head.node_cycle == node_cycle && head.src as usize == src => {
                 self.replayed += 1;
@@ -868,6 +871,49 @@ impl TrafficSpec for TraceTraffic {
                 Some(head.dst as usize)
             }
             _ => None,
+        }
+    }
+
+    fn generate_tick(
+        &mut self,
+        nodes: usize,
+        start_node_cycle: u64,
+        node_cycles: u64,
+        _topo: &Topology,
+        _rng: &mut StdRng,
+        emit: &mut dyn FnMut(usize, u64, usize),
+    ) {
+        // The default body's sweep, visiting only the queries that can
+        // match: a query compares against the head alone, so the next match
+        // is the head's own slot if that slot is still ahead in this batch.
+        if nodes == 0 || node_cycles == 0 {
+            return;
+        }
+        let end = start_node_cycle + node_cycles;
+        // The first query, node 0, opens a new batch unless the previous
+        // query was node 0 as well (a one-node fabric).
+        if self.last_src > 0 {
+            self.completed_through = start_node_cycle;
+        }
+        self.last_src = nodes - 1;
+        let last_query = (nodes - 1, end - 1);
+        // The next query of the sweep, in its (node, cycle) order.
+        let mut next = (0, start_node_cycle);
+        loop {
+            self.drop_missed();
+            let Some(head) = self.head else { break };
+            let slot = (head.src as usize, head.node_cycle);
+            if slot.0 >= nodes || !(start_node_cycle..end).contains(&slot.1) || slot < next {
+                break;
+            }
+            self.replayed += 1;
+            self.advance_head();
+            emit(slot.0, slot.1, head.dst as usize);
+            if slot == last_query {
+                // No query follows, so none drops a missed event.
+                break;
+            }
+            next = (slot.0, slot.1 + 1);
         }
     }
 
@@ -1178,7 +1224,9 @@ mod tests {
 
     #[test]
     fn batched_generation_matches_the_per_call_definition() {
-        use crate::traffic::batch_contract::{assert_batched_matches_per_call, cases, topologies};
+        use crate::traffic::batch_contract::{
+            assert_batched_matches_per_call, cases, schedule, topologies,
+        };
         let read_all = |dir: &PathBuf| {
             let mut reader = TraceReader::open(dir).unwrap();
             std::iter::from_fn(|| reader.next().unwrap()).collect::<Vec<_>>()
@@ -1199,7 +1247,8 @@ mod tests {
                 let (reference, writer_ref) = record(inner_ref, &dir_ref);
                 let case = format!("recording {case}");
                 let reference = Box::new(reference);
-                let packets = assert_batched_matches_per_call(&mut batched, reference, &topo, &case);
+                let packets =
+                    assert_batched_matches_per_call(&mut batched, reference, &topo, nodes, &case);
                 writer.lock().unwrap().finish().unwrap();
                 writer_ref.lock().unwrap().finish().unwrap();
                 let events = read_all(&dir);
@@ -1207,7 +1256,73 @@ mod tests {
                 assert_eq!(events, read_all(&dir_ref), "{case}: recorded events");
             }
         }
+
+        // Replay: the override walks only the recorded events of a batch.
+        let topo = Topology::mesh(4, 4);
+        let faithful = recorded(&topo, schedule());
+        let gaps = recorded(
+            &topo,
+            schedule().filter(|&(start, _)| {
+                start < 200 || (1_500..1_600).contains(&start) || start >= 3_100
+            }),
+        );
+        // Two events out of sweep order, and one whose slot passed long ago.
+        let mut out_of_order = faithful.clone();
+        out_of_order.swap(faithful.len() / 2, faithful.len() / 2 + 1);
+        out_of_order.insert(faithful.len() / 4, event(10, 1, 2, 0));
+        // A match on a batch's last query, then an event whose slot has
+        // passed: no query follows in the batch, so it is dropped at the next.
+        let last_queries = schedule()
+            .filter(|&(_, node_cycles)| node_cycles > 0)
+            .step_by(5)
+            .flat_map(|(start, n)| {
+                [event(start + n - 1, 15, 3, 0), event(start.max(1) - 1, 0, 3, 0)]
+            })
+            .collect();
+        // Recorded one node cycle per tick, replayed on up to three.
+        let diverged = recorded(&topo, (0..3_200).map(|cycle| (cycle, 1)));
+        // One node: no query ever opens a batch after the first, so the
+        // stale event blocks every later one and none counts as missed.
+        let mut one_node: Vec<TraceEvent> =
+            (0..3_200).step_by(7).map(|cycle| event(cycle, 0, 1, 0)).collect();
+        one_node.insert(one_node.len() / 2, event(5, 0, 1, 0));
+        let replays = [
+            ("long gaps", 16, gaps, false),
+            ("events out of order", 16, out_of_order, true),
+            ("matches on a batch's last query", 16, last_queries, true),
+            ("a diverged clock", 16, diverged, true),
+            ("one node", 1, one_node, false),
+        ];
+        for (case, nodes, events, misses) in replays {
+            let case = format!("replay with {case}");
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut writer = TraceWriter::create(&dir, 4, nodes, 64).unwrap();
+            events.iter().for_each(|&ev| writer.record(ev));
+            writer.finish().unwrap();
+            let mut batched = TraceTraffic::open(&dir).unwrap();
+            let reference = Box::new(TraceTraffic::open(&dir).unwrap());
+            let packets =
+                assert_batched_matches_per_call(&mut batched, reference, &topo, nodes, &case);
+            assert!(packets > 0, "{case}: nothing replayed");
+            assert_eq!(batched.missed_events() > 0, misses, "{case}: missed events");
+        }
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir_ref);
+    }
+
+    /// The trace a recording of a busy uniform source writes when the
+    /// engine's ticks cover `batches` (start node cycle, node cycles).
+    fn recorded(topo: &Topology, batches: impl Iterator<Item = (u64, u64)>) -> Vec<TraceEvent> {
+        use crate::traffic::{SyntheticTraffic, TrafficPattern};
+        let mut live = SyntheticTraffic::new(TrafficPattern::Uniform, 0.3, 4);
+        let mut rng = rand::SeedableRng::seed_from_u64(7);
+        let mut events = Vec::new();
+        for (start, node_cycles) in batches {
+            let nodes = topo.node_count();
+            live.generate_tick(nodes, start, node_cycles, topo, &mut rng, &mut |src, cycle, dst| {
+                events.push(event(cycle, src as u32, dst as u32, 0))
+            });
+        }
+        events
     }
 }

@@ -275,6 +275,17 @@ impl Bernoulli {
 /// [`save_extra_state`](Self::save_extra_state) bytes behind. The
 /// `batched_generation_matches_the_per_call_definition` tests in this module
 /// and in `trace` hold every override in the crate to that, bit for bit.
+///
+/// # Threads
+///
+/// A [`run_cycles`](crate::NocSimulation::run_cycles) call long enough
+/// lends the spec and the generator to a helper thread for its duration, and
+/// the `generate_tick` and `silent_node_cycles` calls of that call run
+/// there (hence `Send`) — ahead of the engine, but in the same order and on
+/// the same node-cycle schedule. Both methods see only the spec, their
+/// arguments and the generator, never network state, which is what makes
+/// that safe. A spec that records as it generates
+/// ([`RecordingTraffic`](crate::RecordingTraffic)) writes from that thread.
 pub trait TrafficSpec: Debug + Send {
     /// Number of flits in every generated packet.
     fn packet_length(&self) -> usize;
@@ -307,7 +318,8 @@ pub trait TrafficSpec: Debug + Send {
     /// node in `0..nodes` and every node cycle in `start_node_cycle ..
     /// start_node_cycle + node_cycles` whether a packet is generated, and
     /// calls `emit(src, node_cycle, dst)` for each one. This is the only
-    /// generation entry point the simulation engine uses.
+    /// generation entry point the simulation engine uses, and on a long call
+    /// it runs on a helper thread (see the [trait docs](TrafficSpec#threads)).
     ///
     /// The default body is the draw order every result is defined against —
     /// nodes ascending, node cycles ascending within a node,
@@ -874,26 +886,35 @@ pub(crate) mod batch_contract {
     /// Ticks per case, cycling through 0, 1, 2 and 3 node cycles per tick.
     const TICKS: usize = 2_400;
 
+    /// The `(start_node_cycle, node_cycles)` of every tick of a case.
+    pub(crate) fn schedule() -> impl Iterator<Item = (u64, u64)> {
+        (0..TICKS).scan(0, |start, tick| {
+            let node_cycles = [1, 0, 2, 1, 3, 1][tick % 6];
+            *start += node_cycles;
+            Some((*start - node_cycles, node_cycles))
+        })
+    }
+
     /// Drives `batched` through its own `generate_tick` and `reference` —
     /// the same source in the same state — through the default body, from
     /// equal seeds, and asserts after every tick the same emit sequence, the
-    /// same generator state and the same `save_extra_state` bytes. Returns
-    /// the number of packets emitted.
+    /// same generator state and the same `save_extra_state` bytes. Each tick
+    /// sweeps nodes `0..nodes` of `topo`. Returns the number of packets
+    /// emitted.
     pub(crate) fn assert_batched_matches_per_call(
         batched: &mut dyn TrafficSpec,
         reference: Box<dyn TrafficSpec>,
         topo: &Topology,
+        nodes: usize,
         case: &str,
     ) -> usize {
         let mut per_call = PerCall(reference);
-        let nodes = topo.node_count();
         let mut rng = StdRng::seed_from_u64(2015);
         let mut rng_ref = rng.clone();
         let (mut emitted, mut emitted_ref) = (Vec::new(), Vec::new());
         let (mut state, mut state_ref) = (Vec::new(), Vec::new());
-        let (mut start, mut packets) = (0u64, 0usize);
-        for tick in 0..TICKS {
-            let node_cycles = [1, 0, 2, 1, 3, 1][tick % 6];
+        let mut packets = 0;
+        for (tick, (start, node_cycles)) in schedule().enumerate() {
             emitted.clear();
             emitted_ref.clear();
             batched.generate_tick(nodes, start, node_cycles, topo, &mut rng, &mut |s, c, d| {
@@ -909,7 +930,6 @@ pub(crate) mod batch_contract {
             batched.save_extra_state(&mut state);
             per_call.0.save_extra_state(&mut state_ref);
             assert_eq!(state, state_ref, "{case}: checkpoint state after tick {tick}");
-            start += node_cycles;
             packets += emitted.len();
         }
         assert_eq!(rng.next_u64(), rng_ref.next_u64(), "{case}: next draw");
@@ -1302,6 +1322,7 @@ mod tests {
                     batched.as_mut(),
                     reference,
                     &topo,
+                    topo.node_count(),
                     &case,
                 );
                 // A case that never emits would compare two empty sequences.

@@ -48,6 +48,11 @@ PROPTEST_CASES="${PROPTEST_CASES:-64}" cargo test -q
 echo "==> cargo test -q --release --offline --manifest-path benchmark/Cargo.toml"
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
+# The sampling profiler needs perf_event access, which CI cannot assume: it
+# is only compiled here.
+echo "==> python3 -m py_compile scripts/profile.py"
+python3 -m py_compile scripts/profile.py
+
 # Documentation is part of the contract: every public item is documented
 # (#![warn(missing_docs)] + clippy -D warnings below), rustdoc links must
 # resolve, and the runnable examples in the docs must stay green.

@@ -10,13 +10,16 @@
 //! arrival:
 //!
 //! * **Idle 64×64 mesh, `NocSimulation::new`:** ≤ 5 000 B live in ≤ 16
-//!   allocations per node. Measured 4 137 B in 11; before, 11 931 B in 51.
+//!   allocations per node. Measured 3 365 B in 5 (one arbiter bank per
+//!   allocator, grant buffers sized on first use); before, 11 931 B in 51.
 //! * **Backlogged 5×5 torus** (hotspot MMP at 0.35, burst 200, factor 4,
 //!   seed 2015, 50 000 cycles): the heap grows by ≤ 100 B per queued packet.
-//!   Measured 70 B over 12 743 packets; before, 1 199 B.
+//!   Measured 69 B over 12 743 packets; before, 1 199 B.
 //! * **Steady 8×8 at 0.30 uniform**, 20 000 cycles after a 20 000-cycle
-//!   warm-up: fewer than 32 allocations. Measured 14 — a source queue or a
-//!   scratch list outgrowing its own high-water mark — before and after.
+//!   warm-up: fewer than 32 allocations. Measured 21: 7 for the generation
+//!   helper this 1.3 M-draw call runs (its thread and three chunks), the
+//!   rest a source queue or a scratch list outgrowing its own high-water
+//!   mark.
 //!
 //! Each case prints its count (`cargo test --test footprint -- --nocapture`).
 

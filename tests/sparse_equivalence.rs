@@ -26,7 +26,7 @@
 //!    pinned bit-identical to the serial step on the golden scenarios.
 
 mod common;
-use common::run_checked;
+use common::{run_checked, QuiescentThenBurst};
 
 use noc_sim::{
     BurstyTraffic, FaultConfig, GatingConfig, HazardConfig, Hertz, MatrixTraffic, NetworkConfig,
@@ -377,51 +377,6 @@ proptest! {
             "expected a long horizon jump over {} silent cycles, skipped only {}",
             silence, skipping.skipped_cycle_count()
         );
-    }
-}
-
-/// Traffic that is provably silent until `burst_start` node cycles, offers
-/// Bernoulli uniform load until `burst_end`, then goes silent forever —
-/// the event-horizon contract's stateful-source shape
-/// ([`TrafficSpec::silent_node_cycles`] / [`TrafficSpec::skip_node_cycles`]).
-#[derive(Debug)]
-struct QuiescentThenBurst {
-    burst_start: u64,
-    burst_end: u64,
-    rate: f64,
-    packet_length: usize,
-}
-
-impl TrafficSpec for QuiescentThenBurst {
-    fn packet_length(&self) -> usize {
-        self.packet_length
-    }
-    fn offered_load(&self) -> f64 {
-        self.rate
-    }
-    fn maybe_generate(
-        &mut self,
-        src: usize,
-        node_cycle: u64,
-        topo: &Topology,
-        rng: &mut StdRng,
-    ) -> Option<usize> {
-        if node_cycle < self.burst_start || node_cycle >= self.burst_end {
-            return None;
-        }
-        use rand::Rng;
-        if rng.gen_bool((self.rate / self.packet_length as f64).min(1.0)) {
-            TrafficPattern::Uniform.destination(src, topo, rng)
-        } else {
-            None
-        }
-    }
-    fn silent_node_cycles(&self, from_node_cycle: u64) -> u64 {
-        if from_node_cycle >= self.burst_end {
-            u64::MAX
-        } else {
-            self.burst_start.saturating_sub(from_node_cycle)
-        }
     }
 }
 
