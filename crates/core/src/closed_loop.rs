@@ -232,7 +232,7 @@ pub(crate) struct LoopResult {
 /// DVFS is its one-island case, bit for bit what the historical single-clock
 /// loop computed: the island's clock divider is `f / f == 1.0` exactly, its
 /// node weight in the frequency/Vdd averages is `n / n == 1.0`, and
-/// [`RouterPowerModel::island_energy`] folds the routers in the order
+/// [`RouterPowerModel::partition_energy`] folds the routers in the order
 /// [`RouterPowerModel::network_energy`] does.
 ///
 /// With `gating` set the same control update also re-derives every island's
@@ -364,7 +364,7 @@ pub(crate) fn run_loop(
             controller.frequencies().iter().map(|&f| (f, tech.vdd_for_frequency(f))).collect();
 
         for (island, &(f, vdd)) in levels.iter().enumerate() {
-            let e = power_model.island_energy(
+            let e = power_model.partition_energy(
                 &activity,
                 island_of,
                 island as u32,

@@ -100,10 +100,7 @@ pub use policy::{ControlMeasurement, DvfsPolicy, NoDvfs, PolicyKind};
 pub use rmsd::{Rmsd, RmsdConfig};
 pub use saturation::find_saturation_rate;
 pub use scenario::{
-    compare_policies_scenario, scenario_grid, scenario_grid_faulted, scenario_grid_gated,
-    scenario_grid_islands, scenario_grid_tenants, sweep_scenario_gated, sweep_scenario_islands,
-    FaultProfile, GatedSweepPoint, InjectionProcess, IslandSweepPoint,
-    Scenario, TenantMix,
+    compare_policies_scenario, scenario_grid, FaultProfile, InjectionProcess, Scenario, TenantMix,
 };
 pub use summary::TradeOffSummary;
 pub use sweep::{PolicyCurve, SweepPoint};

@@ -18,13 +18,10 @@
 
 use crate::closed_loop::{run_loop, ClosedLoopConfig};
 use crate::experiments::{ExperimentQuality, PolicyComparison, PAPER_LAMBDA_MAX_MARGIN};
-use crate::gating::{run_operating_point_gated, GatedOperatingPointResult, GatingPolicyKind};
-use crate::island::{run_operating_point_islands, IslandOperatingPointResult};
+use crate::gating::GatingPolicyKind;
 use crate::policy::PolicyKind;
 use crate::saturation::find_saturation_load;
-use crate::sweep::{
-    grid_parallel, grid_serial, load_grid, sweep_curves, PolicyCurve, PolicyGrid, SweepPoint,
-};
+use crate::sweep::{grid_parallel, grid_serial, load_grid, sweep_curves, PolicyCurve, PolicyGrid};
 use noc_sim::{
     BurstyTraffic, ConfigError, Direction, FaultConfig, FaultEvent, FaultTarget, HazardConfig,
     NetworkConfig, RegionLayout, RoutingKind, SyntheticTraffic, Topology, TopologyKind,
@@ -78,8 +75,7 @@ pub struct Scenario {
     pub regions: RegionLayout,
     /// Power-gating axis: `None` (the historical ungated setting) or a
     /// gating policy run alongside DVFS (set via [`gated`](Scenario::gated);
-    /// sweeps then dispatch through
-    /// [`run_operating_point_gated`]).
+    /// [`sweep_scenario`] then runs the closed loop gated).
     pub gating: Option<GatingPolicyKind>,
     /// Routing-algorithm axis: dimension-ordered XY (the historical
     /// default), YX, or minimal-adaptive escape-VC routing (set via
@@ -185,7 +181,7 @@ impl TenantMix {
     }
 
     /// Whether the mix fits a `width × height` fabric under tiled
-    /// placement (used by [`scenario_grid_tenants`] to filter).
+    /// placement.
     pub fn fits(&self, width: usize, height: usize) -> bool {
         self.compose(width, height, 5, 0.1).is_ok()
     }
@@ -372,8 +368,7 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if a tenanted scenario's mix does not fit `net` — validate
-    /// with [`TenantMix::fits`] (grids from [`scenario_grid_tenants`]
-    /// always do).
+    /// with [`TenantMix::fits`].
     pub fn traffic(&self, net: &NetworkConfig, load: f64) -> Box<dyn TrafficSpec> {
         if let Some(mix) = self.tenants {
             let comp = mix
@@ -459,8 +454,10 @@ pub fn compare_policies_scenario(
 /// quadrant scenario runs one policy instance per quadrant and a
 /// single-island scenario is the paper's global DVFS — genuinely different
 /// numbers per layout, not relabelled copies. For the per-island detail
-/// (residency, per-island rates) use [`sweep_scenario_islands`]; for the
-/// gating residency, [`sweep_scenario_gated`].
+/// (residency, per-island rates) run one point through
+/// [`run_operating_point_islands`](crate::island::run_operating_point_islands);
+/// for the gating residency, through
+/// [`run_operating_point_gated`](crate::gating::run_operating_point_gated).
 pub fn sweep_scenario(
     net: &NetworkConfig,
     scenario: Scenario,
@@ -487,7 +484,7 @@ pub fn sweep_scenario_serial(
 
 /// [`sweep_scenario`] / [`sweep_scenario_serial`] on the given grid.
 fn sweep_scenario_on(
-    grid: PolicyGrid<SweepPoint>,
+    grid: PolicyGrid,
     net: &NetworkConfig,
     scenario: Scenario,
     loads: &[f64],
@@ -501,207 +498,11 @@ fn sweep_scenario_on(
     })
 }
 
-/// [`scenario_grid`] crossed with the given voltage-frequency island
-/// layouts: every valid `topology × pattern × injection` combination is
-/// instantiated once per layout in `layouts` (pass
-/// [`RegionLayout::ALL`] for the full axis). Layouts keep the grid's
-/// validity — islands partition nodes, never geometry — so no additional
-/// combinations are filtered.
-pub fn scenario_grid_islands(
-    base: &NetworkConfig,
-    include_bursty: bool,
-    layouts: &[RegionLayout],
-) -> Vec<Scenario> {
-    scenario_grid(base, include_bursty)
-        .into_iter()
-        .flat_map(|s| layouts.iter().map(move |&layout| s.islands(layout)))
-        .collect()
-}
-
-/// Parallel multi-policy, multi-load sweep of one scenario keeping the
-/// **per-island detail** of every point ([`run_operating_point_islands`]).
-/// Returns, per policy, the `(load, aggregate + per-island)` results in load
-/// order; the aggregates are the points [`sweep_scenario`] returns.
-///
-/// Like every sweep, each operating point is an independent simulation with
-/// an explicit seed, so the output is bit-identical on the serial grid.
-///
-/// # Panics
-///
-/// Panics on a gated scenario (`scenario.gating != None`): those sweep
-/// through [`sweep_scenario_gated`] (or [`sweep_scenario`]).
-pub fn sweep_scenario_islands(
-    net: &NetworkConfig,
-    scenario: Scenario,
-    loads: &[f64],
-    policies: &[PolicyKind],
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> Vec<Vec<IslandSweepPoint>> {
-    sweep_scenario_islands_on(grid_parallel, net, scenario, loads, policies, loop_cfg, seed)
-}
-
-/// [`sweep_scenario_islands`] on the given grid (the parity test runs it on
-/// the serial one).
-fn sweep_scenario_islands_on(
-    grid: PolicyGrid<IslandSweepPoint>,
-    net: &NetworkConfig,
-    scenario: Scenario,
-    loads: &[f64],
-    policies: &[PolicyKind],
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> Vec<Vec<IslandSweepPoint>> {
-    assert!(
-        scenario.gating.is_none(),
-        "gated scenarios must sweep through sweep_scenario_gated (or sweep_scenario) — \
-         running them ungated would mislabel the curves"
-    );
-    grid(loads, policies.len(), &|pi, load| IslandSweepPoint {
-        load,
-        result: run_operating_point_islands(
-            net,
-            scenario.traffic(net, load),
-            policies[pi].clone(),
-            loop_cfg,
-            seed,
-        ),
-    })
-}
-
-/// One `(load, island-controlled result)` pair of an island sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IslandSweepPoint {
-    /// The injection-rate load parameter.
-    pub load: f64,
-    /// The aggregate + per-island operating point.
-    pub result: IslandOperatingPointResult,
-}
-
-/// [`scenario_grid`] crossed with power-gating policies: every valid
-/// `topology × pattern × injection` combination is instantiated once per
-/// entry of `gatings` (`None` keeps the ungated scenario in the grid).
-pub fn scenario_grid_gated(
-    base: &NetworkConfig,
-    include_bursty: bool,
-    gatings: &[Option<GatingPolicyKind>],
-) -> Vec<Scenario> {
-    scenario_grid(base, include_bursty)
-        .into_iter()
-        .flat_map(|s| {
-            gatings.iter().map(move |&g| match g {
-                Some(kind) => s.gated(kind),
-                None => s,
-            })
-        })
-        .collect()
-}
-
-/// [`scenario_grid`] crossed with fault profiles under the given routing
-/// algorithm: every valid `topology × pattern × injection` combination is
-/// instantiated once per entry of `profiles` (`None` keeps the fault-free
-/// scenario in the grid). Combinations the routing algorithm rejects (e.g.
-/// minimal-adaptive on a 1-VC base, which has no escape class) are filtered
-/// out, mirroring [`scenario_grid`]'s treatment of invalid patterns.
-pub fn scenario_grid_faulted(
-    base: &NetworkConfig,
-    include_bursty: bool,
-    routing: RoutingKind,
-    profiles: &[Option<FaultProfile>],
-) -> Vec<Scenario> {
-    scenario_grid(base, include_bursty)
-        .into_iter()
-        .flat_map(|s| {
-            profiles.iter().map(move |&p| {
-                let s = s.routed(routing);
-                match p {
-                    Some(profile) => s.faulted(profile),
-                    None => s,
-                }
-            })
-        })
-        .filter(|s| s.network(base).is_ok())
-        .collect()
-}
-
-/// Topologies crossed with multi-tenant mixes: one tenanted scenario per
-/// `topology × mix` combination that fits `base`'s fabric (the synthetic
-/// pattern axis collapses to [`TrafficPattern::Uniform`] because the mix
-/// replaces the pattern — crossing patterns would only duplicate
-/// scenarios). Mixes whose tiles do not fit the fabric are silently
-/// skipped, mirroring [`scenario_grid`]'s treatment of invalid patterns.
-pub fn scenario_grid_tenants(base: &NetworkConfig, mixes: &[TenantMix]) -> Vec<Scenario> {
-    let mut out = Vec::new();
-    for topology in TopologyKind::ALL {
-        for &mix in mixes {
-            let scenario = Scenario::new(topology, TrafficPattern::Uniform).tenanted(mix);
-            if scenario.network(base).is_err() || !mix.fits(base.width(), base.height()) {
-                continue;
-            }
-            out.push(scenario);
-        }
-    }
-    out
-}
-
-/// Parallel multi-policy, multi-load sweep of one scenario under **combined
-/// DVFS + power-gating control** keeping the full detail of every point
-/// ([`run_operating_point_gated`]). Returns, per policy, the
-/// `(load, gated result)` points in load order; each point carries the
-/// per-island summaries and the full
-/// [`GatingResidency`](noc_power::GatingResidency).
-///
-/// # Panics
-///
-/// Panics if the scenario has no gating axis (`scenario.gating == None`).
-pub fn sweep_scenario_gated(
-    net: &NetworkConfig,
-    scenario: Scenario,
-    loads: &[f64],
-    policies: &[PolicyKind],
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> Vec<Vec<GatedSweepPoint>> {
-    sweep_scenario_gated_on(grid_parallel, net, scenario, loads, policies, loop_cfg, seed)
-}
-
-/// [`sweep_scenario_gated`] on the given grid (the parity test runs it on
-/// the serial one).
-fn sweep_scenario_gated_on(
-    grid: PolicyGrid<GatedSweepPoint>,
-    net: &NetworkConfig,
-    scenario: Scenario,
-    loads: &[f64],
-    policies: &[PolicyKind],
-    loop_cfg: &ClosedLoopConfig,
-    seed: u64,
-) -> Vec<Vec<GatedSweepPoint>> {
-    let gating = scenario.gating.expect("sweep_scenario_gated needs a gated scenario");
-    grid(loads, policies.len(), &|pi, load| GatedSweepPoint {
-        load,
-        result: run_operating_point_gated(
-            net,
-            scenario.traffic(net, load),
-            policies[pi].clone(),
-            gating,
-            loop_cfg,
-            seed,
-        ),
-    })
-}
-
-/// One `(load, gated result)` pair of a gated sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GatedSweepPoint {
-    /// The injection-rate load parameter.
-    pub load: f64,
-    /// The aggregate + per-island + gating-residency operating point.
-    pub result: GatedOperatingPointResult,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gating::run_operating_point_gated;
+    use crate::island::run_operating_point_islands;
 
     fn small_base() -> NetworkConfig {
         NetworkConfig::builder()
@@ -826,12 +627,9 @@ mod tests {
         // Whole-island scenarios keep the historical three-part label.
         let s = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform);
         assert_eq!(s.label(), "mesh/uniform/bernoulli");
-        let base = small_base();
-        let grid = scenario_grid_islands(&base, false, &RegionLayout::ALL);
-        assert_eq!(grid.len(), 4 * scenario_grid(&base, false).len());
         let net = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
             .islands(RegionLayout::PerRow)
-            .network(&base)
+            .network(&small_base())
             .unwrap();
         assert_eq!(net.region_map().island_count(), 4);
     }
@@ -841,8 +639,8 @@ mod tests {
         // Hotspot load is concentrated in one quadrant, so per-island RMSD
         // must land on a different operating point than global RMSD: the
         // quadrant layout's curve cannot be a relabelled copy of the whole-
-        // island curve. The aggregates must also match the per-island sweep
-        // bit for bit (same seeds, same loop).
+        // island curve. The aggregate must also match the per-island run
+        // bit for bit (same seed, same loop).
         let scenario = Scenario::new(TopologyKind::Mesh, TrafficPattern::Hotspot);
         let quad = scenario.islands(RegionLayout::Quadrants);
         let loads = [0.1];
@@ -853,15 +651,14 @@ mod tests {
             whole_curves[0].points[0].result, quad_curves[0].points[0].result,
             "quadrant islands must not be a relabelled global-DVFS run"
         );
-        let island_points = sweep_scenario_islands(
+        let islands = run_operating_point_islands(
             &net_quad,
-            quad,
-            &loads,
-            &policies,
+            quad.traffic(&net_quad, loads[0]),
+            policies[0].clone(),
             &ClosedLoopConfig::quick(),
             2015,
         );
-        assert_eq!(quad_curves[0].points[0].result, island_points[0][0].result.aggregate);
+        assert_eq!(quad_curves[0].points[0].result, islands.aggregate);
     }
 
     #[test]
@@ -872,26 +669,19 @@ mod tests {
         let policies = no_dvfs_and_rmsd();
         let loop_cfg = ClosedLoopConfig::quick();
         let (net, curves) = assert_sweep_parity(scenario, &loads, &policies);
-        let parallel =
-            sweep_scenario_islands(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        let serial = sweep_scenario_islands_on(
-            grid_serial,
-            &net,
-            scenario,
-            &loads,
-            &policies,
-            &loop_cfg,
-            2015,
-        );
-        assert_eq!(parallel, serial);
-        assert_eq!(parallel.len(), 2);
-        for (group, curve) in parallel.iter().zip(&curves) {
-            assert_eq!(group.len(), 2);
-            for (point, curve_point) in group.iter().zip(&curve.points) {
-                assert_eq!(point.result.islands.len(), 4);
-                assert!(point.result.aggregate.packets_delivered > 0);
+        for (policy, curve) in policies.iter().zip(&curves) {
+            for (&load, curve_point) in loads.iter().zip(&curve.points) {
+                let point = run_operating_point_islands(
+                    &net,
+                    scenario.traffic(&net, load),
+                    policy.clone(),
+                    &loop_cfg,
+                    2015,
+                );
+                assert_eq!(point.islands.len(), 4);
+                assert!(point.aggregate.packets_delivered > 0);
                 // The curve sweep's point is this point's aggregate.
-                assert_eq!(curve_point.result, point.result.aggregate);
+                assert_eq!(curve_point.result, point.aggregate);
             }
         }
     }
@@ -907,43 +697,32 @@ mod tests {
             .islands(RegionLayout::Quadrants)
             .gated(GatingPolicyKind::ImmediateSleep);
         assert_eq!(s.label(), "torus/hotspot/bursty/quadrants/imm-sleep");
-        let base = small_base();
-        let grid = scenario_grid_gated(
-            &base,
-            false,
-            &[None, Some(GatingPolicyKind::IdleThreshold(16))],
-        );
-        assert_eq!(grid.len(), 2 * scenario_grid(&base, false).len());
-        assert!(grid.iter().filter(|s| s.gating.is_some()).count() * 2 == grid.len());
     }
 
     #[test]
     fn gated_scenario_sweep_serial_parallel_parity() {
         use crate::gating::GatingPolicyKind;
-        let scenario = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
-            .gated(GatingPolicyKind::IdleThreshold(12));
+        let gating = GatingPolicyKind::IdleThreshold(12);
+        let scenario = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform).gated(gating);
         let loads = [0.02, 0.05];
         let policies = no_dvfs_and_rmsd();
         let loop_cfg = ClosedLoopConfig::quick();
         let (net, curves) = assert_sweep_parity(scenario, &loads, &policies);
-        let parallel = sweep_scenario_gated(&net, scenario, &loads, &policies, &loop_cfg, 2015);
-        let serial = sweep_scenario_gated_on(
-            grid_serial,
-            &net,
-            scenario,
-            &loads,
-            &policies,
-            &loop_cfg,
-            2015,
-        );
-        assert_eq!(parallel, serial);
-        for (group, curve) in parallel.iter().zip(&curves) {
-            for (point, curve_point) in group.iter().zip(&curve.points) {
-                assert!(point.result.aggregate.packets_delivered > 0);
-                assert!(point.result.gated_fraction() > 0.0, "light loads must gate");
+        for (policy, curve) in policies.iter().zip(&curves) {
+            for (&load, curve_point) in loads.iter().zip(&curve.points) {
+                let point = run_operating_point_gated(
+                    &net,
+                    scenario.traffic(&net, load),
+                    policy.clone(),
+                    gating,
+                    &loop_cfg,
+                    2015,
+                );
+                assert!(point.aggregate.packets_delivered > 0);
+                assert!(point.gated_fraction() > 0.0, "light loads must gate");
                 // The curve sweep runs gated scenarios gated: its point is
                 // this point's aggregate, bit for bit.
-                assert_eq!(curve_point.result, point.result.aggregate);
+                assert_eq!(curve_point.result, point.aggregate);
             }
         }
         // And a gated curve is a genuinely different operating point from
@@ -953,25 +732,6 @@ mod tests {
         assert!(
             curves[0].points[0].result.power_mw < plain[0].points[0].result.power_mw,
             "gating must show up as saved power"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "sweep_scenario_gated")]
-    fn island_sweep_rejects_gated_scenarios() {
-        use crate::gating::GatingPolicyKind;
-        let base = small_base();
-        let scenario = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
-            .islands(RegionLayout::Quadrants)
-            .gated(GatingPolicyKind::ImmediateSleep);
-        let net = scenario.network(&base).unwrap();
-        let _ = sweep_scenario_islands(
-            &net,
-            scenario,
-            &[0.05],
-            &[PolicyKind::NoDvfs],
-            &ClosedLoopConfig::quick(),
-            1,
         );
     }
 
@@ -996,19 +756,12 @@ mod tests {
         let s = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
             .faulted(FaultProfile::PermanentLinks { count: 1, at_cycle: 500 });
         assert_eq!(s.label(), "mesh/uniform/bernoulli/perm-links1-at500");
-        let base = small_base();
-        let grid = scenario_grid_faulted(
-            &base,
-            false,
-            RoutingKind::MinimalAdaptive,
-            &[None, Some(FaultProfile::PermanentLinks { count: 2, at_cycle: 0 })],
-        );
-        assert_eq!(grid.len(), 2 * scenario_grid(&base, false).len());
-        // A 1-VC base has no escape class: adaptive scenarios filter out.
+        // A 1-VC base has no escape class: adaptive scenarios are rejected.
+        let adaptive = Scenario::new(TopologyKind::Mesh, TrafficPattern::Uniform)
+            .routed(RoutingKind::MinimalAdaptive);
+        assert!(adaptive.network(&small_base()).is_ok());
         let one_vc = NetworkConfig::builder().mesh(4, 4).virtual_channels(1).build().unwrap();
-        let grid1 =
-            scenario_grid_faulted(&one_vc, false, RoutingKind::MinimalAdaptive, &[None]);
-        assert!(grid1.is_empty());
+        assert!(adaptive.network(&one_vc).is_err());
     }
 
     #[test]
@@ -1056,12 +809,16 @@ mod tests {
         // The tenant suffix composes after every other axis.
         let s = s.islands(RegionLayout::Quadrants);
         assert_eq!(s.label(), "mesh/uniform/bernoulli/quadrants/tenants2x6s42");
-        // An 8x4 fabric fits two 4x4 tiles; a 4x4 fabric fits one mix only.
+        // An 8x4 fabric fits two 4x4 tiles on both topologies; a 4x4 fabric
+        // does not.
         let wide = NetworkConfig::builder().mesh(8, 4).virtual_channels(2).build().unwrap();
-        let grid = scenario_grid_tenants(&wide, &[TenantMix::new(2, 6, 1)]);
-        assert_eq!(grid.len(), 2, "both topologies fit the 2-tenant mix");
-        let grid = scenario_grid_tenants(&small_base(), &[TenantMix::new(2, 6, 1)]);
-        assert!(grid.is_empty(), "two 4x4 tiles cannot fit a 4x4 fabric");
+        let mix = TenantMix::new(2, 6, 1);
+        for topology in TopologyKind::ALL {
+            let scenario = Scenario::new(topology, TrafficPattern::Uniform).tenanted(mix);
+            assert!(scenario.network(&wide).is_ok(), "{} fits the 2-tenant mix", topology.name());
+        }
+        assert!(mix.fits(wide.width(), wide.height()));
+        assert!(!mix.fits(4, 4), "two 4x4 tiles cannot fit a 4x4 fabric");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! and fans it out over the [`parallel`](crate::parallel) executor, and
 //! `grid_serial` is its reference twin, the policy-major double loop the
 //! parity tests compare against. Every sweep of the crate —
-//! [`sweep_policies`], the scenario, per-island and gated sweeps of
-//! [`crate::scenario`], each with its `_serial` variant — is a per-point
+//! [`sweep_policies`] and the scenario sweep of [`crate::scenario`], each
+//! with its `_serial` variant — is a per-point
 //! function handed to one of the two, so results are reassembled in grid
 //! order and are **bit-identical** between them for the same seeds; set
 //! `NOC_SWEEP_THREADS=1` to force serial execution globally.
@@ -87,22 +87,22 @@ impl PolicyCurve {
 /// A `(policy index, load) → point` function evaluated over a grid. It must
 /// be pure in its arguments so that [`grid_parallel`] stays bit-identical to
 /// [`grid_serial`].
-pub(crate) type GridPoint<'a, P> = &'a (dyn Fn(usize, f64) -> P + Sync);
+pub(crate) type GridPoint<'a> = &'a (dyn Fn(usize, f64) -> SweepPoint + Sync);
 
 /// One of the two grid executors, [`grid_parallel`] or [`grid_serial`]: runs
 /// a [`GridPoint`] at every `(policy, load)` pair and returns the results
 /// grouped per policy, in load order.
-pub(crate) type PolicyGrid<P> = fn(&[f64], usize, GridPoint<'_, P>) -> Vec<Vec<P>>;
+pub(crate) type PolicyGrid = fn(&[f64], usize, GridPoint<'_>) -> Vec<Vec<SweepPoint>>;
 
 /// The parallel grid: flattens the `(policy × load)` grid into one work list
 /// (policy-major, then load order), so all curves of a figure progress
 /// simultaneously and a single slow operating point cannot serialize an
 /// entire policy, then regroups the results per policy.
-pub(crate) fn grid_parallel<P: Send>(
+pub(crate) fn grid_parallel(
     loads: &[f64],
     policy_count: usize,
-    point: GridPoint<'_, P>,
-) -> Vec<Vec<P>> {
+    point: GridPoint<'_>,
+) -> Vec<Vec<SweepPoint>> {
     let grid: Vec<(usize, f64)> = (0..policy_count)
         .flat_map(|pi| loads.iter().map(move |&load| (pi, load)))
         .collect();
@@ -114,11 +114,11 @@ pub(crate) fn grid_parallel<P: Send>(
 /// one point at a time on the calling thread. Used by the parity tests and
 /// available for debugging (`NOC_SWEEP_THREADS=1` achieves the same through
 /// the parallel path).
-pub(crate) fn grid_serial<P>(
+pub(crate) fn grid_serial(
     loads: &[f64],
     policy_count: usize,
-    point: GridPoint<'_, P>,
-) -> Vec<Vec<P>> {
+    point: GridPoint<'_>,
+) -> Vec<Vec<SweepPoint>> {
     (0..policy_count).map(|pi| loads.iter().map(|&load| point(pi, load)).collect()).collect()
 }
 
@@ -126,7 +126,7 @@ pub(crate) fn grid_serial<P>(
 /// each policy's points with its name: the one projection from grid results
 /// to [`PolicyCurve`]s, shared by every curve-returning sweep.
 pub(crate) fn sweep_curves(
-    grid: PolicyGrid<SweepPoint>,
+    grid: PolicyGrid,
     loads: &[f64],
     policies: &[PolicyKind],
     point: &(dyn Fn(&PolicyKind, f64) -> OperatingPointResult + Sync),
@@ -144,7 +144,7 @@ pub(crate) fn sweep_curves(
 
 /// [`sweep_policies`] / [`sweep_policies_serial`] on the given grid.
 fn sweep_policies_on(
-    grid: PolicyGrid<SweepPoint>,
+    grid: PolicyGrid,
     net: &NetworkConfig,
     loads: &[f64],
     make_traffic: TrafficFactory<'_>,

@@ -19,7 +19,7 @@
 //!   [`TenantMap`] that attributes counted events to slots;
 //! * [`run_tenants`] — a fixed-frequency measurement driver producing a
 //!   [`TenantReport`]: global window, per-slot windows and per-slot energy
-//!   ([`RouterPowerModel::tenant_energy`]).
+//!   ([`RouterPowerModel::partition_energy`]).
 
 use noc_apps::TaskGraph;
 use noc_power::{model::EnergyBreakdown, FdsoiTech, RouterPowerModel};
@@ -358,7 +358,7 @@ impl TenantReport {
 ///
 /// The simulation warms up for `warmup_cycles` (ledgers then reset), then
 /// measures for `measure_cycles`. Energy is attributed per slot with
-/// [`RouterPowerModel::tenant_energy`] at the maximum frequency's operating
+/// [`RouterPowerModel::partition_energy`] at the maximum frequency's operating
 /// point, so the slot energies sum bit-identically to the fabric total.
 ///
 /// # Panics
@@ -398,7 +398,7 @@ pub fn run_tenants(
         .into_iter()
         .enumerate()
         .map(|(slot, window)| {
-            let e = power_model.tenant_energy(
+            let e = power_model.partition_energy(
                 &activity,
                 map.assignments(),
                 slot as u32,

@@ -70,7 +70,7 @@ mod tests;
 mod threaded;
 mod worklist;
 
-use self::ahead::{Ahead, Handoff};
+use self::ahead::Ahead;
 pub use self::invariants::InvariantViolation;
 use self::islands::{advance_island_clocks, IslandDomain};
 use self::worklist::{EventWheel, NodeSet};
@@ -476,9 +476,8 @@ impl NocSimulation {
         if !self.generation_runs_ahead(cycles) {
             return self.run_loop(cycles, &mut pipeline, &mut None);
         }
-        let handoff = Handoff::default();
         std::thread::scope(|scope| {
-            let mut ahead = Some(Ahead::lend(scope, &handoff, self, cycles));
+            let mut ahead = Some(Ahead::lend(scope, self, cycles));
             self.run_loop(cycles, &mut pipeline, &mut ahead);
             if let Some(ahead) = ahead {
                 ahead.give_back(self);

@@ -10,8 +10,9 @@
 //! the one `generate_tick` call phase 2 would make for every tick that
 //! completes node cycles. Each tick's emits become one batch — a word per
 //! packet, then the tick's start node cycle — in a stream of chunks that
-//! circulate between the two threads through a [`Handoff`]: at most
-//! [`CHUNKS`] exist, each at most 64 KiB. Phase 2 drains the tick's batch
+//! circulate between the two threads through two bounded channels, filled
+//! ones to the engine and drained ones back: at most [`CHUNKS`] exist, each
+//! at most 64 KiB, so a send never waits. Phase 2 drains the tick's batch
 //! through the same `queue_packet` closure the inline path feeds, so packet
 //! ids, stamps, window and tenant counts and the pending bit stay on the
 //! engine thread, in emit order, and the result is bit-identical.
@@ -26,8 +27,8 @@
 //!
 //! While lent out, the spec's slot in the simulation holds [`Lent`], which
 //! panics if used. A helper panic resurfaces from `run_cycles`; an engine
-//! panic marks the engine gone before the scope joins, so a waiting helper
-//! returns.
+//! panic drops the engine's channel ends before the scope joins, so a
+//! waiting helper returns.
 //!
 //! [`run_cycles`]: NocSimulation::run_cycles
 
@@ -36,7 +37,8 @@ use crate::clock::DualClock;
 use crate::topology::Topology;
 use crate::traffic::TrafficSpec;
 use rand::rngs::StdRng;
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::OnceLock;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
@@ -100,120 +102,17 @@ impl NocSimulation {
     }
 }
 
-/// The chunks of one call, and what each thread knows of the other.
-#[derive(Debug, Default)]
-struct Shelf {
-    /// Chunk `k` of the call sits in `slots[k % CHUNKS]` from the moment
-    /// the helper has filled it until the engine takes it, and again once
-    /// the engine has drained it; the thread working on a chunk holds it.
-    slots: [Vec<u64>; CHUNKS],
-    /// Chunks the helper has filled, and the engine has drained.
-    filled: u64,
-    drained: u64,
-    helper_done: bool,
-    engine_gone: bool,
-    /// Threads blocked on [`Handoff::changed`].
-    sleepers: usize,
-}
-
-/// Where the helper and the engine pass chunks. It lives outside the
-/// thread scope of the call, so both threads borrow it and nothing in it
-/// allocates but the chunks.
-#[derive(Debug, Default)]
-pub(super) struct Handoff {
-    shelf: Mutex<Shelf>,
-    changed: Condvar,
-}
-
-impl Handoff {
-    /// The shelf. No code that can panic runs under the lock, and every
-    /// update leaves the shelf whole, so a poisoned lock is taken as is:
-    /// the unwinding side still has to release the other.
-    fn lock(&self) -> MutexGuard<'_, Shelf> {
-        self.shelf.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Applies `change` and wakes a blocked thread.
-    fn update(&self, change: impl FnOnce(&mut Shelf)) {
-        let mut shelf = self.lock();
-        change(&mut shelf);
-        if shelf.sleepers > 0 {
-            self.changed.notify_all();
+/// The next value `rx` receives, or `None` once its sender is gone: polls
+/// for up to [`SPIN`], then blocks.
+fn recv_soon<T>(rx: &Receiver<T>) -> Option<T> {
+    let t0 = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(value) => return Some(value),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if t0.elapsed() < SPIN => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => return rx.recv().ok(),
         }
-    }
-
-    /// The value of `ready` once it has one: polls for up to [`SPIN`], then
-    /// blocks until the other thread changes the shelf.
-    fn wait<T>(&self, mut ready: impl FnMut(&mut Shelf) -> Option<T>) -> T {
-        let t0 = Instant::now();
-        loop {
-            let mut shelf = self.lock();
-            if let Some(value) = ready(&mut shelf) {
-                return value;
-            }
-            if t0.elapsed() >= SPIN {
-                shelf.sleepers += 1;
-                loop {
-                    shelf = self.changed.wait(shelf).unwrap_or_else(PoisonError::into_inner);
-                    if let Some(value) = ready(&mut shelf) {
-                        shelf.sleepers -= 1;
-                        return value;
-                    }
-                }
-            }
-            drop(shelf);
-            std::thread::yield_now();
-        }
-    }
-
-    /// The engine's next chunk, or `None` once the helper is done and every
-    /// chunk it filled has been taken.
-    fn take_filled(&self) -> Option<Vec<u64>> {
-        self.wait(|shelf| {
-            if shelf.filled > shelf.drained {
-                Some(Some(std::mem::take(&mut shelf.slots[shelf.drained as usize % CHUNKS])))
-            } else {
-                shelf.helper_done.then_some(None)
-            }
-        })
-    }
-
-    /// An empty chunk for the helper to fill, or `None` once the engine has
-    /// gone.
-    fn take_empty(&self) -> Option<Vec<u64>> {
-        let mut chunk = self.wait(|shelf| {
-            if shelf.engine_gone {
-                Some(None)
-            } else if shelf.filled < shelf.drained + CHUNKS as u64 {
-                Some(Some(std::mem::take(&mut shelf.slots[shelf.filled as usize % CHUNKS])))
-            } else {
-                None
-            }
-        })?;
-        chunk.clear();
-        chunk.reserve_exact(CHUNK_WORDS);
-        Some(chunk)
-    }
-}
-
-/// The engine's hold on the handoff: dropping it — the call is over, or the
-/// engine is unwinding — lets a waiting helper return.
-#[derive(Debug)]
-struct EngineEnd<'h>(&'h Handoff);
-
-impl Drop for EngineEnd<'_> {
-    fn drop(&mut self) {
-        self.0.update(|shelf| shelf.engine_gone = true);
-    }
-}
-
-/// The helper's hold on the handoff: dropping it — the helper returned or
-/// panicked — tells the engine no further chunk comes.
-struct HelperEnd<'h>(&'h Handoff);
-
-impl Drop for HelperEnd<'_> {
-    fn drop(&mut self) {
-        self.0.update(|shelf| shelf.helper_done = true);
     }
 }
 
@@ -222,7 +121,11 @@ impl Drop for HelperEnd<'_> {
 #[derive(Debug)]
 pub(super) struct Ahead<'scope> {
     helper: ScopedJoinHandle<'scope, (Box<dyn TrafficSpec>, StdRng)>,
-    handoff: EngineEnd<'scope>,
+    /// Filled chunks from the helper, and drained ones back to it. Dropping
+    /// them — the call is over, or the engine is unwinding — lets a waiting
+    /// helper return.
+    filled: Receiver<Vec<u64>>,
+    empties: SyncSender<Vec<u64>>,
     /// The chunk being drained (no capacity while none is held), and the
     /// read position in it.
     chunk: Vec<u64>,
@@ -239,7 +142,6 @@ impl<'scope> Ahead<'scope> {
     /// `cycles` ticks.
     pub(super) fn lend(
         scope: &'scope Scope<'scope, '_>,
-        handoff: &'scope Handoff,
         sim: &mut NocSimulation,
         cycles: u64,
     ) -> Self {
@@ -252,9 +154,15 @@ impl<'scope> Ahead<'scope> {
             cycles,
         };
         let packet_length = helper.traffic.packet_length();
+        let (filled_in, filled) = sync_channel(CHUNKS);
+        let (empties, empties_out) = sync_channel(CHUNKS);
+        for _ in 0..CHUNKS {
+            empties.send(Vec::new()).expect("the channel holds every chunk");
+        }
         Ahead {
-            helper: scope.spawn(move || helper.run(ChunkWriter::new(HelperEnd(handoff)))),
-            handoff: EngineEnd(handoff),
+            helper: scope.spawn(move || helper.run(ChunkWriter::new(filled_in, empties_out))),
+            filled,
+            empties,
             chunk: Vec::new(),
             pos: 0,
             packet_length,
@@ -304,7 +212,7 @@ impl<'scope> Ahead<'scope> {
     fn refill(&mut self) -> bool {
         self.hand_back_chunk();
         let t0 = Instant::now();
-        let next = self.handoff.0.take_filled();
+        let next = recv_soon(&self.filled);
         self.wait_ns += t0.elapsed().as_nanos() as u64;
         next.map(|chunk| self.chunk = chunk).is_some()
     }
@@ -313,10 +221,8 @@ impl<'scope> Ahead<'scope> {
         let drained = std::mem::take(&mut self.chunk);
         self.pos = 0;
         if drained.capacity() > 0 {
-            self.handoff.0.update(|shelf| {
-                shelf.slots[shelf.drained as usize % CHUNKS] = drained;
-                shelf.drained += 1;
-            });
+            // Fails only once the helper has returned, which needs no chunk.
+            let _ = self.empties.send(drained);
         }
     }
 
@@ -329,18 +235,12 @@ impl<'scope> Ahead<'scope> {
             "a batch of the generation helper was left undrained"
         );
         self.hand_back_chunk();
-        let Ahead { helper, handoff: end, ticks, wait_ns, .. } = self;
-        let handoff = end.0;
+        let Ahead { helper, filled, empties, ticks, wait_ns, .. } = self;
         // Every tick the helper can still reach emits no node cycle: release
         // it from a wait for an empty chunk.
-        drop(end);
+        drop(empties);
         let (traffic, rng) = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        let shelf = handoff.lock();
-        assert_eq!(
-            shelf.filled, shelf.drained,
-            "a chunk of the generation helper was left undrained"
-        );
-        drop(shelf);
+        assert!(filled.try_recv().is_err(), "a chunk of the generation helper was left undrained");
         sim.traffic = traffic;
         sim.rng = rng;
         if let Some(t) = sim.telemetry.as_deref_mut().filter(|t| t.profiling()) {
@@ -365,7 +265,7 @@ impl Helper {
     /// Generates the batch of every tick of the call that completes node
     /// cycles, up to the first silent one, and returns the spec and the
     /// generator as that tick finds them.
-    fn run(self, mut out: ChunkWriter<'_>) -> (Box<dyn TrafficSpec>, StdRng) {
+    fn run(self, mut out: ChunkWriter) -> (Box<dyn TrafficSpec>, StdRng) {
         let Helper { mut traffic, mut rng, topo, nodes, mut clock, cycles } = self;
         for _ in 0..cycles {
             let node_cycles = clock.advance_noc_cycle();
@@ -391,9 +291,11 @@ impl Helper {
     }
 }
 
-/// The helper's end of the chunk stream.
-struct ChunkWriter<'h> {
-    handoff: HelperEnd<'h>,
+/// The helper's end of the chunk stream. Dropping it — the helper returned
+/// or panicked — tells the engine no further chunk comes.
+struct ChunkWriter {
+    filled: SyncSender<Vec<u64>>,
+    empties: Receiver<Vec<u64>>,
     /// The chunk being filled; `None` once the engine has gone.
     chunk: Option<Vec<u64>>,
     /// Draws behind `chunk`, and the count at which it is handed over.
@@ -401,10 +303,12 @@ struct ChunkWriter<'h> {
     flush_at: u64,
 }
 
-impl<'h> ChunkWriter<'h> {
-    fn new(handoff: HelperEnd<'h>) -> Self {
-        let chunk = handoff.0.take_empty();
-        ChunkWriter { handoff, chunk, draws: 0, flush_at: FIRST_FLUSH_DRAWS }
+impl ChunkWriter {
+    fn new(filled: SyncSender<Vec<u64>>, empties: Receiver<Vec<u64>>) -> Self {
+        let mut writer =
+            ChunkWriter { filled, empties, chunk: None, draws: 0, flush_at: FIRST_FLUSH_DRAWS };
+        writer.chunk = writer.take_empty();
+        writer
     }
 
     fn gone(&self) -> bool {
@@ -432,26 +336,29 @@ impl<'h> ChunkWriter<'h> {
         }
     }
 
+    /// An empty chunk to fill, or `None` once the engine has gone.
+    fn take_empty(&self) -> Option<Vec<u64>> {
+        let mut chunk = recv_soon(&self.empties)?;
+        chunk.clear();
+        chunk.reserve_exact(CHUNK_WORDS);
+        Some(chunk)
+    }
+
     /// Hands the chunk over and takes an empty one.
     fn flush(&mut self) {
         if let Some(filled) = self.chunk.take() {
-            self.put(filled);
-            self.chunk = self.handoff.0.take_empty();
+            if self.filled.send(filled).is_ok() {
+                self.chunk = self.take_empty();
+            }
             self.draws = 0;
         }
-    }
-
-    fn put(&self, filled: Vec<u64>) {
-        self.handoff.0.update(|shelf| {
-            shelf.slots[shelf.filled as usize % CHUNKS] = filled;
-            shelf.filled += 1;
-        });
     }
 
     /// Hands over the last, partly filled chunk.
     fn finish(mut self) {
         if let Some(last) = self.chunk.take().filter(|chunk| !chunk.is_empty()) {
-            self.put(last);
+            // Fails only once the engine has gone, which needs no chunk.
+            let _ = self.filled.send(last);
         }
     }
 }

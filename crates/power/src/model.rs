@@ -260,9 +260,8 @@ impl RouterPowerModel {
         self.router_energy(activity, frequency, vdd, duration_ps).total_pj() / (duration_ps / 1.0e3)
     }
 
-    /// The one energy fold behind [`network_energy`](Self::network_energy),
-    /// [`island_energy`](Self::island_energy) and
-    /// [`tenant_energy`](Self::tenant_energy): sums the energy of `routers`,
+    /// The one energy fold behind [`network_energy`](Self::network_energy)
+    /// and [`partition_energy`](Self::partition_energy): sums the energy of `routers`,
     /// all at (`frequency`, `vdd`) over `duration_ps`, in iteration order.
     ///
     /// Idle routers take a fast path: their switching-event energy is exactly
@@ -292,9 +291,37 @@ impl RouterPowerModel {
             .fold(EnergyBreakdown::default(), |acc, e| acc + e)
     }
 
-    /// [`fold_energy`](Self::fold_energy) over the routers that `part_of`
-    /// assigns to `part`, in ascending node order.
-    fn partition_energy(
+    /// Energy consumed by the whole NoC over an interval: every router, in
+    /// ascending node order, with the idle-router fast path (bit-identical
+    /// to summing [`router_energy`](Self::router_energy) over the routers).
+    pub fn network_energy(
+        &self,
+        activity: &NetworkActivity,
+        frequency: Hertz,
+        vdd: Volts,
+        duration_ps: f64,
+    ) -> EnergyBreakdown {
+        self.fold_energy(activity.routers.iter(), frequency, vdd, duration_ps)
+    }
+
+    /// Energy consumed by the routers of **one part of a node partition**
+    /// over an interval during which that part ran at (`frequency`, `vdd`):
+    /// a voltage-frequency island, or a tenant slot.
+    ///
+    /// `part_of` assigns each router (by node id) to a part, exactly as
+    /// [`RegionMap::assignments`](noc_sim::RegionMap::assignments) or
+    /// [`TenantMap::assignments`](noc_sim::TenantMap::assignments) reports
+    /// it (slot `tenant_count` being the background slot for unmapped
+    /// nodes); only the routers of `part` contribute. It is the fold of
+    /// [`network_energy`](Self::network_energy) restricted to those routers
+    /// — same fast path, same per-router `f64`, ascending node order — so
+    /// summing over every part partitions the network's energy without
+    /// overlap, and the one-part partition reproduces it bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part_of` is shorter than the activity record.
+    pub fn partition_energy(
         &self,
         activity: &NetworkActivity,
         part_of: &[u32],
@@ -310,73 +337,6 @@ impl RouterPowerModel {
         let members =
             activity.routers.iter().zip(part_of).filter(|(_, &p)| p == part).map(|(r, _)| r);
         self.fold_energy(members, frequency, vdd, duration_ps)
-    }
-
-    /// Energy consumed by the whole NoC over an interval: every router, in
-    /// ascending node order, with the idle-router fast path (bit-identical
-    /// to summing [`router_energy`](Self::router_energy) over the routers).
-    pub fn network_energy(
-        &self,
-        activity: &NetworkActivity,
-        frequency: Hertz,
-        vdd: Volts,
-        duration_ps: f64,
-    ) -> EnergyBreakdown {
-        self.fold_energy(activity.routers.iter(), frequency, vdd, duration_ps)
-    }
-
-    /// Energy consumed by the routers of **one voltage-frequency island**
-    /// over an interval during which that island ran at (`frequency`,
-    /// `vdd`).
-    ///
-    /// `island_of` assigns each router (by node id) to an island, exactly as
-    /// [`RegionMap::assignments`](noc_sim::RegionMap::assignments) reports
-    /// it; only the routers of `island` contribute. It is the fold of
-    /// [`network_energy`](Self::network_energy) restricted to those routers
-    /// — same fast path, same per-router `f64`, ascending node order — so for
-    /// the single-island partition the two are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `island_of` is shorter than the activity record.
-    pub fn island_energy(
-        &self,
-        activity: &NetworkActivity,
-        island_of: &[u32],
-        island: u32,
-        frequency: Hertz,
-        vdd: Volts,
-        duration_ps: f64,
-    ) -> EnergyBreakdown {
-        self.partition_energy(activity, island_of, island, frequency, vdd, duration_ps)
-    }
-
-    /// Energy consumed by the routers assigned to **one tenant slot** over
-    /// an interval during which the fabric ran at (`frequency`, `vdd`).
-    ///
-    /// `slot_of` assigns each router (by node id) to a tenant slot, exactly
-    /// as [`TenantMap::assignments`](noc_sim::TenantMap::assignments)
-    /// reports it (slot `tenant_count` being the background slot for
-    /// unmapped nodes); only the routers of `slot` contribute. It is the
-    /// fold of [`island_energy`](Self::island_energy) keyed by a different
-    /// partition, so summing over every slot of a
-    /// [`TenantMap`](noc_sim::TenantMap) partitions
-    /// [`network_energy`](Self::network_energy) on the whole fabric without
-    /// overlap, and the single-slot map reproduces it bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot_of` is shorter than the activity record.
-    pub fn tenant_energy(
-        &self,
-        activity: &NetworkActivity,
-        slot_of: &[u32],
-        slot: u32,
-        frequency: Hertz,
-        vdd: Volts,
-        duration_ps: f64,
-    ) -> EnergyBreakdown {
-        self.partition_energy(activity, slot_of, slot, frequency, vdd, duration_ps)
     }
 
     /// Average power of the whole NoC over an interval, with a per-router
@@ -462,14 +422,14 @@ mod tests {
         net.routers[1] = busy_activity(1_000, 200);
         net.routers[4] = busy_activity(1_000, 900);
         let island_of = [0u32, 0, 1, 1, 1, 0];
-        let a = model.island_energy(&net, &island_of, 0, f, vdd, duration_ps);
-        let b = model.island_energy(&net, &island_of, 1, f, vdd, duration_ps);
+        let a = model.partition_energy(&net, &island_of, 0, f, vdd, duration_ps);
+        let b = model.partition_energy(&net, &island_of, 1, f, vdd, duration_ps);
         let whole = model.network_energy(&net, f, vdd, duration_ps);
         // Same per-router f64 contributions, partitioned without overlap.
         assert!((a.total_pj() + b.total_pj() - whole.total_pj()).abs() < 1e-9);
         assert!(b.dynamic_pj > a.dynamic_pj, "island 1 holds the busiest router");
         // The single-island partition is bit-identical to the network fold.
-        let single = model.island_energy(&net, &[0; 6], 0, f, vdd, duration_ps);
+        let single = model.partition_energy(&net, &[0; 6], 0, f, vdd, duration_ps);
         assert_eq!(single.dynamic_pj.to_bits(), whole.dynamic_pj.to_bits());
         assert_eq!(single.static_pj.to_bits(), whole.static_pj.to_bits());
     }
@@ -486,12 +446,12 @@ mod tests {
         // Two tenants plus the background slot (2) for unmapped nodes.
         let slot_of = [0u32, 2, 1, 1, 2, 0];
         let per_slot: f64 = (0..3)
-            .map(|s| model.tenant_energy(&net, &slot_of, s, f, vdd, duration_ps).total_pj())
+            .map(|s| model.partition_energy(&net, &slot_of, s, f, vdd, duration_ps).total_pj())
             .sum();
         let whole = model.network_energy(&net, f, vdd, duration_ps);
         assert!((per_slot - whole.total_pj()).abs() < 1e-9);
         // Single-slot partition is bit-identical to the network fold.
-        let single = model.tenant_energy(&net, &[0; 6], 0, f, vdd, duration_ps);
+        let single = model.partition_energy(&net, &[0; 6], 0, f, vdd, duration_ps);
         assert_eq!(single.dynamic_pj.to_bits(), whole.dynamic_pj.to_bits());
         assert_eq!(single.static_pj.to_bits(), whole.static_pj.to_bits());
     }
@@ -501,9 +461,10 @@ mod tests {
     fn tenant_energy_rejects_short_assignments() {
         let model = RouterPowerModel::new();
         let net = NetworkActivity::new(4);
-        let _ = model.tenant_energy(
+        let tenant_slot_of = [0u32, 0];
+        let _ = model.partition_energy(
             &net,
-            &[0, 0],
+            &tenant_slot_of,
             0,
             Hertz::from_ghz(1.0),
             Volts::new(0.9),
@@ -516,9 +477,10 @@ mod tests {
     fn island_energy_rejects_short_assignments() {
         let model = RouterPowerModel::new();
         let net = NetworkActivity::new(4);
-        let _ = model.island_energy(
+        let island_of = [0u32, 0];
+        let _ = model.partition_energy(
             &net,
-            &[0, 0],
+            &island_of,
             0,
             Hertz::from_ghz(1.0),
             Volts::new(0.9),

@@ -3,7 +3,8 @@
 # from, in one command.
 #
 #   scripts/bench_pairs.sh <parent-ref> [--pairs N] [--seed S] [--record LABEL]
-#                          [--parent-dir DIR] [--change-dir DIR] [workload…]
+#                          [--check] [--parent-dir DIR] [--change-dir DIR]
+#                          [workload…]
 #
 # Exports <parent-ref> and the change (the working tree's tracked and staged
 # files; HEAD when the tree is clean) into two directories, builds each side
@@ -18,6 +19,11 @@
 # a row UNRESOLVED when the parent's own q1–q3 spread exceeds the bound, lists
 # every run, and compares the `result_digest` of every run on both sides.
 # Exits 1 when a digest differs between the sides or between runs of a side.
+#
+# --check also exits 1, after the table, when the change is behind on an
+# end-to-end metric: worse in at least 80 % of the pairs, and worse in the
+# median by more than max(3 %, the parent's q1–q3 width); it prints the
+# workload and metric of every such row.
 #
 # --record LABEL appends the table as one object (one line) to the tracked
 # BENCH_pairs.json at the repository root: label, parent and change commits,
@@ -39,7 +45,7 @@
 set -euo pipefail
 
 REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { sed -n '2,38p' "${BASH_SOURCE[0]}" >&2; exit 2; }
+usage() { sed -n '2,44p' "${BASH_SOURCE[0]}" >&2; exit 2; }
 
 PAIRS=10
 SEED=2015
@@ -48,12 +54,14 @@ PARENT_DIR="$WORK/parent"
 CHANGE_DIR="$WORK/change"
 PARENT_REF=""
 RECORD=""
+CHECK=""
 WORKLOADS=()
 while (( $# )); do
     case "$1" in
         --pairs) PAIRS="${2:?--pairs needs a value}"; shift 2 ;;
         --seed) SEED="${2:?--seed needs a value}"; shift 2 ;;
         --record) RECORD="${2:?--record needs a label}"; shift 2 ;;
+        --check) CHECK=1; shift ;;
         --parent-dir) PARENT_DIR="${2:?--parent-dir needs a value}"; shift 2 ;;
         --change-dir) CHANGE_DIR="${2:?--change-dir needs a value}"; shift 2 ;;
         -h|--help) usage ;;
@@ -127,7 +135,7 @@ for workload in "${WORKLOADS[@]}"; do
         done
         paste "$RUNS/values.parent" "$RUNS/values.change" | awk \
             -v w="$workload" -v m="$metric" -v better="$better" -v bound="$bound" \
-            -v record="$RUNS/record.$workload" '
+            -v record="$RUNS/record.$workload" -v check="${CHECK:+$RUNS/check}" '
             # Quantile by linear interpolation between order statistics.
             function quantile(v, n, q,    pos, lo) {
                 pos = 1 + (n - 1) * q; lo = int(pos)
@@ -141,7 +149,8 @@ for workload in "${WORKLOADS[@]}"; do
                     }
             }
             { n++; p[n] = $1; c[n] = $2
-              if ((better == "lower" && $2 < $1) || (better == "higher" && $2 > $1)) won++ }
+              if ((better == "lower" && $2 < $1) || (better == "higher" && $2 > $1)) won++
+              if ((better == "lower" && $2 > $1) || (better == "higher" && $2 < $1)) behind++ }
             END {
                 sorted(p, sp, n); sorted(c, sc, n)
                 pm = quantile(sp, n, 0.5); cm = quantile(sc, n, 0.5)
@@ -157,6 +166,14 @@ for workload in "${WORKLOADS[@]}"; do
                 printf "\"%s\": {\"parent\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"delta_pct\": %s, \"change_better_in\": %d}\n",
                     m, pm, pq1, pq3, cm, quantile(sc, n, 0.25), quantile(sc, n, 0.75),
                     pm != 0 ? sprintf("%.1f", 100 * (cm - pm) / pm) : "null", won >>record
+                # --check: behind in >= 80 % of pairs and, relative to the
+                # parent median, worse by more than max(3 %, parent q1–q3).
+                scale = pm < 0 ? -pm : pm
+                gap = scale ? (better == "lower" ? cm - pm : pm - cm) / scale : 0
+                limit = scale && (pq3 - pq1) / scale > 0.03 ? (pq3 - pq1) / scale : 0.03
+                if (check != "" && behind >= 0.8 * n && gap > limit)
+                    printf "%s | %s | change behind in %d/%d pairs, median %.1f %% worse, limit %.1f %%\n",
+                        w, m, behind, n, 100 * gap, 100 * limit >>check
             }'
     done <<<"$METRICS"
     digests="$(sort -u "$RUNS/$workload.parent.digests" "$RUNS/$workload.change.digests")"
@@ -169,6 +186,17 @@ for workload in "${WORKLOADS[@]}"; do
         status=1
     fi
 done
+
+check_status=0
+if [[ -n "$CHECK" ]]; then
+    if [[ -s "$RUNS/check" ]]; then
+        echo "check FAILED: the change is behind on"
+        cat "$RUNS/check"
+        check_status=1
+    else
+        echo "check passed: no end-to-end metric behind in >= 80 % of pairs by more than max(3 %, parent q1–q3)"
+    fi
+fi
 
 # Reproduction beside speed: the paper.* quantities of one traced fig_sweep
 # per side ("<metric> <value>" lines in $RUNS/paper.<side>), exact values.
@@ -214,4 +242,4 @@ if [[ -n "$RECORD" ]]; then
         "$(join_lines "$RUNS/paper")" "$(join_lines "$RUNS/record")" >>"$FILE"
     echo "recorded $RECORD in $FILE" >&2
 fi
-exit "$status"
+exit $(( status || check_status ))

@@ -16,10 +16,13 @@
 //!   seed 2015, 50 000 cycles): the heap grows by ≤ 100 B per queued packet.
 //!   Measured 69 B over 12 743 packets; before, 1 199 B.
 //! * **Steady 8×8 at 0.30 uniform**, 20 000 cycles after a 20 000-cycle
-//!   warm-up: fewer than 32 allocations. Measured 21: 7 for the generation
-//!   helper this 1.3 M-draw call runs (its thread and three chunks), the
-//!   rest a source queue or a scratch list outgrowing its own high-water
-//!   mark.
+//!   warm-up: fewer than 32 allocations, of which at most 3 of a chunk's
+//!   64 KiB. Measured 28: 14 for the generation helper this 1.3 M-draw call
+//!   runs — its thread (4), three 64 KiB chunks, per channel its block
+//!   (640 B) and its three slots (96 B), per receiver its wait-queue list
+//!   (96 B), and the helper thread's wait context (48 B) — the rest a source
+//!   queue or a scratch list outgrowing its own high-water mark. The chunks
+//!   and the thread were 7 of the 21 before the channels.
 //!
 //! Each case prints its count (`cargo test --test footprint -- --nocapture`).
 
@@ -28,19 +31,32 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Bytes and blocks currently allocated, and allocation calls (`alloc`,
-/// `alloc_zeroed`, `realloc`) ever made. Statistics only: `Relaxed` suffices.
+/// `alloc_zeroed`, `realloc`) ever made, in all and of at least
+/// [`CHUNK_BYTES`]. Statistics only: `Relaxed` suffices.
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+static CHUNK_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+/// The size of a chunk of the generation helper (64 KiB).
+const CHUNK_BYTES: usize = 64 * 1024;
 
 struct Counting;
+
+/// Counts an allocation call that returned a block of `size` bytes.
+fn count_call(size: usize) {
+    CALLS.fetch_add(1, Relaxed);
+    if size >= CHUNK_BYTES {
+        CHUNK_CALLS.fetch_add(1, Relaxed);
+    }
+}
 
 /// Books a block of `size` bytes that an allocation call returned at `ptr`.
 fn book(ptr: *mut u8, size: usize) {
     if !ptr.is_null() {
         LIVE_BYTES.fetch_add(size, Relaxed);
         LIVE_BLOCKS.fetch_add(1, Relaxed);
-        CALLS.fetch_add(1, Relaxed);
+        count_call(size);
     }
 }
 
@@ -75,7 +91,7 @@ unsafe impl GlobalAlloc for Counting {
         if !new_ptr.is_null() {
             LIVE_BYTES.fetch_add(new_size, Relaxed);
             LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
-            CALLS.fetch_add(1, Relaxed);
+            count_call(new_size);
         }
         new_ptr
     }
@@ -84,9 +100,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// `(live bytes, live blocks, allocation calls)` right now.
-fn heap() -> (usize, usize, usize) {
-    (LIVE_BYTES.load(Relaxed), LIVE_BLOCKS.load(Relaxed), CALLS.load(Relaxed))
+/// `(live bytes, live blocks, allocation calls, chunk-sized calls)` right
+/// now.
+fn heap() -> (usize, usize, usize, usize) {
+    (
+        LIVE_BYTES.load(Relaxed),
+        LIVE_BLOCKS.load(Relaxed),
+        CALLS.load(Relaxed),
+        CHUNK_CALLS.load(Relaxed),
+    )
 }
 
 fn built(builder: noc_sim::NetworkConfigBuilder) -> NetworkConfig {
@@ -128,14 +150,19 @@ fn state_is_sized_by_what_is_in_flight() {
 
     // (c) Steady state: a VC allocates once, on its first flit, and a queue
     // only to exceed its own high-water mark — after a warm-up nothing else
-    // reaches the allocator.
+    // reaches the allocator. The call owes 1.3 M draws, so the generation
+    // helper runs it, with at most three chunks.
     let net = built(NetworkConfig::builder().mesh(8, 8));
     let traffic = SyntheticTraffic::new(TrafficPattern::Uniform, 0.30, net.packet_length());
     let mut steady = NocSimulation::new(net, Box::new(traffic), 2015);
     steady.run_cycles(20_000);
     let before = heap();
     steady.run_cycles(20_000);
-    let calls = heap().2 - before.2;
-    println!("steady 8x8 at 0.30: {calls} allocations in 20 000 cycles after warm-up");
+    let after = heap();
+    let (calls, chunks) = (after.2 - before.2, after.3 - before.3);
+    println!(
+        "steady 8x8 at 0.30: {calls} allocations in 20 000 cycles after warm-up, {chunks} of a chunk's size"
+    );
     assert!(calls < 32, "{calls} allocations in steady state, budget 32");
+    assert!(chunks <= 3, "{chunks} chunk-sized allocations in one call, bound 3");
 }
